@@ -52,8 +52,7 @@ func runExplore(w io.Writer, in flow.Input, o options) error {
 }
 
 // exploreBase builds the base option point the grid perturbs from the
-// non-swept flags. Live-state flags (-trace, -journal) and matcher-path
-// flags that never change results (-lite, -parallel-match) stay out of the
+// non-swept flags. Live-state flags (-trace, -journal) stay out of the
 // base so local fronts match remote ones.
 func exploreBase(o options) (flow.Options, error) {
 	if o.trace || o.journal != "" || o.explain != "" {
@@ -62,8 +61,6 @@ func exploreBase(o options) (flow.Options, error) {
 	base := flow.Options{Allocator: o.allocator}
 	base.Core.DisableCleanup = o.noCleanup
 	base.Core.ExhaustiveMatch = o.exhaustive
-	base.Core.LiteMatch = o.lite
-	base.Core.ParallelMatch = o.parallel
 	switch o.allocator {
 	case flow.AllocDAA, flow.AllocLeftEdge, flow.AllocNaive:
 	default:

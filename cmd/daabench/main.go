@@ -19,22 +19,21 @@
 //	daabench -only E2        run one experiment
 //	daabench -only stages    print the pipeline stage-timing table
 //	daabench -bench gcd      use a different benchmark for E2/E3/E4/E8/E10/STAGES
-//	daabench -json           emit machine-readable per-benchmark results
-//	daabench -json -lite     same, on the interpreted Rete-lite matcher
-//	daabench -json -verify   same, with cosim verdicts and stage timings
+//	daabench -json             emit machine-readable per-benchmark results
+//	daabench -json -exhaustive same, on the exhaustive matcher
+//	daabench -json -verify     same, with cosim verdicts and stage timings
 //
 // With -json the tables are replaced by one JSON document with component
 // counts, firings, match calls, match and elapsed time, Rete network
 // activity, pipeline stage timings, and flow-cache hit/miss counts per
 // benchmark and phase, for recording the bench trajectory (BENCH_*.json)
-// from CI. -lite and -exhaustive rerun the suite on the interpreted
-// matchers, so CI can diff pattern tests and match time against the
-// compiled Rete network; -verify adds the emit and cosim stages so the
-// equivalence verdict and cosim timing ride in the same record. The
-// suite-wide experiments fan
-// out across a bounded worker pool; the output stays byte-deterministic
-// apart from the measured times. Usage mistakes exit 1; internal failures
-// exit 3.
+// from CI. -exhaustive reruns the suite on the exhaustive matcher, so CI
+// can diff pattern tests and match time against the compiled Rete
+// network; -verify adds the emit and cosim stages so the equivalence
+// verdict and cosim timing ride in the same record. The suite-wide
+// experiments fan out across a bounded worker pool; the output stays
+// byte-deterministic apart from the measured times. Usage mistakes exit
+// 1; internal failures exit 3.
 //
 // Loadgen mode drives a running daad daemon (cmd/daad) instead of
 // synthesizing in-process, replaying the embedded suite concurrently and
@@ -69,8 +68,7 @@ func main() {
 		only      = flag.String("only", "", "run a single experiment: E1..E10, or 'stages'")
 		benchName = flag.String("bench", "mcs6502", "benchmark for E2, E3, E4, E8, E10, and stages")
 		asJSON    = flag.Bool("json", false, "emit machine-readable per-benchmark results instead of tables")
-		lite      = flag.Bool("lite", false, "with -json: use the interpreted Rete-lite matcher (baseline for match-cost diffs)")
-		exhaust   = flag.Bool("exhaustive", false, "with -json: recompute the conflict set from scratch every cycle")
+		exhaust   = flag.Bool("exhaustive", false, "with -json: recompute the conflict set from scratch every cycle (baseline for match-cost diffs)")
 		verify    = flag.Bool("verify", false, "with -json: run the emit and cosim stages and record the equivalence verdict per benchmark")
 		loadgen   = flag.Bool("loadgen", false, "replay the embedded suite against a daad daemon (see -addr, -c, -n)")
 		addr      = flag.String("addr", "", "daad base URL for -loadgen (e.g. http://localhost:8547)")
@@ -94,7 +92,6 @@ func main() {
 		})
 	} else {
 		err = run(os.Stdout, strings.ToUpper(*only), *benchName, *asJSON, *verify, core.Options{
-			LiteMatch:       *lite,
 			ExhaustiveMatch: *exhaust,
 		})
 	}
@@ -112,8 +109,8 @@ func run(w io.Writer, only, benchName string, asJSON, verify bool, copt core.Opt
 		}
 		return exp.WriteJSONOpts(ctx, w, copt, verify)
 	}
-	if copt.LiteMatch || copt.ExhaustiveMatch {
-		return flow.Usagef("-lite/-exhaustive record matcher baselines; combine them with -json")
+	if copt.ExhaustiveMatch {
+		return flow.Usagef("-exhaustive records the matcher baseline; combine it with -json")
 	}
 	if verify {
 		return flow.Usagef("-verify records cosim verdicts; combine it with -json (or run -only E9 for the table)")

@@ -52,7 +52,6 @@ func main() {
 		deadline     = flag.Duration("deadline", 60*time.Second, "default per-request synthesis deadline")
 		maxDeadline  = flag.Duration("max-deadline", 5*time.Minute, "clamp on client-supplied deadlines")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound for in-flight work")
-		parallel     = flag.Int("parallel-match", 0, "shard Rete beta propagation across this many workers per synthesis (0 = serial)")
 		maxGrid      = flag.Int("max-grid", 0, "largest /v1/explore grid accepted, in points (0 = default 64, negative disables the endpoint's cap)")
 
 		id            = flag.String("id", "", "worker identity reported in X-DAAD-Worker")
@@ -72,7 +71,6 @@ func main() {
 		MaxBodyBytes:      *maxBody,
 		DefaultDeadline:   *deadline,
 		MaxDeadline:       *maxDeadline,
-		ParallelMatch:     *parallel,
 		MaxGridPoints:     *maxGrid,
 		Logger:            log.New(os.Stderr, "daad ", log.LstdFlags|log.Lmicroseconds),
 	}

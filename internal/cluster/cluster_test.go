@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 	"time"
 
@@ -356,6 +357,69 @@ func TestNoReadyWorkers(t *testing.T) {
 	hz.Body.Close()
 	if hz.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("coordinator readiness %d with empty ring, want 503", hz.StatusCode)
+	}
+}
+
+// TestRoutedEndpointRefusals pins the error surface the routed POST
+// endpoints share: 413 past the body limit, 400 for a body that yields no
+// shard key, and 503 while draining, each counted against its endpoint.
+// The ring is empty, so a request that got as far as routing would answer
+// 503 unavailable instead.
+func TestRoutedEndpointRefusals(t *testing.T) {
+	co, err := New(Config{
+		Peers:        []Peer{{ID: "ghost", URL: "http://127.0.0.1:1"}},
+		MaxBodyBytes: 256,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(co.Handler())
+	defer front.Close()
+	post := func(path, body string) (int, serve.ErrorResponse) {
+		t.Helper()
+		resp, err := http.Post(front.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er serve.ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+			t.Fatalf("%s: undecodable error body: %v", path, err)
+		}
+		return resp.StatusCode, er
+	}
+	paths := []string{"/v1/synthesize", "/v1/explore", "/v1/lint"}
+	big := `{"source": "` + strings.Repeat("x", 300) + `"}`
+	for _, path := range paths {
+		if code, er := post(path, big); code != http.StatusRequestEntityTooLarge || er.Kind != serve.KindRequest ||
+			er.Error != "request body exceeds 256 bytes" {
+			t.Errorf("%s oversized: %d %+v, want 413", path, code, er)
+		}
+		if code, er := post(path, "{"); code != http.StatusBadRequest || er.Kind != serve.KindRequest ||
+			!strings.HasPrefix(er.Error, "malformed request: ") {
+			t.Errorf("%s malformed: %d %+v, want 400", path, code, er)
+		}
+	}
+	// Synthesize keys on canonical options, so invalid ones are a 400 too.
+	if code, er := post("/v1/synthesize", `{"source": "x", "options": {"allocator": "quantum"}}`); code != http.StatusBadRequest ||
+		!strings.HasPrefix(er.Error, "unknown allocator") {
+		t.Errorf("invalid options: %d %+v, want 400", code, er)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	co.Shutdown(ctx)
+	for _, path := range paths {
+		if code, er := post(path, `{"source": "x"}`); code != http.StatusServiceUnavailable || er.Kind != serve.KindShutdown {
+			t.Errorf("%s while draining: %d %+v, want 503 shutdown", path, code, er)
+		}
+	}
+	want := RequestCounts{Synthesize: 4, Explore: 3, Lint: 3}
+	if got := co.Metrics().Requests; got != want {
+		t.Errorf("request counts %+v, want %+v", got, want)
+	}
+	if got := co.Metrics().Unrouted; got != 0 {
+		t.Errorf("%d requests reached routing, want 0", got)
 	}
 }
 

@@ -207,10 +207,10 @@ func (co *Coordinator) Ring() *Ring { return co.ring.Load() }
 // Handler returns the coordinator's full HTTP handler.
 func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/synthesize", co.handleSynthesize)
+	for _, ep := range co.routeTable() {
+		mux.HandleFunc("POST "+ep.path, co.handleRouted(ep))
+	}
 	mux.HandleFunc("POST /v1/batch", co.handleBatch)
-	mux.HandleFunc("POST /v1/lint", co.handleLint)
-	mux.HandleFunc("POST /v1/explore", co.handleExplore)
 	mux.HandleFunc("GET /v1/explain", co.handleExplain)
 	mux.HandleFunc("GET /v1/healthz", co.handleHealthz)
 	mux.HandleFunc("GET /v1/metrics", co.handleMetrics)
@@ -273,74 +273,72 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // ---------------------------------------------------------------------------
 // Routed endpoints.
 
-func (co *Coordinator) handleSynthesize(w http.ResponseWriter, r *http.Request) {
-	co.met.synthesize.Add(1)
-	if co.refuseDraining(w) {
-		return
-	}
-	body, ok := co.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req serve.SynthesizeRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		co.writeError(w, http.StatusBadRequest, &serve.ErrorResponse{
-			Error: fmt.Sprintf("malformed request: %v", err), Kind: serve.KindRequest,
-		})
-		return
-	}
-	key, err := req.ShardKey()
-	if err != nil {
-		co.writeError(w, http.StatusBadRequest, &serve.ErrorResponse{
-			Error: err.Error(), Kind: serve.KindRequest,
-		})
-		return
-	}
-	co.routeCoalesced(w, r, "/v1/synthesize", body, key)
+// endpoint is one row of the coordinator's route table: a POST endpoint
+// the coordinator forwards, unchanged, to the worker owning the request's
+// shard key.
+type endpoint struct {
+	path     string                            // worker path, served as "POST " + path
+	requests *atomic.Int64                     // the endpoint's request counter
+	shardKey func(body []byte) (string, error) // an error is a 400
+	coalesce bool                              // share one upstream call among concurrent identical requests
 }
 
-// handleExplore routes a design-space sweep by design content hash alone
-// (ExploreRequest.ShardKey): every sweep of one design lands on the same
-// worker, whose front-end artifact cache absorbs the grid's amplification
-// and whose explore cache answers repeat sweeps. Like synthesize, explore
-// is pure computation, so concurrent identical sweeps coalesce into one
-// upstream call.
-func (co *Coordinator) handleExplore(w http.ResponseWriter, r *http.Request) {
-	co.met.explore.Add(1)
-	if co.refuseDraining(w) {
-		return
+// routeTable lists the routed POST endpoints. Synthesize and explore, the
+// endpoints that run the engine, coalesce concurrent identical requests
+// into one upstream call; lint only runs the linters. Explore routes by
+// design content hash alone (ExploreRequest.ShardKey): every sweep of one
+// design lands on the same worker, whose front-end artifact cache absorbs
+// the grid's amplification and whose explore cache answers repeat sweeps.
+func (co *Coordinator) routeTable() []endpoint {
+	return []endpoint{
+		{"/v1/synthesize", &co.met.synthesize, decodeKey(serve.SynthesizeRequest.ShardKey), true},
+		{"/v1/explore", &co.met.explore, decodeKey(infallible(serve.ExploreRequest.ShardKey)), true},
+		{"/v1/lint", &co.met.lint, decodeKey(infallible(serve.LintRequest.ShardKey)), false},
 	}
-	body, ok := co.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req serve.ExploreRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		co.writeError(w, http.StatusBadRequest, &serve.ErrorResponse{
-			Error: fmt.Sprintf("malformed request: %v", err), Kind: serve.KindRequest,
-		})
-		return
-	}
-	co.routeCoalesced(w, r, "/v1/explore", body, req.ShardKey())
 }
 
-func (co *Coordinator) handleLint(w http.ResponseWriter, r *http.Request) {
-	co.met.lint.Add(1)
-	if co.refuseDraining(w) {
-		return
+// decodeKey turns a request type's shard-key method into an endpoint's
+// body-to-key function.
+func decodeKey[R any](key func(R) (string, error)) func([]byte) (string, error) {
+	return func(body []byte) (string, error) {
+		var req R
+		if err := json.Unmarshal(body, &req); err != nil {
+			return "", fmt.Errorf("malformed request: %v", err)
+		}
+		return key(req)
 	}
-	body, ok := co.readBody(w, r)
-	if !ok {
-		return
+}
+
+// infallible adapts a shard-key method that cannot fail.
+func infallible[R any](key func(R) string) func(R) (string, error) {
+	return func(req R) (string, error) { return key(req), nil }
+}
+
+// handleRouted serves one route-table row: refuse while draining, read
+// the size-limited body, derive its shard key, and forward it.
+func (co *Coordinator) handleRouted(ep endpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ep.requests.Add(1)
+		if co.refuseDraining(w) {
+			return
+		}
+		body, ok := co.readBody(w, r)
+		if !ok {
+			return
+		}
+		key, err := ep.shardKey(body)
+		if err != nil {
+			co.writeError(w, http.StatusBadRequest, &serve.ErrorResponse{
+				Error: err.Error(), Kind: serve.KindRequest,
+			})
+			return
+		}
+		if ep.coalesce {
+			co.routeCoalesced(w, r, ep.path, body, key)
+			return
+		}
+		co.route(w, r, http.MethodPost, ep.path, nil, body, key)
 	}
-	var req serve.LintRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		co.writeError(w, http.StatusBadRequest, &serve.ErrorResponse{
-			Error: fmt.Sprintf("malformed request: %v", err), Kind: serve.KindRequest,
-		})
-		return
-	}
-	co.route(w, r, http.MethodPost, "/v1/lint", nil, body, req.ShardKey())
 }
 
 // handleExplain routes by the raw provenance key, which equals the shard

@@ -57,18 +57,10 @@ type Options struct {
 	// re-matching instead of incremental conflict-set maintenance, for
 	// comparison and debugging.
 	ExhaustiveMatch bool
-	// LiteMatch runs every phase engine with the interpreted incremental
-	// matcher (Rete-lite) instead of the compiled Rete network, as a
-	// benchmarking baseline. ExhaustiveMatch takes precedence.
-	LiteMatch bool
-	// CrossCheckMatch runs all three matchers (Rete, Rete-lite,
-	// exhaustive) in lockstep, panicking on any divergence in the selected
-	// instantiation (the equivalence tests use this).
+	// CrossCheckMatch runs the Rete network and the exhaustive matcher in
+	// lockstep, panicking on any divergence in the selected instantiation
+	// (the equivalence tests use this).
 	CrossCheckMatch bool
-	// ParallelMatch, when > 1, shards Rete beta propagation across that
-	// many worker goroutines per phase engine. The firing sequence is
-	// identical to single-threaded matching.
-	ParallelMatch int
 	// Journal records every rule firing's effects and builds the
 	// provenance index; Result.Journal and Result.Provenance are nil
 	// without it. Off by default: the hot path pays only a nil check.
@@ -180,9 +172,7 @@ func SynthesizeContext(ctx context.Context, trace *vt.Program, opt Options) (*Re
 		}
 		eng.TraceWriter = opt.Trace
 		eng.Exhaustive = opt.ExhaustiveMatch
-		eng.Lite = opt.LiteMatch
 		eng.CrossCheck = opt.CrossCheckMatch
-		eng.Parallel = opt.ParallelMatch
 		eng.Apply = s.applyEffect
 		s.phase = ph.name
 		s.seq = eng.Firings

@@ -25,14 +25,12 @@ func traceWith(t *testing.T, name string, opt core.Options) string {
 	return buf.String()
 }
 
-// TestFiringTraceEquivalence asserts every matcher mode reproduces the
-// exhaustive matcher's firing sequence bit for bit — every rule name and
-// every matched element ID, in order — on every embedded benchmark: the
-// compiled Rete network (default), the same network with parallel beta
-// propagation, and the interpreted Rete-lite matcher. This is the
-// acceptance test for the conflict-resolution semantics (refraction,
-// recency, specificity, declaration order) surviving the match-network
-// refactors unchanged.
+// TestFiringTraceEquivalence asserts the compiled Rete network (the
+// default matcher) reproduces the exhaustive matcher's firing sequence bit
+// for bit — every rule name and every matched element ID, in order — on
+// every embedded benchmark. This is the acceptance test for the
+// conflict-resolution semantics (refraction, recency, specificity,
+// declaration order) surviving the match-network refactors unchanged.
 func TestFiringTraceEquivalence(t *testing.T) {
 	for _, name := range bench.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -40,19 +38,8 @@ func TestFiringTraceEquivalence(t *testing.T) {
 			if exh == "" {
 				t.Fatal("empty firing trace")
 			}
-			modes := []struct {
-				label string
-				opt   core.Options
-			}{
-				{"rete", core.Options{}},
-				{"rete-parallel", core.Options{ParallelMatch: 4}},
-				{"rete-lite", core.Options{LiteMatch: true}},
-			}
-			for _, mode := range modes {
-				if got := traceWith(t, name, mode.opt); got != exh {
-					t.Errorf("%s firing trace diverges from exhaustive:\n%s",
-						mode.label, firstDiff(got, exh))
-				}
+			if got := traceWith(t, name, core.Options{}); got != exh {
+				t.Errorf("rete firing trace diverges from exhaustive:\n%s", firstDiff(got, exh))
 			}
 		})
 	}
@@ -78,10 +65,9 @@ func TestJournaledTraceEquivalence(t *testing.T) {
 }
 
 // TestCrossCheckAllBenchmarks synthesizes every embedded benchmark with
-// the three-way lockstep cross-check enabled: each cycle the Rete-lite
-// and exhaustive matchers independently re-derive the selected
-// instantiation and the engine panics on any disagreement with the Rete
-// network's conflict set.
+// the two-way lockstep cross-check enabled: each cycle the exhaustive
+// matcher independently re-derives the selected instantiation and the
+// engine panics on any disagreement with the Rete network's conflict set.
 func TestCrossCheckAllBenchmarks(t *testing.T) {
 	for _, name := range bench.Names() {
 		t.Run(name, func(t *testing.T) {

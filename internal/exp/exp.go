@@ -190,7 +190,7 @@ func e3flow(ctx context.Context, benchName string, opt flow.Options) (*E3Data, e
 
 // RenderE3 prints Table 3, including the engine-metrics columns from the
 // incremental matcher: pattern tests executed, incremental conflict-set
-// updates vs full re-enumerations, and the conflict-set peak.
+// updates vs from-scratch activations, and the conflict-set peak.
 func RenderE3(ctx context.Context, w io.Writer, benchName string) error {
 	d, err := E3(ctx, benchName)
 	if err != nil {

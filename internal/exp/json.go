@@ -24,7 +24,7 @@ type JSONPhase struct {
 	Rebuilds    int     `json:"rebuilds"`
 	CSPeak      int     `json:"conflictPeak"`
 	ElapsedMS   float64 `json:"elapsedMs"`
-	// Rete network activity for the phase (zero under -exhaustive/-lite).
+	// Rete network activity for the phase (zero under -exhaustive).
 	AlphaEvals    int `json:"alphaEvals,omitempty"`
 	JoinTests     int `json:"joinTests,omitempty"`
 	TokenAsserts  int `json:"tokenAsserts,omitempty"`
@@ -76,9 +76,9 @@ func JSONResults(ctx context.Context) ([]JSONResult, error) {
 	return JSONResultsOpts(ctx, core.Options{}, false)
 }
 
-// JSONResultsOpts is JSONResults with engine options, so CI can record a
-// Rete-lite or exhaustive baseline next to the default full-Rete run and
-// diff pattern tests and match time between matchers. With verify, every
+// JSONResultsOpts is JSONResults with engine options, so CI can record an
+// exhaustive baseline next to the default full-Rete run and diff pattern
+// tests and match time between matchers. With verify, every
 // benchmark additionally runs the emit and cosim stages and the record
 // carries the equivalence verdict plus their stage timings.
 func JSONResultsOpts(ctx context.Context, copt core.Options, verify bool) ([]JSONResult, error) {
@@ -151,8 +151,8 @@ func WriteJSON(ctx context.Context, w io.Writer) error {
 	return WriteJSONOpts(ctx, w, core.Options{}, false)
 }
 
-// WriteJSONOpts is WriteJSON with engine options (daabench -json -lite /
-// -exhaustive record the interpreted-matcher baselines; -json -verify adds
+// WriteJSONOpts is WriteJSON with engine options (daabench -json
+// -exhaustive records the exhaustive-matcher baseline; -json -verify adds
 // the cosim verdict and the emit/cosim stage timings).
 func WriteJSONOpts(ctx context.Context, w io.Writer, copt core.Options, verify bool) error {
 	results, err := JSONResultsOpts(ctx, copt, verify)

@@ -1,13 +1,13 @@
 package flow
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/isps"
+	"repro/internal/lru"
 	"repro/internal/vt"
 )
 
@@ -39,7 +39,6 @@ type frontArtifact struct {
 // of the same source (RunAll fan-out, concurrent server requests) build
 // the artifact exactly once, even if the entry is evicted mid-build.
 type frontEntry struct {
-	key  [sha256.Size]byte
 	once sync.Once
 	art  *frontArtifact
 	err  error
@@ -50,67 +49,18 @@ type frontEntry struct {
 // sources, small enough that a daemon fed unique sources stays flat.
 const DefaultCacheCap = 256
 
-// CacheStats is a point-in-time snapshot of the front-end artifact cache.
-type CacheStats struct {
-	Entries   int   `json:"entries"`   // artifacts currently cached
-	Cap       int   `json:"cap"`       // entry bound
-	Hits      int64 `json:"hits"`      // lookups served from the cache
-	Misses    int64 `json:"misses"`    // lookups that had to build
-	Evictions int64 `json:"evictions"` // artifacts dropped by the LRU bound
-}
+// CacheStats is a point-in-time snapshot of a bounded result cache: the
+// front-end artifact cache here, the design cache and explain store in
+// internal/serve.
+type CacheStats = lru.Stats
 
-// frontCache is the bounded LRU state. lru holds *frontEntry values,
-// most-recently-used at the front; index maps content hash to lru node.
-var frontCache = struct {
-	mu        sync.Mutex
-	cap       int
-	lru       *list.List
-	index     map[[sha256.Size]byte]*list.Element
-	hits      int64
-	misses    int64
-	evictions int64
-}{
-	cap:   DefaultCacheCap,
-	lru:   list.New(),
-	index: map[[sha256.Size]byte]*list.Element{},
-}
-
-// lookupFront returns the cache entry for key, creating (and, past the
-// bound, evicting) under the lock; the artifact build itself runs outside.
-func lookupFront(key [sha256.Size]byte) *frontEntry {
-	c := &frontCache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if node, ok := c.index[key]; ok {
-		c.hits++
-		c.lru.MoveToFront(node)
-		return node.Value.(*frontEntry)
-	}
-	c.misses++
-	e := &frontEntry{key: key}
-	c.index[key] = c.lru.PushFront(e)
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.index, back.Value.(*frontEntry).key)
-		c.evictions++
-	}
-	return e
-}
+// frontCache maps a source's content hash to its artifact slot. Slots are
+// created under the cache lock (GetOrAdd); the artifact build runs outside
+// it, behind the slot's once gate.
+var frontCache = lru.New[[sha256.Size]byte, *frontEntry](DefaultCacheCap)
 
 // FrontCacheStats snapshots the artifact cache's counters.
-func FrontCacheStats() CacheStats {
-	c := &frontCache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Entries:   c.lru.Len(),
-		Cap:       c.cap,
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-	}
-}
+func FrontCacheStats() CacheStats { return frontCache.Stats() }
 
 // SetCacheCap rebounds the artifact cache to at most n entries (n <= 0
 // restores DefaultCacheCap), evicting least-recently-used artifacts
@@ -120,29 +70,13 @@ func SetCacheCap(n int) int {
 	if n <= 0 {
 		n = DefaultCacheCap
 	}
-	c := &frontCache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cap = n
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.index, back.Value.(*frontEntry).key)
-		c.evictions++
-	}
+	frontCache.SetCap(n)
 	return n
 }
 
 // ResetCache drops every cached front-end artifact and zeroes the counters
 // (tests and memory-sensitive batch runs). The entry cap is kept.
-func ResetCache() {
-	c := &frontCache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lru.Init()
-	c.index = map[[sha256.Size]byte]*list.Element{}
-	c.hits, c.misses, c.evictions = 0, 0, 0
-}
+func ResetCache() { frontCache.Reset() }
 
 // frontStages returns the analyzed AST, a private clone of the validated
 // value trace, and the front-stage timing records, building or reusing the
@@ -156,7 +90,7 @@ func frontStages(in Input, useCache bool) (*isps.Program, *vt.Program, []StageIn
 		// Uncached artifacts are private: no clone needed.
 		return art.ast, art.trace, art.stages, nil
 	}
-	e := lookupFront(in.ContentHash())
+	e := frontCache.GetOrAdd(in.ContentHash(), func() *frontEntry { return new(frontEntry) })
 	built := false
 	e.once.Do(func() {
 		built = true

@@ -3,6 +3,7 @@ package flow_test
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/flow"
@@ -83,5 +84,46 @@ func TestSetCacheCapEvictsImmediately(t *testing.T) {
 	}
 	if st.Evictions != 4 {
 		t.Errorf("evictions=%d, want 4", st.Evictions)
+	}
+}
+
+// TestFrontCacheConcurrentFirstCompile starts N compiles of one new source
+// at once. The cache hands out the slot under its lock, so every caller
+// shares one once gate: the front end is one miss, N-1 hits, and exactly
+// one compile reports an uncached parse stage.
+func TestFrontCacheConcurrentFirstCompile(t *testing.T) {
+	flow.ResetCache()
+	t.Cleanup(flow.ResetCache)
+	const n = 8
+	in := probeInput(9)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	results := make([]*flow.Result, n)
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			results[i], errs[i] = flow.Compile(context.Background(), in, flow.Options{})
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	built := 0
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if st, _ := res.Trace.Stage(flow.StageParse); !st.Cached {
+			built++
+		}
+	}
+	if built != 1 {
+		t.Errorf("%d compiles ran the front end, want 1", built)
+	}
+	st := flow.FrontCacheStats()
+	if st.Misses != 1 || st.Hits != n-1 || st.Entries != 1 {
+		t.Errorf("stats %+v, want 1 miss, %d hits, 1 entry", st, n-1)
 	}
 }

@@ -42,14 +42,19 @@ func (in Input) ContentHash() [sha256.Size]byte {
 //
 // Key covers only declarative options. Live state that cannot be
 // canonicalized — a firing-trace writer, extra rules — is flagged by
-// Cacheable; NoCache and Core.ParallelMatch are compilation-path toggles
-// that never change the result and are excluded.
+// Cacheable; NoCache is a compilation-path toggle that never changes the
+// result and is excluded.
+//
+// The "lite=false" fragment is a literal: it once named a second
+// incremental matcher, since removed. Every design-cache, shard and
+// explain key in service (and the golden keys) carries it, so dropping it
+// would silently split every cache and reshuffle cluster routing.
 func (o Options) Key() string {
 	k := o.Knobs()
 	var b strings.Builder
 	fmt.Fprintf(&b, "alloc=%s", k["allocator"])
-	fmt.Fprintf(&b, ";trace-rules=%s;cleanup=%s;exhaustive=%s;lite=%s;crosscheck=%s;journal=%s",
-		k["trace-rules"], k["cleanup"], k["exhaustive"], k["lite"], k["crosscheck"], k["journal"])
+	fmt.Fprintf(&b, ";trace-rules=%s;cleanup=%s;exhaustive=%s;lite=false;crosscheck=%s;journal=%s",
+		k["trace-rules"], k["cleanup"], k["exhaustive"], k["crosscheck"], k["journal"])
 	if v := k["scheduler"]; v != sched.SchedList {
 		fmt.Fprintf(&b, ";scheduler=%s", v)
 	}

@@ -9,10 +9,9 @@ package flow
 // plain map[string]string — the form /v1/explore grids, daa -explore specs,
 // and Options.Key all build on.
 //
-// Compilation-path toggles that never change the result (NoCache,
-// Core.ParallelMatch) and live state a string cannot carry (Core.Trace,
-// Core.ExtraRules) are deliberately outside the knob space, exactly as
-// they are outside Options.Key.
+// The NoCache toggle, which never changes the result, and live state a
+// string cannot carry (Core.Trace, Core.ExtraRules) are deliberately
+// outside the knob space, exactly as they are outside Options.Key.
 
 import (
 	"fmt"
@@ -367,10 +366,7 @@ func buildKnobRegistry() []Knob {
 		boolKnob("exhaustive", "re-match the full conflict set every engine cycle (debug baseline)", false,
 			func(o *Options) bool { return o.Core.ExhaustiveMatch },
 			func(o *Options, v bool) { o.Core.ExhaustiveMatch = v }),
-		boolKnob("lite", "use the interpreted Rete-lite matcher (benchmark baseline)", false,
-			func(o *Options) bool { return o.Core.LiteMatch },
-			func(o *Options, v bool) { o.Core.LiteMatch = v }),
-		boolKnob("crosscheck", "run all three matchers in lockstep, halting on divergence", false,
+		boolKnob("crosscheck", "run the Rete network and the exhaustive matcher in lockstep, halting on divergence", false,
 			func(o *Options) bool { return o.Core.CrossCheckMatch },
 			func(o *Options, v bool) { o.Core.CrossCheckMatch = v }),
 		boolKnob("journal", "record rule-firing effects and build the provenance index", false,

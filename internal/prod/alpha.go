@@ -217,7 +217,7 @@ func (mem *alphaMem) compact() {
 	mem.dirty = false
 }
 
-// reset empties the memory (lockstep resync after another matcher drove
+// reset empties the memory (resync after the exhaustive matcher drove
 // the engine).
 func (mem *alphaMem) reset() {
 	mem.entries = mem.entries[:0]

@@ -13,9 +13,8 @@ package prod
 // post-hoc attribute values). A blocked token keeps its place in the
 // chain; when its last blocker disappears it resumes propagation.
 //
-// Beta state is strictly per-rule — tokens, matches, and counters are
-// owned by one reteRule — which is what makes the parallel match mode
-// (rete.go) a data-race-free partition by construction.
+// Beta state is strictly per-rule: tokens, matches, and counters are
+// owned by one reteRule.
 
 // betaNode is one join (or negative-join) node.
 type betaNode struct {

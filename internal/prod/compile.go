@@ -16,7 +16,7 @@ package prod
 //
 // Variable slots are assigned in first-positive-occurrence order (pattern
 // order, then test order), which is exactly the order the interpreted
-// matcher pushes bindings onto its trail. Matches from all three matchers
+// matcher pushes bindings onto its trail. Matches from both matchers
 // therefore carry identical binding vectors, and journal Firing records
 // stay byte-identical whichever matcher produced the match.
 

@@ -28,7 +28,6 @@ type Rule struct {
 	index       int
 	specificity int
 	positives   int
-	negClasses  map[string]bool // classes appearing in negated patterns
 }
 
 // Specificity reports the number of condition tests on the rule's LHS
@@ -43,18 +42,16 @@ func (r *Rule) Specificity() int {
 
 // Engine runs a rule set to quiescence over a working memory.
 //
-// The default matcher is a full Rete network (rete.go): rule LHSs are
-// compiled at AddRule time into shared alpha constant tests and per-rule
-// beta join chains with stored partial-match tokens, so each WM change
-// reruns only the join work downstream of the memories it touched. Two
-// older matchers remain selectable: Lite keeps the persistent conflict
-// set but re-enumerates affected rules interpretively (the PR 1
-// incremental matcher, matcher_lite.go), and Exhaustive re-matches
-// everything every cycle (the original behavior). CrossCheck runs all
-// three in lockstep and panics if they ever select a different
-// instantiation, which is how the equivalence tests pin the refactors
-// down. Conflict resolution is a total order over instantiations, so
-// equal conflict sets force equal selections whichever matcher built them.
+// The matcher is a full Rete network (rete.go): rule LHSs are compiled at
+// AddRule time into shared alpha constant tests and per-rule beta join
+// chains with stored partial-match tokens, so each WM change reruns only
+// the join work downstream of the memories it touched. Exhaustive swaps
+// in the original strategy, re-matching everything every cycle
+// (exhaustive.go). CrossCheck runs the two in lockstep and panics if they
+// ever select a different instantiation, which is how the equivalence
+// tests pin the network down. Conflict resolution is a total order over
+// instantiations, so equal conflict sets force equal selections whichever
+// matcher built them.
 type Engine struct {
 	WM    *WM
 	rules []*Rule
@@ -71,19 +68,10 @@ type Engine struct {
 	// Exhaustive recomputes every rule's instantiations on every cycle
 	// (the pre-incremental behavior), for comparison and debugging.
 	Exhaustive bool
-	// Lite selects the interpreted incremental matcher instead of the Rete
-	// network, as a baseline for benchmarking and a fallback for
-	// debugging. Exhaustive takes precedence over Lite.
-	Lite bool
-	// CrossCheck runs all three matchers in lockstep and panics on any
-	// divergence in the selected instantiation. It is a verification mode:
-	// roughly the cost of the three matchers combined.
+	// CrossCheck runs the Rete network and the exhaustive matcher in
+	// lockstep and panics on any divergence in the selected instantiation.
+	// It is a verification mode: roughly the cost of both matchers.
 	CrossCheck bool
-	// Parallel, when > 1, shards Rete beta propagation across that many
-	// worker goroutines. Rules' token states are disjoint and the shared
-	// inputs are read-only during propagation, so the firing sequence is
-	// identical to serial mode.
-	Parallel int
 	// Apply, when non-nil, executes registered host effects on behalf of
 	// Tx.Do. Hosts install one dispatcher mapping effect names to appliers;
 	// appliers must be pure applications of decisions already in the
@@ -98,17 +86,15 @@ type Engine struct {
 
 	// pending buffers WM change notifications between cycles; seeded
 	// flips after the first batch, whose changes describe the initial WM
-	// that the matchers' first full match observes directly.
+	// that the network's first full match observes directly.
 	pending []Change
 	seeded  bool
 
-	// The three matchers. rete is the default; reteSynced tracks whether
-	// its network state reflects the live WM (it goes stale while another
-	// mode drives the engine, and resyncs on re-entry). lite mirrors the
-	// same lifecycle with per-rule staleness flags.
+	// rete is the match network; reteSynced tracks whether its state
+	// reflects the live WM (it goes stale while Exhaustive drives the
+	// engine, and resyncs on re-entry).
 	rete       *rete
 	reteSynced bool
-	lite       liteState
 
 	// Journal-recording state: jr is the journal being filled (nil when
 	// recording is off), jrEnc the host value encoder, cur the firing
@@ -145,10 +131,6 @@ func NewEngine(wm *WM) *Engine {
 		MaxFirings: 1_000_000,
 		fired:      map[refraction]bool{},
 		rete:       newRete(),
-		lite: liteState{
-			subClass: map[string][]int{},
-			subAttr:  map[classAttr][]int{},
-		},
 	}
 	wm.Observe(func(c Change) {
 		e.pending = append(e.pending, c)
@@ -162,11 +144,10 @@ func NewEngine(wm *WM) *Engine {
 // AddRule registers a rule. Registration order is the final conflict-
 // resolution tiebreaker, so rule sets behave deterministically.
 //
-// Registration compiles the rule's LHS into the Rete network (compile.go)
-// and builds the Rete-lite subscription index. Pattern predicates (Pred)
-// must be pure functions of the attribute value; join state that changes
-// outside working memory belongs in Where, which is re-evaluated every
-// cycle.
+// Registration compiles the rule's LHS into the Rete network (compile.go).
+// Pattern predicates (Pred) must be pure functions of the attribute value;
+// join state that changes outside working memory belongs in Where, which
+// is re-evaluated every cycle.
 func (e *Engine) AddRule(r *Rule) {
 	if r.Name == "" {
 		panic("prod: rule without a name")
@@ -193,16 +174,10 @@ func (e *Engine) AddRule(r *Rule) {
 		rc.specificity += p.specificity()
 		if !p.Negated {
 			rc.positives++
-		} else {
-			if rc.negClasses == nil {
-				rc.negClasses = map[string]bool{}
-			}
-			rc.negClasses[p.Class] = true
 		}
 	}
 	e.rules = append(e.rules, &rc)
 	e.met.rules = append(e.met.rules, ruleCounters{})
-	e.lite.addRule(&rc)
 	e.rete.addRule(&rc, e)
 }
 
@@ -326,55 +301,43 @@ func (e *Engine) refractionKey(m *Match) refraction {
 //  4. registration order, then element IDs (determinism)
 //
 // The ordering is total over distinct instantiations (two matches of one
-// rule with identical elements are the same instantiation), so all three
+// rule with identical elements are the same instantiation), so both
 // matchers necessarily agree; CrossCheck asserts it anyway.
 func (e *Engine) selectMatch() *Match {
 	e.applyChanges()
 	if e.CrossCheck {
 		m := e.selectRete(true)
-		lite := e.selectLite(false)
 		exh := e.selectExhaustive(false)
-		if !sameInstantiation(m, lite) || !sameInstantiation(m, exh) {
-			panic(fmt.Sprintf("prod: cross-check divergence at cycle %d:\n  rete:       %s\n  rete-lite:  %s\n  exhaustive: %s",
-				e.cycles, describeMatch(m), describeMatch(lite), describeMatch(exh)))
+		if !sameInstantiation(m, exh) {
+			panic(fmt.Sprintf("prod: cross-check divergence at cycle %d:\n  rete:       %s\n  exhaustive: %s",
+				e.cycles, describeMatch(m), describeMatch(exh)))
 		}
 		return m
 	}
 	if e.Exhaustive {
 		return e.selectExhaustive(true)
 	}
-	if e.Lite {
-		return e.selectLite(true)
-	}
 	return e.selectRete(true)
 }
 
-// applyChanges drains the buffered WM notifications into whichever
-// matchers the current mode needs, and marks the inactive ones stale so
-// mode flips mid-run resynchronize instead of reading outdated state.
+// applyChanges drains the buffered WM notifications into the Rete network
+// when the current mode reads it, and marks it stale otherwise so a flip
+// back from Exhaustive resynchronizes instead of reading outdated state.
 func (e *Engine) applyChanges() {
-	reteOn := e.CrossCheck || (!e.Exhaustive && !e.Lite)
-	liteOn := e.CrossCheck || (e.Lite && !e.Exhaustive)
 	if !e.seeded {
 		// The buffered changes describe the seeding of the initial WM,
-		// which each matcher's first full match observes directly.
+		// which the network's first full match observes directly.
 		e.seeded = true
 		e.pending = e.pending[:0]
 	}
-	if reteOn {
-		if !e.reteSynced {
-			e.rete.resync(e)
-			e.reteSynced = true
-		} else if len(e.pending) > 0 {
-			e.rete.apply(e, e.pending)
-		}
-	} else {
+	switch {
+	case e.Exhaustive && !e.CrossCheck:
 		e.reteSynced = false
-	}
-	if liteOn {
-		e.liteApply(e.pending)
-	} else {
-		e.lite.markAllStale()
+	case !e.reteSynced:
+		e.rete.resync(e)
+		e.reteSynced = true
+	case len(e.pending) > 0:
+		e.rete.apply(e, e.pending)
 	}
 	e.pending = e.pending[:0]
 }
@@ -404,11 +367,6 @@ func sameInstantiation(a, b *Match) bool {
 // selectRete scans the Rete network's per-rule conflict sets.
 func (e *Engine) selectRete(observe bool) *Match {
 	return e.pickBest(func(i int) []*Match { return e.rete.rules[i].cs }, observe)
-}
-
-// selectLite scans the Rete-lite persistent conflict set.
-func (e *Engine) selectLite(observe bool) *Match {
-	return e.pickBest(func(i int) []*Match { return e.lite.cs[i] }, observe)
 }
 
 // pickBest applies conflict resolution over per-rule conflict sets. The
@@ -442,38 +400,14 @@ func (e *Engine) pickBest(get func(int) []*Match, observe bool) *Match {
 	return best
 }
 
-// selectExhaustive re-enumerates every rule, the original strategy. It is
-// kept both as the CrossCheck ground truth (count=false: reference runs
-// do not perturb the match-call statistics) and as the Exhaustive mode.
-func (e *Engine) selectExhaustive(count bool) *Match {
-	var best *Match
-	var bestRank recencyRank
-	for _, r := range e.rules {
-		e.enumerate(r, -1, nil, nil, count, func(m *Match) {
-			if r.Where != nil && !r.Where(m) {
-				return
-			}
-			if e.fired[e.refractionKey(m)] {
-				return
-			}
-			var rk recencyRank
-			rk.init(m)
-			if best == nil || betterRank(m, &rk, best, &bestRank) {
-				best = m
-				bestRank = rk
-			}
-		})
-	}
-	return best
-}
-
-// conflictSet returns rule i's current instantiations from whichever
-// matcher is live (used by the metrics snapshot and tests).
+// conflictSet returns rule i's instantiations as the Rete network holds
+// them (used by the metrics snapshot and tests); nil while the network is
+// stale, since the exhaustive matcher keeps no conflict set.
 func (e *Engine) conflictSet(i int) []*Match {
 	if e.reteSynced {
 		return e.rete.rules[i].cs
 	}
-	return e.lite.cs[i]
+	return nil
 }
 
 // maxInlineRecency is the widest recency key kept on the stack; matches
@@ -556,8 +490,8 @@ func betterRank(m *Match, k *recencyRank, best *Match, bk *recencyRank) bool {
 
 // MatchCount reports how many pattern tests the matcher has executed
 // (alpha constant-test evaluations plus beta join tests for the Rete
-// network; interpreted test counts for the other matchers); exposed for
-// the engine benchmarks and the observability layer.
+// network; interpreted test counts for the exhaustive matcher); exposed
+// for the engine benchmarks and the observability layer.
 func (e *Engine) MatchCount() int { return e.matchCalls }
 
 // KnowledgeStats describes a rule set for reporting (experiment E1).

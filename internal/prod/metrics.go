@@ -15,7 +15,7 @@ type engineMetrics struct {
 	added       int
 	invalidated int
 
-	// Rete network activity (zero when only the interpreted matchers ran).
+	// Rete network activity (zero when only the exhaustive matcher ran).
 	alphaEvals    int
 	joinTests     int
 	tokenAsserts  int
@@ -74,10 +74,10 @@ type RuleMetrics struct {
 	Name        string
 	Category    string
 	Firings     int           // times the rule fired
-	Rebuilds    int           // full re-enumerations of its instantiations
+	Rebuilds    int           // from-scratch activations (seeding, resync)
 	Deltas      int           // incremental updates seeded on changed elements
 	MatchCalls  int           // pattern tests executed on its behalf
-	MatchTime   time.Duration // wall time spent re-enumerating it
+	MatchTime   time.Duration // wall time spent matching it
 	Added       int           // instantiations that entered the conflict set
 	Invalidated int           // instantiations that left it
 	Size        int           // instantiations currently in the conflict set
@@ -91,7 +91,7 @@ type Metrics struct {
 	Firings     int
 	MatchCalls  int           // total pattern tests executed
 	MatchTime   time.Duration // wall time spent matching, summed over rules
-	Rebuilds    int           // full rule re-enumerations performed
+	Rebuilds    int           // from-scratch rule activations performed
 	Deltas      int           // incremental conflict-set updates performed
 	Added       int           // instantiations that entered the conflict set
 	Invalidated int           // instantiations that left it

@@ -141,6 +141,41 @@ func TestEngineMetrics(t *testing.T) {
 	}
 }
 
+// Match time covers whichever matcher drives selection: an exhaustive run
+// charges each rule's enumeration to it, while CrossCheck's exhaustive
+// reference leg leaves the Rete run's counters untouched.
+func TestExhaustiveMatchTime(t *testing.T) {
+	build := func(mode func(*Engine)) Metrics {
+		wm := NewWM()
+		for i := 0; i < 8; i++ {
+			wm.Make("a", Attrs{"k": i})
+		}
+		eng := NewEngine(wm)
+		mode(eng)
+		eng.AddRule(&Rule{
+			Name:     "consume",
+			Patterns: []Pattern{P("a").Absent("done")},
+			Action:   func(e *Tx, m *Match) { e.WM().Modify(m.El(0), Attrs{"done": true}) },
+		})
+		run(t, eng)
+		return eng.Metrics()
+	}
+	exh := build(func(e *Engine) { e.Exhaustive = true })
+	if r := exh.Rules[0]; r.Firings != 8 || r.MatchTime <= 0 || r.MatchCalls == 0 {
+		t.Errorf("exhaustive run: consume fired %d times with match time %v over %d tests, want 8 firings and non-zero time",
+			r.Firings, r.MatchTime, r.MatchCalls)
+	}
+	if exh.MatchTime != exh.Rules[0].MatchTime {
+		t.Errorf("engine match time %v != rule sum %v", exh.MatchTime, exh.Rules[0].MatchTime)
+	}
+	rete := build(func(e *Engine) {})
+	cross := build(func(e *Engine) { e.CrossCheck = true })
+	if cross.MatchCalls != rete.MatchCalls || cross.Rules[0].MatchCalls != rete.Rules[0].MatchCalls {
+		t.Errorf("cross-check counted %d pattern tests (rule %d), want the Rete run's %d (rule %d)",
+			cross.MatchCalls, cross.Rules[0].MatchCalls, rete.MatchCalls, rete.Rules[0].MatchCalls)
+	}
+}
+
 func TestMetricsMerge(t *testing.T) {
 	a := Metrics{
 		Cycles: 10, Firings: 5, MatchCalls: 100, Rebuilds: 2, Deltas: 8,

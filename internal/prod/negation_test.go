@@ -10,8 +10,7 @@ import (
 // elements appearing and disappearing flip N(...) patterns on and off
 // mid-run, across batches that interleave make/modify/remove. Every step
 // asserts the Rete network's conflict set (negative tokens with counted
-// blockers) and the Rete-lite set (full re-enumeration on negated-class
-// changes) against the exhaustive matcher, plus an explicit expectation
+// blockers) against the exhaustive matcher, plus an explicit expectation
 // of which rules currently have instantiations.
 func TestNegationUnderDeltas(t *testing.T) {
 	nop := func(*Tx, *Match) {}
@@ -114,20 +113,15 @@ func TestNegationUnderDeltas(t *testing.T) {
 
 	wm := NewWM()
 	eng := NewEngine(wm)
-	lite := NewEngine(wm)
-	lite.Lite = true
 	for _, r := range rules {
 		eng.AddRule(r)
-		lite.AddRule(r)
 	}
 	el := map[string]*Element{}
 	for i, st := range steps {
 		st.ops(wm, el)
 		eng.applyChanges()
-		lite.applyChanges()
 		want := groundTruth(wm, rules)
 		diffStrings(t, fmt.Sprintf("step %d (%s) rete", i, st.label), eng.instantiations(), want)
-		diffStrings(t, fmt.Sprintf("step %d (%s) lite", i, st.label), lite.instantiations(), want)
 		got := map[string]int{}
 		for _, line := range want {
 			got[line[:strings.IndexByte(line, ':')]]++
@@ -151,8 +145,8 @@ func TestNegationUnderDeltas(t *testing.T) {
 }
 
 // A negation must also gate firing mid-run: this drives Run with rules
-// whose actions create and destroy blockers, in three-way cross-check
-// mode, and pins the full firing trace.
+// whose actions create and destroy blockers, in cross-check mode, and
+// pins the full firing trace.
 func TestNegationFiringFlips(t *testing.T) {
 	build := func(mode func(*Engine)) (string, int) {
 		wm := NewWM()
@@ -195,9 +189,8 @@ func TestNegationFiringFlips(t *testing.T) {
 		label string
 		set   func(*Engine)
 	}{
+		{"rete", func(e *Engine) {}},
 		{"exhaustive", func(e *Engine) { e.Exhaustive = true }},
-		{"lite", func(e *Engine) { e.Lite = true }},
-		{"parallel", func(e *Engine) { e.Parallel = 4 }},
 	} {
 		if got, _ := build(mode.set); got != trace {
 			t.Errorf("%s trace diverges:\ncross-check:\n%s\n%s:\n%s", mode.label, trace, mode.label, got)

@@ -116,9 +116,8 @@ func (p Pattern) specificity() int { return p.n + 1 } // +1 for the class test
 // match checks the pattern against an element under the mutable binding
 // environment. On success any new variables remain bound; the caller
 // restores the environment to the returned mark when backtracking. It is
-// the interpreted test path used by the exhaustive and Rete-lite matchers;
-// the full Rete network compiles the same tests to closures instead
-// (compile.go).
+// the interpreted test path used by the exhaustive matcher; the Rete
+// network compiles the same tests to closures instead (compile.go).
 func (p Pattern) match(e *Element, b *bindings) (mark int, ok bool) {
 	mark = b.mark()
 	if e.Class != p.Class {

@@ -1,27 +1,22 @@
 package prod
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // rete is the engine's full discrimination network (the default matcher).
 // The alpha layer classifies each WM change once across all rules; the
 // beta layer stores partial-match tokens so only the join work downstream
 // of an affected memory reruns. Batches are applied in two phases:
 //
-//  1. alpha phase (serial): each pending Change is classified against the
-//     shared memories, producing an ordered event list (assert / retract /
+//  1. alpha phase: each pending Change is classified against the shared
+//     memories, producing an ordered event list (assert / retract /
 //     touch) with per-event sequence numbers and versioned membership.
-//  2. beta phase (serial or sharded by rule across workers): every rule
-//     replays the event list against its private token state. Rules share
-//     nothing but the read-only memories and elements, so per-rule
-//     propagation is order-independent across rules — the parallel mode
-//     is deterministic by construction and needs no merge step beyond
-//     waiting for the workers.
+//  2. beta phase: every rule replays the event list against its private
+//     token state. Rules share nothing but the memories and elements,
+//     which the phase only reads, so per-rule propagation is
+//     order-independent across rules.
 //
 // Conflict resolution then reads the per-rule conflict sets in rule
-// order, which is identical either way.
+// order.
 
 type rete struct {
 	alpha *alphaNet
@@ -51,9 +46,8 @@ type alphaEvent struct {
 	attrs []string // evTouch: the changed attributes
 }
 
-// reteRule is one rule's beta chain plus its batch-local counters. All
-// fields below stats are owned by the worker processing the rule during
-// the beta phase.
+// reteRule is one rule's beta chain, its token state, and its batch-local
+// counters.
 type reteRule struct {
 	idx   int
 	r     *Rule
@@ -95,7 +89,7 @@ func (rr *reteRule) newToken() *token {
 }
 
 // reteBatchStats accumulates one rule's work during a batch; folded into
-// the engine metrics serially after the beta phase.
+// the engine metrics after the beta phase.
 type reteBatchStats struct {
 	joinTests            int
 	asserts, retracts    int
@@ -169,7 +163,7 @@ func (rt *rete) addRule(r *Rule, e *Engine) {
 }
 
 // resync rebuilds the network state from live working memory: initial
-// seeding, and re-entry after another matcher mode drove the engine.
+// seeding, and re-entry after Exhaustive drove the engine.
 func (rt *rete) resync(e *Engine) {
 	for _, mem := range rt.alpha.memList {
 		mem.reset()
@@ -265,22 +259,18 @@ func (rt *rete) apply(e *Engine, changes []Change) {
 	e.matchCalls += evals
 	e.met.alphaEvals += evals
 
-	// Phase 2: replay the event list per rule. Serial timing chains one
-	// clock read per touched rule: each touched rule is charged the span
-	// since the previous read, which folds the (nanosecond-scale) relevance
+	// Phase 2: replay the event list per rule. Timing chains one clock
+	// read per touched rule: each touched rule is charged the span since
+	// the previous read, which folds the (nanosecond-scale) relevance
 	// scans of untouched rules in between into its figure but keeps the
 	// total exact.
 	if len(rt.events) > 0 {
-		if e.Parallel > 1 {
-			rt.processParallel(e.Parallel)
-		} else {
-			t0 := time.Now()
-			for _, rr := range rt.rules {
-				if rr.processEvents(rt.events) {
-					t1 := time.Now()
-					rr.stats.elapsed += t1.Sub(t0)
-					t0 = t1
-				}
+		t0 := time.Now()
+		for _, rr := range rt.rules {
+			if rr.processEvents(rt.events) {
+				t1 := time.Now()
+				rr.stats.elapsed += t1.Sub(t0)
+				t0 = t1
 			}
 		}
 	}
@@ -328,9 +318,8 @@ func attrsTouch(set map[string]bool, attrs []string) bool {
 
 // processEvents replays a batch's event list against one rule's chain and
 // reports whether the rule was touched. Timing is the caller's job: clock
-// reads are expensive enough to show in profiles, so the serial path
-// chains a single read per touched rule (rete.apply) instead of bracketing
-// every call here.
+// reads are expensive enough to show in profiles, so rete.apply chains a
+// single read per touched rule instead of bracketing every call here.
 func (rr *reteRule) processEvents(evs []alphaEvent) bool {
 	relevant := false
 	for i := range evs {
@@ -360,42 +349,6 @@ func (rr *reteRule) processEvents(evs []alphaEvent) bool {
 		}
 	}
 	return true
-}
-
-// processParallel shards the beta phase across workers, striped by rule.
-// Each rule's state is private and the shared inputs (event list,
-// memories, elements) are read-only during the phase, so the result is
-// identical to the serial replay. Panics (rule predicates can run user
-// code) are re-raised on the caller after all workers stop.
-func (rt *rete) processParallel(workers int) {
-	if workers > len(rt.rules) {
-		workers = len(rt.rules)
-	}
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicked any
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked = r })
-				}
-			}()
-			for i := w; i < len(rt.rules); i += workers {
-				rr := rt.rules[i]
-				t0 := time.Now()
-				if rr.processEvents(rt.events) {
-					rr.stats.elapsed += time.Since(t0)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
 }
 
 // foldRule moves a rule's batch counters into the engine metrics.

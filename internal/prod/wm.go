@@ -19,17 +19,14 @@
 // working memory emits a change notification for every Make, Modify, and
 // Remove; between firings the network propagates only those deltas, so
 // match work is proportional to change, not to working-memory size.
-// Engine.Parallel shards beta propagation across workers (rule-striped,
-// deterministic by construction).
 //
-// Two interpreted matchers are kept alongside it: Engine.Lite selects the
-// Rete-lite matcher (matcher_lite.go), which re-enumerates whole rules on
-// a (class, attribute) subscription index, and Engine.Exhaustive recomputes
-// the conflict set from scratch each cycle. Conflict-resolution semantics
-// — refraction, recency, specificity, declaration order — are bit-for-bit
-// identical across all three, and Engine.CrossCheck runs them in lockstep,
-// diffing the selected instantiation every cycle. See Engine.Metrics for
-// the per-rule match-cost and network observability this enables.
+// One interpreted matcher is kept alongside it: Engine.Exhaustive
+// recomputes the conflict set from scratch each cycle (exhaustive.go).
+// Conflict-resolution semantics — refraction, recency, specificity,
+// declaration order — are bit-for-bit identical across the two, and
+// Engine.CrossCheck runs them in lockstep, diffing the selected
+// instantiation every cycle. See Engine.Metrics for the per-rule
+// match-cost and network observability this enables.
 package prod
 
 import (

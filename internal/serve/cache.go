@@ -1,11 +1,10 @@
 package serve
 
 import (
-	"container/list"
 	"fmt"
-	"sync"
 
 	"repro/internal/flow"
+	"repro/internal/lru"
 )
 
 // The design cache memoizes complete synthesis responses, not just parsed
@@ -21,37 +20,20 @@ import (
 // whose options are not canonicalizable (impossible via the wire types,
 // which exclude trace writers and extra rules) must not reach the cache.
 
-// designCache is a bounded LRU from request key to rendered response body.
-type designCache struct {
-	mu        sync.Mutex
-	cap       int
-	lru       *list.List
-	index     map[string]*list.Element
-	hits      int64
-	misses    int64
-	evictions int64
-}
-
-type designEntry struct {
-	key  string
-	body []byte
-}
-
 // DefaultDesignCacheEntries bounds the design cache when Config leaves it 0.
 const DefaultDesignCacheEntries = 512
 
-func newDesignCache(capacity int) *designCache {
+// newDesignCache builds the bounded LRU from request key to rendered
+// response body. entries follows Config.CacheEntries: 0 selects
+// DefaultDesignCacheEntries, and a negative value disables the cache.
+func newDesignCache(entries int) *lru.Cache[string, []byte] {
 	switch {
-	case capacity == 0:
-		capacity = DefaultDesignCacheEntries
-	case capacity < 0:
-		capacity = 0 // disabled: runOne never consults a zero-cap cache
+	case entries == 0:
+		entries = DefaultDesignCacheEntries
+	case entries < 0:
+		entries = 0 // disabled: handlers never consult a zero-cap cache
 	}
-	return &designCache{
-		cap:   capacity,
-		lru:   list.New(),
-		index: map[string]*list.Element{},
-	}
+	return lru.New[string, []byte](entries)
 }
 
 // designKey is the cache identity of a synthesize request: content hash of
@@ -60,51 +42,4 @@ func newDesignCache(capacity int) *designCache {
 // ever hit an entry stored by an identical timed request).
 func designKey(in flow.Input, opt flow.Options, art ArtifactRequest, timings bool) string {
 	return fmt.Sprintf("%x|%s|%s|t=%t", in.ContentHash(), opt.Key(), art.key(), timings)
-}
-
-// get returns the cached body for key, or nil.
-func (c *designCache) get(key string) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	node, ok := c.index[key]
-	if !ok {
-		c.misses++
-		return nil
-	}
-	c.hits++
-	c.lru.MoveToFront(node)
-	return node.Value.(*designEntry).body
-}
-
-// put stores a rendered body, evicting least-recently-used entries past
-// the bound. Concurrent misses for the same key may both put; the second
-// simply refreshes the entry.
-func (c *designCache) put(key string, body []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if node, ok := c.index[key]; ok {
-		node.Value.(*designEntry).body = body
-		c.lru.MoveToFront(node)
-		return
-	}
-	c.index[key] = c.lru.PushFront(&designEntry{key: key, body: body})
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.index, back.Value.(*designEntry).key)
-		c.evictions++
-	}
-}
-
-// stats snapshots the cache counters for /v1/metrics.
-func (c *designCache) stats() flow.CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return flow.CacheStats{
-		Entries:   c.lru.Len(),
-		Cap:       c.cap,
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-	}
 }

@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"container/list"
 	"fmt"
-	"sync"
 
-	"repro/internal/core"
 	"repro/internal/flow"
 )
 
@@ -25,73 +22,4 @@ const DefaultExplainCacheEntries = 64
 // response's provenance summary.
 func explainKey(in flow.Input, opt flow.Options) string {
 	return fmt.Sprintf("%x|%s", in.ContentHash(), opt.Key())
-}
-
-type explainEntry struct {
-	key  string
-	prov *core.Provenance
-}
-
-// explainCache is a bounded LRU from explain key to provenance index.
-type explainCache struct {
-	mu        sync.Mutex
-	cap       int
-	lru       *list.List
-	index     map[string]*list.Element
-	hits      int64
-	misses    int64
-	evictions int64
-}
-
-func newExplainCache(capacity int) *explainCache {
-	if capacity <= 0 {
-		capacity = DefaultExplainCacheEntries
-	}
-	return &explainCache{
-		cap:   capacity,
-		lru:   list.New(),
-		index: map[string]*list.Element{},
-	}
-}
-
-func (c *explainCache) get(key string) *core.Provenance {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	node, ok := c.index[key]
-	if !ok {
-		c.misses++
-		return nil
-	}
-	c.hits++
-	c.lru.MoveToFront(node)
-	return node.Value.(*explainEntry).prov
-}
-
-func (c *explainCache) put(key string, prov *core.Provenance) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if node, ok := c.index[key]; ok {
-		node.Value.(*explainEntry).prov = prov
-		c.lru.MoveToFront(node)
-		return
-	}
-	c.index[key] = c.lru.PushFront(&explainEntry{key: key, prov: prov})
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.index, back.Value.(*explainEntry).key)
-		c.evictions++
-	}
-}
-
-func (c *explainCache) stats() flow.CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return flow.CacheStats{
-		Entries:   c.lru.Len(),
-		Cap:       c.cap,
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-	}
 }

@@ -85,7 +85,7 @@ func TestExplainNotPopulatedWithoutProvenance(t *testing.T) {
 	if out.Provenance != nil {
 		t.Fatal("provenance summary present without the option")
 	}
-	if st := s.explain.stats(); st.Entries != 0 {
+	if st := s.explain.Stats(); st.Entries != 0 {
 		t.Fatalf("explain store has %d entries without provenance requests", st.Entries)
 	}
 }

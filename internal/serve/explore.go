@@ -289,11 +289,11 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	in := req.flowInput()
 
-	useCache := !req.NoCache && s.cache.cap > 0 && base.Cacheable()
+	useCache := !req.NoCache && s.cache.Cap() > 0 && base.Cacheable()
 	key := ""
 	if useCache {
 		key = exploreCacheKey(in, base, grid)
-		if body := s.cache.get(key); body != nil {
+		if body, ok := s.cache.Get(key); ok {
 			s.writeBody(w, body, "hit")
 			return
 		}
@@ -331,7 +331,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	body = append(body, '\n')
 	if useCache {
-		s.cache.put(key, body)
+		s.cache.Put(key, body)
 	}
 	s.writeBody(w, body, "miss")
 }

@@ -119,6 +119,7 @@ func TestExploreEndpointRejectsBadRequests(t *testing.T) {
 		{Source: "", Grid: map[string]GridAxis{"cleanup": {"true"}}}, // empty source
 		{Source: src}, // empty grid
 		{Source: src, Grid: map[string]GridAxis{"warp": {"1"}}},          // unknown knob
+		{Source: src, Grid: map[string]GridAxis{"lite": {"true"}}},       // removed knob
 		{Source: src, Grid: map[string]GridAxis{"allocator": {"wrong"}}}, // bad value
 		{Source: src, Grid: map[string]GridAxis{"memports": {"3..1"}}},   // inverted range
 	} {

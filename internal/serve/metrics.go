@@ -219,9 +219,9 @@ func (s *Server) Metrics() MetricsResponse {
 			DeadlineExceeded: m.deadlineExceeded.Load(),
 			Panics:           m.panics.Load(),
 		},
-		DesignCache:  s.cache.stats(),
+		DesignCache:  s.cache.Stats(),
 		FlowCache:    flow.FrontCacheStats(),
-		ExplainCache: s.explain.stats(),
+		ExplainCache: s.explain.Stats(),
 		StagesMS:     stages,
 		Engine: EngineRollup{
 			CyclesTotal:   prod.TotalEngineCycles(),

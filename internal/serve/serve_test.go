@@ -751,19 +751,56 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestDesignCacheEviction pins the LRU bound on the design cache.
+// getMetrics fetches and decodes GET /v1/metrics.
+func getMetrics(t *testing.T, base string) MetricsResponse {
+	t.Helper()
+	code, body := postGet(t, base+"/v1/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("metrics: %d", code)
+	}
+	var m MetricsResponse
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatalf("metrics unmarshal: %v\n%s", err, body)
+	}
+	return m
+}
+
+// TestDesignCacheEviction pins the CacheEntries bound on the design cache
+// as /v1/metrics reports it: three distinct designs through a two-entry
+// cache leave two entries and one eviction, and the evicted design misses.
 func TestDesignCacheEviction(t *testing.T) {
-	s, ts := newTestServer(t, Config{CacheEntries: 2})
+	_, ts := newTestServer(t, Config{CacheEntries: 2})
 	for _, n := range []string{"gcd", "counter", "traffic"} {
-		postJSON(t, ts.URL+"/v1/synthesize", benchRequest(t, n))
+		if resp, body := postJSON(t, ts.URL+"/v1/synthesize", benchRequest(t, n)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", n, resp.StatusCode, body)
+		}
 	}
-	st := s.cache.stats()
-	if st.Entries != 2 || st.Evictions != 1 {
-		t.Errorf("cache stats %+v, want 2 entries, 1 eviction", st)
+	if st := getMetrics(t, ts.URL).DesignCache; st.Entries != 2 || st.Cap != 2 || st.Evictions != 1 || st.Misses != 3 {
+		t.Errorf("designCache %+v, want 2 entries of cap 2, 1 eviction, 3 misses", st)
 	}
-	// gcd was evicted: resubmission misses.
+	// gcd was least recently used and evicted: resubmission misses.
 	resp, _ := postJSON(t, ts.URL+"/v1/synthesize", benchRequest(t, "gcd"))
 	if got := resp.Header.Get("X-DAAD-Cache"); got != "miss" {
 		t.Errorf("evicted entry served as %q, want miss", got)
+	}
+}
+
+// TestDesignCacheEntriesRule pins how Config.CacheEntries sizes the cache:
+// 0 selects DefaultDesignCacheEntries, and a negative value disables it,
+// so repeats are synthesized afresh and the cache is never consulted.
+func TestDesignCacheEntriesRule(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	if got := getMetrics(t, ts.URL).DesignCache.Cap; got != DefaultDesignCacheEntries {
+		t.Errorf("default cap %d, want %d", got, DefaultDesignCacheEntries)
+	}
+	_, ts = newTestServer(t, Config{CacheEntries: -1})
+	for i := 0; i < 2; i++ {
+		resp, _ := postJSON(t, ts.URL+"/v1/synthesize", benchRequest(t, "gcd"))
+		if got := resp.Header.Get("X-DAAD-Cache"); got != "miss" {
+			t.Errorf("request %d with the cache disabled served as %q, want miss", i, got)
+		}
+	}
+	if st := getMetrics(t, ts.URL).DesignCache; st != (flow.CacheStats{}) {
+		t.Errorf("disabled designCache %+v, want all zero", st)
 	}
 }

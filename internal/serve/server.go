@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/isps"
+	"repro/internal/lru"
 )
 
 // Config sizes the daemon. The zero value serves with sane defaults.
@@ -51,11 +52,6 @@ type Config struct {
 	// (default DefaultMaxGridPoints); past it the request answers 413.
 	// Negative disables /v1/explore entirely (every grid is too large).
 	MaxGridPoints int
-	// ParallelMatch shards the production engine's Rete beta propagation
-	// across this many workers for every synthesis (0 = serial). A server
-	// setting rather than a request option: it never changes results, only
-	// the compilation path, so it is excluded from cache keys.
-	ParallelMatch int
 	// Logger receives one line per request, tagged with the request ID.
 	// Nil discards logs (tests).
 	Logger *log.Logger
@@ -93,8 +89,8 @@ func (c Config) withDefaults() Config {
 // the metrics counters, and the HTTP handlers over flow.Compile.
 type Server struct {
 	cfg     Config
-	cache   *designCache
-	explain *explainCache
+	cache   *lru.Cache[string, []byte]           // design cache: rendered bodies
+	explain *lru.Cache[string, *core.Provenance] // explain store
 	met     metrics
 	start   time.Time
 
@@ -121,7 +117,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		cache:      newDesignCache(cfg.CacheEntries),
-		explain:    newExplainCache(0),
+		explain:    lru.New[string, *core.Provenance](DefaultExplainCacheEntries),
 		start:      time.Now(),
 		slots:      make(chan struct{}, cfg.Workers),
 		synthesize: flow.Compile,
@@ -480,8 +476,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	prov := s.explain.get(key)
-	if prov == nil {
+	prov, ok := s.explain.Get(key)
+	if !ok {
 		s.writeError(w, r, http.StatusNotFound, &ErrorResponse{
 			Error: "no journaled design under this key; synthesize with options.provenance first",
 			Kind:  KindRequest, RequestID: id,
@@ -563,18 +559,17 @@ func (s *Server) runOne(ctx context.Context, req SynthesizeRequest, admit bool) 
 			Error: err.Error(), Kind: KindRequest, RequestID: id,
 		}}
 	}
-	opt.Core.ParallelMatch = s.cfg.ParallelMatch
 	// Verilog is an emit-stage product now: selecting the artifact selects
 	// the stage, before the cache key is computed (opt.Key covers it).
 	opt.EmitVerilog = req.Artifacts.Verilog
 
 	// Cache lookup happens before admission: a repeat submission is served
 	// in O(lookup) without consuming queue capacity or a worker token.
-	useCache := !req.NoCache && s.cache.cap > 0 && opt.Cacheable()
+	useCache := !req.NoCache && s.cache.Cap() > 0 && opt.Cacheable()
 	key := ""
 	if useCache {
 		key = designKey(in, opt, req.Artifacts, req.Timings)
-		if body := s.cache.get(key); body != nil {
+		if body, ok := s.cache.Get(key); ok {
 			return outcome{status: http.StatusOK, body: body, cacheState: "hit"}
 		}
 	}
@@ -642,7 +637,7 @@ func (s *Server) runOne(ctx context.Context, req SynthesizeRequest, admit bool) 
 	}
 	if prov := res.Provenance(); prov != nil {
 		ekey := explainKey(in, opt)
-		s.explain.put(ekey, prov)
+		s.explain.Put(ekey, prov)
 		firings, effects := res.Journal().Counts()
 		resp.Provenance = &ProvenanceSummary{
 			Key:        ekey,
@@ -660,7 +655,7 @@ func (s *Server) runOne(ctx context.Context, req SynthesizeRequest, admit bool) 
 	}
 	body = append(body, '\n')
 	if useCache {
-		s.cache.put(key, body)
+		s.cache.Put(key, body)
 	}
 	return outcome{status: http.StatusOK, body: body, cacheState: "miss"}
 }
