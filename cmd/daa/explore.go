@@ -9,12 +9,10 @@ package main
 // byte-identical to the daemon's POST /v1/explore response body.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"strings"
 
 	"repro/internal/flow"
@@ -34,39 +32,45 @@ func runKnobs(w io.Writer) error {
 	return nil
 }
 
-// runExplore evaluates the grid locally and renders the front.
+// runExplore sweeps the grid — in-process, or on a daad daemon (or
+// cluster coordinator) with -remote — and renders the front.
 func runExplore(w io.Writer, in flow.Input, o options) error {
 	grid, err := flow.ParseGridSpec(o.exploreSpec)
 	if err != nil {
 		return flow.Usagef("%v", err)
 	}
-	base, err := exploreBase(o)
-	if err != nil {
-		return err
-	}
-	front, err := flow.Explore(context.Background(), in, base, grid)
-	if err != nil {
-		return err
-	}
-	return renderExplore(w, serve.NewExploreResponse(front), o.exploreJSON)
-}
-
-// exploreBase builds the base option point the grid perturbs from the
-// non-swept flags. Live-state flags (-trace, -journal) stay out of the
-// base so local fronts match remote ones.
-func exploreBase(o options) (flow.Options, error) {
 	if o.trace || o.journal != "" || o.explain != "" {
-		return flow.Options{}, flow.Usagef("-trace, -journal, and -explain are per-run outputs; not supported with -explore")
+		return flow.Usagef("-trace, -journal, and -explain are per-run outputs; not supported with -explore")
 	}
-	base := flow.Options{Allocator: o.allocator}
-	base.Core.DisableCleanup = o.noCleanup
-	base.Core.ExhaustiveMatch = o.exhaustive
-	switch o.allocator {
-	case flow.AllocDAA, flow.AllocLeftEdge, flow.AllocNaive:
-	default:
-		return flow.Options{}, flow.Usagef("unknown allocator %q (want daa, leftedge, or naive)", o.allocator)
+	// The grid perturbs the base point the design flags select; the
+	// per-run output flags (-verify, -verilog, ...) do not reach a sweep.
+	point := options{allocator: o.allocator, noCleanup: o.noCleanup, exhaustive: o.exhaustive}
+	base, err := point.flowOptions()
+	if err != nil {
+		return err
 	}
-	return base, nil
+	resp := &serve.ExploreResponse{}
+	if o.remote != "" {
+		req := serve.ExploreRequest{
+			Name:    in.Name,
+			Source:  in.Source,
+			Grid:    make(map[string]serve.GridAxis, len(grid)),
+			Options: point.requestOptions(),
+		}
+		for _, ax := range grid {
+			req.Grid[ax.Name] = serve.GridAxis(ax.Values)
+		}
+		err = call(o.remote, "/v1/explore", req, resp)
+	} else {
+		var front *flow.Front
+		if front, err = flow.Explore(context.Background(), in, base, grid); err == nil {
+			resp = serve.NewExploreResponse(front)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	return renderExplore(w, resp, o.exploreJSON)
 }
 
 // renderExplore writes the front as the shared table or as the daemon's
@@ -85,73 +89,4 @@ func renderExplore(w io.Writer, resp *serve.ExploreResponse, asJSON bool) error 
 		return fmt.Errorf("every grid point failed; see the table above")
 	}
 	return nil
-}
-
-// runRemoteExplore sends the sweep to a daad daemon (or cluster
-// coordinator) and renders the same table/JSON as a local run.
-func runRemoteExplore(w io.Writer, in flow.Input, o options) error {
-	grid, err := flow.ParseGridSpec(o.exploreSpec)
-	if err != nil {
-		return flow.Usagef("%v", err)
-	}
-	if _, err := exploreBase(o); err != nil {
-		return err // same flag validation as local sweeps
-	}
-	wireGrid := make(map[string]serve.GridAxis, len(grid))
-	for _, ax := range grid {
-		wireGrid[ax.Name] = serve.GridAxis(ax.Values)
-	}
-	req := serve.ExploreRequest{
-		Name:   in.Name,
-		Source: in.Source,
-		Grid:   wireGrid,
-		Options: serve.RequestOptions{
-			Allocator:  o.allocator,
-			NoCleanup:  o.noCleanup,
-			Exhaustive: o.exhaustive,
-		},
-	}
-	resp, err := postExplore(o.remote, req)
-	if err != nil {
-		return err
-	}
-	return renderExplore(w, resp, o.exploreJSON)
-}
-
-// postExplore sends one sweep to the daemon, mapping error bodies onto the
-// local taxonomy like postSynthesize.
-func postExplore(base string, req serve.ExploreRequest) (*serve.ExploreResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	endpoint := strings.TrimRight(base, "/") + "/v1/explore"
-	httpResp, err := doIdempotent(func() (*http.Request, error) {
-		hr, err := http.NewRequest(http.MethodPost, endpoint, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		hr.Header.Set("Content-Type", "application/json")
-		return hr, nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("remote %s: %w", base, err)
-	}
-	defer httpResp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(httpResp.Body, 64<<20))
-	if err != nil {
-		return nil, fmt.Errorf("remote %s: reading response: %w", base, err)
-	}
-	if httpResp.StatusCode != http.StatusOK {
-		var er serve.ErrorResponse
-		if json.Unmarshal(raw, &er) == nil && er.Error != "" {
-			return nil, fmt.Errorf("remote %s: %s (%s)", base, er.Error, er.Kind)
-		}
-		return nil, fmt.Errorf("remote %s: HTTP %d", base, httpResp.StatusCode)
-	}
-	var out serve.ExploreResponse
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return nil, fmt.Errorf("remote %s: malformed response: %w", base, err)
-	}
-	return &out, nil
 }

@@ -124,29 +124,14 @@ func run(w io.Writer, o options) error {
 		return err
 	}
 	if o.exploreSpec != "" {
-		if o.remote != "" {
-			return runRemoteExplore(w, in, o)
-		}
 		return runExplore(w, in, o)
 	}
 	if o.remote != "" {
 		return runRemote(w, in, o)
 	}
-	opt := flow.Options{
-		Allocator: o.allocator,
-		Core: core.Options{
-			DisableCleanup:  o.noCleanup,
-			ExhaustiveMatch: o.exhaustive,
-			Journal:         o.explain != "" || o.journal != "",
-		},
-		EmitVerilog: o.verilog || o.emitVerilog != "",
-		Cosim:       o.verify,
-		CosimSeed:   o.cosimSeed,
-	}
-	switch o.allocator {
-	case flow.AllocDAA, flow.AllocLeftEdge, flow.AllocNaive:
-	default:
-		return flow.Usagef("unknown allocator %q (want daa, leftedge, or naive)", o.allocator)
+	opt, err := o.flowOptions()
+	if err != nil {
+		return err
 	}
 	// Machine-readable outputs suppress the report; -explain replaces it
 	// with the provenance listing.
@@ -190,9 +175,9 @@ func run(w io.Writer, o options) error {
 		}
 	}
 	if o.explain != "" {
-		if err := writeExplain(w, res, o.explain); err != nil {
-			return err
-		}
+		var sb strings.Builder
+		n := res.Provenance().Explain(&sb, o.explain)
+		writeExplain(w, res.Design.Name, o.explain, n, sb.String())
 		return cosimVerdict(w, res.Cosim, true)
 	}
 
@@ -223,6 +208,26 @@ func run(w io.Writer, o options) error {
 		fmt.Fprint(w, sb.String())
 	}
 	return cosimVerdict(w, res.Cosim, false)
+}
+
+// flowOptions builds the pipeline options of a local run from the flags.
+func (o options) flowOptions() (flow.Options, error) {
+	switch o.allocator {
+	case flow.AllocDAA, flow.AllocLeftEdge, flow.AllocNaive:
+	default:
+		return flow.Options{}, flow.Usagef("unknown allocator %q (want daa, leftedge, or naive)", o.allocator)
+	}
+	return flow.Options{
+		Allocator: o.allocator,
+		Core: core.Options{
+			DisableCleanup:  o.noCleanup,
+			ExhaustiveMatch: o.exhaustive,
+			Journal:         o.explain != "" || o.journal != "",
+		},
+		EmitVerilog: o.verilog || o.emitVerilog != "",
+		Cosim:       o.verify,
+		CosimSeed:   o.cosimSeed,
+	}, nil
 }
 
 // runLintRules statically lints the embedded knowledge base (every phase's
@@ -289,21 +294,12 @@ func input(inFile, benchName string) (flow.Input, error) {
 	}
 }
 
-// writeExplain prints the rule-firing provenance of every component whose
-// label matches sel, through the same core renderer the daemon's
-// GET /v1/explain uses — the listing text is identical in both modes.
-func writeExplain(w io.Writer, res *flow.Result, sel string) error {
-	var sb strings.Builder
-	n := res.Provenance().Explain(&sb, sel)
-	writeExplainHeader(w, res.Design.Name, sel, n)
-	fmt.Fprint(w, sb.String())
-	return nil
-}
-
-// writeExplainHeader prints the one-line summary above an explain listing;
-// local and remote explain share it.
-func writeExplainHeader(w io.Writer, design, sel string, matched int) {
-	fmt.Fprintf(w, "provenance of %s: %d component(s) match %q\n\n", design, matched, sel)
+// writeExplain prints the rule-firing provenance listing of the components
+// matching sel under a one-line summary. Local runs and -remote share it,
+// and the listing comes from the same core renderer the daemon's
+// GET /v1/explain uses, so the text is identical in both modes.
+func writeExplain(w io.Writer, design, sel string, matched int, listing string) {
+	fmt.Fprintf(w, "provenance of %s: %d component(s) match %q\n\n%s", design, matched, sel, listing)
 }
 
 // writeJournal records the run's effect journal to a file in the prod

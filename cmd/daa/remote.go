@@ -10,7 +10,6 @@ package main
 // from GET /v1/explain under the key the response returns.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -26,6 +25,18 @@ import (
 	"repro/internal/serve"
 )
 
+// requestOptions builds the wire options of a remote run from the flags.
+func (o options) requestOptions() serve.RequestOptions {
+	return serve.RequestOptions{
+		Allocator:  o.allocator,
+		NoCleanup:  o.noCleanup,
+		Exhaustive: o.exhaustive,
+		Provenance: o.explain != "",
+		Verify:     o.verify,
+		CosimSeed:  o.cosimSeed,
+	}
+}
+
 func runRemote(w io.Writer, in flow.Input, o options) error {
 	if o.trace || o.engineStats {
 		return flow.Usagef("-trace and -engine-stats stream local engine state and are not supported with -remote")
@@ -34,16 +45,9 @@ func runRemote(w io.Writer, in flow.Input, o options) error {
 		return flow.Usagef("-journal records the local engine's effect journal and is not supported with -remote")
 	}
 	req := serve.SynthesizeRequest{
-		Name:   in.Name,
-		Source: in.Source,
-		Options: serve.RequestOptions{
-			Allocator:  o.allocator,
-			NoCleanup:  o.noCleanup,
-			Exhaustive: o.exhaustive,
-			Provenance: o.explain != "",
-			Verify:     o.verify,
-			CosimSeed:  o.cosimSeed,
-		},
+		Name:    in.Name,
+		Source:  in.Source,
+		Options: o.requestOptions(),
 		Artifacts: serve.ArtifactRequest{
 			Verilog:      o.verilog || o.emitVerilog != "",
 			ControlTable: o.control,
@@ -52,8 +56,9 @@ func runRemote(w io.Writer, in flow.Input, o options) error {
 		Timings:    o.stageTiming,
 		DeadlineMS: int(o.deadline / time.Millisecond),
 	}
-	resp, err := postSynthesize(o.remote, req)
-	if err != nil {
+	// A response without artifacts leaves them empty, not nil.
+	resp := serve.SynthesizeResponse{Artifacts: &serve.Artifacts{}}
+	if err := call(o.remote, "/v1/synthesize", req, &resp); err != nil {
 		return err
 	}
 	if o.verify && resp.Equivalence == nil {
@@ -62,9 +67,10 @@ func runRemote(w io.Writer, in flow.Input, o options) error {
 	// The wire verdict rebuilds the flow-layer report, so the verdict block
 	// below is byte-identical to a local -verify run.
 	rep := resp.Equivalence.CosimReport()
+	art := resp.Artifacts
 
 	if o.emitVerilog != "" {
-		if err := os.WriteFile(o.emitVerilog, []byte(resp.Artifacts.Verilog), 0o644); err != nil {
+		if err := os.WriteFile(o.emitVerilog, []byte(art.Verilog), 0o644); err != nil {
 			return err
 		}
 	}
@@ -72,20 +78,20 @@ func runRemote(w io.Writer, in flow.Input, o options) error {
 		if resp.Provenance == nil {
 			return fmt.Errorf("remote %s: response carries no provenance key (daemon too old?)", o.remote)
 		}
-		ex, err := getExplain(o.remote, resp.Provenance.Key, o.explain)
-		if err != nil {
+		var ex serve.ExplainResponse
+		path := "/v1/explain?key=" + url.QueryEscape(resp.Provenance.Key) + "&sel=" + url.QueryEscape(o.explain)
+		if err := call(o.remote, path, nil, &ex); err != nil {
 			return err
 		}
-		writeExplainHeader(w, ex.Design, o.explain, ex.Matched)
-		fmt.Fprint(w, ex.Text)
+		writeExplain(w, ex.Design, o.explain, ex.Matched, ex.Text)
 		return cosimVerdict(w, rep, true)
 	}
 	if o.verilog {
-		fmt.Fprint(w, resp.Artifacts.Verilog)
+		fmt.Fprint(w, art.Verilog)
 		return cosimVerdict(w, rep, true)
 	}
 	if o.flow {
-		fmt.Fprint(w, resp.Artifacts.Dot)
+		fmt.Fprint(w, art.Dot)
 		return cosimVerdict(w, rep, true)
 	}
 	fmt.Fprint(w, resp.Report)
@@ -95,7 +101,7 @@ func runRemote(w io.Writer, in flow.Input, o options) error {
 	}
 	if o.control {
 		fmt.Fprintln(w, "\ncontrol table:")
-		fmt.Fprint(w, resp.Artifacts.ControlTable)
+		fmt.Fprint(w, art.ControlTable)
 	}
 	return cosimVerdict(w, rep, false)
 }
@@ -105,97 +111,48 @@ func runRemote(w io.Writer, in flow.Input, o options) error {
 // shorten it.
 var retryBackoff = 200 * time.Millisecond
 
-// doIdempotent issues the request built by mk through the shared cluster
+// call performs one daemon call — a POST of req as JSON, or a GET when req
+// is nil — and decodes the 200 body into out. It rides the shared cluster
 // client: one retry after a short backoff when the transport failed
 // before the server produced a response, and a 429 with a short
-// Retry-After is waited out once. Both daemon calls are safe to repeat:
-// synthesize is a cache-keyed pure computation and explain is a GET.
-func doIdempotent(mk func() (*http.Request, error)) (*http.Response, error) {
+// Retry-After is waited out once. Every daemon call is safe to repeat:
+// synthesize, explore and lint are cache-keyed pure computations and
+// explain is a GET. Error bodies map back onto the local error taxonomy
+// (serve.ErrorResponse.Err): diagnostics exit 2, everything else exits 3.
+func call(base, path string, req, out any) error {
+	method, payload := http.MethodGet, []byte(nil)
+	if req != nil {
+		var err error
+		if payload, err = json.Marshal(req); err != nil {
+			return err
+		}
+		method = http.MethodPost
+	}
 	c := cluster.NewClient(cluster.ClientConfig{
 		Attempts:    2,
 		BaseBackoff: retryBackoff,
 		Honor429:    true,
 	})
-	return c.Do(context.Background(), mk)
-}
-
-// postSynthesize sends one request to the daemon and maps error bodies
-// back onto the local error taxonomy (diagnostics exit 2, overload and
-// internal failures exit 3).
-func postSynthesize(base string, req serve.SynthesizeRequest) (*serve.SynthesizeResponse, error) {
-	body, err := json.Marshal(req)
+	resp, err := c.Send(context.Background(), method, strings.TrimRight(base, "/")+path, payload)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("remote %s: %w", base, err)
 	}
-	endpoint := strings.TrimRight(base, "/") + "/v1/synthesize"
-	httpResp, err := doIdempotent(func() (*http.Request, error) {
-		hr, err := http.NewRequest(http.MethodPost, endpoint, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		hr.Header.Set("Content-Type", "application/json")
-		return hr, nil
-	})
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return nil, fmt.Errorf("remote %s: %w", base, err)
+		return fmt.Errorf("remote %s: reading response: %w", base, err)
 	}
-	defer httpResp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(httpResp.Body, 64<<20))
-	if err != nil {
-		return nil, fmt.Errorf("remote %s: reading response: %w", base, err)
-	}
-	if httpResp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusOK {
 		var er serve.ErrorResponse
 		if json.Unmarshal(raw, &er) == nil && er.Error != "" {
-			if er.Kind == serve.KindInput && len(er.Diagnostics) > 0 {
-				var dl flow.DiagnosticList
-				for _, d := range er.Diagnostics {
-					dl = append(dl, d.FlowDiagnostic())
-				}
-				return nil, dl
-			}
-			return nil, fmt.Errorf("remote %s: %s (%s)", base, er.Error, er.Kind)
+			return fmt.Errorf("remote %s: %w", base, er.Err())
 		}
-		return nil, fmt.Errorf("remote %s: HTTP %d", base, httpResp.StatusCode)
+		return fmt.Errorf("remote %s: HTTP %d", base, resp.StatusCode)
 	}
-	var out serve.SynthesizeResponse
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return nil, fmt.Errorf("remote %s: malformed response: %w", base, err)
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("remote %s: malformed response: %w", base, err)
 	}
-	if out.Artifacts == nil {
-		out.Artifacts = &serve.Artifacts{}
-	}
-	return &out, nil
-}
-
-// getExplain fetches the provenance listing of a journaled design by the
-// key the synthesize response returned.
-func getExplain(base, key, sel string) (*serve.ExplainResponse, error) {
-	endpoint := strings.TrimRight(base, "/") + "/v1/explain?key=" +
-		url.QueryEscape(key) + "&sel=" + url.QueryEscape(sel)
-	httpResp, err := doIdempotent(func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, endpoint, nil)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("remote %s: %w", base, err)
-	}
-	defer httpResp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(httpResp.Body, 64<<20))
-	if err != nil {
-		return nil, fmt.Errorf("remote %s: reading response: %w", base, err)
-	}
-	if httpResp.StatusCode != http.StatusOK {
-		var er serve.ErrorResponse
-		if json.Unmarshal(raw, &er) == nil && er.Error != "" {
-			return nil, fmt.Errorf("remote %s: %s (%s)", base, er.Error, er.Kind)
-		}
-		return nil, fmt.Errorf("remote %s: HTTP %d", base, httpResp.StatusCode)
-	}
-	var out serve.ExplainResponse
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return nil, fmt.Errorf("remote %s: malformed response: %w", base, err)
-	}
-	return &out, nil
+	return nil
 }
 
 // remoteTrace rebuilds a flow.Trace from wire stage timings so remote

@@ -57,6 +57,27 @@ func TestRemoteExplainMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestRemoteExploreMatchesLocal: a sweep sent to a daemon renders the
+// same table, and with -json the same body, as the sweep run in-process.
+func TestRemoteExploreMatchesLocal(t *testing.T) {
+	ts := newDaemon(t)
+	for _, asJSON := range []bool{false, true} {
+		o := options{benchName: "gcd", allocator: "daa", exploreSpec: "allocator=daa,leftedge cleanup=true,false", exploreJSON: asJSON}
+		var local, remote strings.Builder
+		if err := run(&local, o); err != nil {
+			t.Fatal(err)
+		}
+		o.remote = ts.URL
+		if err := run(&remote, o); err != nil {
+			t.Fatal(err)
+		}
+		if local.Len() == 0 || local.String() != remote.String() {
+			t.Errorf("-json=%t: remote sweep differs from local:\n--- local ---\n%s\n--- remote ---\n%s",
+				asJSON, local.String(), remote.String())
+		}
+	}
+}
+
 func TestRemoteJournalIsUsageError(t *testing.T) {
 	err := runQuiet(options{benchName: "gcd", allocator: "daa", remote: "http://localhost:1", journal: "x.jnl"})
 	if flow.ExitCode(err) != flow.ExitUsage {

@@ -52,7 +52,7 @@ func main() {
 		deadline     = flag.Duration("deadline", 60*time.Second, "default per-request synthesis deadline")
 		maxDeadline  = flag.Duration("max-deadline", 5*time.Minute, "clamp on client-supplied deadlines")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound for in-flight work")
-		maxGrid      = flag.Int("max-grid", 0, "largest /v1/explore grid accepted, in points (0 = default 64, negative disables the endpoint's cap)")
+		maxGrid      = flag.Int("max-grid", 0, "largest /v1/explore grid accepted, in points (0 = default 64, negative turns /v1/explore off)")
 
 		id            = flag.String("id", "", "worker identity reported in X-DAAD-Worker")
 		warmup        = flag.Bool("warmup", false, "synthesize a small benchmark before reporting ready")

@@ -25,7 +25,7 @@ var Detmap = &Analyzer{
 	Name: "detmap",
 	Doc: "no unsorted map iteration or wall-clock/randomness in determinism-critical paths\n\n" +
 		"Scope: repro/internal/prod and repro/internal/core entirely (map ranging), plus\n" +
-		"flow key/cosim/knobs/explore and serve render/explain/explore files; the\n" +
+		"flow key/cosim/knobs/explore and serve render/explain/shard/explore/frame files; the\n" +
 		"clock/randomness check runs in journal, replay, wire, provenance, key, render,\n" +
 		"explain, knob, and explore files. The\n" +
 		"collect-and-sort idiom (a range body that only appends) is recognized;\n" +
@@ -42,7 +42,7 @@ var detmapPackages = map[string][]string{
 	// knobs.go and explore.go carry the cache-key encoding and the
 	// byte-pinned front ordering of /v1/explore.
 	"repro/internal/flow":    {"key.go", "cosim.go", "knobs.go", "explore.go"},
-	"repro/internal/serve":   {"render.go", "explain.go", "shard.go", "explore.go"},
+	"repro/internal/serve":   {"render.go", "explain.go", "shard.go", "explore.go", "frame.go"},
 	"repro/internal/cluster": {"ring.go"}, // ring construction and lookup order must be stable across coordinators
 }
 

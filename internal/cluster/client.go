@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -134,6 +135,21 @@ func (c *Client) Do(ctx context.Context, mk func() (*http.Request, error)) (*htt
 		lastErr = err
 	}
 	return nil, lastErr
+}
+
+// Send is Do for a request built from method, url and body; a non-nil
+// body is sent as JSON.
+func (c *Client) Send(ctx context.Context, method, url string, body []byte) (*http.Response, error) {
+	return c.Do(ctx, func() (*http.Request, error) {
+		req, err := http.NewRequest(method, url, bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		if body != nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		return req, nil
+	})
 }
 
 // backoff computes the pause before retry number n (0-based): base·2ⁿ

@@ -399,6 +399,11 @@ func TestRoutedEndpointRefusals(t *testing.T) {
 			!strings.HasPrefix(er.Error, "malformed request: ") {
 			t.Errorf("%s malformed: %d %+v, want 400", path, code, er)
 		}
+		// A worker behind the coordinator refuses trailing data the same way.
+		if code, er := post(path, `{"source": "x"} trailing`); code != http.StatusBadRequest || er.Kind != serve.KindRequest ||
+			er.Error != "malformed request: invalid character 't' after top-level value" {
+			t.Errorf("%s trailing data: %d %+v, want 400", path, code, er)
+		}
 	}
 	// Synthesize keys on canonical options, so invalid ones are a 400 too.
 	if code, er := post("/v1/synthesize", `{"source": "x", "options": {"allocator": "quantum"}}`); code != http.StatusBadRequest ||
@@ -414,7 +419,7 @@ func TestRoutedEndpointRefusals(t *testing.T) {
 			t.Errorf("%s while draining: %d %+v, want 503 shutdown", path, code, er)
 		}
 	}
-	want := RequestCounts{Synthesize: 4, Explore: 3, Lint: 3}
+	want := RequestCounts{Synthesize: 5, Explore: 4, Lint: 4}
 	if got := co.Metrics().Requests; got != want {
 		t.Errorf("request counts %+v, want %+v", got, want)
 	}

@@ -21,8 +21,6 @@ import (
 	"net/http"
 	"net/url"
 	"sync"
-
-	"repro/internal/serve"
 )
 
 // maxCoalescedBody bounds one buffered upstream response (mirrors the
@@ -118,20 +116,14 @@ func (co *Coordinator) routeCoalesced(w http.ResponseWriter, r *http.Request, pa
 		co.flights.leave(f)
 	case <-r.Context().Done():
 		co.flights.leave(f)
-		co.writeError(w, http.StatusServiceUnavailable, &serve.ErrorResponse{
-			Error: "request canceled", Kind: serve.KindCanceled,
-		})
+		co.writeRouteError(w, r, r.Context().Err())
 		return
 	}
 	if f.err != nil {
 		co.writeRouteError(w, r, f.err)
 		return
 	}
-	for _, h := range forwardedHeaders {
-		if v := f.header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
+	copyHeaders(w, f.header)
 	w.WriteHeader(f.status)
 	w.Write(f.body)
 }

@@ -19,7 +19,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -29,7 +28,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,8 +114,8 @@ type Coordinator struct {
 	met         coordMetrics
 	flights     coalescer
 	start       time.Time
+	frame       serve.Frame
 
-	reqSeq   atomic.Int64
 	draining atomic.Bool
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -139,6 +138,7 @@ func New(cfg Config) (*Coordinator, error) {
 			Transport: http.DefaultTransport.(*http.Transport).Clone(),
 		},
 		start: time.Now(),
+		frame: serve.Frame{IDPrefix: "c-", IDHeader: "X-DAAD-Route", MaxBodyBytes: cfg.MaxBodyBytes, Logger: cfg.Logger},
 		stop:  make(chan struct{}),
 	}
 	for _, p := range cfg.Peers {
@@ -149,7 +149,7 @@ func New(cfg Config) (*Coordinator, error) {
 		if _, dup := co.byID[id]; dup {
 			return nil, fmt.Errorf("cluster: duplicate peer ID %q", id)
 		}
-		ps := &peerState{id: id, base: trimSlash(p.URL)}
+		ps := &peerState{id: id, base: strings.TrimRight(p.URL, "/")}
 		co.peers = append(co.peers, ps)
 		co.byID[id] = ps
 	}
@@ -215,59 +215,7 @@ func (co *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/healthz", co.handleHealthz)
 	mux.HandleFunc("GET /v1/metrics", co.handleMetrics)
 	mux.HandleFunc("GET /v1/cluster", co.handleCluster)
-	return co.middleware(mux)
-}
-
-func (co *Coordinator) middleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := fmt.Sprintf("c-%06d", co.reqSeq.Add(1))
-		w.Header().Set("X-DAAD-Route", id)
-		sw := &statusWriter{ResponseWriter: w}
-		t0 := time.Now()
-		defer func() {
-			if p := recover(); p != nil {
-				if p == http.ErrAbortHandler {
-					panic(p)
-				}
-				co.cfg.Logger.Printf("%s PANIC %s %s: %v\n%s", id, r.Method, r.URL.Path, p, debug.Stack())
-				if sw.status == 0 {
-					co.writeError(sw, http.StatusInternalServerError, &serve.ErrorResponse{
-						Error: fmt.Sprintf("internal error: %v", p), Kind: serve.KindInternal, RequestID: id,
-					})
-				}
-			}
-			switch {
-			case sw.status >= 500:
-				co.met.err5xx.Add(1)
-			case sw.status >= 400:
-				co.met.err4xx.Add(1)
-			default:
-				co.met.ok2xx.Add(1)
-			}
-			co.cfg.Logger.Printf("%s %s %s -> %d (%v)", id, r.Method, r.URL.Path, sw.status, time.Since(t0).Round(time.Microsecond))
-		}()
-		next.ServeHTTP(sw, r)
-	})
-}
-
-// statusWriter mirrors serve's: capture the status for the class counters.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
+	return co.frame.Wrap(mux)
 }
 
 // ---------------------------------------------------------------------------
@@ -302,8 +250,8 @@ func (co *Coordinator) routeTable() []endpoint {
 func decodeKey[R any](key func(R) (string, error)) func([]byte) (string, error) {
 	return func(body []byte) (string, error) {
 		var req R
-		if err := json.Unmarshal(body, &req); err != nil {
-			return "", fmt.Errorf("malformed request: %v", err)
+		if err := serve.DecodeRequest(body, &req); err != nil {
+			return "", err
 		}
 		return key(req)
 	}
@@ -315,22 +263,18 @@ func infallible[R any](key func(R) string) func(R) (string, error) {
 }
 
 // handleRouted serves one route-table row: refuse while draining, read
-// the size-limited body, derive its shard key, and forward it.
+// the size-limited body, derive its shard key (an error is a 400), and
+// forward it.
 func (co *Coordinator) handleRouted(ep endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ep.requests.Add(1)
-		if co.refuseDraining(w) {
-			return
+		body, err := co.acceptBody(w, r)
+		key := ""
+		if err == nil {
+			key, err = ep.shardKey(body)
 		}
-		body, ok := co.readBody(w, r)
-		if !ok {
-			return
-		}
-		key, err := ep.shardKey(body)
 		if err != nil {
-			co.writeError(w, http.StatusBadRequest, &serve.ErrorResponse{
-				Error: err.Error(), Kind: serve.KindRequest,
-			})
+			co.frame.Refuse(w, r, err)
 			return
 		}
 		if ep.coalesce {
@@ -348,10 +292,7 @@ func (co *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
 	co.met.explain.Add(1)
 	key := r.URL.Query().Get("key")
 	if key == "" {
-		co.writeError(w, http.StatusBadRequest, &serve.ErrorResponse{
-			Error: "missing key parameter (from the synthesize response's provenance.key)",
-			Kind:  serve.KindRequest,
-		})
+		co.frame.Refuse(w, r, serve.ErrMissingExplainKey)
 		return
 	}
 	co.route(w, r, http.MethodGet, "/v1/explain", r.URL.Query(), nil, key)
@@ -369,7 +310,7 @@ func (co *Coordinator) route(w http.ResponseWriter, r *http.Request, method, pat
 	}
 	defer resp.Body.Close()
 	co.observeResponse(peer, resp)
-	copyHeaders(w, resp)
+	copyHeaders(w, resp.Header)
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
 }
@@ -399,16 +340,7 @@ func (co *Coordinator) forward(ctx context.Context, method, path string, query u
 		if len(query) > 0 {
 			target += "?" + query.Encode()
 		}
-		resp, err := co.cfg.Client.Do(ctx, func() (*http.Request, error) {
-			req, err := http.NewRequest(method, target, bytes.NewReader(body))
-			if err != nil {
-				return nil, err
-			}
-			if body != nil {
-				req.Header.Set("Content-Type", "application/json")
-			}
-			return req, nil
-		})
+		resp, err := co.cfg.Client.Send(ctx, method, target, body)
 		switch {
 		case err == nil && resp.StatusCode == http.StatusServiceUnavailable && hop < len(candidates)-1:
 			// The worker is draining (or shedding a dying connection): its
@@ -455,9 +387,9 @@ func (co *Coordinator) observeResponse(peer *peerState, resp *http.Response) {
 // re-hammering an overloaded shard through the router.
 var forwardedHeaders = []string{"Content-Type", "X-DAAD-Cache", "X-DAAD-Worker", "X-DAAD-Request", "Retry-After"}
 
-func copyHeaders(w http.ResponseWriter, resp *http.Response) {
+func copyHeaders(w http.ResponseWriter, from http.Header) {
 	for _, h := range forwardedHeaders {
-		if v := resp.Header.Get(h); v != "" {
+		if v := from.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
@@ -468,34 +400,19 @@ func copyHeaders(w http.ResponseWriter, resp *http.Response) {
 
 func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	co.met.batch.Add(1)
-	if co.refuseDraining(w) {
-		return
-	}
-	body, ok := co.readBody(w, r)
-	if !ok {
-		return
-	}
 	var req serve.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		co.writeError(w, http.StatusBadRequest, &serve.ErrorResponse{
-			Error: fmt.Sprintf("malformed request: %v", err), Kind: serve.KindRequest,
-		})
+	body, err := co.acceptBody(w, r)
+	if err == nil {
+		err = serve.DecodeRequest(body, &req)
+	}
+	if err == nil {
+		err = req.Check(co.cfg.MaxBatch)
+	}
+	if err != nil {
+		co.frame.Refuse(w, r, err)
 		return
 	}
 	n := len(req.Requests)
-	if n == 0 {
-		co.writeError(w, http.StatusBadRequest, &serve.ErrorResponse{
-			Error: "batch carries no requests", Kind: serve.KindRequest,
-		})
-		return
-	}
-	if n > co.cfg.MaxBatch {
-		co.writeError(w, http.StatusBadRequest, &serve.ErrorResponse{
-			Error: fmt.Sprintf("batch of %d exceeds the %d-source limit", n, co.cfg.MaxBatch),
-			Kind:  serve.KindRequest,
-		})
-		return
-	}
 	co.met.batchItems.Add(int64(n))
 
 	// Scatter: group items by shard owner under one ring snapshot. Items
@@ -504,7 +421,7 @@ func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ring := co.ring.Load()
 	if ring.Len() == 0 {
 		co.met.unrouted.Add(1)
-		co.writeError(w, http.StatusServiceUnavailable, &serve.ErrorResponse{
+		co.frame.WriteError(w, r, http.StatusServiceUnavailable, &serve.ErrorResponse{
 			Error: errNoWorkers.Error(), Kind: serve.KindUnavailable,
 		})
 		return
@@ -570,7 +487,7 @@ func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(g)
 	}
 	wg.Wait()
-	co.writeJSON(w, http.StatusOK, serve.BatchResponse{Results: items})
+	co.frame.WriteJSON(w, http.StatusOK, serve.BatchResponse{Results: items})
 }
 
 // fillGroupError marks every slot of a failed sub-batch unavailable.
@@ -605,76 +522,29 @@ func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("ready") != "" && !ready {
 		code = http.StatusServiceUnavailable
 	}
-	co.writeJSON(w, code, HealthResponse{
+	co.frame.WriteJSON(w, code, HealthResponse{
 		Status: status, Ready: ready, Role: "coordinator",
 		PeersUp: up, PeersKnown: len(co.peers),
 	})
 }
 
-// refuseDraining sheds new routed work during drain.
-func (co *Coordinator) refuseDraining(w http.ResponseWriter) bool {
-	if !co.draining.Load() {
-		return false
-	}
-	co.writeError(w, http.StatusServiceUnavailable, &serve.ErrorResponse{
-		Error: "coordinator is draining", Kind: serve.KindShutdown,
-	})
-	return true
-}
+// errDraining refuses new routed work during drain.
+var errDraining = &serve.Refusal{Status: http.StatusServiceUnavailable, Kind: serve.KindShutdown, Msg: "coordinator is draining"}
 
-// readBody reads the size-limited request body.
-func (co *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, co.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			co.writeError(w, http.StatusRequestEntityTooLarge, &serve.ErrorResponse{
-				Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
-				Kind:  serve.KindRequest,
-			})
-			return nil, false
-		}
-		co.writeError(w, http.StatusBadRequest, &serve.ErrorResponse{
-			Error: fmt.Sprintf("reading request: %v", err), Kind: serve.KindRequest,
-		})
-		return nil, false
+// acceptBody admits new routed work: refused while the coordinator drains,
+// otherwise its body as the frame reads it.
+func (co *Coordinator) acceptBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if co.draining.Load() {
+		return nil, errDraining
 	}
-	return body, true
+	return co.frame.ReadBody(w, r)
 }
 
 // writeRouteError maps a forwarding failure onto the wire taxonomy.
 func (co *Coordinator) writeRouteError(w http.ResponseWriter, r *http.Request, err error) {
-	switch {
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		co.writeError(w, http.StatusServiceUnavailable, &serve.ErrorResponse{
-			Error: "request canceled", Kind: serve.KindCanceled,
-		})
-	default:
-		co.writeError(w, http.StatusServiceUnavailable, &serve.ErrorResponse{
-			Error: err.Error(), Kind: serve.KindUnavailable,
-		})
+	resp := &serve.ErrorResponse{Error: err.Error(), Kind: serve.KindUnavailable}
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		resp = &serve.ErrorResponse{Error: "request canceled", Kind: serve.KindCanceled}
 	}
-}
-
-func (co *Coordinator) writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(body, '\n'))
-}
-
-func (co *Coordinator) writeError(w http.ResponseWriter, status int, resp *serve.ErrorResponse) {
-	co.cfg.Logger.Printf("error %d %s: %s", status, resp.Kind, resp.Error)
-	co.writeJSON(w, status, resp)
-}
-
-func trimSlash(s string) string {
-	for len(s) > 0 && s[len(s)-1] == '/' {
-		s = s[:len(s)-1]
-	}
-	return s
+	co.frame.WriteError(w, r, http.StatusServiceUnavailable, resp)
 }

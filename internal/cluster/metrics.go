@@ -28,10 +28,6 @@ type coordMetrics struct {
 	// instead of forwarding their own.
 	coalesced atomic.Int64
 
-	ok2xx  atomic.Int64
-	err4xx atomic.Int64
-	err5xx atomic.Int64
-
 	failovers   atomic.Int64 // candidate hops past a failed peer
 	unrouted    atomic.Int64 // requests no candidate could take
 	transitions atomic.Int64 // ring membership changes
@@ -143,11 +139,7 @@ func (co *Coordinator) Metrics() MetricsResponse {
 			Metrics:    m.metricsReq.Load(),
 			Cluster:    m.clusterReq.Load(),
 		},
-		Responses: serve.ResponseCounts{
-			OK2xx:  m.ok2xx.Load(),
-			Err4xx: m.err4xx.Load(),
-			Err5xx: m.err5xx.Load(),
-		},
+		Responses:   co.frame.Responses(),
 		Failovers:   m.failovers.Load(),
 		Unrouted:    m.unrouted.Load(),
 		Coalesced:   m.coalesced.Load(),
@@ -178,7 +170,7 @@ func (p *peerState) metrics() PeerMetrics {
 
 func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	co.met.metricsReq.Add(1)
-	co.writeJSON(w, http.StatusOK, co.Metrics())
+	co.frame.WriteJSON(w, http.StatusOK, co.Metrics())
 }
 
 // handleCluster renders membership plus per-shard cache heat, scraping
@@ -206,7 +198,7 @@ func (co *Coordinator) handleCluster(w http.ResponseWriter, r *http.Request) {
 		}(i, p)
 	}
 	wg.Wait()
-	co.writeJSON(w, http.StatusOK, out)
+	co.frame.WriteJSON(w, http.StatusOK, out)
 }
 
 // scrapeWorker fetches one worker's /v1/metrics and keeps the

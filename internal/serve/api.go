@@ -331,6 +331,18 @@ type Diagnostic struct {
 	SrcLine string `json:"srcLine,omitempty"`
 }
 
+// wireDiagnostics lowers flow diagnostics onto the wire shape.
+func wireDiagnostics(dl flow.DiagnosticList) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range dl {
+		out = append(out, Diagnostic{
+			File: d.Pos.File, Line: d.Pos.Line, Col: d.Pos.Col,
+			Stage: d.Stage, Msg: d.Msg, SrcLine: d.SrcLine,
+		})
+	}
+	return out
+}
+
 // FlowDiagnostic converts a wire diagnostic back into a flow.Diagnostic,
 // so remote clients (daa -remote) render carets exactly like local runs.
 func (d Diagnostic) FlowDiagnostic() *flow.Diagnostic {
@@ -340,6 +352,20 @@ func (d Diagnostic) FlowDiagnostic() *flow.Diagnostic {
 		Msg:     d.Msg,
 		SrcLine: d.SrcLine,
 	}
+}
+
+// Err turns an error body back into a local error. Input diagnostics
+// become a flow.DiagnosticList, so a remote client renders the carets and
+// exits like a local run; anything else is an error naming the kind.
+func (e *ErrorResponse) Err() error {
+	if e.Kind == KindInput && len(e.Diagnostics) > 0 {
+		dl := make(flow.DiagnosticList, len(e.Diagnostics))
+		for i, d := range e.Diagnostics {
+			dl[i] = d.FlowDiagnostic()
+		}
+		return dl
+	}
+	return fmt.Errorf("%s (%s)", e.Error, e.Kind)
 }
 
 // LintRequest is the POST /v1/lint body: semantic lint over one ISPS
@@ -392,6 +418,18 @@ type RuleBaseFinding struct {
 // BatchRequest is the POST /v1/batch body.
 type BatchRequest struct {
 	Requests []SynthesizeRequest `json:"requests"`
+}
+
+// Check refuses an empty batch or one of more than limit sources with 400.
+// Daemons and cluster coordinators apply the same rule.
+func (b BatchRequest) Check(limit int) error {
+	switch n := len(b.Requests); {
+	case n == 0:
+		return badRequest("batch carries no requests")
+	case n > limit:
+		return badRequest(fmt.Sprintf("batch of %d exceeds the %d-source limit", n, limit))
+	}
+	return nil
 }
 
 // BatchResponse carries one item per request, in input order. Exactly one

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"net/http"
 
 	"repro/internal/flow"
 )
@@ -23,3 +24,8 @@ const DefaultExplainCacheEntries = 64
 func explainKey(in flow.Input, opt flow.Options) string {
 	return fmt.Sprintf("%x|%s", in.ContentHash(), opt.Key())
 }
+
+// ErrMissingExplainKey refuses a GET /v1/explain without a key. Cluster
+// coordinators answer it too, before routing.
+var ErrMissingExplainKey = &Refusal{http.StatusBadRequest, KindRequest,
+	"missing key parameter (from the synthesize response's provenance.key)"}

@@ -9,6 +9,7 @@ package serve
 // form, and the whole body is cacheable in the design cache.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -173,21 +174,16 @@ func NewExploreResponse(front *flow.Front) *ExploreResponse {
 	}
 	for i, p := range front.Points {
 		wp := ExplorePoint{
-			Knobs:      p.Knobs,
-			KnobKey:    p.KnobKey,
-			OptionsKey: p.OptionsKey,
-			Frontier:   p.Frontier,
-			Failed:     p.Failed,
-			Error:      p.Err,
+			Knobs:       p.Knobs,
+			KnobKey:     p.KnobKey,
+			OptionsKey:  p.OptionsKey,
+			Frontier:    p.Frontier,
+			Failed:      p.Failed,
+			Error:       p.Err,
+			Diagnostics: wireDiagnostics(p.Diags),
 		}
 		if !p.Failed {
 			wp.Cost, wp.Area, wp.Steps = p.Metrics.Cost, p.Metrics.Area, p.Metrics.Steps
-		}
-		for _, d := range p.Diags {
-			wp.Diagnostics = append(wp.Diagnostics, Diagnostic{
-				File: d.Pos.File, Line: d.Pos.Line, Col: d.Pos.Col,
-				Stage: d.Stage, Msg: d.Msg, SrcLine: d.SrcLine,
-			})
 		}
 		if p.Provenance != nil {
 			wp.Provenance = &PointProvenance{
@@ -241,105 +237,37 @@ func exploreCacheKey(in flow.Input, base flow.Options, grid flow.Grid) string {
 	return b.String()
 }
 
-// handleExplore runs one design-space sweep. The request is admitted as a
-// single unit and holds one worker token; the sweep's internal fan-out
-// runs on flow's bounded compile pool, so explore amplification cannot
-// starve the admission queue. Over-large grids answer 413.
-func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	s.met.exploreReq.Add(1)
-	id := requestID(r.Context())
-	if s.draining.Load() {
-		s.writeError(w, r, http.StatusServiceUnavailable, &ErrorResponse{
-			Error: "server is draining", Kind: KindShutdown, RequestID: id,
-		})
-		return
-	}
-	var req ExploreRequest
-	if errResp := s.decodeBody(w, r, &req); errResp != nil {
-		s.writeError(w, r, errResp.status, errResp.body)
-		return
-	}
+// exploreJob validates one design-space sweep into its job. The sweep is
+// admitted as a single unit and holds one worker token; its internal
+// fan-out runs on flow's bounded compile pool, so explore amplification
+// cannot starve the admission queue. Over-large grids answer 413.
+func (s *Server) exploreJob(req ExploreRequest) (job, error) {
 	if strings.TrimSpace(req.Source) == "" {
-		s.writeError(w, r, http.StatusBadRequest, &ErrorResponse{
-			Error: "empty source", Kind: KindRequest, RequestID: id,
-		})
-		return
+		return job{}, badRequest("empty source")
 	}
 	grid, err := req.flowGrid()
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, &ErrorResponse{
-			Error: err.Error(), Kind: KindRequest, RequestID: id,
-		})
-		return
+		return job{}, badRequest(err.Error())
 	}
 	if n := grid.Points(); n > s.cfg.MaxGridPoints {
-		s.writeError(w, r, http.StatusRequestEntityTooLarge, &ErrorResponse{
-			Error: fmt.Sprintf("grid expands to %d points, limit %d", n, s.cfg.MaxGridPoints),
-			Kind:  KindRequest, RequestID: id,
-		})
-		return
+		return job{}, &Refusal{http.StatusRequestEntityTooLarge, KindRequest,
+			fmt.Sprintf("grid expands to %d points, limit %d", n, s.cfg.MaxGridPoints)}
 	}
 	s.met.explorePoints.Add(int64(grid.Points()))
 	base, err := req.Options.flowOptions()
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, &ErrorResponse{
-			Error: err.Error(), Kind: KindRequest, RequestID: id,
-		})
-		return
+		return job{}, badRequest(err.Error())
 	}
 	in := req.flowInput()
-
-	useCache := !req.NoCache && s.cache.Cap() > 0 && base.Cacheable()
-	key := ""
-	if useCache {
-		key = exploreCacheKey(in, base, grid)
-		if body, ok := s.cache.Get(key); ok {
-			s.writeBody(w, body, "hit")
-			return
+	j := job{deadlineMS: req.DeadlineMS, compute: func(ctx context.Context) ([]byte, error) {
+		front, err := flow.Explore(ctx, in, base, grid)
+		if err != nil {
+			return nil, err
 		}
+		return render(NewExploreResponse(front))
+	}}
+	if !req.NoCache && base.Cacheable() {
+		j.key = exploreCacheKey(in, base, grid)
 	}
-
-	if !s.admitN(1) {
-		s.writeError(w, r, http.StatusTooManyRequests, &ErrorResponse{
-			Error: "admission queue full, retry later", Kind: KindOverload, RequestID: id,
-		})
-		return
-	}
-	defer s.leave()
-	if err := s.acquire(r.Context()); err != nil {
-		out := s.ctxOutcome(err, id)
-		s.writeError(w, r, out.status, out.err)
-		return
-	}
-	defer s.release()
-
-	ctx, cancel := s.withDeadline(r.Context(), req.DeadlineMS)
-	defer cancel()
-
-	front, err := flow.Explore(ctx, in, base, grid)
-	if err != nil {
-		out := s.errorOutcome(err, id)
-		s.writeError(w, r, out.status, out.err)
-		return
-	}
-	body, err := json.MarshalIndent(NewExploreResponse(front), "", "  ")
-	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, &ErrorResponse{
-			Error: err.Error(), Kind: KindInternal, RequestID: id,
-		})
-		return
-	}
-	body = append(body, '\n')
-	if useCache {
-		s.cache.Put(key, body)
-	}
-	s.writeBody(w, body, "miss")
-}
-
-// writeBody writes a pre-rendered JSON body with the cache-state header.
-func (s *Server) writeBody(w http.ResponseWriter, body []byte, cacheState string) {
-	w.Header().Set("X-DAAD-Cache", cacheState)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	return j, nil
 }

@@ -93,27 +93,36 @@ func TestExploreEndpointDeterministic(t *testing.T) {
 }
 
 func TestExploreEndpointRejectsBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxGridPoints: 16})
 	src, err := bench.Source("gcd")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Over-large grid: 413 with the expansion size in the message.
-	resp, body := postJSON(t, ts.URL+"/v1/explore", ExploreRequest{
-		Source: src,
-		Grid:   map[string]GridAxis{"memports": {"1..5"}, "maxops": {"0..4"}},
-	})
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized grid: status %d: %s", resp.StatusCode, body)
+	// Over-large grid: 413 with the expansion size in the message. A
+	// negative cap turns the endpoint off: every grid is too large.
+	for _, c := range []struct {
+		maxGrid int
+		grid    map[string]GridAxis
+		want    string
+	}{
+		{16, map[string]GridAxis{"memports": {"1..5"}, "maxops": {"0..4"}}, "25 points"},
+		{-1, map[string]GridAxis{"cleanup": {"true"}}, "grid expands to 1 points, limit -1"},
+	} {
+		_, ts := newTestServer(t, Config{MaxGridPoints: c.maxGrid})
+		resp, body := postJSON(t, ts.URL+"/v1/explore", ExploreRequest{Source: src, Grid: c.grid})
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("MaxGridPoints %d: status %d: %s", c.maxGrid, resp.StatusCode, body)
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil {
+			t.Fatal(err)
+		}
+		if er.Kind != KindRequest || !strings.Contains(er.Error, c.want) {
+			t.Fatalf("MaxGridPoints %d: error %+v, want %q", c.maxGrid, er, c.want)
+		}
 	}
-	var er ErrorResponse
-	if err := json.Unmarshal(body, &er); err != nil {
-		t.Fatal(err)
-	}
-	if er.Kind != KindRequest || !strings.Contains(er.Error, "25 points") {
-		t.Fatalf("oversized grid error: %+v", er)
-	}
+
+	_, ts := newTestServer(t, Config{MaxGridPoints: 16})
 
 	for _, bad := range []ExploreRequest{
 		{Source: "", Grid: map[string]GridAxis{"cleanup": {"true"}}}, // empty source

@@ -24,14 +24,9 @@ type metrics struct {
 	healthz       atomic.Int64
 	metricsReq    atomic.Int64
 
-	ok2xx  atomic.Int64
-	err4xx atomic.Int64
-	err5xx atomic.Int64
-
 	shed             atomic.Int64 // 429s from the admission queue
 	canceled         atomic.Int64 // syntheses interrupted by client disconnect
 	deadlineExceeded atomic.Int64 // syntheses interrupted by deadline
-	panics           atomic.Int64 // handler panics recovered to 500
 
 	synthesized   atomic.Int64 // compilations that ran to completion
 	firings       atomic.Int64 // prod rollups across completed DAA runs
@@ -204,11 +199,7 @@ func (s *Server) Metrics() MetricsResponse {
 			Healthz:       m.healthz.Load(),
 			Metrics:       m.metricsReq.Load(),
 		},
-		Responses: ResponseCounts{
-			OK2xx:  m.ok2xx.Load(),
-			Err4xx: m.err4xx.Load(),
-			Err5xx: m.err5xx.Load(),
-		},
+		Responses:  s.frame.Responses(),
 		InFlight:   inflight,
 		QueueDepth: max64(waiting-inflight, 0),
 		Workers:    s.cfg.Workers,
@@ -217,7 +208,7 @@ func (s *Server) Metrics() MetricsResponse {
 			Shed:             m.shed.Load(),
 			Canceled:         m.canceled.Load(),
 			DeadlineExceeded: m.deadlineExceeded.Load(),
-			Panics:           m.panics.Load(),
+			Panics:           s.frame.Panics(),
 		},
 		DesignCache:  s.cache.Stats(),
 		FlowCache:    flow.FrontCacheStats(),

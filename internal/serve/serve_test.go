@@ -300,6 +300,20 @@ func TestRequestValidation(t *testing.T) {
 	if r.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed JSON: status %d", r.StatusCode)
 	}
+	// Trailing data after the JSON value is malformed too, as it is at a
+	// cluster coordinator: the body must be exactly one request.
+	trailing := `{"source": "processor X { reg A<7:0> main m { A := A + 1 } }"} trailing`
+	r, err = http.Post(ts.URL+"/v1/synthesize", "application/json", strings.NewReader(trailing))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(r.Body)
+	r.Body.Close()
+	if er := decodeError(t, buf.Bytes()); r.StatusCode != http.StatusBadRequest || er.Kind != KindRequest ||
+		er.Error != "malformed request: invalid character 't' after top-level value" {
+		t.Errorf("trailing data: status %d body %s", r.StatusCode, buf.Bytes())
+	}
 }
 
 // TestDeadlineExceededInterruptsEngine synthesizes the MCS6502 with the

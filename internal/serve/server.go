@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -89,6 +88,7 @@ func (c Config) withDefaults() Config {
 // the metrics counters, and the HTTP handlers over flow.Compile.
 type Server struct {
 	cfg     Config
+	frame   Frame
 	cache   *lru.Cache[string, []byte]           // design cache: rendered bodies
 	explain *lru.Cache[string, *core.Provenance] // explain store
 	met     metrics
@@ -100,8 +100,7 @@ type Server struct {
 	draining atomic.Bool
 	ready    atomic.Bool // readiness gate: false before warmup completes
 
-	reqSeq atomic.Int64
-	http   http.Server
+	http http.Server
 
 	// synthesize runs one compilation; tests substitute it to simulate
 	// slow or stuck synthesis without real workloads.
@@ -116,6 +115,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:        cfg,
+		frame:      Frame{IDPrefix: "r-", IDHeader: "X-DAAD-Request", MaxBodyBytes: cfg.MaxBodyBytes, Logger: cfg.Logger},
 		cache:      newDesignCache(cfg.CacheEntries),
 		explain:    lru.New[string, *core.Provenance](DefaultExplainCacheEntries),
 		start:      time.Now(),
@@ -146,25 +146,33 @@ func (s *Server) Warm(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	out := s.runOne(ctx, SynthesizeRequest{Name: "warmup.isps", Source: src}, false)
-	if out.err != nil {
+	j, err := s.synthesizeJob(SynthesizeRequest{Name: "warmup.isps", Source: src})
+	if err != nil {
+		return err
+	}
+	if out := s.run(ctx, j, true); out.err != nil {
 		return fmt.Errorf("warmup synthesis: %s", out.err.Error)
 	}
 	return nil
 }
 
-// Handler returns the daemon's full HTTP handler: the /v1 mux wrapped in
-// request-ID, logging, and panic-recovery middleware.
+// Handler returns the daemon's full HTTP handler: the /v1 mux inside the
+// request frame.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/synthesize", s.handleSynthesize)
-	mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	mux.HandleFunc("POST /v1/lint", s.handleLint)
-	mux.HandleFunc("POST /v1/explore", s.handleExplore)
+	for _, ep := range s.endpoints() {
+		mux.HandleFunc("POST "+ep.path, s.handlePost(ep))
+	}
 	mux.HandleFunc("GET /v1/explain", s.handleExplain)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	return s.middleware(mux)
+	if s.cfg.ID == "" {
+		return s.frame.Wrap(mux)
+	}
+	return s.frame.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-DAAD-Worker", s.cfg.ID)
+		mux.ServeHTTP(w, r)
+	}))
 }
 
 // Serve accepts connections on l until Shutdown. It is the body of
@@ -182,83 +190,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // ---------------------------------------------------------------------------
-// Middleware: request IDs, logging, panic recovery.
-
-type ctxKey int
-
-const reqIDKey ctxKey = 0
-
-// requestID returns the request's ID ("r-000042"), threaded through the
-// context by the middleware.
-func requestID(ctx context.Context) string {
-	id, _ := ctx.Value(reqIDKey).(string)
-	return id
-}
-
-// statusWriter captures the response status for logging and the
-// status-class counters.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (s *Server) middleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := fmt.Sprintf("r-%06d", s.reqSeq.Add(1))
-		ctx := context.WithValue(r.Context(), reqIDKey, id)
-		r = r.WithContext(ctx)
-		w.Header().Set("X-DAAD-Request", id)
-		if s.cfg.ID != "" {
-			w.Header().Set("X-DAAD-Worker", s.cfg.ID)
-		}
-		sw := &statusWriter{ResponseWriter: w}
-		t0 := time.Now()
-		defer func() {
-			if p := recover(); p != nil {
-				if p == http.ErrAbortHandler {
-					panic(p)
-				}
-				s.met.panics.Add(1)
-				s.cfg.Logger.Printf("%s PANIC %s %s: %v\n%s", id, r.Method, r.URL.Path, p, debug.Stack())
-				if sw.status == 0 {
-					s.writeError(sw, r, http.StatusInternalServerError, &ErrorResponse{
-						Error: fmt.Sprintf("internal error: %v", p), Kind: KindInternal, RequestID: id,
-					})
-				}
-			}
-			switch {
-			case sw.status >= 500:
-				s.met.err5xx.Add(1)
-			case sw.status >= 400:
-				s.met.err4xx.Add(1)
-			default:
-				s.met.ok2xx.Add(1)
-			}
-			s.cfg.Logger.Printf("%s %s %s -> %d (%v)", id, r.Method, r.URL.Path, sw.status, time.Since(t0).Round(time.Microsecond))
-		}()
-		next.ServeHTTP(sw, r)
-	})
-}
-
-// ---------------------------------------------------------------------------
 // Admission control.
 
-// errOverload marks a request shed at admission.
-var errOverload = errors.New("serve: admission queue full")
+var (
+	errDraining = &Refusal{http.StatusServiceUnavailable, KindShutdown, "server is draining"}
+	errOverload = &Refusal{http.StatusTooManyRequests, KindOverload, "admission queue full, retry later"}
+)
 
 // admitN reserves n units of queue+worker capacity, or reports overload.
 func (s *Server) admitN(n int) bool {
@@ -292,70 +229,271 @@ func (s *Server) release() {
 }
 
 // ---------------------------------------------------------------------------
-// Handlers.
+// The POST table.
 
-func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
-	s.met.synthesize.Add(1)
-	id := requestID(r.Context())
-	if s.draining.Load() {
-		s.writeError(w, r, http.StatusServiceUnavailable, &ErrorResponse{
-			Error: "server is draining", Kind: KindShutdown, RequestID: id,
-		})
-		return
-	}
-	var req SynthesizeRequest
-	if errResp := s.decodeBody(w, r, &req); errResp != nil {
-		s.writeError(w, r, errResp.status, errResp.body)
-		return
-	}
-	out := s.runOne(r.Context(), req, true)
-	if out.err != nil {
-		s.writeError(w, r, out.status, out.err)
-		return
-	}
-	w.Header().Set("X-DAAD-Cache", out.cacheState)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(out.body)
+// endpoint is one row of the daemon's POST table: the path, its request
+// counter, whether it answers through the design cache (and so reports
+// X-DAAD-Cache), and how a request body becomes an outcome. Every row
+// shares the drain refusal, the frame's body reader and the response
+// writer; every computation runs the one sequence in run.
+type endpoint struct {
+	path     string
+	requests *atomic.Int64
+	cached   bool
+	serve    func(ctx context.Context, body []byte) outcome
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.met.batch.Add(1)
-	id := requestID(r.Context())
-	if s.draining.Load() {
-		s.writeError(w, r, http.StatusServiceUnavailable, &ErrorResponse{
-			Error: "server is draining", Kind: KindShutdown, RequestID: id,
-		})
+// endpoints lists the POST table. Synthesize, explore and lint each run
+// one job; a batch is admitted as a unit and runs one synthesize job per
+// source.
+func (s *Server) endpoints() []endpoint {
+	return []endpoint{
+		{"/v1/synthesize", &s.met.synthesize, true, one(s, s.synthesizeJob)},
+		{"/v1/explore", &s.met.exploreReq, true, one(s, s.exploreJob)},
+		{"/v1/lint", &s.met.lintReq, false, one(s, s.lintJob)},
+		{"/v1/batch", &s.met.batch, false, s.batch},
+	}
+}
+
+// handlePost serves one row of the POST table.
+func (s *Server) handlePost(ep endpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ep.requests.Add(1)
+		var out outcome
+		if s.draining.Load() {
+			out = s.errorOutcome(errDraining)
+		} else if body, err := s.frame.ReadBody(w, r); err != nil {
+			out = s.errorOutcome(err)
+		} else {
+			out = ep.serve(r.Context(), body)
+		}
+		s.write(w, r, out, ep.cached)
+	}
+}
+
+// one builds the serve function of a single-job endpoint from its job
+// constructor.
+func one[R any](s *Server, prepare func(R) (job, error)) func(context.Context, []byte) outcome {
+	return func(ctx context.Context, body []byte) outcome {
+		var req R
+		if err := DecodeRequest(body, &req); err != nil {
+			return s.errorOutcome(err)
+		}
+		j, err := prepare(req)
+		if err != nil {
+			return s.errorOutcome(err)
+		}
+		return s.run(ctx, j, false)
+	}
+}
+
+// job is one validated request: its design-cache key ("" bypasses the
+// cache), its deadline, and the computation rendering its response body.
+type job struct {
+	key        string
+	deadlineMS int
+	compute    func(ctx context.Context) ([]byte, error)
+}
+
+// outcome is one request's fate: a rendered success body or an error.
+type outcome struct {
+	status     int
+	body       []byte
+	err        *ErrorResponse
+	cacheState string // "hit" or "miss"
+}
+
+// run is the one cache lookup → admission → worker token → compute →
+// store sequence. admitted skips admission for work admitted as part of a
+// unit (batch items, warmup). The request context carries the client
+// connection: its cancellation propagates through flow into the
+// production engine's between-cycle Interrupt hook.
+func (s *Server) run(ctx context.Context, j job, admitted bool) outcome {
+	useCache := j.key != "" && s.cache.Cap() > 0
+	// Cache lookup happens before admission: a repeat submission is served
+	// in O(lookup) without consuming queue capacity or a worker token.
+	if useCache {
+		if body, ok := s.cache.Get(j.key); ok {
+			return outcome{status: http.StatusOK, body: body, cacheState: "hit"}
+		}
+	}
+	if !admitted {
+		if !s.admitN(1) {
+			return s.errorOutcome(errOverload)
+		}
+		defer s.leave()
+	}
+	if err := s.acquire(ctx); err != nil {
+		return s.errorOutcome(err)
+	}
+	defer s.release()
+
+	ctx, cancel := s.withDeadline(ctx, j.deadlineMS)
+	defer cancel()
+	body, err := j.compute(ctx)
+	if err != nil {
+		return s.errorOutcome(err)
+	}
+	if useCache {
+		s.cache.Put(j.key, body)
+	}
+	return outcome{status: http.StatusOK, body: body, cacheState: "miss"}
+}
+
+// write answers one outcome. Error bodies carry the request ID.
+func (s *Server) write(w http.ResponseWriter, r *http.Request, out outcome, cached bool) {
+	if out.err != nil {
+		out.err.RequestID = requestID(r.Context())
+		s.frame.WriteError(w, r, out.status, out.err)
 		return
 	}
+	if cached {
+		w.Header().Set("X-DAAD-Cache", out.cacheState)
+	}
+	writeBody(w, out.status, out.body)
+}
+
+// errorOutcome maps an error to its wire form: refusals keep their status,
+// diagnostics are 422, a deadline is 504, a client gone is 503 (the
+// connection is usually already dead), anything else 500.
+func (s *Server) errorOutcome(err error) outcome {
+	var ref *Refusal
+	var dl flow.DiagnosticList
+	status, kind, msg := http.StatusInternalServerError, KindInternal, err.Error()
+	switch {
+	case errors.As(err, &ref):
+		status, kind, msg = ref.Status, ref.Kind, ref.Msg
+	case errors.As(err, &dl):
+		return outcome{status: http.StatusUnprocessableEntity, err: &ErrorResponse{
+			Error: dl.Error(), Kind: KindInput, Diagnostics: wireDiagnostics(dl),
+		}}
+	case errors.Is(err, context.DeadlineExceeded):
+		s.met.deadlineExceeded.Add(1)
+		status, kind, msg = http.StatusGatewayTimeout, KindDeadline, "synthesis deadline exceeded"
+	case errors.Is(err, context.Canceled):
+		s.met.canceled.Add(1)
+		status, kind, msg = http.StatusServiceUnavailable, KindCanceled, "request canceled"
+	}
+	return outcome{status: status, err: &ErrorResponse{Error: msg, Kind: kind}}
+}
+
+// badRequest refuses a request with 400.
+func badRequest(msg string) error {
+	return &Refusal{http.StatusBadRequest, KindRequest, msg}
+}
+
+// withDeadline derives the computation's context: the request deadline
+// clamped to the configured maximum, or the server default when absent.
+func (s *Server) withDeadline(ctx context.Context, deadlineMS int) (context.Context, context.CancelFunc) {
+	d := s.cfg.DefaultDeadline
+	if deadlineMS > 0 {
+		d = time.Duration(deadlineMS) * time.Millisecond
+		if d > s.cfg.MaxDeadline {
+			d = s.cfg.MaxDeadline
+		}
+	}
+	if d <= 0 {
+		return context.WithCancel(ctx)
+	}
+	return context.WithTimeout(ctx, d)
+}
+
+// ---------------------------------------------------------------------------
+// The jobs.
+
+// synthesizeJob validates one synthesize request — a /v1/synthesize body
+// or a batch item — into its job.
+func (s *Server) synthesizeJob(req SynthesizeRequest) (job, error) {
+	if strings.TrimSpace(req.Source) == "" {
+		return job{}, badRequest("empty source")
+	}
+	in, opt, err := req.lower()
+	if err != nil {
+		return job{}, badRequest(err.Error())
+	}
+	j := job{deadlineMS: req.DeadlineMS, compute: func(ctx context.Context) ([]byte, error) {
+		res, err := s.synthesize(ctx, in, opt)
+		if err != nil {
+			return nil, err
+		}
+		s.met.observeResult(res)
+		return s.renderSynthesis(req, in, opt, res)
+	}}
+	if !req.NoCache && opt.Cacheable() {
+		j.key = designKey(in, opt, req.Artifacts, req.Timings)
+	}
+	return j, nil
+}
+
+// renderSynthesis renders a completed compilation as the synthesize
+// response body, storing its provenance in the explain store.
+func (s *Server) renderSynthesis(req SynthesizeRequest, in flow.Input, opt flow.Options, res *flow.Result) ([]byte, error) {
+	resp := SynthesizeResponse{
+		Name:      res.Input.Name,
+		Allocator: allocatorName(opt),
+		Counts:    res.Design.Counts(),
+		Cost:      res.Cost,
+		Report:    RenderReport(res),
+	}
+	if req.Artifacts.Verilog || req.Artifacts.ControlTable || req.Artifacts.Dot {
+		art := &Artifacts{}
+		if req.Artifacts.Verilog {
+			art.Verilog = res.Verilog // rendered by the pipeline's emit stage
+		}
+		if req.Artifacts.ControlTable {
+			var sb strings.Builder
+			if err := res.Design.WriteControlTable(&sb); err != nil {
+				return nil, err
+			}
+			art.ControlTable = sb.String()
+		}
+		if req.Artifacts.Dot {
+			var sb strings.Builder
+			if err := res.Design.WriteControlFlowDot(&sb); err != nil {
+				return nil, err
+			}
+			art.Dot = sb.String()
+		}
+		resp.Artifacts = art
+	}
+	resp.Equivalence = newEquivalence(res.Cosim)
+	if req.Timings {
+		if res.Synth != nil {
+			resp.Stats = newSynthStats(res.Synth.Stats)
+		}
+		resp.Stages = newStageTimings(res.Trace)
+	}
+	if prov := res.Provenance(); prov != nil {
+		ekey := explainKey(in, opt)
+		s.explain.Put(ekey, prov)
+		firings, effects := res.Journal().Counts()
+		resp.Provenance = &ProvenanceSummary{
+			Key:        ekey,
+			Components: len(prov.Components),
+			Firings:    firings,
+			Effects:    effects,
+		}
+	}
+	return render(resp)
+}
+
+// batch fans a batch's sources out on the worker pool. The whole batch is
+// admitted (or shed) as a unit; each source then competes for worker
+// tokens individually, so batch fan-out is bounded by the same pool as
+// single requests.
+func (s *Server) batch(ctx context.Context, body []byte) outcome {
 	var req BatchRequest
-	if errResp := s.decodeBody(w, r, &req); errResp != nil {
-		s.writeError(w, r, errResp.status, errResp.body)
-		return
+	err := DecodeRequest(body, &req)
+	if err == nil {
+		err = req.Check(s.cfg.MaxBatch)
+	}
+	if err != nil {
+		return s.errorOutcome(err)
 	}
 	n := len(req.Requests)
-	if n == 0 {
-		s.writeError(w, r, http.StatusBadRequest, &ErrorResponse{
-			Error: "batch carries no requests", Kind: KindRequest, RequestID: id,
-		})
-		return
-	}
-	if n > s.cfg.MaxBatch {
-		s.writeError(w, r, http.StatusBadRequest, &ErrorResponse{
-			Error: fmt.Sprintf("batch of %d exceeds the %d-source limit", n, s.cfg.MaxBatch),
-			Kind:  KindRequest, RequestID: id,
-		})
-		return
-	}
 	s.met.batchItems.Add(int64(n))
-	// The whole batch is admitted (or shed) as a unit; each source then
-	// competes for worker tokens individually, so batch fan-out is bounded
-	// by the same pool as single requests.
 	if !s.admitN(n) {
-		s.writeError(w, r, http.StatusTooManyRequests, &ErrorResponse{
-			Error: "admission queue full, retry later", Kind: KindOverload, RequestID: id,
-		})
-		return
+		return s.errorOutcome(errOverload)
 	}
 	items := make([]BatchItem, n)
 	var wg sync.WaitGroup
@@ -364,102 +502,77 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		go func(i int) {
 			defer wg.Done()
 			defer s.leave()
-			out := s.runOne(r.Context(), req.Requests[i], false)
+			var out outcome
+			if j, err := s.synthesizeJob(req.Requests[i]); err != nil {
+				out = s.errorOutcome(err)
+			} else {
+				out = s.run(ctx, j, true)
+			}
 			if out.err != nil {
-				// The X-DAAD-Request header already identifies the batch;
-				// per-item IDs would break byte-determinism of the body.
-				out.err.RequestID = ""
+				// Item errors carry no request ID: the X-DAAD-Request header
+				// already identifies the batch, and per-item IDs would break
+				// byte-determinism of the body.
 				items[i] = BatchItem{Error: out.err}
 				return
 			}
 			var resp SynthesizeResponse
 			if err := json.Unmarshal(out.body, &resp); err != nil {
-				items[i] = BatchItem{Error: &ErrorResponse{
-					Error: err.Error(), Kind: KindInternal, RequestID: requestID(r.Context()),
-				}}
+				items[i] = BatchItem{Error: &ErrorResponse{Error: err.Error(), Kind: KindInternal}}
 				return
 			}
 			items[i] = BatchItem{Result: &resp}
 		}(i)
 	}
 	wg.Wait()
-	s.writeJSON(w, http.StatusOK, BatchResponse{Results: items})
+	resp, err := render(BatchResponse{Results: items})
+	if err != nil {
+		return s.errorOutcome(err)
+	}
+	return outcome{status: http.StatusOK, body: resp}
 }
 
-// handleLint runs the semantic linters without synthesizing: the ISPS
-// source lint behind `ispsfmt -lint` and/or the rule-base lint behind
+// lintJob runs the semantic linters without synthesizing: the ISPS source
+// lint behind `ispsfmt -lint` and/or the rule-base lint behind
 // `daa -lint-rules`. Lint work is admitted through the same bounded worker
 // pool as synthesis, so a corpus-triage client cannot starve interactive
 // requests. Findings are a verdict (200, clean=false); only sources the
 // front end rejects outright answer 422.
-func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
-	s.met.lintReq.Add(1)
-	id := requestID(r.Context())
-	if s.draining.Load() {
-		s.writeError(w, r, http.StatusServiceUnavailable, &ErrorResponse{
-			Error: "server is draining", Kind: KindShutdown, RequestID: id,
-		})
-		return
-	}
-	var req LintRequest
-	if errResp := s.decodeBody(w, r, &req); errResp != nil {
-		s.writeError(w, r, errResp.status, errResp.body)
-		return
-	}
+func (s *Server) lintJob(req LintRequest) (job, error) {
 	if strings.TrimSpace(req.Source) == "" && !req.Rules {
-		s.writeError(w, r, http.StatusBadRequest, &ErrorResponse{
-			Error: "nothing to lint: supply source, rules, or both", Kind: KindRequest, RequestID: id,
-		})
-		return
+		return job{}, badRequest("nothing to lint: supply source, rules, or both")
 	}
-	if !s.admitN(1) {
-		s.writeError(w, r, http.StatusTooManyRequests, &ErrorResponse{
-			Error: "admission queue full, retry later", Kind: KindOverload, RequestID: id,
-		})
-		return
-	}
-	defer s.leave()
-	if err := s.acquire(r.Context()); err != nil {
-		out := s.ctxOutcome(err, id)
-		s.writeError(w, r, out.status, out.err)
-		return
-	}
-	defer s.release()
-
-	var resp LintResponse
-	if strings.TrimSpace(req.Source) != "" {
-		in := flowInput(req.Name, req.Source)
-		prog, err := flow.Parse(r.Context(), in)
-		if err != nil {
-			out := s.errorOutcome(err, id)
-			s.writeError(w, r, out.status, out.err)
-			return
+	return job{compute: func(ctx context.Context) ([]byte, error) {
+		var resp LintResponse
+		if strings.TrimSpace(req.Source) != "" {
+			in := flowInput(req.Name, req.Source)
+			prog, err := flow.Parse(ctx, in)
+			if err != nil {
+				return nil, err
+			}
+			resp.Name = in.Name
+			resp.Findings = wireDiagnostics(flow.LintDiagnostics(in, isps.Lint(prog)))
 		}
-		resp.Name = in.Name
-		for _, d := range flow.LintDiagnostics(in, isps.Lint(prog)) {
-			resp.Findings = append(resp.Findings, Diagnostic{
-				File: d.Pos.File, Line: d.Pos.Line, Col: d.Pos.Col,
-				Stage: d.Stage, Msg: d.Msg, SrcLine: d.SrcLine,
-			})
+		if req.Rules {
+			kb := core.KnowledgeBase()
+			rb := &RuleBaseLint{Phases: len(core.PhaseOrder)}
+			for _, phase := range core.PhaseOrder {
+				rb.Rules += len(kb[phase])
+			}
+			for _, f := range core.LintKnowledgeBase() {
+				rb.Findings = append(rb.Findings, RuleBaseFinding{
+					Phase: f.Phase, Rule: f.Finding.Rule, Code: f.Finding.Code, Msg: f.Finding.Msg,
+				})
+			}
+			resp.RuleBase = rb
 		}
-	}
-	if req.Rules {
-		kb := core.KnowledgeBase()
-		rb := &RuleBaseLint{Phases: len(core.PhaseOrder)}
-		for _, phase := range core.PhaseOrder {
-			rb.Rules += len(kb[phase])
-		}
-		for _, f := range core.LintKnowledgeBase() {
-			rb.Findings = append(rb.Findings, RuleBaseFinding{
-				Phase: f.Phase, Rule: f.Finding.Rule, Code: f.Finding.Code, Msg: f.Finding.Msg,
-			})
-		}
-		resp.RuleBase = rb
-	}
-	resp.Clean = len(resp.Findings) == 0 &&
-		(resp.RuleBase == nil || len(resp.RuleBase.Findings) == 0)
-	s.writeJSON(w, http.StatusOK, resp)
+		resp.Clean = len(resp.Findings) == 0 &&
+			(resp.RuleBase == nil || len(resp.RuleBase.Findings) == 0)
+		return render(resp)
+	}}, nil
 }
+
+// ---------------------------------------------------------------------------
+// GET handlers.
 
 // handleExplain serves the provenance of a previously journaled design.
 // The key comes from the synthesize response's provenance summary; an
@@ -467,27 +580,21 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 // first.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	s.met.explainReq.Add(1)
-	id := requestID(r.Context())
 	key := r.URL.Query().Get("key")
 	if key == "" {
-		s.writeError(w, r, http.StatusBadRequest, &ErrorResponse{
-			Error: "missing key parameter (from the synthesize response's provenance.key)",
-			Kind:  KindRequest, RequestID: id,
-		})
+		s.write(w, r, s.errorOutcome(ErrMissingExplainKey), false)
 		return
 	}
 	prov, ok := s.explain.Get(key)
 	if !ok {
-		s.writeError(w, r, http.StatusNotFound, &ErrorResponse{
-			Error: "no journaled design under this key; synthesize with options.provenance first",
-			Kind:  KindRequest, RequestID: id,
-		})
+		s.write(w, r, s.errorOutcome(&Refusal{http.StatusNotFound, KindRequest,
+			"no journaled design under this key; synthesize with options.provenance first"}), false)
 		return
 	}
 	sel := r.URL.Query().Get("sel")
 	var sb strings.Builder
 	matched := prov.Explain(&sb, sel)
-	s.writeJSON(w, http.StatusOK, ExplainResponse{
+	s.frame.WriteJSON(w, http.StatusOK, ExplainResponse{
 		Design:   prov.Design,
 		Selector: sel,
 		Matched:  matched,
@@ -516,7 +623,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusServiceUnavailable
 	}
 	waiting, inflight := s.waiting.Load(), s.inflight.Load()
-	s.writeJSON(w, code, HealthResponse{
+	s.frame.WriteJSON(w, code, HealthResponse{
 		Status:     status,
 		Ready:      ready,
 		Worker:     s.cfg.ID,
@@ -527,190 +634,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.met.metricsReq.Add(1)
-	s.writeJSON(w, http.StatusOK, s.Metrics())
-}
-
-// ---------------------------------------------------------------------------
-// The synthesize core shared by /v1/synthesize and /v1/batch items.
-
-// outcome is one source's fate: a rendered success body or an error.
-type outcome struct {
-	status     int
-	body       []byte
-	err        *ErrorResponse
-	cacheState string // "hit", "miss", or "bypass"
-}
-
-// runOne validates, admits (when admit is true; batch items are
-// pre-admitted), caches, and synthesizes one source. The request context
-// carries the client connection: its cancellation propagates through
-// flow.Compile into the production engine's between-cycle Interrupt hook.
-func (s *Server) runOne(ctx context.Context, req SynthesizeRequest, admit bool) outcome {
-	id := requestID(ctx)
-	if strings.TrimSpace(req.Source) == "" {
-		return outcome{status: http.StatusBadRequest, err: &ErrorResponse{
-			Error: "empty source", Kind: KindRequest, RequestID: id,
-		}}
-	}
-	in := req.flowInput()
-	opt, err := req.Options.flowOptions()
-	if err != nil {
-		return outcome{status: http.StatusBadRequest, err: &ErrorResponse{
-			Error: err.Error(), Kind: KindRequest, RequestID: id,
-		}}
-	}
-	// Verilog is an emit-stage product now: selecting the artifact selects
-	// the stage, before the cache key is computed (opt.Key covers it).
-	opt.EmitVerilog = req.Artifacts.Verilog
-
-	// Cache lookup happens before admission: a repeat submission is served
-	// in O(lookup) without consuming queue capacity or a worker token.
-	useCache := !req.NoCache && s.cache.Cap() > 0 && opt.Cacheable()
-	key := ""
-	if useCache {
-		key = designKey(in, opt, req.Artifacts, req.Timings)
-		if body, ok := s.cache.Get(key); ok {
-			return outcome{status: http.StatusOK, body: body, cacheState: "hit"}
-		}
-	}
-
-	if admit {
-		if !s.admitN(1) {
-			return outcome{status: http.StatusTooManyRequests, err: &ErrorResponse{
-				Error: "admission queue full, retry later", Kind: KindOverload, RequestID: id,
-			}}
-		}
-		defer s.leave()
-	}
-	if err := s.acquire(ctx); err != nil {
-		return s.ctxOutcome(err, id)
-	}
-	defer s.release()
-
-	ctx, cancel := s.withDeadline(ctx, req.DeadlineMS)
-	defer cancel()
-
-	res, err := s.synthesize(ctx, in, opt)
-	if err != nil {
-		return s.errorOutcome(err, id)
-	}
-	s.met.observeResult(res)
-
-	resp := SynthesizeResponse{
-		Name:      res.Input.Name,
-		Allocator: allocatorName(opt),
-		Counts:    res.Design.Counts(),
-		Cost:      res.Cost,
-		Report:    RenderReport(res),
-	}
-	if req.Artifacts.Verilog || req.Artifacts.ControlTable || req.Artifacts.Dot {
-		art := &Artifacts{}
-		if req.Artifacts.Verilog {
-			art.Verilog = res.Verilog // rendered by the pipeline's emit stage
-		}
-		if req.Artifacts.ControlTable {
-			var sb strings.Builder
-			if err := res.Design.WriteControlTable(&sb); err != nil {
-				return outcome{status: http.StatusInternalServerError, err: &ErrorResponse{
-					Error: err.Error(), Kind: KindInternal, RequestID: id,
-				}}
-			}
-			art.ControlTable = sb.String()
-		}
-		if req.Artifacts.Dot {
-			var sb strings.Builder
-			if err := res.Design.WriteControlFlowDot(&sb); err != nil {
-				return outcome{status: http.StatusInternalServerError, err: &ErrorResponse{
-					Error: err.Error(), Kind: KindInternal, RequestID: id,
-				}}
-			}
-			art.Dot = sb.String()
-		}
-		resp.Artifacts = art
-	}
-	resp.Equivalence = newEquivalence(res.Cosim)
-	if req.Timings {
-		if res.Synth != nil {
-			resp.Stats = newSynthStats(res.Synth.Stats)
-		}
-		resp.Stages = newStageTimings(res.Trace)
-	}
-	if prov := res.Provenance(); prov != nil {
-		ekey := explainKey(in, opt)
-		s.explain.Put(ekey, prov)
-		firings, effects := res.Journal().Counts()
-		resp.Provenance = &ProvenanceSummary{
-			Key:        ekey,
-			Components: len(prov.Components),
-			Firings:    firings,
-			Effects:    effects,
-		}
-	}
-
-	body, err := json.MarshalIndent(resp, "", "  ")
-	if err != nil {
-		return outcome{status: http.StatusInternalServerError, err: &ErrorResponse{
-			Error: err.Error(), Kind: KindInternal, RequestID: id,
-		}}
-	}
-	body = append(body, '\n')
-	if useCache {
-		s.cache.Put(key, body)
-	}
-	return outcome{status: http.StatusOK, body: body, cacheState: "miss"}
-}
-
-// withDeadline derives the synthesis context: the request deadline clamped
-// to the configured maximum, or the server default when absent.
-func (s *Server) withDeadline(ctx context.Context, deadlineMS int) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultDeadline
-	if deadlineMS > 0 {
-		d = time.Duration(deadlineMS) * time.Millisecond
-		if d > s.cfg.MaxDeadline {
-			d = s.cfg.MaxDeadline
-		}
-	}
-	if d <= 0 {
-		return context.WithCancel(ctx)
-	}
-	return context.WithTimeout(ctx, d)
-}
-
-// errorOutcome maps a synthesis error to its wire form.
-func (s *Server) errorOutcome(err error, id string) outcome {
-	var dl flow.DiagnosticList
-	switch {
-	case errors.As(err, &dl):
-		resp := &ErrorResponse{Error: dl.Error(), Kind: KindInput, RequestID: id}
-		for _, d := range dl {
-			resp.Diagnostics = append(resp.Diagnostics, Diagnostic{
-				File: d.Pos.File, Line: d.Pos.Line, Col: d.Pos.Col,
-				Stage: d.Stage, Msg: d.Msg, SrcLine: d.SrcLine,
-			})
-		}
-		return outcome{status: http.StatusUnprocessableEntity, err: resp}
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return s.ctxOutcome(err, id)
-	default:
-		return outcome{status: http.StatusInternalServerError, err: &ErrorResponse{
-			Error: err.Error(), Kind: KindInternal, RequestID: id,
-		}}
-	}
-}
-
-// ctxOutcome maps a context error: deadline → 504, client gone → 499-ish
-// (written as 503; the connection is usually already dead).
-func (s *Server) ctxOutcome(err error, id string) outcome {
-	if errors.Is(err, context.DeadlineExceeded) {
-		s.met.deadlineExceeded.Add(1)
-		return outcome{status: http.StatusGatewayTimeout, err: &ErrorResponse{
-			Error: "synthesis deadline exceeded", Kind: KindDeadline, RequestID: id,
-		}}
-	}
-	s.met.canceled.Add(1)
-	return outcome{status: http.StatusServiceUnavailable, err: &ErrorResponse{
-		Error: "request canceled", Kind: KindCanceled, RequestID: id,
-	}}
+	s.frame.WriteJSON(w, http.StatusOK, s.Metrics())
 }
 
 func allocatorName(opt flow.Options) string {
@@ -718,54 +642,4 @@ func allocatorName(opt flow.Options) string {
 		return flow.AllocDAA
 	}
 	return opt.Allocator
-}
-
-// ---------------------------------------------------------------------------
-// Body decoding and response writing.
-
-// decodeErr pairs an error body with its status for decodeBody.
-type decodeErr struct {
-	status int
-	body   *ErrorResponse
-}
-
-// decodeBody reads a size-limited JSON body into v.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) *decodeErr {
-	id := requestID(r.Context())
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return &decodeErr{http.StatusRequestEntityTooLarge, &ErrorResponse{
-				Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
-				Kind:  KindRequest, RequestID: id,
-			}}
-		}
-		return &decodeErr{http.StatusBadRequest, &ErrorResponse{
-			Error: fmt.Sprintf("malformed request: %v", err), Kind: KindRequest, RequestID: id,
-		}}
-	}
-	return nil
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(body, '\n'))
-}
-
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, resp *ErrorResponse) {
-	s.cfg.Logger.Printf("%s error %d %s: %s", requestID(r.Context()), status, resp.Kind, resp.Error)
-	if status == http.StatusTooManyRequests && w.Header().Get("Retry-After") == "" {
-		// Shed load tells the client when to come back; cluster routers
-		// forward the header instead of retrying into the same overload.
-		w.Header().Set("Retry-After", "1")
-	}
-	s.writeJSON(w, status, resp)
 }

@@ -23,6 +23,15 @@ func flowInput(name, source string) flow.Input {
 
 func (r SynthesizeRequest) flowInput() flow.Input { return flowInput(r.Name, r.Source) }
 
+// lower maps a synthesize request onto the pipeline's input and options.
+// Verilog is an emit-stage product: selecting the artifact selects the
+// stage, so every key computed from the options covers it.
+func (r SynthesizeRequest) lower() (flow.Input, flow.Options, error) {
+	opt, err := r.Options.flowOptions()
+	opt.EmitVerilog = r.Artifacts.Verilog
+	return r.flowInput(), opt, err
+}
+
 // Shard keys give cluster routers (internal/cluster) a stable, canonical
 // identity per request without re-implementing the daemon's option
 // canonicalization. A request's shard key is exactly the identity its
@@ -40,13 +49,11 @@ func (r SynthesizeRequest) flowInput() flow.Input { return flowInput(r.Name, r.S
 // /v1/explain by the raw key string. Invalid options are a routing error:
 // the coordinator answers 400 without touching a worker.
 func (r SynthesizeRequest) ShardKey() (string, error) {
-	in := r.flowInput()
-	opt, err := r.Options.flowOptions()
+	in, opt, err := r.lower()
 	if err != nil {
 		return "", err
 	}
-	opt.EmitVerilog = r.Artifacts.Verilog
-	return fmt.Sprintf("%x|%s", in.ContentHash(), opt.Key()), nil
+	return explainKey(in, opt), nil
 }
 
 // ShardKey returns the canonical routing identity of a lint request:

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -75,14 +76,14 @@ func TestFlowCarriesJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := flow.Compile(t.Context(), in, flow.Options{Core: core.Options{Journal: true}})
+	res, err := flow.Compile(context.Background(), in, flow.Options{Core: core.Options{Journal: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Journal() == nil || res.Provenance() == nil {
 		t.Fatal("flow.Result did not carry journal/provenance")
 	}
-	plain, err := flow.Compile(t.Context(), in, flow.Options{})
+	plain, err := flow.Compile(context.Background(), in, flow.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +105,14 @@ func FuzzJournalReplay(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		in := flow.Input{Name: "fuzz.isps", Source: src}
-		res, err := flow.Compile(t.Context(), in, flow.Options{
+		res, err := flow.Compile(context.Background(), in, flow.Options{
 			Core:    core.Options{Journal: true},
 			NoCache: true,
 		})
 		if err != nil {
 			t.Skip() // invalid input: the front end rejected it
 		}
-		fresh, err := flow.FrontEnd(t.Context(), in)
+		fresh, err := flow.FrontEnd(context.Background(), in)
 		if err != nil {
 			t.Fatalf("front end accepted then rejected the same source: %v", err)
 		}
