@@ -1,11 +1,14 @@
 package main
 
-// Remote-mode tests drive run() against a real daad handler behind
-// httptest: the explain round trip renders identically to a local run, and
-// the client's single retry recovers from a connection the server killed
-// before answering.
+// Remote-mode tests drive run() against real serving stacks behind
+// httptest: the report, explain and explore round trips render identically
+// to a local run through a single daemon and through a coordinator over
+// two workers, and the client's single retry recovers from a connection
+// the server killed before answering.
 
 import (
+	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/flow"
 	"repro/internal/serve"
 )
@@ -25,56 +29,106 @@ func newDaemon(t *testing.T) *httptest.Server {
 	return ts
 }
 
+// stack is one serving topology a remote test targets.
+type stack struct {
+	name string
+	url  string
+}
+
+// newStacks boots the two topologies daa -remote must render identically
+// against: a single daemon, and a coordinator over two workers.
+func newStacks(t *testing.T) []stack {
+	t.Helper()
+	var peers []cluster.Peer
+	for i := 0; i < 2; i++ {
+		id := fmt.Sprintf("w%d", i)
+		ts := httptest.NewServer(serve.New(serve.Config{ID: id}).Handler())
+		t.Cleanup(ts.Close)
+		peers = append(peers, cluster.Peer{ID: id, URL: ts.URL})
+	}
+	co, err := cluster.New(cluster.Config{Peers: peers, ProbeInterval: 25 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	co.Start(context.Background())
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := co.Shutdown(ctx); err != nil {
+			t.Errorf("coordinator shutdown: %v", err)
+		}
+	})
+	front := httptest.NewServer(co.Handler())
+	t.Cleanup(front.Close)
+	return []stack{
+		{"daemon", newDaemon(t).URL},
+		{"coordinator", front.URL},
+	}
+}
+
 func TestRemoteReportMatchesLocal(t *testing.T) {
-	ts := newDaemon(t)
-	var local, remote strings.Builder
-	if err := run(&local, options{benchName: "gcd", allocator: "daa"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(&remote, options{benchName: "gcd", allocator: "daa", remote: ts.URL}); err != nil {
-		t.Fatal(err)
-	}
-	// The report block is shared; the local run additionally prints the
-	// value-trace header, which remote mode omits.
-	if !strings.Contains(local.String(), remote.String()) {
-		t.Errorf("remote report is not embedded in local output:\n--- local ---\n%s\n--- remote ---\n%s",
-			local.String(), remote.String())
+	for _, st := range newStacks(t) {
+		t.Run(st.name, func(t *testing.T) {
+			var local, remote strings.Builder
+			if err := run(&local, options{benchName: "gcd", allocator: "daa"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := run(&remote, options{benchName: "gcd", allocator: "daa", remote: st.url}); err != nil {
+				t.Fatal(err)
+			}
+			// The report block is shared; the local run additionally prints the
+			// value-trace header, which remote mode omits.
+			if !strings.Contains(local.String(), remote.String()) {
+				t.Errorf("remote report is not embedded in local output:\n--- local ---\n%s\n--- remote ---\n%s",
+					local.String(), remote.String())
+			}
+		})
 	}
 }
 
+// TestRemoteExplainMatchesLocal: the listing renders as it does locally,
+// which through a coordinator means GET /v1/explain reached the worker
+// that journaled the design — the only one whose explain store holds it.
 func TestRemoteExplainMatchesLocal(t *testing.T) {
-	ts := newDaemon(t)
-	var local, remote strings.Builder
-	if err := run(&local, options{benchName: "gcd", allocator: "daa", explain: "all"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(&remote, options{benchName: "gcd", allocator: "daa", explain: "all", remote: ts.URL}); err != nil {
-		t.Fatal(err)
-	}
-	if local.String() != remote.String() {
-		t.Errorf("remote explain differs from local:\n--- local ---\n%s\n--- remote ---\n%s",
-			local.String(), remote.String())
+	for _, st := range newStacks(t) {
+		t.Run(st.name, func(t *testing.T) {
+			var local, remote strings.Builder
+			if err := run(&local, options{benchName: "gcd", allocator: "daa", explain: "all"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := run(&remote, options{benchName: "gcd", allocator: "daa", explain: "all", remote: st.url}); err != nil {
+				t.Fatal(err)
+			}
+			if local.String() != remote.String() {
+				t.Errorf("remote explain differs from local:\n--- local ---\n%s\n--- remote ---\n%s",
+					local.String(), remote.String())
+			}
+		})
 	}
 }
 
-// TestRemoteExploreMatchesLocal: a sweep sent to a daemon renders the
-// same table, and with -json the same body, as the sweep run in-process.
+// TestRemoteExploreMatchesLocal: a sweep sent to a daemon or a coordinator
+// renders the same table, and with -json the same body, as the sweep run
+// in-process.
 func TestRemoteExploreMatchesLocal(t *testing.T) {
-	ts := newDaemon(t)
-	for _, asJSON := range []bool{false, true} {
-		o := options{benchName: "gcd", allocator: "daa", exploreSpec: "allocator=daa,leftedge cleanup=true,false", exploreJSON: asJSON}
-		var local, remote strings.Builder
-		if err := run(&local, o); err != nil {
-			t.Fatal(err)
-		}
-		o.remote = ts.URL
-		if err := run(&remote, o); err != nil {
-			t.Fatal(err)
-		}
-		if local.Len() == 0 || local.String() != remote.String() {
-			t.Errorf("-json=%t: remote sweep differs from local:\n--- local ---\n%s\n--- remote ---\n%s",
-				asJSON, local.String(), remote.String())
-		}
+	for _, st := range newStacks(t) {
+		t.Run(st.name, func(t *testing.T) {
+			for _, asJSON := range []bool{false, true} {
+				o := options{benchName: "gcd", allocator: "daa", exploreSpec: "allocator=daa,leftedge cleanup=true,false", exploreJSON: asJSON}
+				var local, remote strings.Builder
+				if err := run(&local, o); err != nil {
+					t.Fatal(err)
+				}
+				o.remote = st.url
+				if err := run(&remote, o); err != nil {
+					t.Fatal(err)
+				}
+				if local.Len() == 0 || local.String() != remote.String() {
+					t.Errorf("-json=%t: remote sweep differs from local:\n--- local ---\n%s\n--- remote ---\n%s",
+						asJSON, local.String(), remote.String())
+				}
+			}
+		})
 	}
 }
 

@@ -5,34 +5,20 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/flow"
 )
 
 func TestSingleExperiments(t *testing.T) {
-	for _, e := range []string{"E1", "E2", "E3", "E4", "E8", "STAGES"} {
-		if err := run(io.Discard, e, "gcd", false, false, core.Options{}); err != nil {
+	for _, e := range []string{"E1", "E2", "E3", "E4", "E8"} {
+		if err := run(io.Discard, e, "gcd"); err != nil {
 			t.Fatalf("%s: %v", e, err)
-		}
-	}
-}
-
-func TestStageTimingTable(t *testing.T) {
-	var sb strings.Builder
-	if err := run(&sb, "STAGES", "gcd", false, false, core.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"stage timing", "parse", "allocate", "total", "gcd"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("stage-timing table missing %q:\n%s", want, out)
 		}
 	}
 }
 
 func TestCosimTable(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "E9", "gcd", false, false, core.Options{}); err != nil {
+	if err := run(&sb, "E9", "gcd"); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -47,66 +33,14 @@ func TestCosimTable(t *testing.T) {
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	err := run(io.Discard, "E42", "gcd", false, false, core.Options{})
+	err := run(io.Discard, "E42", "gcd")
 	if flow.ExitCode(err) != flow.ExitUsage {
 		t.Errorf("unknown experiment: exit %d (%v), want usage", flow.ExitCode(err), err)
 	}
 }
 
 func TestUnknownBenchmark(t *testing.T) {
-	if err := run(io.Discard, "E2", "nope", false, false, core.Options{}); err == nil {
+	if err := run(io.Discard, "E2", "nope"); err == nil {
 		t.Error("expected error for unknown benchmark")
-	}
-}
-
-func TestJSONRejectsOnly(t *testing.T) {
-	err := run(io.Discard, "E2", "gcd", true, false, core.Options{})
-	if flow.ExitCode(err) != flow.ExitUsage {
-		t.Errorf("-json with -only: exit %d (%v), want usage", flow.ExitCode(err), err)
-	}
-}
-
-func TestVerifyRequiresJSON(t *testing.T) {
-	err := run(io.Discard, "", "gcd", false, true, core.Options{})
-	if flow.ExitCode(err) != flow.ExitUsage {
-		t.Errorf("-verify without -json: exit %d (%v), want usage", flow.ExitCode(err), err)
-	}
-}
-
-func TestJSONOutputShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-suite synthesis in -short mode")
-	}
-	var sb strings.Builder
-	if err := run(&sb, "", "mcs6502", true, false, core.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{`"results"`, `"bench"`, `"phases"`, `"stages"`, `"elapsedMs"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("JSON output missing %q", want)
-		}
-	}
-	if strings.Contains(out, `"equivalent"`) {
-		t.Error("JSON output carries a verdict without -verify")
-	}
-}
-
-func TestJSONVerifyShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-suite cosimulation in -short mode")
-	}
-	var sb strings.Builder
-	if err := run(&sb, "", "mcs6502", true, true, core.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{`"equivalent": true`, `"name": "cosim"`, `"name": "emit"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("-json -verify output missing %q", want)
-		}
-	}
-	if strings.Contains(out, `"equivalent": false`) {
-		t.Error("-json -verify reports a non-equivalent benchmark")
 	}
 }

@@ -3,8 +3,8 @@
 // the interactive assistant the paper pitches. Clients submit ISPS
 // behavioral descriptions and get back register-transfer structures, cost
 // tables, and positioned diagnostics; cmd/daa targets a daemon with
-// -remote, and cmd/daabench's loadgen mode drives one for serving-path
-// benchmarks.
+// -remote, and perfbench's serve-hot and verify-cold workloads drive one
+// for serving-path benchmarks.
 //
 // Usage:
 //

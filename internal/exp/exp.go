@@ -6,10 +6,10 @@
 // Every experiment compiles through the staged pipeline (internal/flow):
 // the front end of each benchmark is parsed and built once in the flow
 // artifact cache and every synthesis runs on a private vt.Clone, and the
-// suite-wide experiments (E5, E6, E7, the JSON results) fan their
-// independent compilations out across a bounded worker pool. Rendered
-// tables remain byte-deterministic: results are collected by benchmark
-// index, never by completion order.
+// suite-wide experiments (E5, E6, E7, E9) fan their independent
+// compilations out across a bounded worker pool. Rendered tables remain
+// byte-deterministic: results are collected by benchmark index, never by
+// completion order.
 package exp
 
 import (
@@ -157,25 +157,11 @@ type E3Data struct {
 	Bench   string
 	TraceOp int
 	Stats   core.Stats
-	Flow    flow.Trace        // per-stage pipeline timing of the run
-	Cosim   *flow.CosimReport // equivalence verdict; nil unless cosim ran
 }
 
 // E3 runs the DAA and collects the per-phase statistics.
 func E3(ctx context.Context, benchName string) (*E3Data, error) {
-	return e3(ctx, benchName)
-}
-
-func e3(ctx context.Context, benchName string) (*E3Data, error) {
-	return e3opts(ctx, benchName, core.Options{})
-}
-
-func e3opts(ctx context.Context, benchName string, copt core.Options) (*E3Data, error) {
-	return e3flow(ctx, benchName, flow.Options{Core: copt})
-}
-
-func e3flow(ctx context.Context, benchName string, opt flow.Options) (*E3Data, error) {
-	res, err := compileBench(ctx, benchName, opt)
+	res, err := compileBench(ctx, benchName, flow.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -183,8 +169,6 @@ func e3flow(ctx context.Context, benchName string, opt flow.Options) (*E3Data, e
 		Bench:   benchName,
 		TraceOp: res.VT.OpCount(),
 		Stats:   res.Synth.Stats,
-		Flow:    res.Trace,
-		Cosim:   res.Cosim,
 	}, nil
 }
 
@@ -330,7 +314,7 @@ func E5(ctx context.Context) ([]E5Point, error) {
 	names := bench.Names()
 	pts := make([]E5Point, len(names))
 	err := flow.RunAll(ctx, len(names), func(ctx context.Context, i int) error {
-		d, err := e3(ctx, names[i])
+		d, err := E3(ctx, names[i])
 		if err != nil {
 			return err
 		}
@@ -429,54 +413,6 @@ func RenderE6(ctx context.Context, w io.Writer) error {
 	return nil
 }
 
-// RenderStageTiming compiles each named benchmark (the whole suite when
-// none are named) and prints the wall time the staged pipeline spent per
-// stage. Front-end stages served from the artifact cache are starred.
-func RenderStageTiming(ctx context.Context, w io.Writer, names ...string) error {
-	if len(names) == 0 {
-		names = bench.Names()
-	}
-	results := make([]*flow.Result, len(names))
-	err := flow.RunAll(ctx, len(names), func(ctx context.Context, i int) error {
-		res, err := compileBench(ctx, names[i], flow.Options{})
-		if err != nil {
-			return fmt.Errorf("%s: %w", names[i], err)
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	t := report.New("stage timing — pipeline wall time per stage (ms)",
-		"benchmark", "parse", "sema", "build", "allocate", "validate", "cost", "total")
-	starred := false
-	for i, res := range results {
-		cells := []interface{}{names[i]}
-		for _, stage := range []string{flow.StageParse, flow.StageSema, flow.StageBuild,
-			flow.StageAllocate, flow.StageValidate, flow.StageCost} {
-			st, ok := res.Trace.Stage(stage)
-			if !ok {
-				cells = append(cells, "-")
-				continue
-			}
-			cell := fmt.Sprintf("%.3f", float64(st.Elapsed.Microseconds())/1000)
-			if st.Cached {
-				cell += "*"
-				starred = true
-			}
-			cells = append(cells, cell)
-		}
-		cells = append(cells, fmt.Sprintf("%.3f", float64(res.Trace.Total.Microseconds())/1000))
-		t.Row(cells...)
-	}
-	if starred {
-		t.Note("* stage served from the content-hash artifact cache (front end built once per source).")
-	}
-	t.Render(w)
-	return nil
-}
-
 // ProvenanceDepth runs a journaled synthesis of one benchmark and returns
 // the provenance-depth table: firings per final component, by kind and
 // phase. It renders from the same provenance index as daa -explain and
@@ -539,9 +475,6 @@ func All(ctx context.Context, w io.Writer) error {
 		return err
 	}
 	if err := RenderE10(ctx, w, "mcs6502"); err != nil {
-		return err
-	}
-	if err := RenderStageTiming(ctx, w); err != nil {
 		return err
 	}
 	if err := RenderProvenanceDepth(ctx, w, "mcs6502"); err != nil {
