@@ -44,13 +44,17 @@ func loadTrace(b *testing.B, name string) *vt.Program {
 	return tr
 }
 
+// The DAA benchmarks below synthesize a vt.Clone of one loaded trace per
+// run: the trace-refinement rules rewrite their input in place, so a
+// second synthesis of the same trace would skip that work.
+
 // BenchmarkE2MCS6502DAA — Table 2, row 1: the knowledge-based synthesis of
 // the paper's subject.
 func BenchmarkE2MCS6502DAA(b *testing.B) {
 	tr := loadTrace(b, "mcs6502")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Synthesize(tr, core.Options{})
+		res, err := core.Synthesize(vt.Clone(tr), core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,15 +87,19 @@ func BenchmarkE2MCS6502Naive(b *testing.B) {
 }
 
 // BenchmarkE3SynthesisStats — Table 3: a full DAA run with statistics
-// collection on the MCS6502, reporting the rule-firing rate.
+// collection on the MCS6502, reporting the rule-firing rate. Every run
+// must make the same firings.
 func BenchmarkE3SynthesisStats(b *testing.B) {
 	tr := loadTrace(b, "mcs6502")
 	b.ResetTimer()
 	firings := 0
 	for i := 0; i < b.N; i++ {
-		res, err := core.Synthesize(tr, core.Options{})
+		res, err := core.Synthesize(vt.Clone(tr), core.Options{})
 		if err != nil {
 			b.Fatal(err)
+		}
+		if i > 0 && res.Stats.TotalFirings != firings {
+			b.Fatalf("run %d made %d firings, run %d made %d", i, res.Stats.TotalFirings, i-1, firings)
 		}
 		firings = res.Stats.TotalFirings
 	}
@@ -105,11 +113,11 @@ func BenchmarkE4PhaseEvolution(b *testing.B) {
 	b.ResetTimer()
 	var with, without float64
 	for i := 0; i < b.N; i++ {
-		full, err := core.Synthesize(tr, core.Options{})
+		full, err := core.Synthesize(vt.Clone(tr), core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		ablated, err := core.Synthesize(tr, core.Options{DisableCleanup: true})
+		ablated, err := core.Synthesize(vt.Clone(tr), core.Options{DisableCleanup: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,12 +133,13 @@ func BenchmarkE5Scaling(b *testing.B) {
 		tr := loadTrace(b, name)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.Synthesize(tr, core.Options{})
+				refined := vt.Clone(tr)
+				res, err := core.Synthesize(refined, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					b.ReportMetric(float64(res.Stats.TotalFirings)/float64(tr.OpCount()), "firings/op")
+					b.ReportMetric(float64(res.Stats.TotalFirings)/float64(refined.OpCount()), "firings/op")
 				}
 			}
 		})

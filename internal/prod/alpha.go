@@ -126,12 +126,6 @@ type alphaMem struct {
 	// Modify changing none of them cannot flip membership.
 	testAttrs map[string]bool
 
-	// succAttrs is the union of attributes read by downstream join nodes
-	// (join tests and projections). A Modify that leaves membership intact
-	// and changes none of these cannot affect any token and is dropped at
-	// the alpha layer.
-	succAttrs map[string]bool
-
 	patterns int // patterns served (sharing statistic)
 }
 
@@ -335,7 +329,6 @@ func (net *alphaNet) memFor(class string, specs []alphaSpec, wm *WM, seeded bool
 		class:     class,
 		tests:     tests,
 		idx:       map[*Element]int{},
-		succAttrs: map[string]bool{},
 		testAttrs: map[string]bool{},
 	}
 	for _, s := range specs {

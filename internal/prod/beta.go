@@ -14,7 +14,8 @@ package prod
 // chain; when its last blocker disappears it resumes propagation.
 //
 // Beta state is strictly per-rule: tokens, matches, and counters are
-// owned by one reteRule.
+// owned by one reteRule. The agenda is shared: every rule queues its
+// instantiations on the engine's one agenda (agenda.go).
 
 // betaNode is one join (or negative-join) node.
 type betaNode struct {
@@ -62,9 +63,12 @@ type token struct {
 
 	idx        int        // position in node.tokens (swap-remove)
 	negMatches []*Element // negative nodes: current blockers
-	match      *Match     // production level: conflict-set entry
-	matchIdx   int
-	dead       bool
+	match      *Match     // production level: conflict-set entry, if any
+	// time is el's time tag as the agenda last saw it: set when the token
+	// is derived, and restamped only while every instantiation below it is
+	// off the agenda, so queued entries keep the key they were sorted by.
+	time int
+	dead bool
 }
 
 // pass runs the node's compiled join tests.
@@ -178,7 +182,7 @@ func (rr *reteRule) extend(n *betaNode, left *token, el *Element, s int) {
 		}
 	}
 	t := rr.newToken()
-	t.node, t.parent, t.el, t.binds = n, left, el, binds
+	t.node, t.parent, t.el, t.binds, t.time = n, left, el, binds, el.Time
 	rr.attach(n, left, t)
 	rr.downstream(n, t, s)
 }
@@ -420,7 +424,8 @@ func (rr *reteRule) block(t *token) {
 	}
 }
 
-// addMatch emits a token's instantiation into the rule's conflict set.
+// addMatch emits a token's instantiation into the rule's conflict set and
+// queues it on the agenda unless refraction has spent it.
 func (rr *reteRule) addMatch(t *token) {
 	els := make([]*Element, rr.cr.positives)
 	i := rr.cr.positives
@@ -437,17 +442,44 @@ func (rr *reteRule) addMatch(t *token) {
 		tok:      t,
 	}
 	t.match = m
-	t.matchIdx = len(rr.cs)
-	rr.cs = append(rr.cs, m)
+	rr.size++
 	rr.stats.matchAdds++
+	rr.ag.queue(m)
 }
 
 func (rr *reteRule) removeMatch(t *token) {
-	last := len(rr.cs) - 1
-	moved := rr.cs[last]
-	rr.cs[t.matchIdx] = moved
-	moved.tok.matchIdx = t.matchIdx
-	rr.cs = rr.cs[:last]
+	rr.ag.dequeue(t.match)
 	t.match = nil
+	rr.size--
 	rr.stats.matchDels++
+}
+
+// restamp handles a Modify of el that leaves n's join outcomes alone. The
+// tokens matching el survive, but el's new time tag changes the rank and
+// the refraction key of every instantiation below them, and no
+// conflict-set event reports it: take those instantiations off the
+// agenda, restamp, and queue them again.
+func (rr *reteRule) restamp(n *betaNode, el *Element) {
+	for _, t := range n.elIndex()[el] {
+		rr.requeue(t, false)
+		t.time = el.Time
+		rr.requeue(t, true)
+	}
+}
+
+// requeue dequeues (queue false) or queues every instantiation derived
+// from t. Only production-level tokens carry matches, and they have no
+// children.
+func (rr *reteRule) requeue(t *token, queue bool) {
+	if m := t.match; m != nil {
+		if queue {
+			rr.ag.queue(m)
+		} else {
+			rr.ag.dequeue(m)
+		}
+		return
+	}
+	for _, c := range t.children {
+		rr.requeue(c, queue)
+	}
 }

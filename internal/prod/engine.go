@@ -15,9 +15,10 @@ type Rule struct {
 	Doc      string
 	Patterns []Pattern
 	// Where, when non-nil, is an extra join test over the full match. It is
-	// re-evaluated on every cycle an instantiation is considered, so it may
-	// read state outside working memory (the DAA rules consult the growing
-	// RTL design); it must not mutate anything.
+	// asked at selection time, every cycle, of the rule's instantiations the
+	// agenda ranks above the first one that may fire, so it may read state
+	// outside working memory (the DAA rules consult the growing RTL
+	// design); it must not mutate anything.
 	Where func(*Match) bool
 	// Action fires the rule. It receives a transaction handle: every
 	// working-memory operation (make/modify/remove), halt, and registered
@@ -45,13 +46,15 @@ func (r *Rule) Specificity() int {
 // The matcher is a full Rete network (rete.go): rule LHSs are compiled at
 // AddRule time into shared alpha constant tests and per-rule beta join
 // chains with stored partial-match tokens, so each WM change reruns only
-// the join work downstream of the memories it touched. Exhaustive swaps
-// in the original strategy, re-matching everything every cycle
-// (exhaustive.go). CrossCheck runs the two in lockstep and panics if they
-// ever select a different instantiation, which is how the equivalence
-// tests pin the network down. Conflict resolution is a total order over
-// instantiations, so equal conflict sets force equal selections whichever
-// matcher built them.
+// the join work downstream of the memories it touched. The network also
+// keeps the agenda (agenda.go): the unspent instantiations in conflict-
+// resolution order, so a cycle reads the best one instead of scanning the
+// conflict set. Exhaustive swaps in the original strategy, re-matching and
+// ranking everything every cycle (exhaustive.go). CrossCheck runs the two
+// in lockstep and panics if they ever select a different instantiation,
+// which is how the equivalence tests pin the network down. Conflict
+// resolution is a total order over instantiations, so equal conflict sets
+// force equal selections whichever matcher built them.
 type Engine struct {
 	WM    *WM
 	rules []*Rule
@@ -79,7 +82,6 @@ type Engine struct {
 	Apply func(name string, args []any) (any, error)
 
 	halted     bool
-	fired      map[refraction]bool
 	firings    int
 	cycles     int
 	matchCalls int
@@ -90,10 +92,12 @@ type Engine struct {
 	pending []Change
 	seeded  bool
 
-	// rete is the match network; reteSynced tracks whether its state
-	// reflects the live WM (it goes stale while Exhaustive drives the
-	// engine, and resyncs on re-entry).
+	// rete is the match network and agenda its selection order;
+	// reteSynced tracks whether their state reflects the live WM (it goes
+	// stale while Exhaustive drives the engine, and resyncs on re-entry).
+	// The agenda also owns the refraction record both matchers consult.
 	rete       *rete
+	agenda     agenda
 	reteSynced bool
 
 	// Journal-recording state: jr is the journal being filled (nil when
@@ -129,7 +133,7 @@ func NewEngine(wm *WM) *Engine {
 	e := &Engine{
 		WM:         wm,
 		MaxFirings: 1_000_000,
-		fired:      map[refraction]bool{},
+		agenda:     agenda{fired: map[refraction]bool{}},
 		rete:       newRete(),
 	}
 	wm.Observe(func(c Change) {
@@ -147,7 +151,7 @@ func NewEngine(wm *WM) *Engine {
 // Registration compiles the rule's LHS into the Rete network (compile.go).
 // Pattern predicates (Pred) must be pure functions of the attribute value;
 // join state that changes outside working memory belongs in Where, which
-// is re-evaluated every cycle.
+// is asked afresh at selection time.
 func (e *Engine) AddRule(r *Rule) {
 	if r.Name == "" {
 		panic("prod: rule without a name")
@@ -215,7 +219,7 @@ func (e *Engine) FiringsByCategory() map[string]int {
 	return out
 }
 
-// Run executes recognize-act cycles until the conflict set is empty, a rule
+// Run executes recognize-act cycles until no instantiation can fire, a rule
 // halts the engine, MaxFirings is exceeded (an error), or Interrupt reports
 // an error (cancellation).
 func (e *Engine) Run() error {
@@ -234,7 +238,7 @@ func (e *Engine) Run() error {
 		if e.firings >= e.MaxFirings {
 			return fmt.Errorf("prod: firing limit %d exceeded (last rule %s)", e.MaxFirings, m.Rule.Name)
 		}
-		e.fired[e.refractionKey(m)] = true
+		e.agenda.fire(m)
 		e.firings++
 		e.met.rules[m.Rule.index].firings++
 		if e.TraceWriter != nil {
@@ -271,7 +275,7 @@ func matchIDs(m *Match) string {
 	return strings.Join(parts, " ")
 }
 
-func (e *Engine) refractionKey(m *Match) refraction {
+func refractionKey(m *Match) refraction {
 	k := refraction{rule: m.Rule.index}
 	for i, el := range m.Elements {
 		if i == 4 {
@@ -300,6 +304,9 @@ func (e *Engine) refractionKey(m *Match) refraction {
 //  3. specificity — more condition tests win
 //  4. registration order, then element IDs (determinism)
 //
+// The Rete matcher applies refraction when it queues an instantiation and
+// keeps the agenda sorted by rules 2-4, so it reads the top entry whose
+// Where passes; the exhaustive matcher ranks every instantiation afresh.
 // The ordering is total over distinct instantiations (two matches of one
 // rule with identical elements are the same instantiation), so both
 // matchers necessarily agree; CrossCheck asserts it anyway.
@@ -364,50 +371,17 @@ func sameInstantiation(a, b *Match) bool {
 	return true
 }
 
-// selectRete scans the Rete network's per-rule conflict sets.
+// selectRete reads the agenda. observe records the conflict-set size for
+// the metrics: every instantiation the network holds, spent ones included.
 func (e *Engine) selectRete(observe bool) *Match {
-	return e.pickBest(func(i int) []*Match { return e.rete.rules[i].cs }, observe)
-}
-
-// pickBest applies conflict resolution over per-rule conflict sets. The
-// scan allocates nothing: refraction keys and recency ranks are
-// fixed-size values (see BenchmarkSelectionAllocs).
-func (e *Engine) pickBest(get func(int) []*Match, observe bool) *Match {
-	size := 0
-	var best *Match
-	var bestRank recencyRank
-	for i, r := range e.rules {
-		ms := get(i)
-		size += len(ms)
-		for _, m := range ms {
-			if e.fired[e.refractionKey(m)] {
-				continue
-			}
-			if r.Where != nil && !r.Where(m) {
-				continue
-			}
-			var rk recencyRank
-			rk.init(m)
-			if best == nil || betterRank(m, &rk, best, &bestRank) {
-				best = m
-				bestRank = rk
-			}
-		}
-	}
 	if observe {
+		size := 0
+		for _, rr := range e.rete.rules {
+			size += rr.size
+		}
 		e.met.observeConflictSize(size)
 	}
-	return best
-}
-
-// conflictSet returns rule i's instantiations as the Rete network holds
-// them (used by the metrics snapshot and tests); nil while the network is
-// stale, since the exhaustive matcher keeps no conflict set.
-func (e *Engine) conflictSet(i int) []*Match {
-	if e.reteSynced {
-		return e.rete.rules[i].cs
-	}
-	return nil
+	return e.agenda.best()
 }
 
 // maxInlineRecency is the widest recency key kept on the stack; matches
@@ -415,34 +389,53 @@ func (e *Engine) conflictSet(i int) []*Match {
 const maxInlineRecency = 16
 
 // recencyRank is a match's conflict-resolution sort key: its elements'
-// time tags in descending order. It replaces a per-candidate []int +
-// sort.Sort allocation pair with a fixed-size insertion sort — selection
-// visits every instantiation every cycle, so this is the hot path.
+// time tags in descending order, kept in a fixed-size array so ranking
+// allocates nothing for up to maxInlineRecency positive patterns.
 type recencyRank struct {
 	n        int
 	t        [maxInlineRecency]int
 	overflow []int // descending times when n > maxInlineRecency
 }
 
+// init ranks m by its elements' current time tags.
 func (k *recencyRank) init(m *Match) {
-	k.n = len(m.Elements)
-	if k.n > maxInlineRecency {
-		k.overflow = make([]int, k.n)
-		for i, el := range m.Elements {
-			k.overflow[i] = el.Time
-		}
-		sortDescending(k.overflow)
-		return
-	}
+	k.start(len(m.Elements))
 	for i, el := range m.Elements {
-		t := el.Time
-		j := i
-		for j > 0 && k.t[j-1] < t {
-			k.t[j] = k.t[j-1]
-			j--
-		}
-		k.t[j] = t
+		k.insert(i, el.Time)
 	}
+}
+
+// stamped ranks a Rete match by the time tags it was queued under, which
+// its tokens carry.
+func (k *recencyRank) stamped(m *Match) {
+	k.start(len(m.Elements))
+	i := 0
+	for x := m.tok; x != nil; x = x.parent {
+		if x.el != nil {
+			k.insert(i, x.time)
+			i++
+		}
+	}
+}
+
+func (k *recencyRank) start(n int) {
+	k.n = n
+	k.overflow = nil
+	if n > maxInlineRecency {
+		k.overflow = make([]int, n)
+	}
+}
+
+// insert adds the i-th time tag, keeping the first i+1 descending.
+func (k *recencyRank) insert(i, t int) {
+	ts := k.t[:]
+	if k.overflow != nil {
+		ts = k.overflow
+	}
+	for ; i > 0 && ts[i-1] < t; i-- {
+		ts[i] = ts[i-1]
+	}
+	ts[i] = t
 }
 
 func (k *recencyRank) at(i int) int {
@@ -450,14 +443,6 @@ func (k *recencyRank) at(i int) int {
 		return k.overflow[i]
 	}
 	return k.t[i]
-}
-
-func sortDescending(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j-1] < xs[j]; j-- {
-			xs[j-1], xs[j] = xs[j], xs[j-1]
-		}
-	}
 }
 
 // betterRank reports whether m (with rank k) beats best (with rank bk)

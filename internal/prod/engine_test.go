@@ -1,6 +1,7 @@
 package prod
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -140,21 +141,41 @@ func TestModifyReenablesRule(t *testing.T) {
 }
 
 func TestRecencyPreferred(t *testing.T) {
-	wm := NewWM()
-	wm.Make("x", Attrs{"tag": "old"})
-	wm.Make("x", Attrs{"tag": "new"})
-	eng := NewEngine(wm)
-	var order []string
-	eng.AddRule(&Rule{
-		Name:     "log",
-		Patterns: []Pattern{P("x").Bind("tag", "t")},
-		Action: func(e *Tx, m *Match) {
-			order = append(order, m.Str("t"))
-		},
-	})
-	run(t, eng)
-	if len(order) != 2 || order[0] != "new" || order[1] != "old" {
-		t.Errorf("order %v, want [new old] (recency)", order)
+	cases := []struct {
+		name string
+		// retouch, when set, is the tag of the element the first firing
+		// modifies on an attribute no pattern reads: its token survives,
+		// but the new time tag must move it ahead of older instantiations.
+		retouch string
+		want    string
+	}{
+		{name: "newest fires first", want: "[new mid old]"},
+		{name: "modify reorders without a token rebuild", retouch: "old", want: "[new old mid]"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			wm := NewWM()
+			byTag := map[string]*Element{}
+			for _, tag := range []string{"old", "mid", "new"} {
+				byTag[tag] = wm.Make("x", Attrs{"tag": tag})
+			}
+			eng := NewEngine(wm)
+			var order []string
+			eng.AddRule(&Rule{
+				Name:     "log",
+				Patterns: []Pattern{P("x").Bind("tag", "t")},
+				Action: func(e *Tx, m *Match) {
+					if len(order) == 0 && c.retouch != "" {
+						e.WM().Modify(byTag[c.retouch], Attrs{"note": true})
+					}
+					order = append(order, m.Str("t"))
+				},
+			})
+			run(t, eng)
+			if got := fmt.Sprint(order); got != c.want {
+				t.Errorf("order %s, want %s (recency)", got, c.want)
+			}
+		})
 	}
 }
 

@@ -19,7 +19,7 @@ func (e *Engine) selectExhaustive(count bool) *Match {
 			if r.Where != nil && !r.Where(m) {
 				return
 			}
-			if e.fired[e.refractionKey(m)] {
+			if e.agenda.fired[refractionKey(m)] {
 				return
 			}
 			var rk recencyRank

@@ -40,42 +40,107 @@ func testRules() []*Rule {
 	}
 }
 
+// instKey renders an instantiation as "rule:id@time,...".
+func instKey(m *Match) string {
+	ids := make([]string, len(m.Elements))
+	for j, el := range m.Elements {
+		ids[j] = fmt.Sprintf("%d@%d", el.ID, el.Time)
+	}
+	return fmt.Sprintf("%s:%s", m.Rule.Name, strings.Join(ids, ","))
+}
+
+// conflictSet returns rule i's instantiations as the Rete network holds
+// them; nil while the network is stale, since the exhaustive matcher
+// keeps no conflict set.
+func (e *Engine) conflictSet(i int) []*Match {
+	if !e.reteSynced {
+		return nil
+	}
+	rr := e.rete.rules[i]
+	var out []*Match
+	for _, t := range rr.nodes[len(rr.nodes)-1].tokens {
+		if t.match != nil {
+			out = append(out, t.match)
+		}
+	}
+	return out
+}
+
 // instantiationSet canonicalizes the active matcher's conflict set as
 // sorted "rule:ids" lines.
 func instantiationSet(e *Engine) []string {
 	var out []string
 	for i := range e.rules {
 		for _, m := range e.conflictSet(i) {
-			ids := make([]string, len(m.Elements))
-			for j, el := range m.Elements {
-				ids[j] = fmt.Sprintf("%d@%d", el.ID, el.Time)
-			}
-			out = append(out, fmt.Sprintf("%s:%s", e.rules[i].Name, strings.Join(ids, ",")))
+			out = append(out, instKey(m))
 		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// groundTruth enumerates the conflict set with the exhaustive interpreted
-// matcher over the same working memory and rules.
-func groundTruth(wm *WM, rules []*Rule) []string {
+// exhaustiveMatches enumerates the conflict set with the exhaustive
+// interpreted matcher over the same working memory and rules.
+func exhaustiveMatches(wm *WM, rules []*Rule) []*Match {
 	ref := NewEngine(wm)
 	for _, r := range rules {
 		ref.AddRule(r)
 	}
-	var out []string
+	var out []*Match
 	for _, r := range ref.rules {
-		ref.enumerate(r, false, func(m *Match) {
-			ids := make([]string, len(m.Elements))
-			for j, el := range m.Elements {
-				ids[j] = fmt.Sprintf("%d@%d", el.ID, el.Time)
-			}
-			out = append(out, fmt.Sprintf("%s:%s", r.Name, strings.Join(ids, ",")))
-		})
+		ref.enumerate(r, false, func(m *Match) { out = append(out, m) })
+	}
+	return out
+}
+
+// groundTruth is the exhaustive conflict set as sorted "rule:ids" lines.
+func groundTruth(wm *WM, rules []*Rule) []string {
+	var out []string
+	for _, m := range exhaustiveMatches(wm, rules) {
+		out = append(out, instKey(m))
 	}
 	sort.Strings(out)
 	return out
+}
+
+// agendaOrder renders e's agenda best first.
+func agendaOrder(e *Engine) []string {
+	out := []string{}
+	for i := len(e.agenda.q) - 1; i >= 0; i-- {
+		out = append(out, instKey(e.agenda.q[i]))
+	}
+	return out
+}
+
+// wantAgenda is what e's agenda must hold between cycles: every
+// instantiation of the exhaustive conflict set that e's refraction record
+// has not spent, best first by betterRank under current time tags.
+func wantAgenda(e *Engine, wm *WM, rules []*Rule) []string {
+	var ms []*Match
+	for _, m := range exhaustiveMatches(wm, rules) {
+		if !e.agenda.fired[refractionKey(m)] {
+			ms = append(ms, m)
+		}
+	}
+	sort.Slice(ms, func(i, j int) bool {
+		var ki, kj recencyRank
+		ki.init(ms[i])
+		kj.init(ms[j])
+		return betterRank(ms[i], &ki, ms[j], &kj)
+	})
+	out := []string{}
+	for _, m := range ms {
+		out = append(out, instKey(m))
+	}
+	return out
+}
+
+// fireHead spends the agenda's top entry the way Run does, without running
+// its action.
+func fireHead(e *Engine) {
+	if m := e.agenda.best(); m != nil {
+		e.agenda.fire(m)
+	}
 }
 
 func (e *Engine) instantiations() []string { return instantiationSet(e) }
@@ -94,7 +159,7 @@ func diffStrings(t *testing.T, label string, got, want []string) {
 			return
 		}
 	}
-	t.Errorf("%s: incremental conflict set diverged\n  incremental: %v\n  from-scratch: %v", label, got, want)
+	t.Errorf("%s: diverged\n  incremental: %v\n  from-scratch: %v", label, got, want)
 }
 
 // applyRandomOp mutates the working memory with one random make, modify,
@@ -148,7 +213,10 @@ func liveOnly(els []*Element) []*Element {
 // Property: after arbitrary interleavings of make/modify/remove, applied
 // in batches like rule actions produce them, the Rete network's
 // incrementally maintained conflict set equals an exhaustive recompute
-// over the same WM.
+// over the same WM, and its agenda lists exactly the unspent part of it in
+// conflict-resolution order. Firing the agenda's head now and then puts
+// spent instantiations in the conflict set, which the random modifies
+// then revive.
 func TestIncrementalConflictSetEqualsRecompute(t *testing.T) {
 	rules := testRules()
 	for seed := int64(0); seed < 30; seed++ {
@@ -164,8 +232,13 @@ func TestIncrementalConflictSetEqualsRecompute(t *testing.T) {
 				applyRandomOp(rng, wm, &live)
 			}
 			eng.applyChanges()
-			diffStrings(t, fmt.Sprintf("rete seed %d round %d", seed, round),
-				eng.instantiations(), groundTruth(wm, rules))
+			label := fmt.Sprintf("seed %d round %d", seed, round)
+			diffStrings(t, label+" conflict set", eng.instantiations(), groundTruth(wm, rules))
+			diffStrings(t, label+" agenda", agendaOrder(eng), wantAgenda(eng, wm, rules))
+			if rng.Intn(3) == 0 {
+				fireHead(eng)
+				diffStrings(t, label+" agenda after firing", agendaOrder(eng), wantAgenda(eng, wm, rules))
+			}
 			if t.Failed() {
 				return
 			}
@@ -173,7 +246,7 @@ func TestIncrementalConflictSetEqualsRecompute(t *testing.T) {
 	}
 }
 
-// Fuzz: the same equivalence, driven by arbitrary byte strings so the
+// Fuzz: the same equivalences, driven by arbitrary byte strings so the
 // fuzzer can hunt for change sequences the random walk misses.
 func FuzzIncrementalConflictSet(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 8, 9, 16, 42})
@@ -199,6 +272,10 @@ func FuzzIncrementalConflictSet(f *testing.F) {
 	f.Add([]byte{16, 32, 48, 80, 94, 222, 94, 222, 158, 30, 94, 206, 78, 13})
 	// remove-then-remake of join pivots at alternating batch boundaries.
 	f.Add([]byte{16, 48, 3, 5, 16, 13, 3, 21, 16, 29, 3, 5, 19, 35, 13})
+	// Boundaries that fire the head (13, 29), then k-modifies (2, 10, 18)
+	// that change no join attribute: the spent and the queued
+	// instantiations holding the modified element must be re-ranked.
+	f.Add([]byte{16, 32, 48, 1, 13, 2, 5, 16, 29, 10, 13, 18, 29, 2, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
 			data = data[:256]
@@ -236,6 +313,17 @@ func FuzzIncrementalConflictSet(f *testing.F) {
 				want := groundTruth(wm, rules)
 				if got := eng.instantiations(); fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("rete conflict set diverged at byte %d\n  rete: %v\n  from-scratch: %v", i, got, want)
+				}
+				checkAgenda := func(when string) {
+					want := wantAgenda(eng, wm, rules)
+					if got := agendaOrder(eng); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("agenda diverged %s at byte %d\n  agenda: %v\n  want:   %v", when, i, got, want)
+					}
+				}
+				checkAgenda("after the batch")
+				if b&8 != 0 { // every other boundary byte fires the head
+					fireHead(eng)
+					checkAgenda("after firing")
 				}
 			}
 		}

@@ -155,6 +155,10 @@ func (e *Engine) Metrics() Metrics {
 	m.Rules = make([]RuleMetrics, len(e.rules))
 	for i, r := range e.rules {
 		c := e.met.rules[i]
+		size := 0 // the exhaustive matcher keeps no conflict set
+		if e.reteSynced {
+			size = e.rete.rules[i].size
+		}
 		m.MatchTime += c.matchTime
 		m.Rules[i] = RuleMetrics{
 			Name:        r.Name,
@@ -166,7 +170,7 @@ func (e *Engine) Metrics() Metrics {
 			MatchTime:   c.matchTime,
 			Added:       c.added,
 			Invalidated: c.invalidated,
-			Size:        len(e.conflictSet(i)),
+			Size:        size,
 		}
 	}
 	return m

@@ -213,10 +213,11 @@ type Match struct {
 	Elements []*Element // one per positive pattern, in pattern order
 	binds    bindings
 
-	// tok back-links a Rete-produced match to its production-node token so
-	// retraction can remove it from the conflict set in O(1). Nil for
-	// matches produced by the interpreted matchers.
-	tok *token
+	// tok back-links a Rete-produced match to its production-node token,
+	// whose chain carries the time tags it was queued under; queued marks
+	// it as on the agenda. Nil and false for exhaustive matches.
+	tok    *token
+	queued bool
 }
 
 // El returns the element matched by the i-th positive pattern.

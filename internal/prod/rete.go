@@ -11,12 +11,12 @@ import "time"
 //     memories, producing an ordered event list (assert / retract /
 //     touch) with per-event sequence numbers and versioned membership.
 //  2. beta phase: every rule replays the event list against its private
-//     token state. Rules share nothing but the memories and elements,
-//     which the phase only reads, so per-rule propagation is
-//     order-independent across rules.
+//     token state, queueing and dequeueing its instantiations on the
+//     engine's agenda. Rules share nothing else but the memories and
+//     elements, which the phase only reads, and the agenda's order is
+//     total, so per-rule propagation is order-independent across rules.
 //
-// Conflict resolution then reads the per-rule conflict sets in rule
-// order.
+// Conflict resolution then reads the top of the agenda.
 
 type rete struct {
 	alpha *alphaNet
@@ -34,7 +34,7 @@ type alphaEventKind uint8
 const (
 	evAssert alphaEventKind = iota
 	evRetract
-	evTouch // membership kept, but join/projection attributes changed
+	evTouch // membership kept through a Modify (attrs: the changed ones)
 )
 
 // alphaEvent is one classified WM change against one memory.
@@ -61,7 +61,8 @@ type reteRule struct {
 
 	root      *token
 	rootSlice []*token
-	cs        []*Match
+	size      int     // instantiations in the conflict set, spent ones included
+	ag        *agenda // the engine's agenda, shared by every rule
 
 	scratch   []*token // rightRetract collection buffer
 	free      []*token // recycled tokens (token churn is the hot path)
@@ -107,7 +108,7 @@ func newRete() *rete {
 // from live WM and its chain activated immediately.
 func (rt *rete) addRule(r *Rule, e *Engine) {
 	cr := compileRule(r)
-	rr := &reteRule{idx: r.index, r: r, cr: cr}
+	rr := &reteRule{idx: r.index, r: r, cr: cr, ag: &e.agenda}
 	rr.root = &token{binds: make([]any, len(cr.slotNames))}
 	rr.rootSlice = []*token{rr.root}
 	var prev *betaNode
@@ -125,7 +126,6 @@ func (rt *rete) addRule(r *Rule, e *Engine) {
 		}
 		for _, a := range cp.attrs {
 			n.attrs[a] = true
-			mem.succAttrs[a] = true
 		}
 		if cp.hashSlot >= 0 {
 			n.hashed = true
@@ -162,9 +162,12 @@ func (rt *rete) addRule(r *Rule, e *Engine) {
 	}
 }
 
-// resync rebuilds the network state from live working memory: initial
-// seeding, and re-entry after Exhaustive drove the engine.
+// resync rebuilds the network state and the agenda from live working
+// memory: initial seeding, and re-entry after Exhaustive drove the engine.
+// The agenda is sorted once, after every rule has been activated.
 func (rt *rete) resync(e *Engine) {
+	e.agenda.reset()
+	defer e.agenda.seeded()
 	for _, mem := range rt.alpha.memList {
 		mem.reset()
 	}
@@ -192,7 +195,7 @@ func (rt *rete) resync(e *Engine) {
 			n.elIdx = nil
 		}
 		rr.root.children = rr.root.children[:0]
-		rr.cs = rr.cs[:0]
+		rr.size = 0
 		rr.stats = reteBatchStats{}
 		t0 := time.Now()
 		rr.leftActivate(rr.nodes[0], rr.root, 0)
@@ -236,8 +239,10 @@ func (rt *rete) apply(e *Engine, changes []Change) {
 				mem.reindexEl(el)
 				wasIn := mem.has(el)
 				if !memTestsTouch(mem, ch.Attrs) {
-					// Membership can't flip; joins may still care.
-					if wasIn && attrsTouch(mem.succAttrs, ch.Attrs) {
+					// Membership can't flip, but joins may care, and the
+					// new time tag re-ranks the element's instantiations
+					// even when nothing they were matched on changed.
+					if wasIn {
 						rt.emit(evTouch, mem, el, ch.Attrs)
 					}
 					continue
@@ -304,12 +309,8 @@ func (rt *rete) emit(kind alphaEventKind, mem *alphaMem, el *Element, attrs []st
 // memTestsTouch reports whether any of the memory's own tests read one of
 // the changed attributes.
 func memTestsTouch(mem *alphaMem, attrs []string) bool {
-	return attrsTouch(mem.testAttrs, attrs)
-}
-
-func attrsTouch(set map[string]bool, attrs []string) bool {
 	for _, a := range attrs {
-		if set[a] {
+		if mem.testAttrs[a] {
 			return true
 		}
 	}
@@ -341,9 +342,13 @@ func (rr *reteRule) processEvents(evs []alphaEvent) bool {
 			case evRetract:
 				rr.rightRetract(n, ev.el, ev.seq)
 			case evTouch:
-				if n.touches(ev.attrs) {
+				switch {
+				case n.touches(ev.attrs):
+					// Rebuilt tokens carry the new time tag.
 					rr.rightRetract(n, ev.el, ev.seq)
 					rr.rightAssert(n, ev.el, ev.seq)
+				case !n.neg:
+					rr.restamp(n, ev.el)
 				}
 			}
 		}

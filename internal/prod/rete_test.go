@@ -60,10 +60,9 @@ func TestAlphaEvalDedup(t *testing.T) {
 	}
 }
 
-// Conflict-set selection is the per-cycle hot path: scanning it must not
-// allocate. (Trace rendering and divergence panics — matchIDs,
-// describeMatch — are the only string-building paths left, and they are
-// off the cycle loop.)
+// Selection runs every cycle: reading the agenda must not allocate.
+// (Trace rendering and divergence panics — matchIDs, describeMatch — are
+// the only string-building paths left, and they are off the cycle loop.)
 func TestSelectionAllocFree(t *testing.T) {
 	eng := seededSelectionEngine()
 	if n := testing.AllocsPerRun(200, func() { eng.selectRete(false) }); n != 0 {
@@ -71,9 +70,8 @@ func TestSelectionAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkSelection measures the selection scan over a standing conflict
-// set; run with -benchmem to see the allocation count (the old
-// implementation allocated a sorted []int recency key per candidate).
+// BenchmarkSelection measures selection over a standing conflict set; run
+// with -benchmem to see the allocation count.
 func BenchmarkSelection(b *testing.B) {
 	eng := seededSelectionEngine()
 	b.ReportAllocs()

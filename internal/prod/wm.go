@@ -4,12 +4,12 @@
 //
 // Knowledge is expressed as rules whose left-hand sides are declarative
 // patterns over a working memory of class/attribute elements and whose
-// right-hand sides are actions that make, modify, and remove elements. The
-// engine repeatedly computes the conflict set (every rule instantiation
-// whose patterns match), selects one instantiation by OPS5-style conflict
+// right-hand sides are actions that make, modify, and remove elements. On
+// every cycle the engine selects one instantiation from the conflict set
+// (every rule instantiation whose patterns match) by OPS5-style conflict
 // resolution — refraction, then recency of the matched elements, then
-// specificity, then declaration order — and fires it, until the conflict
-// set is empty or a rule halts the engine.
+// specificity, then declaration order — and fires it, until no
+// instantiation is left to fire or a rule halts the engine.
 //
 // The default matcher is a compiled Rete network (rete.go, alpha.go,
 // beta.go, compile.go): each rule's left-hand side is compiled at AddRule
@@ -18,10 +18,14 @@
 // patterns become negative nodes carrying per-token blocker lists. The
 // working memory emits a change notification for every Make, Modify, and
 // Remove; between firings the network propagates only those deltas, so
-// match work is proportional to change, not to working-memory size.
+// match work is proportional to change, not to working-memory size. The
+// same deltas keep the agenda (agenda.go) — the instantiations refraction
+// has not spent, sorted by the rest of the order — so selection reads its
+// top instead of ranking the conflict set.
 //
 // One interpreted matcher is kept alongside it: Engine.Exhaustive
-// recomputes the conflict set from scratch each cycle (exhaustive.go).
+// recomputes and ranks the conflict set from scratch each cycle
+// (exhaustive.go).
 // Conflict-resolution semantics — refraction, recency, specificity,
 // declaration order — are bit-for-bit identical across the two, and
 // Engine.CrossCheck runs them in lockstep, diffing the selected
