@@ -44,7 +44,7 @@ func runExplore(w io.Writer, in flow.Input, o options) error {
 	}
 	// The grid perturbs the base point the design flags select; the
 	// per-run output flags (-verify, -verilog, ...) do not reach a sweep.
-	point := options{allocator: o.allocator, noCleanup: o.noCleanup, exhaustive: o.exhaustive}
+	point := options{allocator: o.allocator, noCleanup: o.noCleanup}
 	base, err := point.flowOptions()
 	if err != nil {
 		return err

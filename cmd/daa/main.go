@@ -15,7 +15,6 @@
 //	daa -bench gcd -flow                emit the controller graph as DOT
 //	daa -bench gcd -no-cleanup          skip the global-improvement phase
 //	daa -bench gcd -engine-stats        print the production-engine metrics
-//	daa -bench gcd -exhaustive          disable incremental matching
 //	daa -bench gcd -stage-timing        print per-stage pipeline wall time
 //	daa -bench gcd -explore 'allocator=daa,leftedge cleanup=true,false'
 //	                                    sweep a knob grid, print the Pareto front
@@ -55,7 +54,6 @@ type options struct {
 	noCleanup   bool
 	stats       bool
 	engineStats bool
-	exhaustive  bool
 	control     bool
 	verilog     bool
 	verify      bool
@@ -83,7 +81,6 @@ func main() {
 	flag.BoolVar(&o.noCleanup, "no-cleanup", false, "skip the global-improvement phase (daa only)")
 	flag.BoolVar(&o.stats, "stats", true, "print synthesis statistics (daa only)")
 	flag.BoolVar(&o.engineStats, "engine-stats", false, "print production-engine metrics: per-rule match cost, conflict-set statistics (daa only)")
-	flag.BoolVar(&o.exhaustive, "exhaustive", false, "disable incremental conflict-set maintenance (daa only; for comparison)")
 	flag.BoolVar(&o.control, "control", false, "print the derived control-signal table")
 	flag.BoolVar(&o.verilog, "verilog", false, "emit the datapath as structural Verilog and exit")
 	flag.BoolVar(&o.verify, "verify", false, "co-simulate the behavioral description against the synthesized design and report an equivalence verdict (a mismatch exits 3)")
@@ -160,7 +157,7 @@ func run(w io.Writer, o options) error {
 			writeStats(w, res.Synth.Stats)
 		}
 		if o.engineStats {
-			writeEngineStats(w, res.Synth.Stats, o.exhaustive)
+			writeEngineStats(w, res.Synth.Stats)
 		}
 	}
 
@@ -220,9 +217,8 @@ func (o options) flowOptions() (flow.Options, error) {
 	return flow.Options{
 		Allocator: o.allocator,
 		Core: core.Options{
-			DisableCleanup:  o.noCleanup,
-			ExhaustiveMatch: o.exhaustive,
-			Journal:         o.explain != "" || o.journal != "",
+			DisableCleanup: o.noCleanup,
+			Journal:        o.explain != "" || o.journal != "",
 		},
 		EmitVerilog: o.verilog || o.emitVerilog != "",
 		Cosim:       o.verify,
@@ -325,24 +321,18 @@ func writeStats(w io.Writer, stats core.Stats) {
 // writeEngineStats prints the production-engine observability section: the
 // matcher's cost per phase, the match network's shape and activity, and the
 // most expensive rules to match.
-func writeEngineStats(w io.Writer, stats core.Stats, exhaustive bool) {
-	if exhaustive {
-		fmt.Fprintln(w, "engine statistics (exhaustive matcher; incremental counters inactive):")
-	} else {
-		fmt.Fprintln(w, "engine statistics (compiled Rete network):")
-	}
+func writeEngineStats(w io.Writer, stats core.Stats) {
+	fmt.Fprintln(w, "engine statistics (compiled Rete network):")
 	for _, ph := range stats.Phases {
 		m := ph.Engine
 		fmt.Fprintf(w, "  %-12s deltas=%-6d rebuilds=%-4d added=%-6d invalidated=%-6d cs-peak=%-5d cs-mean=%.1f\n",
 			ph.Name, m.Deltas, m.Rebuilds, m.Added, m.Invalidated, m.ConflictPeak, m.ConflictMean)
 	}
 	agg := stats.EngineMetrics()
-	if !exhaustive {
-		fmt.Fprintf(w, "  network: alpha tests=%d mems=%d (patterns=%d) join nodes=%d neg nodes=%d\n",
-			agg.AlphaTests, agg.AlphaMems, agg.AlphaPatterns, agg.JoinNodes, agg.NegNodes)
-		fmt.Fprintf(w, "  activity: alpha evals=%d join tests=%d tokens +%d -%d (live %d)\n",
-			agg.AlphaEvals, agg.JoinTests, agg.TokenAsserts, agg.TokenRetracts, agg.TokensLive)
-	}
+	fmt.Fprintf(w, "  network: alpha tests=%d mems=%d (patterns=%d) join nodes=%d neg nodes=%d\n",
+		agg.AlphaTests, agg.AlphaMems, agg.AlphaPatterns, agg.JoinNodes, agg.NegNodes)
+	fmt.Fprintf(w, "  activity: alpha evals=%d join tests=%d tokens +%d -%d (live %d)\n",
+		agg.AlphaEvals, agg.JoinTests, agg.TokenAsserts, agg.TokenRetracts, agg.TokensLive)
 	fmt.Fprintln(w, "  top rules by match time:")
 	for _, r := range agg.TopRulesByMatchTime(10) {
 		fmt.Fprintf(w, "    %-40s %-12s firings=%-5d deltas=%-6d matches=%-8d %v\n",

@@ -63,13 +63,6 @@ func TestRunEngineStats(t *testing.T) {
 	}
 }
 
-func TestRunExhaustive(t *testing.T) {
-	o := options{benchName: "gcd", allocator: "daa", exhaustive: true, stats: true}
-	if err := runQuiet(o); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunFromFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.isps")

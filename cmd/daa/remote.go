@@ -30,7 +30,6 @@ func (o options) requestOptions() serve.RequestOptions {
 	return serve.RequestOptions{
 		Allocator:  o.allocator,
 		NoCleanup:  o.noCleanup,
-		Exhaustive: o.exhaustive,
 		Provenance: o.explain != "",
 		Verify:     o.verify,
 		CosimSeed:  o.cosimSeed,

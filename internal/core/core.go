@@ -53,13 +53,9 @@ type Options struct {
 	ExtraRules []*prod.Rule
 	// Trace, when non-nil, receives one line per rule firing.
 	Trace io.Writer
-	// ExhaustiveMatch runs every phase engine with full per-cycle
-	// re-matching instead of incremental conflict-set maintenance, for
-	// comparison and debugging.
-	ExhaustiveMatch bool
-	// CrossCheckMatch runs the Rete network and the exhaustive matcher in
-	// lockstep, panicking on any divergence in the selected instantiation
-	// (the equivalence tests use this).
+	// CrossCheckMatch runs the exhaustive matcher beside the Rete network
+	// in lockstep, panicking on any divergence in the selected
+	// instantiation (the equivalence tests use this).
 	CrossCheckMatch bool
 	// Journal records every rule firing's effects and builds the
 	// provenance index; Result.Journal and Result.Provenance are nil
@@ -171,7 +167,6 @@ func SynthesizeContext(ctx context.Context, trace *vt.Program, opt Options) (*Re
 			eng.Interrupt = ctx.Err
 		}
 		eng.TraceWriter = opt.Trace
-		eng.Exhaustive = opt.ExhaustiveMatch
 		eng.CrossCheck = opt.CrossCheckMatch
 		eng.Apply = s.applyEffect
 		s.phase = ph.name

@@ -1,8 +1,19 @@
 package core_test
 
+// Firing-trace and engine-counter goldens: every embedded benchmark's
+// firing trace (the Options.Trace text) and its engine counters (the
+// daa -engine-stats counts, without times) are checked in under
+// testdata/. Regenerate after an intentional rule-base or conflict-
+// resolution change with:
+//
+//	go test ./internal/core -run 'TestFiringTraceEquivalence|TestJournaledTraceEquivalence' -update
+
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,8 +21,11 @@ import (
 	"repro/internal/core"
 )
 
-// traceWith synthesizes one benchmark and returns its firing trace.
-func traceWith(t *testing.T, name string, opt core.Options) string {
+var update = flag.Bool("update", false, "rewrite the firing-trace and engine-counter goldens")
+
+// synthTrace synthesizes one benchmark and returns its firing trace and
+// run statistics.
+func synthTrace(t *testing.T, name string, opt core.Options) (string, core.Stats) {
 	t.Helper()
 	tr, err := bench.Load(name)
 	if err != nil {
@@ -19,49 +33,93 @@ func traceWith(t *testing.T, name string, opt core.Options) string {
 	}
 	var buf bytes.Buffer
 	opt.Trace = &buf
-	if _, err := core.Synthesize(tr, opt); err != nil {
+	res, err := core.Synthesize(tr, opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.String()
+	return buf.String(), res.Stats
 }
 
-// TestFiringTraceEquivalence asserts the compiled Rete network (the
-// default matcher) reproduces the exhaustive matcher's firing sequence bit
-// for bit — every rule name and every matched element ID, in order — on
-// every embedded benchmark. This is the acceptance test for the
+// engineCounters renders every engine count of a run, and no times: per
+// phase the recognize-act and conflict-set figures, then the merged network
+// shape and activity, then each rule's counters in phase and registration
+// order.
+func engineCounters(s core.Stats) string {
+	var b strings.Builder
+	for _, ph := range s.Phases {
+		m := ph.Engine
+		fmt.Fprintf(&b, "phase %s: firings=%d cycles=%d wm-peak=%d matches=%d deltas=%d rebuilds=%d added=%d invalidated=%d cs-peak=%d cs-mean=%.3f\n",
+			ph.Name, ph.Firings, ph.Cycles, ph.WMPeak, m.MatchCalls, m.Deltas, m.Rebuilds, m.Added, m.Invalidated, m.ConflictPeak, m.ConflictMean)
+	}
+	agg := s.EngineMetrics()
+	fmt.Fprintf(&b, "total: firings=%d cycles=%d pattern tests=%d\n", s.TotalFirings, s.TotalCycles, s.TotalMatchCalls)
+	fmt.Fprintf(&b, "network: alpha tests=%d mems=%d (patterns=%d) join nodes=%d neg nodes=%d\n",
+		agg.AlphaTests, agg.AlphaMems, agg.AlphaPatterns, agg.JoinNodes, agg.NegNodes)
+	fmt.Fprintf(&b, "activity: alpha evals=%d join tests=%d tokens +%d -%d (live %d)\n",
+		agg.AlphaEvals, agg.JoinTests, agg.TokenAsserts, agg.TokenRetracts, agg.TokensLive)
+	for _, r := range agg.Rules {
+		fmt.Fprintf(&b, "rule %s %s: firings=%d deltas=%d rebuilds=%d matches=%d added=%d invalidated=%d size=%d\n",
+			r.Category, r.Name, r.Firings, r.Deltas, r.Rebuilds, r.MatchCalls, r.Added, r.Invalidated, r.Size)
+	}
+	return b.String()
+}
+
+// checkGolden compares got against testdata/<dir>/<name>.txt, or rewrites
+// the file when write is set.
+func checkGolden(t *testing.T, dir, name, got string, write bool) {
+	t.Helper()
+	golden := filepath.Join("testdata", dir, name+".txt")
+	if write {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from %s (regenerate with -update if intended):\n%s", dir, golden, firstDiff(got, string(want)))
+	}
+}
+
+// checkGoldens synthesizes every embedded benchmark under opt and compares
+// its firing trace and engine counters with the goldens, or rewrites them
+// when write is set.
+func checkGoldens(t *testing.T, opt core.Options, write bool) {
+	for _, name := range bench.Names() {
+		t.Run(name, func(t *testing.T) {
+			trace, stats := synthTrace(t, name, opt)
+			if trace == "" {
+				t.Fatal("empty firing trace")
+			}
+			checkGolden(t, "trace", name, trace, write)
+			checkGolden(t, "counters", name, engineCounters(stats), write)
+		})
+	}
+}
+
+// TestFiringTraceEquivalence pins every embedded benchmark's firing
+// sequence — every rule name and matched element ID, in order — and its
+// engine counters to the goldens. This is the acceptance test for the
 // conflict-resolution semantics (refraction, recency, specificity,
-// declaration order) surviving the match-network refactors unchanged.
+// declaration order) and the match network's work surviving refactors
+// unchanged; TestCrossCheckAllBenchmarks checks the same runs against the
+// exhaustive oracle cycle by cycle.
 func TestFiringTraceEquivalence(t *testing.T) {
-	for _, name := range bench.Names() {
-		t.Run(name, func(t *testing.T) {
-			exh := traceWith(t, name, core.Options{ExhaustiveMatch: true})
-			if exh == "" {
-				t.Fatal("empty firing trace")
-			}
-			if got := traceWith(t, name, core.Options{}); got != exh {
-				t.Errorf("rete firing trace diverges from exhaustive:\n%s", firstDiff(got, exh))
-			}
-		})
-	}
+	checkGoldens(t, core.Options{}, *update)
 }
 
-// TestJournaledTraceEquivalence re-runs the trace comparison with journal
+// TestJournaledTraceEquivalence repeats the golden comparison with journal
 // recording enabled: the journal hooks observe every WM change and firing
-// in matcher order, so this pins the binding vectors and change streams,
-// not just the selected instantiations.
+// as the engine makes them, and must change neither the firing sequence nor
+// the match work. Only the plain run writes the goldens under -update.
 func TestJournaledTraceEquivalence(t *testing.T) {
-	for _, name := range bench.Names() {
-		t.Run(name, func(t *testing.T) {
-			exh := traceWith(t, name, core.Options{ExhaustiveMatch: true, Journal: true})
-			got := traceWith(t, name, core.Options{Journal: true})
-			if got == "" {
-				t.Fatal("empty firing trace")
-			}
-			if got != exh {
-				t.Errorf("journaled rete trace diverges from exhaustive:\n%s", firstDiff(got, exh))
-			}
-		})
-	}
+	checkGoldens(t, core.Options{Journal: true}, false)
 }
 
 // TestCrossCheckAllBenchmarks synthesizes every embedded benchmark with
@@ -91,12 +149,12 @@ func TestCrossCheckAllBenchmarks(t *testing.T) {
 	}
 }
 
-func firstDiff(a, b string) string {
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(al) && i < len(bl); i++ {
-		if al[i] != bl[i] {
-			return fmt.Sprintf("line %d:\n  got:        %s\n  exhaustive: %s", i+1, al[i], bl[i])
+func firstDiff(got, want string) string {
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			return fmt.Sprintf("line %d:\n  got:    %s\n  golden: %s", i+1, gl[i], wl[i])
 		}
 	}
-	return fmt.Sprintf("trace lengths differ: %d vs %d lines", len(al), len(bl))
+	return fmt.Sprintf("lengths differ: got %d lines, golden %d lines", len(gl), len(wl))
 }

@@ -94,7 +94,7 @@ type Options struct {
 	// knowledge-based allocator), AllocLeftEdge, or AllocNaive.
 	Allocator string
 	// Core configures the DAA allocator (trace/cleanup ablations, extra
-	// rules, firing trace, matcher mode). Ignored by the baselines.
+	// rules, firing trace, matcher cross-check). Ignored by the baselines.
 	Core core.Options
 	// Alloc configures the baseline allocators. Ignored by the DAA.
 	Alloc alloc.Options

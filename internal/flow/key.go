@@ -27,8 +27,8 @@ func (in Input) ContentHash() [sha256.Size]byte {
 // Key canonicalizes the options that determine a compilation's result into
 // a stable string: equal option sets always produce equal keys, and
 // distinct option sets (different allocator, scheduler, ablations, matcher
-// mode, scheduler limits, cost model, fold slack, or emit/cosim stage
-// selection) never share one. Key is built from the canonical knob
+// cross-check, scheduler limits, cost model, fold slack, or emit/cosim
+// stage selection) never share one. Key is built from the canonical knob
 // encoding (Options.Knobs), so defaults are normalized — the zero Options
 // and an explicit {Allocator: "daa"} key identically — and result caches
 // keyed by (Input.ContentHash, Options.Key) hit across equivalent
@@ -45,16 +45,18 @@ func (in Input) ContentHash() [sha256.Size]byte {
 // Cacheable; NoCache is a compilation-path toggle that never changes the
 // result and is excluded.
 //
-// The "lite=false" fragment is a literal: it once named a second
-// incremental matcher, since removed. Every design-cache, shard and
-// explain key in service (and the golden keys) carries it, so dropping it
+// The "exhaustive=false" and "lite=false" fragments are literals: they
+// once named an exhaustive driving mode of the engine and a second
+// incremental matcher, both since removed (the exhaustive matcher survives
+// only as the crosscheck oracle). Every design-cache, shard and explain
+// key in service (and the golden keys) carries them, so dropping them
 // would silently split every cache and reshuffle cluster routing.
 func (o Options) Key() string {
 	k := o.Knobs()
 	var b strings.Builder
 	fmt.Fprintf(&b, "alloc=%s", k["allocator"])
-	fmt.Fprintf(&b, ";trace-rules=%s;cleanup=%s;exhaustive=%s;lite=false;crosscheck=%s;journal=%s",
-		k["trace-rules"], k["cleanup"], k["exhaustive"], k["crosscheck"], k["journal"])
+	fmt.Fprintf(&b, ";trace-rules=%s;cleanup=%s;exhaustive=false;lite=false;crosscheck=%s;journal=%s",
+		k["trace-rules"], k["cleanup"], k["crosscheck"], k["journal"])
 	if v := k["scheduler"]; v != sched.SchedList {
 		fmt.Fprintf(&b, ";scheduler=%s", v)
 	}

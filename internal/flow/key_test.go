@@ -32,7 +32,6 @@ func TestOptionsKeyDistinct(t *testing.T) {
 		"naive":            {Allocator: flow.AllocNaive},
 		"no-cleanup":       {Core: core.Options{DisableCleanup: true}},
 		"no-trace-rules":   {Core: core.Options{DisableTraceRules: true}},
-		"exhaustive":       {Core: core.Options{ExhaustiveMatch: true}},
 		"crosscheck":       {Core: core.Options{CrossCheckMatch: true}},
 		"mem-ports":        {Core: core.Options{Limits: sched.Limits{MemPorts: 2}}},
 		"max-ops":          {Core: core.Options{Limits: sched.Limits{MaxOpsPerStep: 3}}},

@@ -3,11 +3,11 @@ package flow
 // The knob space is the unified, enumerable view of every synthesis option
 // that shapes a compilation result: allocator and scheduler selection,
 // resource limits, cost-model weights, the ALU-fold threshold, the
-// trace/cleanup ablations, matcher modes, and the emit/cosim stages. Each
-// knob has a wire name, a typed domain, a canonical default, and string
-// get/set accessors over Options, so the whole space round-trips through
-// plain map[string]string — the form /v1/explore grids, daa -explore specs,
-// and Options.Key all build on.
+// trace/cleanup ablations, the matcher cross-check, and the emit/cosim
+// stages. Each knob has a wire name, a typed domain, a canonical default,
+// and string get/set accessors over Options, so the whole space
+// round-trips through plain map[string]string — the form /v1/explore
+// grids, daa -explore specs, and Options.Key all build on.
 //
 // The NoCache toggle, which never changes the result, and live state a
 // string cannot carry (Core.Trace, Core.ExtraRules) are deliberately
@@ -363,9 +363,6 @@ func buildKnobRegistry() []Knob {
 		boolKnob("cleanup", "run the final global-improvement phase", true,
 			func(o *Options) bool { return !o.Core.DisableCleanup },
 			func(o *Options, v bool) { o.Core.DisableCleanup = !v }),
-		boolKnob("exhaustive", "re-match the full conflict set every engine cycle (debug baseline)", false,
-			func(o *Options) bool { return o.Core.ExhaustiveMatch },
-			func(o *Options, v bool) { o.Core.ExhaustiveMatch = v }),
 		boolKnob("crosscheck", "run the Rete network and the exhaustive matcher in lockstep, halting on divergence", false,
 			func(o *Options) bool { return o.Core.CrossCheckMatch },
 			func(o *Options, v bool) { o.Core.CrossCheckMatch = v }),

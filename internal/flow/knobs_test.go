@@ -73,7 +73,6 @@ func TestEachKnobMovesKey(t *testing.T) {
 		"scheduler":     "asap",
 		"trace-rules":   "false",
 		"cleanup":       "false",
-		"exhaustive":    "true",
 		"crosscheck":    "true",
 		"journal":       "true",
 		"memports":      "2",
@@ -135,9 +134,9 @@ func TestEachKnobMovesKey(t *testing.T) {
 
 func TestApplyKnobsRejectsBadInput(t *testing.T) {
 	var o flow.Options
-	// "lite" named a matcher that no longer exists; the key keeps its
-	// fragment, but the knob is gone.
-	for _, name := range []string{"warp-speed", "lite"} {
+	// "lite" and "exhaustive" named matcher modes that no longer exist;
+	// the key keeps their fragments, but the knobs are gone.
+	for _, name := range []string{"warp-speed", "lite", "exhaustive"} {
 		if err := o.ApplyKnobs(map[string]string{name: "9"}); err == nil || !strings.Contains(err.Error(), "unknown knob") {
 			t.Errorf("unknown knob %s accepted: %v", name, err)
 		}
@@ -197,7 +196,7 @@ func FuzzKnobRoundTrip(f *testing.F) {
 	f.Add("fold-slack=3.5;cost.reg=9;units=add:2+sub:1")
 	f.Add("cosim=true;cosim-seed=42;journal=true")
 	f.Add("cost.fn=add:16+xor:2;maxops=4;cleanup=false")
-	f.Add("emit=true;exhaustive=true;cost.state=0")
+	f.Add("emit=true;crosscheck=true;cost.state=0")
 	f.Fuzz(func(t *testing.T, spec string) {
 		assignment := map[string]string{}
 		for _, term := range strings.Split(spec, ";") {

@@ -24,8 +24,8 @@ type agenda struct {
 	// until a Modify gives it a new key.
 	fired map[refraction]bool
 
-	// seeding defers ordering while resync rebuilds the network: entries
-	// are appended as derived and sorted once at the end.
+	// seeding defers ordering while the network's first full match runs:
+	// entries are appended as derived and sorted once at the end.
 	seeding bool
 }
 
@@ -106,14 +106,7 @@ func (a *agenda) best() *Match {
 	return nil
 }
 
-// reset empties the agenda and starts seeding; fired is kept.
-func (a *agenda) reset() {
-	clear(a.q)
-	a.q = a.q[:0]
-	a.seeding = true
-}
-
-// seeded sorts the entries queued since reset and ends seeding.
+// seeded sorts the entries queued while seeding and ends seeding.
 func (a *agenda) seeded() {
 	a.seeding = false
 	var kx, ky recencyRank

@@ -13,40 +13,28 @@ import (
 // from the same memory — so each WM change is classified once, not once
 // per rule.
 //
-// Membership is versioned within a batch: applyBatch assigns each
-// add/remove event a sequence number, and entries record the interval
-// [addSeq, delSeq) during which they are members. Beta join nodes filter
-// entries by the sequence number of the event they are processing, so a
-// join at event s sees exactly the memberships that held after event s —
-// regardless of how many later events the same batch carries. Attribute
-// values are NOT versioned: WM mutation has already completed when the
-// batch is applied, so all matchers (exhaustive included) read final
-// values; only membership needs ordering, to avoid duplicate or missed
-// token derivations. Memories compact back to plain sets after each batch.
+// A memory is a plain set of the elements passing its tests. The network
+// applies a batch one change at a time (rete.go): each change updates the
+// memories of its class and right-activates their nodes before the next
+// change is taken, so every join sees exactly the memberships that hold
+// after the changes before it. Attribute values are not replayed: WM
+// mutation has completed when the batch is applied, so alpha tests and
+// joins read final values, and the value indexes are refiled under final
+// values before the batch's first change.
 
-// memEntry is one element's membership interval within an alpha memory.
-type memEntry struct {
-	el     *Element
-	addSeq int // event that added it; 0 = present before this batch
-	delSeq int // event that removed it; 0 = still a member
-}
-
-// missingKey files entries whose element lacks the indexed attribute. The
+// missingKey files members whose element lacks the indexed attribute. The
 // type is private, so it can never compare equal to a bound slot value and
-// those entries are invisible to every hashed probe — exactly the join
+// those members are invisible to every hashed probe — exactly the join
 // semantics (a join test requires the attribute present).
 type missingKey struct{}
 
-// memIndex is a hash index over a memory's entries by one attribute's
+// memIndex is a hash index over a memory's members by one attribute's
 // value, maintained for beta nodes whose first join tests equality on that
-// attribute. Buckets hold entry positions; probes still filter by
-// visibility. Keys track the FINAL attribute values of the batch (apply
-// reindexes on every Modify before classifying it), matching the batch
-// semantics that joins read final values and only membership is versioned.
+// attribute.
 type memIndex struct {
 	attr   string
-	keys   []any         // parallel to entries: the key each is filed under
-	bucket map[any][]int // key -> entry positions
+	keys   []any // parallel to the memory's els: the key each is filed under
+	bucket map[any][]*Element
 }
 
 func indexKey(el *Element, attr string) any {
@@ -56,53 +44,29 @@ func indexKey(el *Element, attr string) any {
 	return missingKey{}
 }
 
-func (ix *memIndex) file(i int, k any) {
+// file indexes el as the memory's newest member.
+func (ix *memIndex) file(el *Element) {
+	k := indexKey(el, ix.attr)
 	ix.keys = append(ix.keys, k)
-	ix.bucket[k] = append(ix.bucket[k], i)
+	ix.bucket[k] = append(ix.bucket[k], el)
 }
 
-// drop unfiles position i from its bucket.
-func (ix *memIndex) drop(i int) {
-	b := ix.bucket[ix.keys[i]]
-	for j, e := range b {
-		if e == i {
+// unfile removes el from the bucket for k.
+func (ix *memIndex) unfile(k any, el *Element) {
+	b := ix.bucket[k]
+	for j, x := range b {
+		if x == el {
 			last := len(b) - 1
 			b[j] = b[last]
-			ix.bucket[ix.keys[i]] = b[:last]
+			ix.bucket[k] = b[:last]
 			return
 		}
 	}
 }
 
-// refile moves entry i to the bucket for its current key.
-func (ix *memIndex) refile(i int, k any) {
-	ix.drop(i)
-	ix.keys[i] = k
-	ix.bucket[k] = append(ix.bucket[k], i)
-}
-
-// renumber records that the entry filed at position from now lives at
-// position to (compaction swap-remove).
-func (ix *memIndex) renumber(from, to int) {
-	k := ix.keys[from]
-	b := ix.bucket[k]
-	for j, e := range b {
-		if e == from {
-			b[j] = to
-			break
-		}
-	}
-	ix.keys[to] = k
-}
-
-// visible reports membership as of event s.
-func (en *memEntry) visible(s int) bool {
-	return en.addSeq <= s && (en.delSeq == 0 || en.delSeq > s)
-}
-
-// alphaTest is one interned constant test with a per-element-event result
-// cache: gen is bumped once per (element, batch event), so a test shared
-// by many memories evaluates once per element change.
+// alphaTest is one interned constant test with a per-element-change result
+// cache: gen is bumped once per element change, so a test shared by many
+// memories evaluates once per element change.
 type alphaTest struct {
 	id   int
 	fn   func(*Element) bool
@@ -111,26 +75,31 @@ type alphaTest struct {
 }
 
 // alphaMem is one shared alpha memory: the elements of a class passing a
-// set of constant tests.
+// set of constant tests, and the beta nodes they feed.
 type alphaMem struct {
-	id    int
-	class string
 	tests []*alphaTest
 
-	entries []memEntry
-	idx     map[*Element]int // element -> live entry index
-	dirty   bool             // has versioned entries needing compaction
+	els     []*Element       // members, in no particular order
+	pos     map[*Element]int // member -> position in els
 	indexes []*memIndex      // value indexes requested by hashed join nodes
 
 	// testAttrs is the set of attributes the memory's own tests read; a
 	// Modify changing none of them cannot flip membership.
 	testAttrs map[string]bool
 
-	patterns int // patterns served (sharing statistic)
+	// succs lists the nodes fed by the memory, grouped by rule in
+	// registration order, each rule's nodes deepest first.
+	succs []memSucc
+}
+
+// memSucc is one rule's nodes on a memory.
+type memSucc struct {
+	rr    *reteRule
+	nodes []*betaNode
 }
 
 // eval applies the memory's tests to an element, short-circuiting on the
-// first failure. gen must have been bumped once for this element event.
+// first failure. gen must have been bumped once for this element change.
 func (mem *alphaMem) eval(el *Element, net *alphaNet) bool {
 	for _, t := range mem.tests {
 		if t.gen != net.gen {
@@ -146,122 +115,72 @@ func (mem *alphaMem) eval(el *Element, net *alphaNet) bool {
 }
 
 func (mem *alphaMem) has(el *Element) bool {
-	_, ok := mem.idx[el]
+	_, ok := mem.pos[el]
 	return ok
 }
 
-// add appends a membership entry. seq 0 marks seeding-time entries that
-// need no compaction.
-func (mem *alphaMem) add(el *Element, seq int) {
-	i := len(mem.entries)
-	mem.idx[el] = i
-	mem.entries = append(mem.entries, memEntry{el: el, addSeq: seq})
+func (mem *alphaMem) add(el *Element) {
+	mem.pos[el] = len(mem.els)
+	mem.els = append(mem.els, el)
 	for _, ix := range mem.indexes {
-		ix.file(i, indexKey(el, ix.attr))
-	}
-	if seq != 0 {
-		mem.dirty = true
+		ix.file(el)
 	}
 }
 
-// del closes the element's membership interval at seq.
-func (mem *alphaMem) del(el *Element, seq int) {
-	i := mem.idx[el]
-	delete(mem.idx, el)
-	mem.entries[i].delSeq = seq
-	mem.dirty = true
-}
-
-// compact drops closed intervals and zeroes sequence numbers once a batch
-// is fully propagated. Closed entries are swap-removed — cost proportional
-// to the batch's churn, not the memory's size — with the value indexes
-// renumbered in place. Entry order is therefore not insertion order, which
-// is fine: conflict resolution is a total order, so derivation order never
+// del swap-removes a member. Member order is not insertion order, which is
+// fine: conflict resolution is a total order, so derivation order never
 // shows in selection.
-func (mem *alphaMem) compact() {
-	if !mem.dirty {
-		return
+func (mem *alphaMem) del(el *Element) {
+	i := mem.pos[el]
+	delete(mem.pos, el)
+	last := len(mem.els) - 1
+	if i != last {
+		mem.els[i] = mem.els[last]
+		mem.pos[mem.els[i]] = i
 	}
-	for i := 0; i < len(mem.entries); {
-		en := &mem.entries[i]
-		if en.delSeq == 0 {
-			en.addSeq = 0
-			i++
-			continue
-		}
-		for _, ix := range mem.indexes {
-			ix.drop(i)
-		}
-		last := len(mem.entries) - 1
-		if i != last {
-			mem.entries[i] = mem.entries[last]
-			for _, ix := range mem.indexes {
-				ix.renumber(last, i)
-			}
-			if mem.entries[i].delSeq == 0 {
-				mem.idx[mem.entries[i].el] = i
-			}
-			// The moved entry may itself be closed; re-examine position i.
-		}
-		mem.entries = mem.entries[:last]
-		for _, ix := range mem.indexes {
-			ix.keys = ix.keys[:last]
-		}
-	}
-	mem.dirty = false
-}
-
-// reset empties the memory (resync after the exhaustive matcher drove
-// the engine).
-func (mem *alphaMem) reset() {
-	mem.entries = mem.entries[:0]
-	clear(mem.idx)
-	mem.dirty = false
+	mem.els[last] = nil
+	mem.els = mem.els[:last]
 	for _, ix := range mem.indexes {
-		ix.keys = ix.keys[:0]
-		clear(ix.bucket)
+		ix.unfile(ix.keys[i], el)
+		ix.keys[i] = ix.keys[last]
+		ix.keys = ix.keys[:last]
 	}
 }
 
-// index returns the value index over attr, nil if none was requested.
-func (mem *alphaMem) index(attr string) *memIndex {
+// ensureIndex returns the value index over attr, building it from the
+// current members on first request (the memory may predate the
+// requesting rule).
+func (mem *alphaMem) ensureIndex(attr string) *memIndex {
 	for _, ix := range mem.indexes {
 		if ix.attr == attr {
 			return ix
 		}
 	}
-	return nil
-}
-
-// ensureIndex registers a value index over attr, building it from the
-// current entries (the memory may predate the requesting rule).
-func (mem *alphaMem) ensureIndex(attr string) *memIndex {
-	if ix := mem.index(attr); ix != nil {
-		return ix
-	}
-	ix := &memIndex{attr: attr, bucket: map[any][]int{}}
-	for i := range mem.entries {
-		ix.file(i, indexKey(mem.entries[i].el, attr))
+	ix := &memIndex{attr: attr, bucket: map[any][]*Element{}}
+	for _, el := range mem.els {
+		ix.file(el)
 	}
 	mem.indexes = append(mem.indexes, ix)
 	return ix
 }
 
-// reindexEl refiles a live entry under its element's current attribute
-// values. apply calls it for every Modify against a member element, before
-// classifying the change, so hashed probes — which read final values like
-// every other join path — never consult a stale bucket.
+// reindexEl refiles a member under its element's current attribute values.
+// rete.apply calls it for every Modify of a batch before taking the first
+// change, so hashed probes — which read final values like every other join
+// path — never consult a stale bucket.
 func (mem *alphaMem) reindexEl(el *Element) {
 	if len(mem.indexes) == 0 {
 		return
 	}
-	i, ok := mem.idx[el]
+	i, ok := mem.pos[el]
 	if !ok {
 		return
 	}
 	for _, ix := range mem.indexes {
 		if k := indexKey(el, ix.attr); k != ix.keys[i] {
-			ix.refile(i, k)
+			ix.unfile(ix.keys[i], el)
+			ix.keys[i] = k
+			ix.bucket[k] = append(ix.bucket[k], el)
 		}
 	}
 }
@@ -271,11 +190,10 @@ type alphaNet struct {
 	tests    map[alphaKey]*alphaTest
 	nTests   int
 	memBySig map[string]*alphaMem
-	memList  []*alphaMem // registration order (deterministic seeding)
-	byClass  map[string][]*alphaMem
+	byClass  map[string][]*alphaMem // registration order within a class
 
-	gen        uint64 // per-(element, event) generation for the test cache
-	batchEvals int    // constant-test evaluations this batch
+	gen        uint64 // per-element-change generation for the test cache
+	batchEvals int    // constant-test evaluations not yet folded into the metrics
 }
 
 func newAlphaNet() *alphaNet {
@@ -325,10 +243,8 @@ func (net *alphaNet) memFor(class string, specs []alphaSpec, wm *WM, seeded bool
 		return mem
 	}
 	mem := &alphaMem{
-		id:        len(net.memList),
-		class:     class,
 		tests:     tests,
-		idx:       map[*Element]int{},
+		pos:       map[*Element]int{},
 		testAttrs: map[string]bool{},
 	}
 	for _, s := range specs {
@@ -338,13 +254,12 @@ func (net *alphaNet) memFor(class string, specs []alphaSpec, wm *WM, seeded bool
 		}
 	}
 	net.memBySig[sig.String()] = mem
-	net.memList = append(net.memList, mem)
 	net.byClass[class] = append(net.byClass[class], mem)
 	if seeded {
 		for _, el := range wm.byClass[class] {
 			net.gen++
 			if mem.eval(el, net) {
-				mem.add(el, 0)
+				mem.add(el)
 			}
 		}
 	}
@@ -363,7 +278,7 @@ func (net *alphaNet) seed(wm *WM) {
 			net.gen++
 			for _, mem := range mems {
 				if mem.eval(el, net) {
-					mem.add(el, 0)
+					mem.add(el)
 				}
 			}
 		}

@@ -97,74 +97,39 @@ func (t *token) blocked() bool { return len(t.negMatches) > 0 }
 
 // --- per-rule beta operations (methods on reteRule, defined in rete.go) ---
 
-// leftActivate matches a new left token against the node's memory as of
-// event s and extends the chain. Hashed nodes probe the memory's value
-// index with the token's bound slot instead of scanning every entry.
-func (rr *reteRule) leftActivate(n *betaNode, left *token, s int) {
-	entries := n.mem.entries
-	var hits []int
+// leftActivate matches a new left token against the node's memory and
+// extends the chain. Hashed nodes probe the memory's value index with the
+// token's bound slot instead of scanning every member.
+func (rr *reteRule) leftActivate(n *betaNode, left *token) {
+	els := n.mem.els
 	if n.hashed {
-		hits = n.memIdx.bucket[left.binds[n.hashSlot]]
+		els = n.memIdx.bucket[left.binds[n.hashSlot]]
 	}
 	if n.neg {
 		t := rr.newToken()
 		t.node, t.parent, t.binds = n, left, left.binds
-		if n.hashed {
-			for _, i := range hits {
-				en := &entries[i]
-				if !en.visible(s) {
-					continue
-				}
-				rr.stats.joinTests++
-				if n.pass(left.binds, en.el) {
-					t.negMatches = append(t.negMatches, en.el)
-				}
-			}
-		} else {
-			for i := range entries {
-				en := &entries[i]
-				if !en.visible(s) {
-					continue
-				}
-				rr.stats.joinTests++
-				if n.pass(left.binds, en.el) {
-					t.negMatches = append(t.negMatches, en.el)
-				}
+		for _, el := range els {
+			rr.stats.joinTests++
+			if n.pass(left.binds, el) {
+				t.negMatches = append(t.negMatches, el)
 			}
 		}
 		rr.attach(n, left, t)
 		if !t.blocked() {
-			rr.downstream(n, t, s)
+			rr.downstream(n, t)
 		}
 		return
 	}
-	if n.hashed {
-		for _, i := range hits {
-			en := &entries[i]
-			if !en.visible(s) {
-				continue
-			}
-			rr.stats.joinTests++
-			if n.pass(left.binds, en.el) {
-				rr.extend(n, left, en.el, s)
-			}
-		}
-		return
-	}
-	for i := range entries {
-		en := &entries[i]
-		if !en.visible(s) {
-			continue
-		}
+	for _, el := range els {
 		rr.stats.joinTests++
-		if n.pass(left.binds, en.el) {
-			rr.extend(n, left, en.el, s)
+		if n.pass(left.binds, el) {
+			rr.extend(n, left, el)
 		}
 	}
 }
 
 // extend derives the token joining left with el at a positive node.
-func (rr *reteRule) extend(n *betaNode, left *token, el *Element, s int) {
+func (rr *reteRule) extend(n *betaNode, left *token, el *Element) {
 	binds := left.binds
 	if len(n.projs) > 0 {
 		// Binding vectors are uniformly len(slotNames), so any recycled one
@@ -184,7 +149,7 @@ func (rr *reteRule) extend(n *betaNode, left *token, el *Element, s int) {
 	t := rr.newToken()
 	t.node, t.parent, t.el, t.binds, t.time = n, left, el, binds, el.Time
 	rr.attach(n, left, t)
-	rr.downstream(n, t, s)
+	rr.downstream(n, t)
 }
 
 func (rr *reteRule) attach(n *betaNode, left *token, t *token) {
@@ -259,24 +224,23 @@ func unfile(m map[any][]*token, k any, t *token) {
 
 // downstream continues propagation past n, or emits a match at the last
 // level.
-func (rr *reteRule) downstream(n *betaNode, t *token, s int) {
+func (rr *reteRule) downstream(n *betaNode, t *token) {
 	if n.next == nil {
 		rr.addMatch(t)
 		return
 	}
-	rr.leftActivate(n.next, t, s)
+	rr.leftActivate(n.next, t)
 }
 
-// rightAssert handles an element entering n's alpha memory at event s.
-// The element is already in the memory (visible at s); joining against
-// stored left tokens derives exactly the new tokens. Nodes are processed
-// in descending level order per event (rete.go), so a left token created
-// by THIS event at an earlier level has already joined the full memory —
-// including this element — via leftActivate, and is not yet stored when
-// this node runs: no duplicates on self-joins. Hashed nodes probe the
-// token indexes with the element's join-attribute value instead of
-// scanning the level.
-func (rr *reteRule) rightAssert(n *betaNode, el *Element, s int) {
+// rightAssert handles an element entering n's alpha memory. The element is
+// already in the memory; joining against stored left tokens derives
+// exactly the new tokens. A rule's nodes on one memory are activated
+// deepest first (rete.go), so a left token created by THIS change at an
+// earlier level has already joined the full memory — including this
+// element — via leftActivate, and is not yet stored when this node runs:
+// no duplicates on self-joins. Hashed nodes probe the token indexes with
+// the element's join-attribute value instead of scanning the level.
+func (rr *reteRule) rightAssert(n *betaNode, el *Element) {
 	if n.neg {
 		cands := n.tokens
 		if n.hashed {
@@ -314,13 +278,13 @@ func (rr *reteRule) rightAssert(n *betaNode, el *Element, s int) {
 		}
 		rr.stats.joinTests++
 		if n.pass(left.binds, el) {
-			rr.extend(n, left, el, s)
+			rr.extend(n, left, el)
 		}
 	}
 }
 
-// rightRetract handles an element leaving n's alpha memory at event s.
-func (rr *reteRule) rightRetract(n *betaNode, el *Element, s int) {
+// rightRetract handles an element leaving n's alpha memory.
+func (rr *reteRule) rightRetract(n *betaNode, el *Element) {
 	if n.neg {
 		for _, t := range n.tokens {
 			if t.dead {
@@ -334,7 +298,7 @@ func (rr *reteRule) rightRetract(n *betaNode, el *Element, s int) {
 				t.negMatches[i] = t.negMatches[last]
 				t.negMatches = t.negMatches[:last]
 				if last == 0 {
-					rr.downstream(n, t, s)
+					rr.downstream(n, t)
 				}
 				break
 			}

@@ -49,12 +49,12 @@ func (r *Rule) Specificity() int {
 // the join work downstream of the memories it touched. The network also
 // keeps the agenda (agenda.go): the unspent instantiations in conflict-
 // resolution order, so a cycle reads the best one instead of scanning the
-// conflict set. Exhaustive swaps in the original strategy, re-matching and
-// ranking everything every cycle (exhaustive.go). CrossCheck runs the two
-// in lockstep and panics if they ever select a different instantiation,
-// which is how the equivalence tests pin the network down. Conflict
-// resolution is a total order over instantiations, so equal conflict sets
-// force equal selections whichever matcher built them.
+// conflict set. CrossCheck runs the exhaustive matcher (exhaustive.go),
+// which re-derives and ranks every instantiation from scratch, in lockstep
+// and panics if it ever selects a different instantiation, which is how
+// the equivalence tests pin the network down. Conflict resolution is a
+// total order over instantiations, so equal conflict sets force equal
+// selections whichever matcher built them.
 type Engine struct {
 	WM    *WM
 	rules []*Rule
@@ -68,12 +68,10 @@ type Engine struct {
 	Interrupt func() error
 	// TraceWriter, when non-nil, receives one line per firing.
 	TraceWriter io.Writer
-	// Exhaustive recomputes every rule's instantiations on every cycle
-	// (the pre-incremental behavior), for comparison and debugging.
-	Exhaustive bool
-	// CrossCheck runs the Rete network and the exhaustive matcher in
+	// CrossCheck runs the exhaustive matcher beside the Rete network in
 	// lockstep and panics on any divergence in the selected instantiation.
-	// It is a verification mode: roughly the cost of both matchers.
+	// It is a verification mode: it costs a full re-match per cycle and
+	// charges none of it to the metrics.
 	CrossCheck bool
 	// Apply, when non-nil, executes registered host effects on behalf of
 	// Tx.Do. Hosts install one dispatcher mapping effect names to appliers;
@@ -86,19 +84,15 @@ type Engine struct {
 	cycles     int
 	matchCalls int
 
-	// pending buffers WM change notifications between cycles; seeded
-	// flips after the first batch, whose changes describe the initial WM
-	// that the network's first full match observes directly.
+	// pending buffers WM change notifications between cycles.
 	pending []Change
-	seeded  bool
 
-	// rete is the match network and agenda its selection order;
-	// reteSynced tracks whether their state reflects the live WM (it goes
-	// stale while Exhaustive drives the engine, and resyncs on re-entry).
-	// The agenda also owns the refraction record both matchers consult.
-	rete       *rete
-	agenda     agenda
-	reteSynced bool
+	// rete is the match network and agenda its selection order. The
+	// agenda also owns the refraction record both matchers consult;
+	// oracle is CrossCheck's exhaustive matcher, made on first use.
+	rete   *rete
+	agenda agenda
+	oracle *oracle
 
 	// Journal-recording state: jr is the journal being filled (nil when
 	// recording is off), jrEnc the host value encoder, cur the firing
@@ -306,43 +300,30 @@ func refractionKey(m *Match) refraction {
 //
 // The Rete matcher applies refraction when it queues an instantiation and
 // keeps the agenda sorted by rules 2-4, so it reads the top entry whose
-// Where passes; the exhaustive matcher ranks every instantiation afresh.
+// Where passes; the exhaustive oracle ranks every instantiation afresh.
 // The ordering is total over distinct instantiations (two matches of one
 // rule with identical elements are the same instantiation), so both
 // matchers necessarily agree; CrossCheck asserts it anyway.
 func (e *Engine) selectMatch() *Match {
 	e.applyChanges()
+	m := e.selectRete(true)
 	if e.CrossCheck {
-		m := e.selectRete(true)
-		exh := e.selectExhaustive(false)
-		if !sameInstantiation(m, exh) {
+		if exh := e.selectExhaustive(); !sameInstantiation(m, exh) {
 			panic(fmt.Sprintf("prod: cross-check divergence at cycle %d:\n  rete:       %s\n  exhaustive: %s",
 				e.cycles, describeMatch(m), describeMatch(exh)))
 		}
-		return m
 	}
-	if e.Exhaustive {
-		return e.selectExhaustive(true)
-	}
-	return e.selectRete(true)
+	return m
 }
 
-// applyChanges drains the buffered WM notifications into the Rete network
-// when the current mode reads it, and marks it stale otherwise so a flip
-// back from Exhaustive resynchronizes instead of reading outdated state.
+// applyChanges drains the buffered WM notifications into the Rete network.
+// The first call seeds the network from live WM instead: the changes
+// buffered until then describe the initial WM, which the first full match
+// observes directly.
 func (e *Engine) applyChanges() {
-	if !e.seeded {
-		// The buffered changes describe the seeding of the initial WM,
-		// which the network's first full match observes directly.
-		e.seeded = true
-		e.pending = e.pending[:0]
-	}
 	switch {
-	case e.Exhaustive && !e.CrossCheck:
-		e.reteSynced = false
-	case !e.reteSynced:
-		e.rete.resync(e)
-		e.reteSynced = true
+	case !e.rete.seeded:
+		e.rete.seed(e)
 	case len(e.pending) > 0:
 		e.rete.apply(e, e.pending)
 	}
@@ -473,10 +454,9 @@ func betterRank(m *Match, k *recencyRank, best *Match, bk *recencyRank) bool {
 	return false
 }
 
-// MatchCount reports how many pattern tests the matcher has executed
-// (alpha constant-test evaluations plus beta join tests for the Rete
-// network; interpreted test counts for the exhaustive matcher); exposed
-// for the engine benchmarks and the observability layer.
+// MatchCount reports how many pattern tests the Rete network has executed
+// (alpha constant-test evaluations plus beta join tests); exposed for the
+// engine benchmarks and the observability layer.
 func (e *Engine) MatchCount() int { return e.matchCalls }
 
 // KnowledgeStats describes a rule set for reporting (experiment E1).

@@ -486,8 +486,9 @@ func TestEngineRecencyLIFOProperty(t *testing.T) {
 	}
 }
 
-// Property: the (class, attr, value) index agrees with a brute-force scan
-// after arbitrary interleavings of Make, Modify, and Remove.
+// Property: the exhaustive oracle's (class, attr, value) index, built over
+// the working memory after arbitrary interleavings of Make, Modify, and
+// Remove, agrees with a brute-force scan.
 func TestIndexConsistencyProperty(t *testing.T) {
 	f := func(ops []uint32) bool {
 		wm := NewWM()
@@ -509,6 +510,7 @@ func TestIndexConsistencyProperty(t *testing.T) {
 				}
 			}
 		}
+		o := newOracle(wm)
 		for k := 0; k < 7; k++ {
 			want := 0
 			for _, e := range wm.Class("x") {
@@ -516,8 +518,14 @@ func TestIndexConsistencyProperty(t *testing.T) {
 					want++
 				}
 			}
-			if got := len(wm.lookup("x", "k", k)); got != want {
+			got := o.lookup("x", "k", k)
+			if len(got) != want {
 				return false
+			}
+			for _, e := range got {
+				if !e.Live() || e.Int("k") != k {
+					return false
+				}
 			}
 		}
 		return true

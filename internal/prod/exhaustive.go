@@ -1,21 +1,24 @@
 package prod
 
-import "time"
-
 // The exhaustive matcher re-enumerates every rule's instantiations from
-// scratch on every cycle: the original strategy, kept as Engine.Exhaustive
-// and as the reference leg of the CrossCheck lockstep. It stores nothing
-// between cycles, so it is the one oracle the Rete network is checked
-// against (the conflict-set property tests diff against enumerate too).
+// scratch: the original strategy, kept only as the reference leg of the
+// CrossCheck lockstep and as the oracle the conflict-set property tests
+// diff the Rete network against. Nothing it derives outlives a selection,
+// and it charges nothing to the engine's metrics.
 
 // selectExhaustive picks the next instantiation by re-enumerating every
-// rule. count is true when Exhaustive mode drives selection; CrossCheck's
-// reference runs pass false so they do not perturb the match statistics.
-func (e *Engine) selectExhaustive(count bool) *Match {
+// rule over the current working memory. The engine keeps one oracle, so
+// each selection's index reuses the previous one's storage.
+func (e *Engine) selectExhaustive() *Match {
+	if e.oracle == nil {
+		e.oracle = newOracle(e.WM)
+	}
+	o := e.oracle
+	o.gen++
 	var best *Match
 	var bestRank recencyRank
 	for _, r := range e.rules {
-		e.enumerate(r, count, func(m *Match) {
+		o.enumerate(r, func(m *Match) {
 			if r.Where != nil && !r.Where(m) {
 				return
 			}
@@ -33,20 +36,61 @@ func (e *Engine) selectExhaustive(count bool) *Match {
 	return best
 }
 
-// enumerate yields every instantiation of r's patterns under the current
-// working memory, in deterministic candidate order. Where is *not* applied
-// here: it is a per-cycle test, evaluated at selection time. Candidate
-// elements per pattern come from the narrowest applicable index: an Eq
-// test, or a Bind test whose variable is already bound, hashes directly to
-// the matching elements. Negated patterns test the full working memory.
-//
-// With count, the pattern tests and the wall time (yield included) are
-// charged to the engine's and the rule's match counters.
-func (e *Engine) enumerate(r *Rule, count bool, yield func(*Match)) {
-	var t0 time.Time
-	if count {
-		t0 = time.Now()
+// oracle is the exhaustive matcher over a working memory. Its (class,
+// attribute, value) index is rebuilt lazily for each selection, one
+// (class, attribute) at a time, the first time a pattern could narrow its
+// candidates with it, so working-memory updates never maintain it.
+type oracle struct {
+	wm  *WM
+	gen uint64 // the current selection; bumped by the caller between selections
+	idx map[classAttr]*attrIndex
+}
+
+type classAttr struct{ class, attr string }
+
+// attrIndex maps one (class, attribute)'s values to the elements holding
+// them, as of selection gen.
+type attrIndex struct {
+	gen   uint64
+	byVal map[any][]*Element
+}
+
+func newOracle(wm *WM) *oracle {
+	return &oracle{wm: wm, gen: 1, idx: map[classAttr]*attrIndex{}}
+}
+
+// lookup returns the live elements of class whose attr equals val.
+func (o *oracle) lookup(class, attr string, val any) []*Element {
+	k := classAttr{class, attr}
+	ix := o.idx[k]
+	if ix == nil {
+		ix = &attrIndex{byVal: map[any][]*Element{}}
+		o.idx[k] = ix
 	}
+	if ix.gen != o.gen {
+		// Truncate rather than clear, so the buckets keep their storage.
+		ix.gen = o.gen
+		//daalint:allow detmap truncating every bucket is order-independent
+		for v, els := range ix.byVal {
+			ix.byVal[v] = els[:0]
+		}
+		for _, el := range o.wm.byClass[class] {
+			if v, ok := el.lookup(attr); ok {
+				ix.byVal[v] = append(ix.byVal[v], el)
+			}
+		}
+	}
+	return ix.byVal[val]
+}
+
+// enumerate yields every instantiation of r's patterns under the working
+// memory, in deterministic candidate order, and returns the number of
+// pattern tests it made. Where is *not* applied here: it is a per-cycle
+// test, evaluated at selection time. Candidate elements per pattern come
+// from the narrowest applicable index: an Eq test, or a Bind test whose
+// variable is already bound, hashes directly to the matching elements; a
+// negated pattern fails on its first matching candidate.
+func (o *oracle) enumerate(r *Rule, yield func(*Match)) int {
 	var env bindings
 	els := make([]*Element, 0, len(r.Patterns))
 	tested := 0
@@ -57,7 +101,7 @@ func (e *Engine) enumerate(r *Rule, count bool, yield func(*Match)) {
 			return
 		}
 		p := r.Patterns[pi]
-		candidates := e.candidates(p, &env)
+		candidates := o.candidates(p, &env)
 		if p.Negated {
 			for _, el := range candidates {
 				tested++
@@ -80,18 +124,13 @@ func (e *Engine) enumerate(r *Rule, count bool, yield func(*Match)) {
 		}
 	}
 	rec(0)
-	if count {
-		rm := &e.met.rules[r.index]
-		e.matchCalls += tested
-		rm.matchCalls += tested
-		rm.matchTime += time.Since(t0)
-	}
+	return tested
 }
 
-// candidates returns the narrowest element set the working-memory indexes
-// offer for a pattern under the current bindings.
-func (e *Engine) candidates(p Pattern, b *bindings) []*Element {
-	best := e.WM.byClass[p.Class]
+// candidates returns the narrowest element set the indexes offer for a
+// pattern under the current bindings.
+func (o *oracle) candidates(p Pattern, b *bindings) []*Element {
+	best := o.wm.byClass[p.Class]
 	for _, t := range p.tests {
 		if len(best) <= 2 {
 			break // already narrow; further hashing costs more than it saves
@@ -109,7 +148,7 @@ func (e *Engine) candidates(p Pattern, b *bindings) []*Element {
 		default:
 			continue
 		}
-		if set := e.WM.lookup(p.Class, t.attr, key); len(set) < len(best) {
+		if set := o.lookup(p.Class, t.attr, key); len(set) < len(best) {
 			best = set
 		}
 	}

@@ -50,12 +50,8 @@ func instKey(m *Match) string {
 }
 
 // conflictSet returns rule i's instantiations as the Rete network holds
-// them; nil while the network is stale, since the exhaustive matcher
-// keeps no conflict set.
+// them.
 func (e *Engine) conflictSet(i int) []*Match {
-	if !e.reteSynced {
-		return nil
-	}
 	rr := e.rete.rules[i]
 	var out []*Match
 	for _, t := range rr.nodes[len(rr.nodes)-1].tokens {
@@ -80,15 +76,16 @@ func instantiationSet(e *Engine) []string {
 }
 
 // exhaustiveMatches enumerates the conflict set with the exhaustive
-// interpreted matcher over the same working memory and rules.
+// oracle over the same working memory and rules.
 func exhaustiveMatches(wm *WM, rules []*Rule) []*Match {
-	ref := NewEngine(wm)
+	ref := NewEngine(wm) // finalizes the rules' patterns
 	for _, r := range rules {
 		ref.AddRule(r)
 	}
+	o := newOracle(wm)
 	var out []*Match
 	for _, r := range ref.rules {
-		ref.enumerate(r, false, func(m *Match) { out = append(out, m) })
+		o.enumerate(r, func(m *Match) { out = append(out, m) })
 	}
 	return out
 }
@@ -364,16 +361,16 @@ func TestCrossCheckTokenWorkload(t *testing.T) {
 	}
 }
 
-// Exhaustive mode must produce the identical firing trace to the default
-// incremental matcher.
-func TestExhaustiveTraceEquivalence(t *testing.T) {
-	runTrace := func(exhaustive bool) string {
+// A cross-checked run must produce the identical firing trace to a plain
+// one: the exhaustive leg only watches.
+func TestCrossCheckTraceEquivalence(t *testing.T) {
+	runTrace := func(crossCheck bool) string {
 		wm := NewWM()
 		for i := 0; i < 20; i++ {
 			wm.Make("a", Attrs{"k": i % 4, "g": i % 3})
 		}
 		eng := NewEngine(wm)
-		eng.Exhaustive = exhaustive
+		eng.CrossCheck = crossCheck
 		var sb strings.Builder
 		eng.TraceWriter = &sb
 		eng.AddRule(&Rule{
@@ -395,11 +392,11 @@ func TestExhaustiveTraceEquivalence(t *testing.T) {
 		}
 		return sb.String()
 	}
-	inc, exh := runTrace(false), runTrace(true)
-	if inc != exh {
-		t.Errorf("traces diverge:\nincremental:\n%s\nexhaustive:\n%s", inc, exh)
+	plain, cross := runTrace(false), runTrace(true)
+	if plain != cross {
+		t.Errorf("traces diverge:\nplain:\n%s\ncross-checked:\n%s", plain, cross)
 	}
-	if inc == "" {
+	if plain == "" {
 		t.Fatal("empty trace")
 	}
 }

@@ -15,7 +15,7 @@ type engineMetrics struct {
 	added       int
 	invalidated int
 
-	// Rete network activity (zero when only the exhaustive matcher ran).
+	// Rete network activity.
 	alphaEvals    int
 	joinTests     int
 	tokenAsserts  int
@@ -74,7 +74,7 @@ type RuleMetrics struct {
 	Name        string
 	Category    string
 	Firings     int           // times the rule fired
-	Rebuilds    int           // from-scratch activations (seeding, resync)
+	Rebuilds    int           // from-scratch activations (seeding, late AddRule)
 	Deltas      int           // incremental updates seeded on changed elements
 	MatchCalls  int           // pattern tests executed on its behalf
 	MatchTime   time.Duration // wall time spent matching it
@@ -123,9 +123,9 @@ type Metrics struct {
 	Rules []RuleMetrics // per-rule breakdown, registration order
 }
 
-// Metrics returns a snapshot of the engine's observability counters.
-// Conflict-set statistics are only populated by the incremental matcher
-// (the default); match calls and timings cover whichever matcher ran.
+// Metrics returns a snapshot of the engine's observability counters. They
+// describe the Rete network's work; CrossCheck's exhaustive leg adds
+// nothing to them.
 func (e *Engine) Metrics() Metrics {
 	m := Metrics{
 		Cycles:       e.cycles,
@@ -139,7 +139,7 @@ func (e *Engine) Metrics() Metrics {
 		SeriesStride: e.met.stride,
 
 		AlphaTests:    e.rete.alpha.nTests,
-		AlphaMems:     len(e.rete.alpha.memList),
+		AlphaMems:     len(e.rete.alpha.memBySig),
 		AlphaPatterns: e.rete.patterns,
 		AlphaEvals:    e.met.alphaEvals,
 		JoinTests:     e.met.joinTests,
@@ -155,10 +155,6 @@ func (e *Engine) Metrics() Metrics {
 	m.Rules = make([]RuleMetrics, len(e.rules))
 	for i, r := range e.rules {
 		c := e.met.rules[i]
-		size := 0 // the exhaustive matcher keeps no conflict set
-		if e.reteSynced {
-			size = e.rete.rules[i].size
-		}
 		m.MatchTime += c.matchTime
 		m.Rules[i] = RuleMetrics{
 			Name:        r.Name,
@@ -170,7 +166,7 @@ func (e *Engine) Metrics() Metrics {
 			MatchTime:   c.matchTime,
 			Added:       c.added,
 			Invalidated: c.invalidated,
-			Size:        size,
+			Size:        e.rete.rules[i].size,
 		}
 	}
 	return m

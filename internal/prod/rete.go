@@ -2,19 +2,17 @@ package prod
 
 import "time"
 
-// rete is the engine's full discrimination network (the default matcher).
-// The alpha layer classifies each WM change once across all rules; the
-// beta layer stores partial-match tokens so only the join work downstream
-// of an affected memory reruns. Batches are applied in two phases:
-//
-//  1. alpha phase: each pending Change is classified against the shared
-//     memories, producing an ordered event list (assert / retract /
-//     touch) with per-event sequence numbers and versioned membership.
-//  2. beta phase: every rule replays the event list against its private
-//     token state, queueing and dequeueing its instantiations on the
-//     engine's agenda. Rules share nothing else but the memories and
-//     elements, which the phase only reads, and the agenda's order is
-//     total, so per-rule propagation is order-independent across rules.
+// rete is the engine's full discrimination network. The alpha layer
+// classifies each WM change once across all rules; the beta layer stores
+// partial-match tokens so only the join work downstream of an affected
+// memory reruns. A batch is applied one change at a time: each change
+// updates every alpha memory of its class, and each memory it enters,
+// leaves or stays in right-activates the nodes it feeds before the next
+// memory and the next change are taken. Every join therefore reads the
+// memberships that hold at that point of the batch, with no versioning.
+// The nodes queue and dequeue their rules' instantiations on the engine's
+// agenda, whose order is total, so the order in which rules are activated
+// never shows in selection.
 //
 // Conflict resolution then reads the top of the agenda.
 
@@ -23,28 +21,19 @@ type rete struct {
 	rules []*reteRule
 
 	seeded   bool
-	seq      int // event sequence within the current batch
-	events   []alphaEvent
-	dirty    []*alphaMem // memories needing compaction after the batch
+	touched  []*reteRule // rules right-activated by the current batch
+	clock    time.Time   // the current batch's last match-time read
 	patterns int         // compiled patterns (sharing statistic)
 }
 
-type alphaEventKind uint8
+// memChange is what one WM change did to one alpha memory.
+type memChange uint8
 
 const (
-	evAssert alphaEventKind = iota
-	evRetract
-	evTouch // membership kept through a Modify (attrs: the changed ones)
+	memAdd   memChange = iota // the element entered the memory
+	memDel                    // the element left it
+	memTouch                  // the element stayed through a Modify
 )
-
-// alphaEvent is one classified WM change against one memory.
-type alphaEvent struct {
-	seq   int
-	kind  alphaEventKind
-	mem   *alphaMem
-	el    *Element
-	attrs []string // evTouch: the changed attributes
-}
 
 // reteRule is one rule's beta chain, its token state, and its batch-local
 // counters.
@@ -53,11 +42,6 @@ type reteRule struct {
 	r     *Rule
 	cr    *compiledRule
 	nodes []*betaNode
-	// byMem lists the rule's nodes per alpha-memory id, descending level
-	// order. Dense by mem id — the per-(rule, event) dispatch is a slice
-	// index, not a map probe. Memories created by later rules have ids past
-	// the slice end, which correctly reads as "not watched".
-	byMem [][]*betaNode
 
 	root      *token
 	rootSlice []*token
@@ -68,14 +52,6 @@ type reteRule struct {
 	free      []*token // recycled tokens (token churn is the hot path)
 	bindsFree [][]any  // recycled binding vectors (all len(slotNames))
 	stats     reteBatchStats
-}
-
-// nodesFor returns the rule's nodes on mem, innermost (deepest) first.
-func (rr *reteRule) nodesFor(mem *alphaMem) []*betaNode {
-	if mem.id >= len(rr.byMem) {
-		return nil
-	}
-	return rr.byMem[mem.id]
 }
 
 // newToken takes a token from the rule's free list, or allocates one.
@@ -90,7 +66,7 @@ func (rr *reteRule) newToken() *token {
 }
 
 // reteBatchStats accumulates one rule's work during a batch; folded into
-// the engine metrics after the beta phase.
+// the engine metrics at the end of the batch.
 type reteBatchStats struct {
 	joinTests            int
 	asserts, retracts    int
@@ -114,7 +90,6 @@ func (rt *rete) addRule(r *Rule, e *Engine) {
 	var prev *betaNode
 	for _, cp := range cr.pats {
 		mem := rt.alpha.memFor(cp.class, cp.alphas, e.WM, rt.seeded)
-		mem.patterns++
 		rt.patterns++
 		n := &betaNode{
 			mem:   mem,
@@ -142,74 +117,55 @@ func (rt *rete) addRule(r *Rule, e *Engine) {
 		rr.nodes = append(rr.nodes, n)
 		prev = n
 	}
-	maxID := 0
-	for _, n := range rr.nodes {
-		if n.mem.id > maxID {
-			maxID = n.mem.id
-		}
-	}
-	rr.byMem = make([][]*betaNode, maxID+1)
+	// Register the nodes with their memories, deepest first. All of this
+	// rule's nodes are added here, so its entry on each memory is one run.
 	for i := len(rr.nodes) - 1; i >= 0; i-- {
 		n := rr.nodes[i]
-		rr.byMem[n.mem.id] = append(rr.byMem[n.mem.id], n)
+		mem := n.mem
+		if k := len(mem.succs) - 1; k >= 0 && mem.succs[k].rr == rr {
+			mem.succs[k].nodes = append(mem.succs[k].nodes, n)
+		} else {
+			mem.succs = append(mem.succs, memSucc{rr: rr, nodes: []*betaNode{n}})
+		}
 	}
 	rt.rules = append(rt.rules, rr)
 	if rt.seeded {
 		t0 := time.Now()
-		rr.leftActivate(rr.nodes[0], rr.root, 0)
+		rr.leftActivate(rr.nodes[0], rr.root)
 		rr.stats.elapsed = time.Since(t0)
 		rt.foldRule(e, rr, true)
 	}
 }
 
-// resync rebuilds the network state and the agenda from live working
-// memory: initial seeding, and re-entry after Exhaustive drove the engine.
-// The agenda is sorted once, after every rule has been activated.
-func (rt *rete) resync(e *Engine) {
-	e.agenda.reset()
-	defer e.agenda.seeded()
-	for _, mem := range rt.alpha.memList {
-		mem.reset()
-	}
-	rt.alpha.batchEvals = 0
+// seed runs the network's first full match over live working memory and
+// sorts the agenda once, after every rule has been activated.
+func (rt *rete) seed(e *Engine) {
+	e.agenda.seeding = true
 	rt.alpha.seed(e.WM)
 	rt.seeded = true
-	evals := rt.alpha.batchEvals
-	rt.alpha.batchEvals = 0
-	e.matchCalls += evals
-	e.met.alphaEvals += evals
+	rt.foldAlphaEvals(e)
 	for _, rr := range rt.rules {
-		for _, n := range rr.nodes {
-			// Sweep the discarded tokens (and their owned binding vectors)
-			// into the rule's free lists before rebuilding.
-			for _, t := range n.tokens {
-				if t.el != nil && len(n.projs) > 0 {
-					rr.bindsFree = append(rr.bindsFree, t.binds)
-				}
-				rr.free = append(rr.free, t)
-			}
-			n.tokens = n.tokens[:0]
-			// Drop the lazy token indexes; the next probe rebuilds them.
-			n.succIdx = nil
-			n.negIdx = nil
-			n.elIdx = nil
-		}
-		rr.root.children = rr.root.children[:0]
-		rr.size = 0
-		rr.stats = reteBatchStats{}
 		t0 := time.Now()
-		rr.leftActivate(rr.nodes[0], rr.root, 0)
+		rr.leftActivate(rr.nodes[0], rr.root)
 		rr.stats.elapsed = time.Since(t0)
 		rt.foldRule(e, rr, true)
 	}
+	e.agenda.seeded()
 }
 
-// apply propagates one batch of WM changes through the network.
+// apply propagates one batch of WM changes through the network, one change
+// at a time.
 func (rt *rete) apply(e *Engine, changes []Change) {
-	// Phase 1: classify each change against the shared memories.
-	rt.seq = 0
-	rt.events = rt.events[:0]
-	rt.dirty = rt.dirty[:0]
+	// Refile the modified members first: hashed probes at every change of
+	// the batch read final attribute values, like all joins.
+	for _, ch := range changes {
+		if ch.Kind == ChangeModify {
+			for _, mem := range rt.alpha.byClass[ch.El.Class] {
+				mem.reindexEl(ch.El)
+			}
+		}
+	}
+	rt.clock = time.Now()
 	for _, ch := range changes {
 		el := ch.El
 		mems := rt.alpha.byClass[el.Class]
@@ -217,93 +173,81 @@ func (rt *rete) apply(e *Engine, changes []Change) {
 			continue
 		}
 		rt.alpha.gen++
-		switch ch.Kind {
-		case ChangeMake:
-			for _, mem := range mems {
+		for _, mem := range mems {
+			switch ch.Kind {
+			case ChangeMake:
 				// AddRule-time population may already hold the element.
 				if !mem.has(el) && mem.eval(el, rt.alpha) {
-					rt.emit(evAssert, mem, el, nil)
+					mem.add(el)
+					rt.activate(mem, memAdd, el, nil)
 				}
-			}
-		case ChangeRemove:
-			for _, mem := range mems {
+			case ChangeRemove:
 				if mem.has(el) {
-					rt.emit(evRetract, mem, el, nil)
+					mem.del(el)
+					rt.activate(mem, memDel, el, nil)
 				}
-			}
-		case ChangeModify:
-			for _, mem := range mems {
-				// Keep value indexes filed under final attribute values
-				// before any membership decision: hashed probes at every
-				// event of this batch read final values, like all joins.
-				mem.reindexEl(el)
+			case ChangeModify:
 				wasIn := mem.has(el)
-				if !memTestsTouch(mem, ch.Attrs) {
-					// Membership can't flip, but joins may care, and the
-					// new time tag re-ranks the element's instantiations
-					// even when nothing they were matched on changed.
-					if wasIn {
-						rt.emit(evTouch, mem, el, ch.Attrs)
-					}
-					continue
+				nowIn := wasIn
+				if memTestsTouch(mem, ch.Attrs) {
+					nowIn = mem.eval(el, rt.alpha)
 				}
-				nowIn := mem.eval(el, rt.alpha)
 				switch {
 				case wasIn && !nowIn:
-					rt.emit(evRetract, mem, el, nil)
+					mem.del(el)
+					rt.activate(mem, memDel, el, nil)
 				case !wasIn && nowIn:
-					rt.emit(evAssert, mem, el, nil)
-				case wasIn && nowIn:
-					rt.emit(evTouch, mem, el, ch.Attrs)
+					mem.add(el)
+					rt.activate(mem, memAdd, el, nil)
+				case wasIn:
+					// Membership held, but joins may care, and the new
+					// time tag re-ranks the element's instantiations even
+					// when nothing they were matched on changed.
+					rt.activate(mem, memTouch, el, ch.Attrs)
 				}
 			}
 		}
 	}
-	evals := rt.alpha.batchEvals
-	rt.alpha.batchEvals = 0
-	e.matchCalls += evals
-	e.met.alphaEvals += evals
-
-	// Phase 2: replay the event list per rule. Timing chains one clock
-	// read per touched rule: each touched rule is charged the span since
-	// the previous read, which folds the (nanosecond-scale) relevance
-	// scans of untouched rules in between into its figure but keeps the
-	// total exact.
-	if len(rt.events) > 0 {
-		t0 := time.Now()
-		for _, rr := range rt.rules {
-			if rr.processEvents(rt.events) {
-				t1 := time.Now()
-				rr.stats.elapsed += t1.Sub(t0)
-				t0 = t1
-			}
-		}
+	rt.foldAlphaEvals(e)
+	for _, rr := range rt.touched {
+		rt.foldRule(e, rr, false)
 	}
-
-	// Fold counters and compact memories.
-	for _, rr := range rt.rules {
-		if rr.stats.touched {
-			rt.foldRule(e, rr, false)
-		}
-	}
-	for _, mem := range rt.dirty {
-		mem.compact()
-	}
+	rt.touched = rt.touched[:0]
 }
 
-// emit records one event, applying the membership change to the memory.
-func (rt *rete) emit(kind alphaEventKind, mem *alphaMem, el *Element, attrs []string) {
-	rt.seq++
-	switch kind {
-	case evAssert:
-		mem.add(el, rt.seq)
-	case evRetract:
-		mem.del(el, rt.seq)
+// activate right-activates the nodes mem feeds with one change of el's
+// membership, rule by rule and each rule's nodes deepest first. Match time
+// chains one clock read per activated rule: each is charged the span since
+// the previous read of the batch, which folds the alpha work in between
+// into its figure but keeps the batch's total exact.
+func (rt *rete) activate(mem *alphaMem, kind memChange, el *Element, attrs []string) {
+	for _, sc := range mem.succs {
+		rr := sc.rr
+		if !rr.stats.touched {
+			rr.stats.touched = true
+			rt.touched = append(rt.touched, rr)
+		}
+		for _, n := range sc.nodes {
+			switch kind {
+			case memAdd:
+				rr.rightAssert(n, el)
+			case memDel:
+				rr.rightRetract(n, el)
+			case memTouch:
+				switch {
+				case n.touches(attrs):
+					// Rebuilt tokens carry the new time tag.
+					rr.rightRetract(n, el)
+					rr.rightAssert(n, el)
+				case !n.neg:
+					rr.restamp(n, el)
+				}
+			}
+		}
+		now := time.Now()
+		rr.stats.elapsed += now.Sub(rt.clock)
+		rt.clock = now
 	}
-	if mem.dirty && (len(rt.dirty) == 0 || rt.dirty[len(rt.dirty)-1] != mem) {
-		rt.dirty = append(rt.dirty, mem)
-	}
-	rt.events = append(rt.events, alphaEvent{seq: rt.seq, kind: kind, mem: mem, el: el, attrs: attrs})
 }
 
 // memTestsTouch reports whether any of the memory's own tests read one of
@@ -317,43 +261,12 @@ func memTestsTouch(mem *alphaMem, attrs []string) bool {
 	return false
 }
 
-// processEvents replays a batch's event list against one rule's chain and
-// reports whether the rule was touched. Timing is the caller's job: clock
-// reads are expensive enough to show in profiles, so rete.apply chains a
-// single read per touched rule instead of bracketing every call here.
-func (rr *reteRule) processEvents(evs []alphaEvent) bool {
-	relevant := false
-	for i := range evs {
-		if len(rr.nodesFor(evs[i].mem)) > 0 {
-			relevant = true
-			break
-		}
-	}
-	if !relevant {
-		return false
-	}
-	rr.stats.touched = true
-	for i := range evs {
-		ev := &evs[i]
-		for _, n := range rr.nodesFor(ev.mem) { // descending level
-			switch ev.kind {
-			case evAssert:
-				rr.rightAssert(n, ev.el, ev.seq)
-			case evRetract:
-				rr.rightRetract(n, ev.el, ev.seq)
-			case evTouch:
-				switch {
-				case n.touches(ev.attrs):
-					// Rebuilt tokens carry the new time tag.
-					rr.rightRetract(n, ev.el, ev.seq)
-					rr.rightAssert(n, ev.el, ev.seq)
-				case !n.neg:
-					rr.restamp(n, ev.el)
-				}
-			}
-		}
-	}
-	return true
+// foldAlphaEvals moves the constant-test evaluations made since the last
+// fold into the engine metrics.
+func (rt *rete) foldAlphaEvals(e *Engine) {
+	e.matchCalls += rt.alpha.batchEvals
+	e.met.alphaEvals += rt.alpha.batchEvals
+	rt.alpha.batchEvals = 0
 }
 
 // foldRule moves a rule's batch counters into the engine metrics.

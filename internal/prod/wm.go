@@ -11,26 +11,23 @@
 // specificity, then declaration order — and fires it, until no
 // instantiation is left to fire or a rule halts the engine.
 //
-// The default matcher is a compiled Rete network (rete.go, alpha.go,
-// beta.go, compile.go): each rule's left-hand side is compiled at AddRule
-// time into interned alpha constant tests feeding shared alpha memories,
-// and a chain of beta join nodes holding partial-match tokens — negated
-// patterns become negative nodes carrying per-token blocker lists. The
-// working memory emits a change notification for every Make, Modify, and
-// Remove; between firings the network propagates only those deltas, so
-// match work is proportional to change, not to working-memory size. The
-// same deltas keep the agenda (agenda.go) — the instantiations refraction
-// has not spent, sorted by the rest of the order — so selection reads its
-// top instead of ranking the conflict set.
+// The matcher is a compiled Rete network (rete.go, alpha.go, beta.go,
+// compile.go): each rule's left-hand side is compiled at AddRule time into
+// interned alpha constant tests feeding shared alpha memories, and a chain
+// of beta join nodes holding partial-match tokens — negated patterns
+// become negative nodes carrying per-token blocker lists. The working
+// memory emits a change notification for every Make, Modify, and Remove;
+// between firings the network propagates only those changes, one at a
+// time, so match work is proportional to change, not to working-memory
+// size. The same changes keep the agenda (agenda.go) — the instantiations
+// refraction has not spent, sorted by the rest of the order — so selection
+// reads its top instead of ranking the conflict set.
 //
-// One interpreted matcher is kept alongside it: Engine.Exhaustive
-// recomputes and ranks the conflict set from scratch each cycle
-// (exhaustive.go).
-// Conflict-resolution semantics — refraction, recency, specificity,
-// declaration order — are bit-for-bit identical across the two, and
-// Engine.CrossCheck runs them in lockstep, diffing the selected
-// instantiation every cycle. See Engine.Metrics for the per-rule
-// match-cost and network observability this enables.
+// One interpreted matcher is kept as an oracle: it recomputes and ranks
+// the conflict set from scratch (exhaustive.go), and Engine.CrossCheck
+// runs it in lockstep with the network, diffing the selected instantiation
+// every cycle. See Engine.Metrics for the per-rule match-cost and network
+// observability the network reports.
 package prod
 
 import (
@@ -162,14 +159,13 @@ type Change struct {
 	Attrs []string
 }
 
-// WM is a working memory: the set of live elements, indexed by class and —
-// for fast joins — by every (class, attribute, value) triple. Attribute
-// values must therefore be comparable Go values (ints, strings, bools,
-// pointers); storing a non-comparable value (slice, map, function) panics
-// with the class and attribute named.
+// WM is a working memory: the set of live elements, indexed by class. The
+// matchers hash attribute values (the Rete network's join indexes, the
+// oracle's candidate index), so they must be comparable Go values (ints,
+// strings, bools, pointers); storing a non-comparable value (slice, map,
+// function) panics with the class and attribute named.
 type WM struct {
 	byClass   map[string][]*Element
-	byAttr    map[attrKey][]*Element
 	observers []func(Change)
 	nextID    int
 	clock     int
@@ -177,14 +173,9 @@ type WM struct {
 	peak      int
 }
 
-type attrKey struct {
-	class, attr string
-	val         any
-}
-
 // NewWM returns an empty working memory.
 func NewWM() *WM {
-	return &WM{byClass: map[string][]*Element{}, byAttr: map[attrKey][]*Element{}}
+	return &WM{byClass: map[string][]*Element{}}
 }
 
 // Observe registers f to receive every subsequent working-memory change.
@@ -200,8 +191,8 @@ func (w *WM) notify(c Change) {
 
 // checkAttrValue rejects non-comparable attribute values up front: they
 // would otherwise surface later as an opaque "hash of unhashable type"
-// runtime panic inside the (class, attr, value) index or the old == v
-// comparison in Modify.
+// runtime panic inside a matcher's value index or the old == v comparison
+// in Modify.
 func checkAttrValue(class, attr string, v any) {
 	if v == nil {
 		return
@@ -212,8 +203,8 @@ func checkAttrValue(class, attr string, v any) {
 }
 
 // sortedKeys returns the attribute names in sorted order so attribute
-// slots, index entries, and change notifications are independent of Go's
-// randomized map iteration.
+// slots and change notifications are independent of Go's randomized map
+// iteration.
 func (a Attrs) sortedKeys() []string {
 	keys := make([]string, 0, len(a))
 	for k := range a {
@@ -232,7 +223,6 @@ func (w *WM) Make(class string, attrs Attrs) *Element {
 		if v := attrs[k]; v != nil {
 			checkAttrValue(class, k, v)
 			e.set(k, v)
-			w.index(e, k, v)
 		}
 	}
 	w.byClass[class] = append(w.byClass[class], e)
@@ -242,27 +232,6 @@ func (w *WM) Make(class string, attrs Attrs) *Element {
 	}
 	w.notify(Change{Kind: ChangeMake, El: e})
 	return e
-}
-
-func (w *WM) index(e *Element, attr string, val any) {
-	k := attrKey{e.Class, attr, val}
-	w.byAttr[k] = append(w.byAttr[k], e)
-}
-
-func (w *WM) unindex(e *Element, attr string, val any) {
-	k := attrKey{e.Class, attr, val}
-	list := w.byAttr[k]
-	for i, x := range list {
-		if x == e {
-			w.byAttr[k] = append(list[:i], list[i+1:]...)
-			return
-		}
-	}
-}
-
-// lookup returns the live elements of class whose attr equals val.
-func (w *WM) lookup(class, attr string, val any) []*Element {
-	return w.byAttr[attrKey{class, attr, val}]
 }
 
 // Modify updates attributes of a live element and bumps its recency tag.
@@ -278,11 +247,8 @@ func (w *WM) Modify(e *Element, attrs Attrs) {
 		v := attrs[k]
 		checkAttrValue(e.Class, k, v)
 		old, had := e.lookup(k)
-		if had {
-			if old == v {
-				continue
-			}
-			w.unindex(e, k, old)
+		if had && old == v {
+			continue
 		}
 		if v == nil {
 			if !had {
@@ -291,7 +257,6 @@ func (w *WM) Modify(e *Element, attrs Attrs) {
 			e.unset(k)
 		} else {
 			e.set(k, v)
-			w.index(e, k, v)
 		}
 		changed = append(changed, k)
 	}
@@ -311,9 +276,6 @@ func (w *WM) Remove(e *Element) {
 			w.byClass[e.Class] = append(class[:i], class[i+1:]...)
 			break
 		}
-	}
-	for _, s := range e.attrs {
-		w.unindex(e, s.key, s.val)
 	}
 	w.notify(Change{Kind: ChangeRemove, El: e})
 }

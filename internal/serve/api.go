@@ -71,8 +71,6 @@ type RequestOptions struct {
 	NoTraceRules bool `json:"noTraceRules,omitempty"`
 	// NoCleanup skips the DAA's global-improvement phase.
 	NoCleanup bool `json:"noCleanup,omitempty"`
-	// Exhaustive disables incremental conflict-set maintenance.
-	Exhaustive bool `json:"exhaustive,omitempty"`
 	// MaxOpsPerStep caps total operators per control step (0 = no cap).
 	MaxOpsPerStep int `json:"maxOpsPerStep,omitempty"`
 	// MemPorts caps accesses per memory per step (0 = single-ported).
@@ -110,7 +108,6 @@ func (o RequestOptions) flowOptions() (flow.Options, error) {
 			Limits:            lim,
 			DisableTraceRules: o.NoTraceRules,
 			DisableCleanup:    o.NoCleanup,
-			ExhaustiveMatch:   o.Exhaustive,
 			Journal:           o.Provenance,
 		},
 		Cosim:     o.Verify,

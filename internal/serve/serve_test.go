@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -316,18 +317,36 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// TestDeadlineExceededInterruptsEngine synthesizes the MCS6502 with the
-// slow exhaustive matcher under a deadline far shorter than the run, and
-// observes on the process-wide engine-cycle counter that the
-// recognize-act loop stopped early instead of running to completion.
+// slowCompiles substitutes s's compilation with one that, once the
+// returned switch is on, runs the engine under CrossCheck: the exhaustive
+// oracle then re-matches every rule on every cycle, which makes each cycle
+// expensive enough that a short deadline or an early disconnect lands
+// mid-synthesis. The firing sequence, and so the cycle count, is the same
+// either way.
+func slowCompiles(s *Server) *atomic.Bool {
+	var on atomic.Bool
+	real := s.synthesize
+	s.synthesize = func(ctx context.Context, in flow.Input, opt flow.Options) (*flow.Result, error) {
+		if on.Load() {
+			opt.Core.CrossCheckMatch = true
+		}
+		return real(ctx, in, opt)
+	}
+	return &on
+}
+
+// TestDeadlineExceededInterruptsEngine synthesizes the MCS6502 under
+// CrossCheck with a deadline far shorter than the run, and observes on the
+// process-wide engine-cycle counter that the recognize-act loop stopped
+// early instead of running to completion.
 func TestDeadlineExceededInterruptsEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mcs6502 synthesis in -short mode")
 	}
 	s, ts := newTestServer(t, Config{})
+	slow := slowCompiles(s)
 
-	// Reference: a complete run's cycle count (matcher-independent — the
-	// incremental and exhaustive engines fire identically).
+	// Reference: a complete run's cycle count.
 	req := benchRequest(t, "mcs6502")
 	req.NoCache = true
 	c0 := prod.TotalEngineCycles()
@@ -340,10 +359,9 @@ func TestDeadlineExceededInterruptsEngine(t *testing.T) {
 		t.Fatal("reference run advanced no engine cycles")
 	}
 
-	// Deadlined run: exhaustive matching makes each cycle expensive, so a
-	// 25ms deadline lands mid-synthesis (a full exhaustive run takes
-	// hundreds of ms).
-	req.Options.Exhaustive = true
+	// Deadlined run: a 25ms deadline lands mid-synthesis (a full
+	// cross-checked run takes hundreds of ms).
+	slow.Store(true)
 	req.DeadlineMS = 25
 	c1 := prod.TotalEngineCycles()
 	resp, body = postJSON(t, ts.URL+"/v1/synthesize", req)
@@ -370,6 +388,7 @@ func TestClientCancelInterruptsEngine(t *testing.T) {
 		t.Skip("mcs6502 synthesis in -short mode")
 	}
 	s, ts := newTestServer(t, Config{})
+	slow := slowCompiles(s)
 
 	req := benchRequest(t, "mcs6502")
 	req.NoCache = true
@@ -380,7 +399,7 @@ func TestClientCancelInterruptsEngine(t *testing.T) {
 	}
 	fullCycles := prod.TotalEngineCycles() - c0
 
-	req.Options.Exhaustive = true
+	slow.Store(true)
 	payload, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
