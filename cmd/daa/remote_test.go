@@ -67,20 +67,29 @@ func newStacks(t *testing.T) []stack {
 }
 
 func TestRemoteReportMatchesLocal(t *testing.T) {
+	cases := []struct{ bench, allocator string }{
+		{"gcd", "daa"},
+		{"mcs6502", "leftedge"},
+		{"mcs6502", "naive"},
+	}
 	for _, st := range newStacks(t) {
 		t.Run(st.name, func(t *testing.T) {
-			var local, remote strings.Builder
-			if err := run(&local, options{benchName: "gcd", allocator: "daa"}); err != nil {
-				t.Fatal(err)
-			}
-			if err := run(&remote, options{benchName: "gcd", allocator: "daa", remote: st.url}); err != nil {
-				t.Fatal(err)
-			}
-			// The report block is shared; the local run additionally prints the
-			// value-trace header, which remote mode omits.
-			if !strings.Contains(local.String(), remote.String()) {
-				t.Errorf("remote report is not embedded in local output:\n--- local ---\n%s\n--- remote ---\n%s",
-					local.String(), remote.String())
+			for _, c := range cases {
+				t.Run(c.bench+"/"+c.allocator, func(t *testing.T) {
+					var local, remote strings.Builder
+					if err := run(&local, options{benchName: c.bench, allocator: c.allocator}); err != nil {
+						t.Fatal(err)
+					}
+					if err := run(&remote, options{benchName: c.bench, allocator: c.allocator, remote: st.url}); err != nil {
+						t.Fatal(err)
+					}
+					// The report block is shared; the local run additionally prints the
+					// value-trace header, which remote mode omits.
+					if !strings.Contains(local.String(), remote.String()) {
+						t.Errorf("remote report is not embedded in local output:\n--- local ---\n%s\n--- remote ---\n%s",
+							local.String(), remote.String())
+					}
+				})
 			}
 		})
 	}

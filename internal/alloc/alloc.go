@@ -188,7 +188,6 @@ func packRegisters(d *rtl.Design) {
 	}
 	sort.Strings(bodies)
 	var tracks []*track
-	assign := map[*vt.Value]*track{}
 	for _, body := range bodies {
 		vals := byBody[body]
 		sort.Slice(vals, func(i, j int) bool {
@@ -219,14 +218,12 @@ func packRegisters(d *rtl.Design) {
 				tr.width = v.Width
 			}
 			tr.vals = append(tr.vals, v)
-			assign[v] = tr
 		}
 	}
-	regs := map[*track]*rtl.Register{}
 	for i, tr := range tracks {
-		regs[tr] = d.AddRegister(fmt.Sprintf("t%d", i), tr.width)
-	}
-	for v, tr := range assign {
-		d.ValueReg[v] = regs[tr]
+		r := d.AddRegister(fmt.Sprintf("t%d", i), tr.width)
+		for _, v := range tr.vals {
+			d.ValueReg[v] = r
+		}
 	}
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"path/filepath"
 	"strings"
@@ -14,7 +15,8 @@ import (
 //
 //   - map iteration: `for ... range m` over a map is Go-randomized order;
 //     in scope it must either be the collect-keys-then-sort idiom (a body
-//     that only appends to a slice) or carry an allow-directive.
+//     that only appends to slices, each of which the same function sorts
+//     after the loop) or carry an allow-directive.
 //   - wall clock / global randomness: time.Now, time.Since, and anything
 //     from math/rand are flagged in the journal/replay/key/render files,
 //     where output must be a pure function of the input.
@@ -24,12 +26,13 @@ import (
 var Detmap = &Analyzer{
 	Name: "detmap",
 	Doc: "no unsorted map iteration or wall-clock/randomness in determinism-critical paths\n\n" +
-		"Scope: repro/internal/prod and repro/internal/core entirely (map ranging), plus\n" +
-		"flow key/cosim/knobs/explore and serve render/explain/shard/explore/frame files; the\n" +
-		"clock/randomness check runs in journal, replay, wire, provenance, key, render,\n" +
-		"explain, knob, and explore files. The\n" +
-		"collect-and-sort idiom (a range body that only appends) is recognized;\n" +
-		"sanctioned exceptions carry //daalint:allow detmap <reason>.",
+		"Scope: repro/internal/{prod,core,rtl,bind,alloc,cost,sched} entirely (map ranging),\n" +
+		"plus flow key/cosim/knobs/explore and serve render/explain/shard/explore/frame files;\n" +
+		"the clock/randomness check runs in journal, replay, wire, provenance, key, render,\n" +
+		"explain, knob, and explore files. The collect-and-sort idiom (a range body that\n" +
+		"only appends, followed in the same function by a sort.*, slices.Sort* or local\n" +
+		"sort* call on each collected slice) is recognized; sanctioned exceptions carry\n" +
+		"//daalint:allow detmap <reason>.",
 	Run: runDetmap,
 }
 
@@ -39,6 +42,13 @@ var Detmap = &Analyzer{
 var detmapPackages = map[string][]string{
 	"repro/internal/prod": nil, // whole package: match order is the firing order
 	"repro/internal/core": nil, // whole package: rule actions feed the journal
+	// The allocators and what they build on: their output lands in
+	// designs, reports and Verilog.
+	"repro/internal/rtl":   nil,
+	"repro/internal/bind":  nil,
+	"repro/internal/alloc": nil,
+	"repro/internal/cost":  nil,
+	"repro/internal/sched": nil,
 	// knobs.go and explore.go carry the cache-key encoding and the
 	// byte-pinned front ordering of /v1/explore.
 	"repro/internal/flow":    {"key.go", "cosim.go", "knobs.go", "explore.go"},
@@ -96,11 +106,17 @@ func runDetmap(p *Pass) error {
 		if !rangeOn && !clockOn {
 			continue
 		}
+		var stack []ast.Node // the path from f to the node being visited
 		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			stack = append(stack, n)
 			switch n := n.(type) {
 			case *ast.RangeStmt:
 				if rangeOn {
-					checkMapRange(p, n)
+					checkMapRange(p, n, enclosingBody(stack))
 				}
 			case *ast.SelectorExpr:
 				if clockOn {
@@ -113,10 +129,23 @@ func runDetmap(p *Pass) error {
 	return nil
 }
 
-// checkMapRange flags ranging over a map unless the body is the
-// collect-keys idiom (statements that only append to slices, to be sorted
-// after the loop).
-func checkMapRange(p *Pass, rs *ast.RangeStmt) {
+// enclosingBody returns the body of the innermost function on the stack.
+func enclosingBody(stack []ast.Node) *ast.BlockStmt {
+	for i := len(stack) - 1; i >= 0; i-- {
+		switch fn := stack[i].(type) {
+		case *ast.FuncDecl:
+			return fn.Body
+		case *ast.FuncLit:
+			return fn.Body
+		}
+	}
+	return nil
+}
+
+// checkMapRange flags ranging over a map unless it is the collect-then-sort
+// idiom: the loop body only appends to slices, and the enclosing function
+// body sorts each of them after the loop.
+func checkMapRange(p *Pass, rs *ast.RangeStmt, fnBody *ast.BlockStmt) {
 	t := p.TypesInfo.TypeOf(rs.X)
 	if t == nil {
 		return
@@ -124,35 +153,85 @@ func checkMapRange(p *Pass, rs *ast.RangeStmt) {
 	if _, ok := t.Underlying().(*types.Map); !ok {
 		return
 	}
-	if isCollectBody(rs.Body) {
+	collected := collectTargets(rs.Body)
+	if collected == nil {
+		p.Reportf(rs.Pos(),
+			"iteration over map %s has nondeterministic order; collect the keys, sort, and index (or annotate //daalint:allow detmap <reason>)", exprString(rs.X))
 		return
 	}
-	p.Reportf(rs.Pos(),
-		"iteration over map %s has nondeterministic order; collect the keys, sort, and index (or annotate //daalint:allow detmap <reason>)", exprString(rs.X))
+	for _, slice := range collected {
+		if !sortedAfter(p, fnBody, rs.End(), slice) {
+			p.Reportf(rs.Pos(),
+				"iteration over map %s has nondeterministic order: it collects into %s, which this function never sorts afterwards (sort it, or annotate //daalint:allow detmap <reason>)", exprString(rs.X), slice)
+			return
+		}
+	}
 }
 
-// isCollectBody reports whether every statement in the loop body is an
-// append into a slice — the order-insensitive half of the
-// collect-then-sort idiom.
-func isCollectBody(body *ast.BlockStmt) bool {
+// collectTargets returns the slices the loop body appends to when every
+// statement in it is an append — the order-insensitive half of the
+// collect-then-sort idiom — and nil otherwise.
+func collectTargets(body *ast.BlockStmt) []string {
 	if body == nil || len(body.List) == 0 {
-		return false
+		return nil
 	}
+	var out []string
 	for _, st := range body.List {
 		as, ok := st.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
-			return false
+		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+			return nil
 		}
 		call, ok := as.Rhs[0].(*ast.CallExpr)
 		if !ok {
-			return false
+			return nil
 		}
 		fn, ok := call.Fun.(*ast.Ident)
 		if !ok || fn.Name != "append" {
+			return nil
+		}
+		out = append(out, types.ExprString(as.Lhs[0]))
+	}
+	return out
+}
+
+// sortedAfter reports whether body sorts slice at a position after pos:
+// some call to a sort function, to a slices.Sort* function, or to a local
+// function whose name starts with "sort" takes slice as its first argument.
+func sortedAfter(p *Pass, body *ast.BlockStmt, pos token.Pos, slice string) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && call.Pos() > pos && len(call.Args) > 0 &&
+			isSortCall(p, call) && types.ExprString(call.Args[0]) == slice {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// isSortCall reports whether call invokes a function of package sort, a
+// slices.Sort* function, or a local function named sort*.
+func isSortCall(p *Pass, call *ast.CallExpr) bool {
+	switch fn := call.Fun.(type) {
+	case *ast.Ident:
+		return strings.HasPrefix(fn.Name, "sort")
+	case *ast.SelectorExpr:
+		x, ok := fn.X.(*ast.Ident)
+		if !ok {
 			return false
 		}
+		pkg, ok := p.TypesInfo.Uses[x].(*types.PkgName)
+		if !ok {
+			return false
+		}
+		switch pkg.Imported().Path() {
+		case "sort":
+			return true
+		case "slices":
+			return strings.HasPrefix(fn.Sel.Name, "Sort")
+		}
 	}
-	return true
+	return false
 }
 
 // checkClock flags wall-clock reads and math/rand uses.

@@ -5,6 +5,7 @@ package detmap
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 )
@@ -40,6 +41,52 @@ func sortedKeys(m map[string]int) []string {
 	sort.Strings(keys)
 	return keys
 }
+
+// unsortedKeys collects the keys but nothing sorts them, so the returned
+// slice carries the map's order.
+func unsortedKeys(m map[string]int) []string {
+	var keys []string
+	for k := range m { // want `iteration over map m has nondeterministic order: it collects into keys, which this function never sorts afterwards`
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// sortedTooEarly sorts before the loop, which does not order what the
+// loop appends.
+func sortedTooEarly(m map[string]int, keys []string) []string {
+	sort.Strings(keys)
+	for k := range m { // want `it collects into keys, which this function never sorts afterwards`
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// partlySorted collects into two slices and sorts only one of them.
+func partlySorted(m map[int]bool) ([]int, []int) {
+	var pos, neg []int
+	for k := range m { // want `it collects into neg, which this function never sorts afterwards`
+		pos = append(pos, k)
+		neg = append(neg, -k)
+	}
+	sort.Ints(pos)
+	return pos, neg
+}
+
+// helperSorted collects into two slices and sorts both: one with
+// slices.Sort, one with a local sort helper.
+func helperSorted(m map[int]bool) ([]int, []int) {
+	var pos, neg []int
+	for k := range m {
+		pos = append(pos, k)
+		neg = append(neg, -k)
+	}
+	slices.Sort(pos)
+	sortDesc(neg)
+	return pos, neg
+}
+
+func sortDesc(xs []int) { sort.Sort(sort.Reverse(sort.IntSlice(xs))) }
 
 // sliceRange: ranging over a slice is ordered and fine.
 func sliceRange(xs []int) int {

@@ -8,13 +8,18 @@
 //     every operator to its step.
 //   - CrossingValues identifies the intermediate values that outlive their
 //     producing step and therefore need holding registers.
-//   - Wire realizes every datapath transfer with links, growing or
-//     inserting multiplexers wherever a sink is shared.
+//   - Realize wires datapath transfers (rtl.Transfer): it allocates the
+//     hardwired constants and concatenation junctions a value needs, then
+//     routes each of its sources with links, growing or inserting
+//     multiplexers wherever a sink is shared. Wire realizes every transfer
+//     of a design at once.
 //
 // What distinguishes the allocators is only policy: which operators share
-// functional units and which values share holding registers. Everything
-// else — and in particular the honest accounting of links and muxes — is
-// common and lives here.
+// functional units, which values share holding registers, and, in the DAA,
+// the order of transfers and the orientation of commutative operands.
+// Everything else — which sink each operand feeds (rtl.Design.OpTransfers),
+// how a source reaches a sink (rtl.Design.FindRoute), and the honest accounting
+// of links and muxes — is common to all of them.
 package bind
 
 import (
@@ -108,40 +113,42 @@ func Lifetime(d *rtl.Design, v *vt.Value) (lo, hi int) {
 	return lo, hi
 }
 
-// Wire realizes every transfer implied by the current bindings: it
-// allocates hardwired constants and concatenation junctions, then links,
-// growing or inserting muxes when a sink endpoint is shared by several
-// sources.
+// Wire realizes every transfer implied by the current bindings, in the
+// order of rtl.Design.Transfers.
 func Wire(d *rtl.Design) error {
-	transfers, err := d.Transfers()
+	ts, err := d.Transfers()
 	if err != nil {
 		return err
 	}
-	for _, t := range transfers {
-		for _, leaf := range rtl.ConstLeaves(t.Val) {
-			d.AddConst(leaf.ConstVal, leaf.Width)
-		}
-	}
-	for _, t := range transfers {
-		if err := EnsureJunctions(d, t.Val, t.State); err != nil {
-			return fmt.Errorf("bind: %v", err)
-		}
-		srcs, err := d.ValueSources(t.Val, t.State)
+	return Realize(d, ts...)
+}
+
+// Realize wires the transfers in order: every source of each transfer's
+// value reaches its sink once Realize returns.
+func Realize(d *rtl.Design, ts ...rtl.Transfer) error {
+	for _, t := range ts {
+		srcs, err := Sources(d, t.Val, t.State)
 		if err != nil {
 			return fmt.Errorf("bind: %v", err)
 		}
 		for _, src := range srcs {
-			w := t.Val.Width
-			if sw := src.Width(); sw < w {
-				w = sw
-			}
-			if dw := t.Dst.Width(); dw < w {
-				w = dw
-			}
-			Route(d, src, t.Dst, w)
+			Route(d, src, t.Dst, min(t.Val.Width, src.Width(), t.Dst.Width()))
 		}
 	}
 	return nil
+}
+
+// Sources prepares the sources of v for a consumer in state s: it
+// allocates the hardwired constants and concatenation junctions v needs,
+// and returns the endpoints that supply v (rtl.Design.ValueSources).
+func Sources(d *rtl.Design, v *vt.Value, s *rtl.State) ([]rtl.Endpoint, error) {
+	for _, leaf := range rtl.ConstLeaves(v) {
+		d.AddConst(leaf.ConstVal, leaf.Width)
+	}
+	if err := EnsureJunctions(d, v, s); err != nil {
+		return nil, err
+	}
+	return d.ValueSources(v, s)
 }
 
 // EnsureJunctions allocates the wiring junction of every concatenation
@@ -185,23 +192,22 @@ func EnsureJunctions(d *rtl.Design, v *vt.Value, s *rtl.State) error {
 			}
 			dst := rtl.Endpoint{Kind: rtl.EPJunctionIn, Comp: j, Index: i}
 			for _, src := range srcs {
-				w := a.Width
-				if sw := src.Width(); sw < w {
-					w = sw
-				}
-				Route(d, src, dst, w)
+				Route(d, src, dst, min(a.Width, src.Width()))
 			}
 		}
 	}
 	return nil
 }
 
-// Route ensures a path of width w from src to dst, reusing and widening
-// existing links, extending an existing mux with a new way, or inserting a
-// fresh two-way mux when a directly-driven sink gains a second source.
+// Route ensures a path of width w from src to dst. It reuses and widens
+// an existing route through multiplexers; a route through a junction
+// carries a concatenation, not src alone, so it does not count. Otherwise
+// Route links src to dst directly, extends the mux already driving dst
+// with a new way, or inserts a fresh two-way mux when a directly-driven
+// sink gains a second source.
 func Route(d *rtl.Design, src, dst rtl.Endpoint, w int) {
-	if path := pathTo(d, src, dst, 0); path != nil {
-		for _, l := range path {
+	if route := d.FindRoute(src, dst, false); route != nil {
+		for _, l := range route {
 			if l.Width < w {
 				l.Width = w
 			}
@@ -239,27 +245,4 @@ func Route(d *rtl.Design, src, dst rtl.Endpoint, w int) {
 		outW = w
 	}
 	d.AddLink(rtl.Endpoint{Kind: rtl.EPMuxOut, Comp: m}, dst, outW)
-}
-
-// pathTo returns the links forming a path from src to dst through at most
-// a few mux levels, or nil.
-func pathTo(d *rtl.Design, src, dst rtl.Endpoint, depth int) []*rtl.Link {
-	if depth > 4 {
-		return nil
-	}
-	for _, l := range d.Links {
-		if l.From != src {
-			continue
-		}
-		if l.To == dst {
-			return []*rtl.Link{l}
-		}
-		if l.To.Kind == rtl.EPMuxIn {
-			m := l.To.Comp.(*rtl.Mux)
-			if rest := pathTo(d, rtl.Endpoint{Kind: rtl.EPMuxOut, Comp: m}, dst, depth+1); rest != nil {
-				return append([]*rtl.Link{l}, rest...)
-			}
-		}
-	}
-	return nil
 }

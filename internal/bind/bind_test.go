@@ -122,7 +122,7 @@ func TestRouteInsertsMuxOnSecondSource(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatalf("after mux insertion: %v", err)
 	}
-	if !d.Feeds(out(a), in(c), 0) || !d.Feeds(out(b), in(c), 0) {
+	if !d.Feeds(out(a), in(c)) || !d.Feeds(out(b), in(c)) {
 		t.Error("sources lost after mux insertion")
 	}
 }
@@ -143,6 +143,30 @@ func TestRouteGrowsExistingMux(t *testing.T) {
 	Route(d, out(a), in(c), 8)
 	if d.Muxes[0].Inputs != 3 {
 		t.Error("re-route grew the mux")
+	}
+}
+
+// TestRouteIgnoresJunctionRoutes: a route through a junction carries a
+// concatenation, not the source alone, so a sink that the source reaches
+// only through a junction still gets wiring of its own.
+func TestRouteIgnoresJunctionRoutes(t *testing.T) {
+	d, a, b, c := newPair(t)
+	j := d.AddJunction("j", 16, 2)
+	d.AddLink(out(a), rtl.Endpoint{Kind: rtl.EPJunctionIn, Comp: j, Index: 0}, 8)
+	d.AddLink(out(b), rtl.Endpoint{Kind: rtl.EPJunctionIn, Comp: j, Index: 1}, 8)
+	d.AddLink(rtl.Endpoint{Kind: rtl.EPJunctionOut, Comp: j}, in(c), 8)
+	if !d.Feeds(out(a), in(c)) || d.FindRoute(out(a), in(c), false) != nil {
+		t.Fatal("A should feed C only through the junction")
+	}
+	Route(d, out(a), in(c), 8)
+	if len(d.Muxes) != 1 || d.Muxes[0].Inputs != 2 {
+		t.Fatalf("muxes: %v, want one two-way mux in front of C", d.Muxes)
+	}
+	if d.FindRoute(out(a), in(c), false) == nil {
+		t.Error("A has no mux-only route to C after Route")
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatalf("after routing: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/bind"
 	"repro/internal/prod"
 	"repro/internal/rtl"
 	"repro/internal/vt"
@@ -355,7 +356,7 @@ func (s *synth) applyEffect(name string, args []any) (any, error) {
 		if s.prov != nil {
 			s.prov.parkRoute[v] = s.prov.cur
 		}
-		return nil, s.routePark(v)
+		return nil, bind.Realize(s.d, s.d.ParkTransfer(v))
 
 	// --- global improvement ---
 	case "merge-regs":

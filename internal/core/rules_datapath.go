@@ -39,11 +39,7 @@ func (s *synth) seedDatapath(wm *prod.WM) {
 		})
 	}
 	// Parking transfers, in descending value order for ascending firing.
-	vals := make([]*vt.Value, 0, len(s.d.ValueReg))
-	for v := range s.d.ValueReg {
-		vals = append(vals, v)
-	}
-	sortValues(vals)
+	vals := s.d.ParkedValues()
 	for i := len(vals) - 1; i >= 0; i-- {
 		wm.Make("park", prod.Attrs{"val": vals[i]})
 	}
@@ -61,14 +57,6 @@ func (s *synth) seedDatapath(wm *prod.WM) {
 					wm.Make("constant", prod.Attrs{"value": int(leaf.ConstVal), "width": leaf.Width})
 				}
 			}
-		}
-	}
-}
-
-func sortValues(vals []*vt.Value) {
-	for i := 1; i < len(vals); i++ {
-		for j := i; j > 0 && vals[j].ID < vals[j-1].ID; j-- {
-			vals[j], vals[j-1] = vals[j-1], vals[j]
 		}
 	}
 }

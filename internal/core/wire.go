@@ -1,63 +1,28 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/bind"
 	"repro/internal/rtl"
 	"repro/internal/vt"
 )
 
-// Wiring helpers shared by the datapath-allocation rules (phase 5) and the
-// post-cleanup rewiring (phase 6). Routing itself is the policy-free
-// bind.Route; the knowledge here is the commutativity rule: orient the
+// Wiring policy shared by the datapath-allocation rules (phase 5) and the
+// post-cleanup rewiring (phase 6). Which sink each operand feeds is
+// rtl.Design.OpTransfers and realizing a transfer is the policy-free
+// bind.Realize; the knowledge here is the commutativity rule: orient the
 // operands of a commutative operator so the transfer reuses existing links
 // instead of growing multiplexers.
 
-// ensureConsts allocates hardwired constant sources for the constant
-// leaves reachable from v.
-func (s *synth) ensureConsts(v *vt.Value) {
-	for _, leaf := range rtl.ConstLeaves(v) {
-		s.d.AddConst(leaf.ConstVal, leaf.Width)
-	}
-}
-
-// routeValue wires all sources of v to dst for a consumer in state st.
-func (s *synth) routeValue(v *vt.Value, st *rtl.State, dst rtl.Endpoint) error {
-	s.ensureConsts(v)
-	if err := bind.EnsureJunctions(s.d, v, st); err != nil {
-		return err
-	}
-	srcs, err := s.d.ValueSources(v, st)
-	if err != nil {
-		return err
-	}
-	for _, src := range srcs {
-		w := v.Width
-		if sw := src.Width(); sw < w {
-			w = sw
-		}
-		if dw := dst.Width(); dw < w {
-			w = dw
-		}
-		bind.Route(s.d, src, dst, w)
-	}
-	return nil
-}
-
-// missingRoutes counts the sources of v that do not yet reach dst.
-func (s *synth) missingRoutes(v *vt.Value, st *rtl.State, dst rtl.Endpoint) int {
-	s.ensureConsts(v)
-	if err := bind.EnsureJunctions(s.d, v, st); err != nil {
-		return 1
-	}
-	srcs, err := s.d.ValueSources(v, st)
+// missingRoutes counts the sources of t's value that do not yet feed its
+// sink.
+func (s *synth) missingRoutes(t rtl.Transfer) int {
+	srcs, err := bind.Sources(s.d, t.Val, t.State)
 	if err != nil {
 		return 1 // pessimistic; routing will surface the real error
 	}
 	n := 0
 	for _, src := range srcs {
-		if !s.d.Feeds(src, dst, 0) {
+		if !s.d.Feeds(src, t.Dst) {
 			n++
 		}
 	}
@@ -72,12 +37,13 @@ func (s *synth) orientSwap(op *vt.Op) bool {
 	if len(op.Args) != 2 || !op.Kind.IsCommutative() || !op.Kind.IsCompute() {
 		return false
 	}
-	u := s.d.OpUnit[op]
-	st := s.d.OpState[op]
-	p0 := rtl.Endpoint{Kind: rtl.EPUnitIn, Comp: u, Index: 0}
-	p1 := rtl.Endpoint{Kind: rtl.EPUnitIn, Comp: u, Index: 1}
-	direct := s.missingRoutes(op.Args[0], st, p0) + s.missingRoutes(op.Args[1], st, p1)
-	swapped := s.missingRoutes(op.Args[0], st, p1) + s.missingRoutes(op.Args[1], st, p0)
+	ts, err := s.d.OpTransfers(op)
+	if err != nil {
+		return false // routing will surface the error
+	}
+	direct := s.missingRoutes(ts[0]) + s.missingRoutes(ts[1])
+	ts[0].Dst, ts[1].Dst = ts[1].Dst, ts[0].Dst
+	swapped := s.missingRoutes(ts[0]) + s.missingRoutes(ts[1])
 	return swapped < direct
 }
 
@@ -89,47 +55,13 @@ func (s *synth) orientOp(op *vt.Op) {
 	}
 }
 
-// routeOp wires every operand transfer of one data operator.
+// routeOp realizes the operand transfers of one data operator.
 func (s *synth) routeOp(op *vt.Op) error {
-	st := s.d.OpState[op]
-	switch {
-	case op.Kind.IsCompute():
-		u := s.d.OpUnit[op]
-		if u == nil {
-			return fmt.Errorf("compute op %s unbound", op)
-		}
-		for i, a := range op.Args {
-			dst := rtl.Endpoint{Kind: rtl.EPUnitIn, Comp: u, Index: i}
-			if err := s.routeValue(a, st, dst); err != nil {
-				return err
-			}
-		}
-	case op.Kind == vt.OpWrite:
-		car := op.Carrier
-		var dst rtl.Endpoint
-		if car.Kind == vt.CarPortOut {
-			dst = rtl.Endpoint{Kind: rtl.EPPortOut, Comp: s.d.CarrierPort[car]}
-		} else {
-			dst = rtl.Endpoint{Kind: rtl.EPRegIn, Comp: s.d.CarrierReg[car]}
-		}
-		return s.routeValue(op.Args[0], st, dst)
-	case op.Kind == vt.OpMemRead:
-		mem := s.d.CarrierMem[op.Carrier]
-		return s.routeValue(op.Args[0], st, rtl.Endpoint{Kind: rtl.EPMemAddr, Comp: mem})
-	case op.Kind == vt.OpMemWrite:
-		mem := s.d.CarrierMem[op.Carrier]
-		if err := s.routeValue(op.Args[0], st, rtl.Endpoint{Kind: rtl.EPMemAddr, Comp: mem}); err != nil {
-			return err
-		}
-		return s.routeValue(op.Args[1], st, rtl.Endpoint{Kind: rtl.EPMemDataIn, Comp: mem})
+	ts, err := s.d.OpTransfers(op)
+	if err != nil {
+		return err
 	}
-	return nil
-}
-
-// routePark wires a step-crossing value into its holding register.
-func (s *synth) routePark(v *vt.Value) error {
-	r := s.d.ValueReg[v]
-	return s.routeValue(v, s.d.OpState[v.Def], rtl.Endpoint{Kind: rtl.EPRegIn, Comp: r})
+	return bind.Realize(s.d, ts...)
 }
 
 // rewire rebuilds the entire interconnect from the (possibly merged)
@@ -156,11 +88,11 @@ func (s *synth) rewire() error {
 			return err
 		}
 	}
-	for _, v := range bind.CrossingValues(s.d) {
+	for _, v := range s.d.ParkedValues() {
 		if s.prov != nil {
 			s.prov.cur = s.prov.parkRoute[v]
 		}
-		if err := s.routePark(v); err != nil {
+		if err := bind.Realize(s.d, s.d.ParkTransfer(v)); err != nil {
 			return err
 		}
 	}

@@ -82,6 +82,7 @@ func (m Model) Design(d *rtl.Design) Breakdown {
 	}
 	for _, u := range d.Units {
 		maxFn := 0.0
+		//daalint:allow detmap order-insensitive maximum
 		for fn := range u.Fns {
 			w, ok := m.FnBit[fn]
 			if !ok {

@@ -6,107 +6,53 @@ import (
 	"repro/internal/vt"
 )
 
-// validateConnectivity checks that every scheduled data transfer rides
-// allocated hardware: operand values reach their unit's operand ports,
-// written values reach their destination register/memory/port, and values
-// parked in holding registers get there from their producers. Paths may
-// pass through multiplexers (searched to a small depth, so mux trees built
-// by the cleanup rules remain valid).
-//
-// Selector values of SELECT/LOOP operators feed the controller, which the
-// paper costs as control logic rather than datapath links, so they are not
-// checked here.
+// validateConnectivity checks that every transfer of Transfers rides
+// allocated hardware: each source of the value reaches the transfer's sink,
+// directly or through the multiplexers and junctions that FindRoute walks, so
+// mux trees built by the cleanup rules remain valid. The binder chooses the
+// port assignment of a two-operand compute operator, so either orientation
+// is accepted.
 func (d *Design) validateConnectivity() error {
 	for _, op := range d.Trace.AllOps() {
-		if err := d.checkOpConnectivity(op); err != nil {
-			return err
-		}
-	}
-	// Values parked in holding registers must be reachable from their
-	// producing hardware.
-	for v, r := range d.ValueReg {
-		srcs, err := d.ValueSources(v, d.OpState[v.Def])
+		ts, err := d.OpTransfers(op)
 		if err != nil {
 			return err
 		}
-		dst := Endpoint{Kind: EPRegIn, Comp: r}
+		err = d.checkTransfers(ts)
+		if err != nil && len(ts) == 2 && op.Kind.IsCompute() {
+			ts[0].Dst, ts[1].Dst = ts[1].Dst, ts[0].Dst
+			if d.checkTransfers(ts) == nil {
+				err = nil
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
+	for _, v := range d.ParkedValues() {
+		if err := d.checkTransfers([]Transfer{d.ParkTransfer(v)}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkTransfers reports the first transfer with a source that does not
+// feed its sink.
+func (d *Design) checkTransfers(ts []Transfer) error {
+	for _, t := range ts {
+		srcs, err := d.ValueSources(t.Val, t.State)
 		for _, src := range srcs {
-			if !d.Feeds(src, dst, 0) {
-				return fmt.Errorf("rtl: no path parking %s into %s (from %s)", v, r, src)
+			if !d.Feeds(src, t.Dst) {
+				err = fmt.Errorf("no path from %s to %s", src, t.Dst)
+				break
 			}
 		}
-	}
-	return nil
-}
-
-func (d *Design) checkOpConnectivity(op *vt.Op) error {
-	s := d.OpState[op]
-	switch {
-	case op.Kind.IsCompute():
-		u := d.OpUnit[op]
-		dst := func(i int) Endpoint { return Endpoint{Kind: EPUnitIn, Comp: u, Index: i} }
-		switch len(op.Args) {
-		case 1:
-			return d.checkTransfer(op.Args[0], s, dst(0), op)
-		case 2:
-			// The binder chooses operand port assignment; accept either
-			// orientation (commutative units may swap).
-			errA := firstErr(
-				d.checkTransfer(op.Args[0], s, dst(0), op),
-				d.checkTransfer(op.Args[1], s, dst(1), op),
-			)
-			if errA == nil {
-				return nil
-			}
-			errB := firstErr(
-				d.checkTransfer(op.Args[0], s, dst(1), op),
-				d.checkTransfer(op.Args[1], s, dst(0), op),
-			)
-			if errB == nil {
-				return nil
-			}
-			return errA
-		}
-		return nil
-	case op.Kind == vt.OpWrite:
-		car := op.Carrier
-		var dst Endpoint
-		if car.Kind == vt.CarPortOut {
-			dst = Endpoint{Kind: EPPortOut, Comp: d.CarrierPort[car]}
-		} else {
-			dst = Endpoint{Kind: EPRegIn, Comp: d.CarrierReg[car]}
-		}
-		return d.checkTransfer(op.Args[0], s, dst, op)
-	case op.Kind == vt.OpMemRead:
-		mem := d.CarrierMem[op.Carrier]
-		return d.checkTransfer(op.Args[0], s, Endpoint{Kind: EPMemAddr, Comp: mem}, op)
-	case op.Kind == vt.OpMemWrite:
-		mem := d.CarrierMem[op.Carrier]
-		if err := d.checkTransfer(op.Args[0], s, Endpoint{Kind: EPMemAddr, Comp: mem}, op); err != nil {
-			return err
-		}
-		return d.checkTransfer(op.Args[1], s, Endpoint{Kind: EPMemDataIn, Comp: mem}, op)
-	}
-	return nil
-}
-
-func firstErr(errs ...error) error {
-	for _, err := range errs {
 		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (d *Design) checkTransfer(v *vt.Value, s *State, dst Endpoint, op *vt.Op) error {
-	srcs, err := d.ValueSources(v, s)
-	if err != nil {
-		return fmt.Errorf("rtl: op %s: %v", op, err)
-	}
-	for _, src := range srcs {
-		if !d.Feeds(src, dst, 0) {
-			return fmt.Errorf("rtl: op %s: no path from %s to %s", op, src, dst)
+			if t.Op == nil {
+				return fmt.Errorf("rtl: parking %s: %v", t.Val, err)
+			}
+			return fmt.Errorf("rtl: op %s: %v", t.Op, err)
 		}
 	}
 	return nil
@@ -179,30 +125,53 @@ func (d *Design) ValueSources(v *vt.Value, s *State) ([]Endpoint, error) {
 	}
 }
 
-// Feeds reports whether src reaches dst directly or through multiplexers.
-func (d *Design) Feeds(src, dst Endpoint, depth int) bool {
-	if depth > 4 {
-		return false
+// maxRouteLinks bounds the length of a route: a source reaches its sink
+// through at most four multiplexers or junctions.
+const maxRouteLinks = 5
+
+// FindRoute returns the links of the first route from src to dst, found by a
+// depth-first walk over Links in link order. The walk passes through
+// multiplexers, and through junctions when viaJunctions is set, and gives
+// up on routes longer than maxRouteLinks. It returns nil when src does not
+// reach dst. FindRoute is the one walk over the interconnect: Feeds, the
+// binder's check for a reusable route, and control derivation all use it.
+//
+// FindRoute is small enough to inline, so the returned slice stays on the
+// caller's stack unless the caller keeps it.
+func (d *Design) FindRoute(src, dst Endpoint, viaJunctions bool) []*Link {
+	return d.route(make([]*Link, 0, maxRouteLinks), src, dst, viaJunctions)
+}
+
+// route extends path, which ends at src, to dst.
+func (d *Design) route(path []*Link, src, dst Endpoint, viaJunctions bool) []*Link {
+	if len(path) == maxRouteLinks {
+		return nil
 	}
 	for _, l := range d.Links {
 		if l.From != src {
 			continue
 		}
 		if l.To == dst {
-			return true
+			return append(path, l)
 		}
-		if l.To.Kind == EPMuxIn {
-			m := l.To.Comp.(*Mux)
-			if d.Feeds(Endpoint{Kind: EPMuxOut, Comp: m}, dst, depth+1) {
-				return true
-			}
+		var next Endpoint
+		switch {
+		case l.To.Kind == EPMuxIn:
+			next = Endpoint{Kind: EPMuxOut, Comp: l.To.Comp}
+		case l.To.Kind == EPJunctionIn && viaJunctions:
+			next = Endpoint{Kind: EPJunctionOut, Comp: l.To.Comp}
+		default:
+			continue
 		}
-		if l.To.Kind == EPJunctionIn {
-			j := l.To.Comp.(*Junction)
-			if d.Feeds(Endpoint{Kind: EPJunctionOut, Comp: j}, dst, depth+1) {
-				return true
-			}
+		if r := d.route(append(path, l), next, dst, viaJunctions); r != nil {
+			return r
 		}
 	}
-	return false
+	return nil
+}
+
+// Feeds reports whether src reaches dst directly or through multiplexers
+// and junctions.
+func (d *Design) Feeds(src, dst Endpoint) bool {
+	return d.FindRoute(src, dst, true) != nil
 }

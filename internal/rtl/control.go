@@ -66,7 +66,7 @@ func (d *Design) ControlTable() ([]*StateControl, error) {
 			return nil, err
 		}
 		for _, src := range srcs {
-			if err := d.selectPath(sc, src, t.Dst); err != nil {
+			if err := d.selectRoute(sc, src, t.Dst); err != nil {
 				return nil, err
 			}
 		}
@@ -89,7 +89,11 @@ func (d *Design) ControlTable() ([]*StateControl, error) {
 		}
 	}
 
-	for op, u := range d.OpUnit {
+	for _, op := range d.Trace.AllOps() {
+		u := d.OpUnit[op]
+		if u == nil {
+			continue
+		}
 		s := d.OpState[op]
 		sc := get(s)
 		if prev, ok := sc.UnitFn[u]; ok && prev != op.Kind {
@@ -118,49 +122,25 @@ func (d *Design) ControlTable() ([]*StateControl, error) {
 	return out, nil
 }
 
-// selectPath records the mux selections along the route from src to dst,
+// selectRoute records the mux selections along the route from src to dst,
 // rejecting contradictory selections within one step. Junctions pass
 // through without asserting control (they are wiring).
-func (d *Design) selectPath(sc *StateControl, src, dst Endpoint, visited ...any) error {
-	for _, l := range d.Links {
-		if l.From != src {
-			continue
-		}
-		if l.To == dst {
-			return nil
-		}
-		if l.To.Kind != EPMuxIn && l.To.Kind != EPJunctionIn {
-			continue
-		}
-		seen := len(visited) > 6
-		for _, v := range visited {
-			if v == l.To.Comp {
-				seen = true
-				break
-			}
-		}
-		if seen {
-			continue
-		}
-		if l.To.Kind == EPJunctionIn {
-			j := l.To.Comp.(*Junction)
-			out := Endpoint{Kind: EPJunctionOut, Comp: j}
-			if d.Feeds(out, dst, 0) {
-				return d.selectPath(sc, out, dst, append(visited, j)...)
-			}
+func (d *Design) selectRoute(sc *StateControl, src, dst Endpoint) error {
+	route := d.FindRoute(src, dst, true)
+	if route == nil {
+		return fmt.Errorf("rtl: no route from %s to %s while deriving control", src, dst)
+	}
+	for _, l := range route {
+		if l.To.Kind != EPMuxIn {
 			continue
 		}
 		m := l.To.Comp.(*Mux)
-		out := Endpoint{Kind: EPMuxOut, Comp: m}
-		if d.Feeds(out, dst, 0) {
-			if prev, ok := sc.MuxSel[m]; ok && prev != l.To.Index {
-				return fmt.Errorf("rtl: mux %s asked for ways %d and %d in %s", m.Name, prev, l.To.Index, sc.State)
-			}
-			sc.MuxSel[m] = l.To.Index
-			return d.selectPath(sc, out, dst, append(visited, m)...)
+		if prev, ok := sc.MuxSel[m]; ok && prev != l.To.Index {
+			return fmt.Errorf("rtl: mux %s asked for ways %d and %d in %s", m.Name, prev, l.To.Index, sc.State)
 		}
+		sc.MuxSel[m] = l.To.Index
 	}
-	return fmt.Errorf("rtl: no route from %s to %s while deriving control", src, dst)
+	return nil
 }
 
 // ControlStats summarizes the controller for reporting.

@@ -77,6 +77,7 @@ func (d *Design) ControlFlow() ([]Transition, error) {
 	for _, s := range d.States {
 		fb.states[s.Body] = append(fb.states[s.Body], s)
 	}
+	//daalint:allow detmap each body's states sort on their own
 	for _, ss := range fb.states {
 		sort.Slice(ss, func(i, j int) bool { return ss[i].Index < ss[j].Index })
 	}

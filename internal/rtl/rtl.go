@@ -7,6 +7,12 @@
 // netlist, no layout — those belonged to later stages of the CMU system.
 // Validate checks the structural and binding invariants; internal/cost
 // attaches gate-equivalent weights for design comparison.
+//
+// The package owns the interconnect facts every allocator shares: which
+// sink each operand feeds (Design.OpTransfers, Design.Transfers) and how a
+// source reaches a sink (Design.FindRoute, the one walk over the links).
+// Validation, control derivation and the binder in internal/bind all read
+// them from here.
 package rtl
 
 import (
@@ -429,17 +435,6 @@ func (d *Design) RemoveLink(l *Link) {
 			return
 		}
 	}
-}
-
-// FindLink returns the first link between the endpoints with width at least
-// w, or nil. The allocation rules use it to share existing paths.
-func (d *Design) FindLink(from, to Endpoint, w int) *Link {
-	for _, l := range d.Links {
-		if l.From == from && l.To == to && l.Width >= w {
-			return l
-		}
-	}
-	return nil
 }
 
 // AddState appends a control step for the named body.

@@ -1,6 +1,8 @@
 package rtl
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -154,24 +156,6 @@ func TestConstDeduplication(t *testing.T) {
 	}
 }
 
-func TestFindLink(t *testing.T) {
-	d := newStructural()
-	a := d.AddRegister("A", 8)
-	b := d.AddRegister("B", 8)
-	from := Endpoint{Kind: EPRegOut, Comp: a}
-	to := Endpoint{Kind: EPRegIn, Comp: b}
-	if d.FindLink(from, to, 8) != nil {
-		t.Error("found nonexistent link")
-	}
-	l := d.AddLink(from, to, 8)
-	if d.FindLink(from, to, 8) != l {
-		t.Error("FindLink missed existing link")
-	}
-	if d.FindLink(from, to, 9) != nil {
-		t.Error("FindLink should respect width")
-	}
-}
-
 func TestRemoveComponents(t *testing.T) {
 	d := newStructural()
 	r := d.AddRegister("A", 8)
@@ -269,12 +253,89 @@ func TestFeedsThroughMuxTree(t *testing.T) {
 	}
 	target := Endpoint{Kind: EPRegIn, Comp: dst}
 	for _, src := range []*Register{a, b, c} {
-		if !d.Feeds(Endpoint{Kind: EPRegOut, Comp: src}, target, 0) {
+		if !d.Feeds(Endpoint{Kind: EPRegOut, Comp: src}, target) {
 			t.Errorf("%s should feed D through the mux tree", src.Name)
 		}
 	}
-	if d.Feeds(Endpoint{Kind: EPRegOut, Comp: dst}, target, 0) {
+	if d.Feeds(Endpoint{Kind: EPRegOut, Comp: dst}, target) {
 		t.Error("D does not feed itself")
+	}
+}
+
+func TestFindRouteModesAndDepthBound(t *testing.T) {
+	d := newStructural()
+	a := d.AddRegister("A", 4)
+	b := d.AddRegister("B", 4)
+	dst := d.AddRegister("D", 8)
+	j := d.AddJunction("j", 8, 2)
+	d.AddLink(Endpoint{Kind: EPRegOut, Comp: a}, Endpoint{Kind: EPJunctionIn, Comp: j, Index: 0}, 4)
+	d.AddLink(Endpoint{Kind: EPRegOut, Comp: b}, Endpoint{Kind: EPJunctionIn, Comp: j, Index: 1}, 4)
+	d.AddLink(Endpoint{Kind: EPJunctionOut, Comp: j}, Endpoint{Kind: EPRegIn, Comp: dst}, 8)
+	src, sink := Endpoint{Kind: EPRegOut, Comp: a}, Endpoint{Kind: EPRegIn, Comp: dst}
+	if r := d.FindRoute(src, sink, true); len(r) != 2 || !d.Feeds(src, sink) {
+		t.Errorf("route through the junction = %v, want its 2 links", r)
+	}
+	if r := d.FindRoute(src, sink, false); r != nil {
+		t.Errorf("mux-only route passed through a junction: %v", r)
+	}
+
+	// A chain of muxes: A reaches the end of a chain of up to four muxes,
+	// not of five.
+	for n := 1; n <= 5; n++ {
+		d := newStructural()
+		a := d.AddRegister("A", 8)
+		from := Endpoint{Kind: EPRegOut, Comp: a}
+		src := from
+		for i := 0; i < n; i++ {
+			m := d.AddMux(fmt.Sprintf("m%d", i), 8, 2)
+			d.AddLink(from, Endpoint{Kind: EPMuxIn, Comp: m}, 8)
+			from = Endpoint{Kind: EPMuxOut, Comp: m}
+		}
+		sink := Endpoint{Kind: EPRegIn, Comp: d.AddRegister("D", 8)}
+		d.AddLink(from, sink, 8)
+		if got, want := d.Feeds(src, sink), n <= 4; got != want {
+			t.Errorf("through %d muxes: Feeds = %t, want %t", n, got, want)
+		}
+	}
+}
+
+// TestSelectRouteFollowsLinkOrder: when a source reaches a sink along two
+// routes, control derivation selects the first route in link order.
+func TestSelectRouteFollowsLinkOrder(t *testing.T) {
+	for _, viaM1First := range []bool{true, false} {
+		d := newStructural()
+		a := d.AddRegister("A", 8)
+		b := d.AddRegister("B", 8)
+		dst := d.AddRegister("D", 8)
+		m1 := d.AddMux("m1", 8, 2)
+		m2 := d.AddMux("m2", 8, 2)
+		out := func(r *Register) Endpoint { return Endpoint{Kind: EPRegOut, Comp: r} }
+		viaM1 := func() { d.AddLink(out(a), Endpoint{Kind: EPMuxIn, Comp: m1, Index: 0}, 8) }
+		direct := func() { d.AddLink(out(a), Endpoint{Kind: EPMuxIn, Comp: m2, Index: 1}, 8) }
+		if viaM1First {
+			viaM1()
+			direct()
+		} else {
+			direct()
+			viaM1()
+		}
+		d.AddLink(out(b), Endpoint{Kind: EPMuxIn, Comp: m1, Index: 1}, 8)
+		d.AddLink(Endpoint{Kind: EPMuxOut, Comp: m1}, Endpoint{Kind: EPMuxIn, Comp: m2, Index: 0}, 8)
+		d.AddLink(Endpoint{Kind: EPMuxOut, Comp: m2}, Endpoint{Kind: EPRegIn, Comp: dst}, 8)
+		if err := d.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		sc := &StateControl{MuxSel: map[*Mux]int{}}
+		if err := d.selectRoute(sc, out(a), Endpoint{Kind: EPRegIn, Comp: dst}); err != nil {
+			t.Fatal(err)
+		}
+		want := map[*Mux]int{m2: 1}
+		if viaM1First {
+			want = map[*Mux]int{m1: 0, m2: 0}
+		}
+		if !reflect.DeepEqual(sc.MuxSel, want) {
+			t.Errorf("viaM1First=%t: selects %v, want %v", viaM1First, sc.MuxSel, want)
+		}
 	}
 }
 

@@ -29,8 +29,9 @@ import (
 //     strictly at most once per step
 //   - a value consumed in a later step than its producer is held in an
 //     allocated register
-//   - operand and result transfers ride existing links, possibly through
-//     multiplexers (concatenations are checked per contributing source)
+//   - every transfer of Transfers rides existing links, possibly through
+//     multiplexers and junctions (see FindRoute; concatenations are checked
+//     per contributing source)
 func (d *Design) Validate() error {
 	if err := d.validateStructure(); err != nil {
 		return err
@@ -139,9 +140,9 @@ func (d *Design) validateStructure() error {
 			junctionOutUsed[l.From.Comp.(*Junction)] = true
 		}
 	}
-	for ep, n := range inCount {
-		if n > 1 {
-			return fmt.Errorf("rtl: sink %s fed by %d links; sharing requires a mux", ep, n)
+	for _, l := range d.Links {
+		if n := inCount[l.To]; n > 1 {
+			return fmt.Errorf("rtl: sink %s fed by %d links; sharing requires a mux", l.To, n)
 		}
 	}
 	for _, m := range d.Muxes {

@@ -377,6 +377,7 @@ func ProgramWith(name string, p *vt.Program, lim Limits) (map[*vt.Body]*Schedule
 // TotalSteps sums the step counts of a program schedule.
 func TotalSteps(m map[*vt.Body]*Schedule) int {
 	n := 0
+	//daalint:allow detmap order-insensitive sum
 	for _, s := range m {
 		n += s.Len()
 	}
