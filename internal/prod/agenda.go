@@ -6,7 +6,7 @@ import "slices"
 // instantiation refraction has not spent, sorted so the next to fire is
 // last. The network keeps it current — addMatch queues, removeMatch and
 // firing dequeue, and a Modify requeues the instantiations holding the
-// modified element (reteRule.restamp) — so a cycle reads the top entry
+// modified element (betaNode.restamp) — so a cycle reads the top entry
 // instead of ranking the whole conflict set.
 //
 // Entries are ordered by the time tags their elements carried when they

@@ -87,12 +87,13 @@ type alphaMem struct {
 	// Modify changing none of them cannot flip membership.
 	testAttrs map[string]bool
 
-	// succs lists the nodes fed by the memory, grouped by rule in
-	// registration order, each rule's nodes deepest first.
+	// succs lists the nodes fed by the memory, grouped by owner rule in
+	// registration order, each rule's nodes deepest first. A shared node
+	// appears once, in its owner's entry.
 	succs []memSucc
 }
 
-// memSucc is one rule's nodes on a memory.
+// memSucc is the nodes one rule owns on a memory.
 type memSucc struct {
 	rr    *reteRule
 	nodes []*betaNode

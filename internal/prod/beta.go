@@ -1,24 +1,30 @@
 package prod
 
-// The beta network: one left-linear chain of join nodes per rule, one
-// node per pattern, each fed by a (shared) alpha memory. Nodes store
-// tokens — partial matches covering patterns 0..level — so a WM change
-// reprocesses only the join work downstream of the memories it touched
-// instead of re-enumerating whole rules.
+// The beta network: one join node per pattern, each fed by a (shared)
+// alpha memory, linked parent to child into a forest. Nodes store tokens —
+// partial matches covering patterns 0..level — so a WM change reprocesses
+// only the join work downstream of the memories it touched instead of
+// re-enumerating whole rules.
 //
 // Negated patterns become negative nodes: their tokens carry the same
 // bindings as their left parent plus the identity list of elements that
 // currently block them (the counted negative-join-results of Doorenbos's
 // thesis, with identities kept so retraction needs no re-testing against
 // post-hoc attribute values). A blocked token keeps its place in the
-// chain; when its last blocker disappears it resumes propagation.
+// path; when its last blocker disappears it resumes propagation.
 //
-// Beta state is strictly per-rule: tokens, matches, and counters are
-// owned by one reteRule. The agenda is shared: every rule queues its
-// instantiations on the engine's one agenda (agenda.go).
+// A rule's nodes form a path from a first node to its private production
+// node. Rules whose first patterns compile alike share the first node
+// (rete.addRule), so a node's children may belong to other rules. Every
+// node has one owner rule, which allocates, recycles and counts its tokens
+// and binding vectors; propagation into a child and deletion cascades
+// cross into the child's rule, and a production node's matches are its
+// own rule's. The agenda is shared: every rule queues its instantiations
+// on the engine's one agenda (agenda.go).
 
 // betaNode is one join (or negative-join) node.
 type betaNode struct {
+	rr    *reteRule // owner
 	mem   *alphaMem
 	neg   bool
 	joins []joinFn
@@ -28,26 +34,65 @@ type betaNode struct {
 	// Hashed-join acceleration. When the node's first join is an equality
 	// (hashed; hashSlot/hashAttr from the compiler), probes replace scans:
 	// leftActivate consults the memory's value index on hashAttr, and
-	// rightAssert consults the previous node's succIdx — its tokens keyed
-	// by binds[hashSlot] — or, for negative nodes, this node's negIdx.
+	// rightAssert consults the parent's succIdx entry for hashSlot — the
+	// parent's tokens keyed by binds[hashSlot] — or, for negative nodes,
+	// this node's negIdx. The parent keeps one succIdx entry per slot its
+	// hashed children probe, so children probing the same slot share it.
 	// elIdx keys a positive node's tokens by matched element, so
 	// rightRetract finds the dying tokens without scanning the level.
 	//
-	// The token indexes are lazy: nil until the first probe needs them
+	// The token indexes are lazy: absent until the first probe needs them
 	// (succIndex/negIndex/elIndex build from the stored tokens), kept
-	// current by attach/deleteToken afterwards. Seeding therefore files
+	// current by attach/delete afterwards. Seeding therefore files
 	// nothing, and nodes over static classes — never hit by a right
 	// activation after the seed — never pay index maintenance at all.
 	hashed   bool
 	hashSlot int
 	hashAttr string
 	memIdx   *memIndex
-	succIdx  map[any][]*token
+	succIdx  []slotIndex
 	negIdx   map[any][]*token
 	elIdx    map[*Element][]*token
 
-	prev, next *betaNode
-	tokens     []*token
+	parent   *betaNode
+	children []*betaNode // none at a production node
+	tokens   []*token
+}
+
+// slotIndex keys a node's tokens by the value bound in one slot.
+type slotIndex struct {
+	slot   int
+	tokens map[any][]*token
+}
+
+// newBetaNode builds rr's node for one compiled pattern over mem, as a
+// child of parent (nil for a first node).
+func newBetaNode(rr *reteRule, mem *alphaMem, cp compiledPat, parent *betaNode) *betaNode {
+	n := &betaNode{
+		rr:     rr,
+		mem:    mem,
+		neg:    cp.negated,
+		joins:  cp.joins,
+		projs:  cp.projs,
+		attrs:  map[string]bool{},
+		parent: parent,
+	}
+	for _, a := range cp.attrs {
+		n.attrs[a] = true
+	}
+	if cp.hashSlot >= 0 {
+		n.hashed = true
+		n.hashSlot = cp.hashSlot
+		n.hashAttr = cp.hashAttr
+		n.memIdx = mem.ensureIndex(cp.hashAttr)
+		// The token-side indexes (the parent's succIdx, a negative node's
+		// negIdx, every positive node's elIdx) are built lazily on first
+		// probe.
+	}
+	if parent != nil {
+		parent.children = append(parent.children, n)
+	}
+	return n
 }
 
 // token is a stored partial match. For positive nodes, el is the element
@@ -95,12 +140,13 @@ func (n *betaNode) touches(attrs []string) bool {
 // blocked reports whether a token suppresses downstream propagation.
 func (t *token) blocked() bool { return len(t.negMatches) > 0 }
 
-// --- per-rule beta operations (methods on reteRule, defined in rete.go) ---
+// --- beta operations: each node's work is done, and counted, by its owner ---
 
 // leftActivate matches a new left token against the node's memory and
-// extends the chain. Hashed nodes probe the memory's value index with the
+// extends the path. Hashed nodes probe the memory's value index with the
 // token's bound slot instead of scanning every member.
-func (rr *reteRule) leftActivate(n *betaNode, left *token) {
+func (n *betaNode) leftActivate(left *token) {
+	rr := n.rr
 	els := n.mem.els
 	if n.hashed {
 		els = n.memIdx.bucket[left.binds[n.hashSlot]]
@@ -114,22 +160,28 @@ func (rr *reteRule) leftActivate(n *betaNode, left *token) {
 				t.negMatches = append(t.negMatches, el)
 			}
 		}
-		rr.attach(n, left, t)
+		n.attach(left, t)
 		if !t.blocked() {
-			rr.downstream(n, t)
+			n.downstream(t)
 		}
 		return
 	}
 	for _, el := range els {
 		rr.stats.joinTests++
 		if n.pass(left.binds, el) {
-			rr.extend(n, left, el)
+			n.extend(left, el)
 		}
 	}
 }
 
-// extend derives the token joining left with el at a positive node.
-func (rr *reteRule) extend(n *betaNode, left *token, el *Element) {
+// extend derives the token joining left with el at a positive node. Its
+// binding vector has the owner's width, so a shared node hands children in
+// other rules a vector of another width. That is sound: every sharer
+// numbers its first pattern's slots alike, a child that binds copies the
+// slots its own width holds, and each later slot is written by its
+// projection before anything reads it.
+func (n *betaNode) extend(left *token, el *Element) {
+	rr := n.rr
 	binds := left.binds
 	if len(n.projs) > 0 {
 		// Binding vectors are uniformly len(slotNames), so any recycled one
@@ -148,17 +200,17 @@ func (rr *reteRule) extend(n *betaNode, left *token, el *Element) {
 	}
 	t := rr.newToken()
 	t.node, t.parent, t.el, t.binds, t.time = n, left, el, binds, el.Time
-	rr.attach(n, left, t)
-	rr.downstream(n, t)
+	n.attach(left, t)
+	n.downstream(t)
 }
 
-func (rr *reteRule) attach(n *betaNode, left *token, t *token) {
+func (n *betaNode) attach(left *token, t *token) {
 	t.idx = len(n.tokens)
 	n.tokens = append(n.tokens, t)
 	left.children = append(left.children, t)
-	if n.succIdx != nil {
-		k := t.binds[n.next.hashSlot]
-		n.succIdx[k] = append(n.succIdx[k], t)
+	for _, ix := range n.succIdx {
+		k := t.binds[ix.slot]
+		ix.tokens[k] = append(ix.tokens[k], t)
 	}
 	if n.negIdx != nil {
 		k := t.binds[n.hashSlot]
@@ -167,21 +219,24 @@ func (rr *reteRule) attach(n *betaNode, left *token, t *token) {
 	if n.elIdx != nil {
 		n.elIdx[t.el] = append(n.elIdx[t.el], t)
 	}
-	rr.stats.asserts++
+	n.rr.stats.asserts++
 }
 
-// succIndex returns the node's tokens keyed by the NEXT node's hash slot,
-// building the index on first use.
-func (n *betaNode) succIndex() map[any][]*token {
-	if n.succIdx == nil {
-		n.succIdx = make(map[any][]*token, len(n.tokens))
-		slot := n.next.hashSlot
-		for _, t := range n.tokens {
-			k := t.binds[slot]
-			n.succIdx[k] = append(n.succIdx[k], t)
+// succIndex returns the node's tokens keyed by the value in slot, the
+// index a hashed child probes, building it on first use.
+func (n *betaNode) succIndex(slot int) map[any][]*token {
+	for _, ix := range n.succIdx {
+		if ix.slot == slot {
+			return ix.tokens
 		}
 	}
-	return n.succIdx
+	m := make(map[any][]*token, len(n.tokens))
+	for _, t := range n.tokens {
+		k := t.binds[slot]
+		m[k] = append(m[k], t)
+	}
+	n.succIdx = append(n.succIdx, slotIndex{slot: slot, tokens: m})
+	return m
 }
 
 // negIndex returns a negative node's own tokens keyed by its hash slot,
@@ -222,14 +277,16 @@ func unfile(m map[any][]*token, k any, t *token) {
 	}
 }
 
-// downstream continues propagation past n, or emits a match at the last
-// level.
-func (rr *reteRule) downstream(n *betaNode, t *token) {
-	if n.next == nil {
-		rr.addMatch(t)
+// downstream continues propagation into n's children, whichever rules they
+// belong to, or emits a match at a production node.
+func (n *betaNode) downstream(t *token) {
+	if len(n.children) == 0 {
+		n.rr.addMatch(t)
 		return
 	}
-	rr.leftActivate(n.next, t)
+	for _, c := range n.children {
+		c.leftActivate(t)
+	}
 }
 
 // rightAssert handles an element entering n's alpha memory. The element is
@@ -238,9 +295,12 @@ func (rr *reteRule) downstream(n *betaNode, t *token) {
 // deepest first (rete.go), so a left token created by THIS change at an
 // earlier level has already joined the full memory — including this
 // element — via leftActivate, and is not yet stored when this node runs:
-// no duplicates on self-joins. Hashed nodes probe the token indexes with
-// the element's join-attribute value instead of scanning the level.
-func (rr *reteRule) rightAssert(n *betaNode, el *Element) {
+// no duplicates on self-joins. A shared first node is activated in its
+// owner's entry, so a rule with a later node on that memory does not share
+// it (rete.sharedFirst). Hashed nodes probe the token indexes with the
+// element's join-attribute value instead of scanning the level.
+func (n *betaNode) rightAssert(el *Element) {
+	rr := n.rr
 	if n.neg {
 		cands := n.tokens
 		if n.hashed {
@@ -258,19 +318,19 @@ func (rr *reteRule) rightAssert(n *betaNode, el *Element) {
 			if n.pass(t.binds, el) {
 				t.negMatches = append(t.negMatches, el)
 				if len(t.negMatches) == 1 {
-					rr.block(t)
+					t.block()
 				}
 			}
 		}
 		return
 	}
-	lefts := rr.leftTokens(n)
+	lefts := n.leftTokens()
 	if n.hashed {
 		v, ok := el.lookup(n.hashAttr)
 		if !ok {
 			return
 		}
-		lefts = n.prev.succIndex()[v]
+		lefts = n.parent.succIndex(n.hashSlot)[v]
 	}
 	for _, left := range lefts {
 		if left.dead || left.blocked() {
@@ -278,13 +338,13 @@ func (rr *reteRule) rightAssert(n *betaNode, el *Element) {
 		}
 		rr.stats.joinTests++
 		if n.pass(left.binds, el) {
-			rr.extend(n, left, el)
+			n.extend(left, el)
 		}
 	}
 }
 
 // rightRetract handles an element leaving n's alpha memory.
-func (rr *reteRule) rightRetract(n *betaNode, el *Element) {
+func (n *betaNode) rightRetract(el *Element) {
 	if n.neg {
 		for _, t := range n.tokens {
 			if t.dead {
@@ -298,45 +358,48 @@ func (rr *reteRule) rightRetract(n *betaNode, el *Element) {
 				t.negMatches[i] = t.negMatches[last]
 				t.negMatches = t.negMatches[:last]
 				if last == 0 {
-					rr.downstream(n, t)
+					n.downstream(t)
 				}
 				break
 			}
 		}
 		return
 	}
+	rr := n.rr
 	rr.scratch = append(rr.scratch[:0], n.elIndex()[el]...)
 	for _, t := range rr.scratch {
-		rr.deleteToken(t)
+		t.delete()
 	}
 }
 
-// leftTokens returns the stored left inputs of a node: the rule's root
-// for level 0, else the previous node's tokens. Callers must skip dead
-// and blocked entries; extend may append to a LATER node's token list but
-// never to the one being iterated (the chain is acyclic and strictly
+// leftTokens returns the stored left inputs of a node: the owner's root
+// for level 0, else the parent's tokens. Callers must skip dead and
+// blocked entries; extend may append to a DEEPER node's token list but
+// never to the one being iterated (every path is acyclic and strictly
 // ordered).
-func (rr *reteRule) leftTokens(n *betaNode) []*token {
-	if n.prev == nil {
-		return rr.rootSlice
+func (n *betaNode) leftTokens() []*token {
+	if n.parent == nil {
+		return n.rr.rootSlice
 	}
-	return n.prev.tokens
+	return n.parent.tokens
 }
 
-// deleteToken removes a token and cascades through its descendants.
-func (rr *reteRule) deleteToken(t *token) {
+// delete removes a token and cascades through its descendants, in
+// whichever rules they belong to; the node's owner recycles it.
+func (t *token) delete() {
 	if t.dead {
 		return
 	}
 	t.dead = true
 	n := t.node
+	rr := n.rr
 	last := len(n.tokens) - 1
 	moved := n.tokens[last]
 	n.tokens[t.idx] = moved
 	moved.idx = t.idx
 	n.tokens = n.tokens[:last]
-	if n.succIdx != nil {
-		unfile(n.succIdx, t.binds[n.next.hashSlot], t)
+	for _, ix := range n.succIdx {
+		unfile(ix.tokens, t.binds[ix.slot], t)
 	}
 	if n.negIdx != nil {
 		unfile(n.negIdx, t.binds[n.hashSlot], t)
@@ -362,7 +425,7 @@ func (rr *reteRule) deleteToken(t *token) {
 			}
 		}
 	}
-	rr.block(t)
+	t.block()
 	rr.stats.retracts++
 	// The cascade above severed every reference to t (indexes, parent,
 	// children, conflict set), so it and — when this level allocated one in
@@ -377,14 +440,14 @@ func (rr *reteRule) deleteToken(t *token) {
 
 // block severs a token's downstream derivations: its children and, when
 // the token sits at the production level, its conflict-set entry.
-func (rr *reteRule) block(t *token) {
+func (t *token) block() {
 	kids := t.children
 	t.children = t.children[:0] // keep the backing array for reuse
 	for _, c := range kids {
-		rr.deleteToken(c)
+		c.delete()
 	}
 	if t.match != nil {
-		rr.removeMatch(t)
+		t.node.rr.removeMatch(t)
 	}
 }
 
@@ -420,30 +483,31 @@ func (rr *reteRule) removeMatch(t *token) {
 
 // restamp handles a Modify of el that leaves n's join outcomes alone. The
 // tokens matching el survive, but el's new time tag changes the rank and
-// the refraction key of every instantiation below them, and no
-// conflict-set event reports it: take those instantiations off the
+// the refraction key of every instantiation below them, in every rule,
+// and no conflict-set event reports it: take those instantiations off the
 // agenda, restamp, and queue them again.
-func (rr *reteRule) restamp(n *betaNode, el *Element) {
+func (n *betaNode) restamp(el *Element) {
+	ag := n.rr.ag
 	for _, t := range n.elIndex()[el] {
-		rr.requeue(t, false)
+		ag.requeue(t, false)
 		t.time = el.Time
-		rr.requeue(t, true)
+		ag.requeue(t, true)
 	}
 }
 
 // requeue dequeues (queue false) or queues every instantiation derived
 // from t. Only production-level tokens carry matches, and they have no
 // children.
-func (rr *reteRule) requeue(t *token, queue bool) {
+func (a *agenda) requeue(t *token, queue bool) {
 	if m := t.match; m != nil {
 		if queue {
-			rr.ag.queue(m)
+			a.queue(m)
 		} else {
-			rr.ag.dequeue(m)
+			a.dequeue(m)
 		}
 		return
 	}
 	for _, c := range t.children {
-		rr.requeue(c, queue)
+		a.requeue(c, queue)
 	}
 }

@@ -44,9 +44,10 @@ func (r *Rule) Specificity() int {
 // Engine runs a rule set to quiescence over a working memory.
 //
 // The matcher is a full Rete network (rete.go): rule LHSs are compiled at
-// AddRule time into shared alpha constant tests and per-rule beta join
-// chains with stored partial-match tokens, so each WM change reruns only
-// the join work downstream of the memories it touched. The network also
+// AddRule time into shared alpha constant tests and a forest of beta join
+// nodes with stored partial-match tokens (one path per rule, first nodes
+// shared where first patterns compile alike), so each WM change reruns
+// only the join work downstream of the memories it touched. The network also
 // keeps the agenda (agenda.go): the unspent instantiations in conflict-
 // resolution order, so a cycle reads the best one instead of scanning the
 // conflict set. CrossCheck runs the exhaustive matcher (exhaustive.go),

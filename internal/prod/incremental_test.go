@@ -10,8 +10,13 @@ import (
 
 // testRules builds a rule set that exercises every node shape the Rete
 // network distinguishes: constant tests, joins over bound variables,
-// self-joins, absence tests, pure predicates, and negation. Actions are
-// inert: the conflict-set tests drive the WM directly.
+// self-joins, absence tests, pure predicates, negation, and first nodes
+// shared across rules. join owns the first node P("a").Bind("g", "g"),
+// and self-join, neg, triple and alias share it, alias under another
+// variable name; same-mem has a later pattern on that node's memory and
+// keeps its own. pair owns P("b").Bind("g", "g") with a later pattern on
+// its memory, and pair-sharer shares it. Actions are inert: the
+// conflict-set tests drive the WM directly.
 func testRules() []*Rule {
 	nop := func(*Tx, *Match) {}
 	return []*Rule{
@@ -36,6 +41,22 @@ func testRules() []*Rule {
 			P("a").Bind("g", "g"),
 			P("b").Bind("g", "g").Present("k"),
 			P("a").Neq("k", 9),
+		}, Action: nop},
+		{Name: "alias", Patterns: []Pattern{
+			P("a").Bind("g", "x"),
+			P("b").Bind("g", "x").Absent("done"),
+		}, Action: nop},
+		{Name: "same-mem", Patterns: []Pattern{
+			P("a").Bind("g", "g"),
+			P("a").Bind("g", "g"),
+		}, Action: nop},
+		{Name: "pair", Patterns: []Pattern{
+			P("b").Bind("g", "g"),
+			P("b").Bind("g", "g"),
+		}, Action: nop},
+		{Name: "pair-sharer", Patterns: []Pattern{
+			P("b").Bind("g", "h"),
+			P("a").Bind("g", "h").Present("k"),
 		}, Action: nop},
 	}
 }
@@ -235,6 +256,56 @@ func TestIncrementalConflictSetEqualsRecompute(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				fireHead(eng)
 				diffStrings(t, label+" agenda after firing", agendaOrder(eng), wantAgenda(eng, wm, rules))
+			}
+			if t.Failed() {
+				return
+			}
+		}
+	}
+}
+
+// A rule added after seeding whose first pattern compiles to an existing
+// node shares it, deriving its private tokens from the node's stored ones:
+// its conflict set equals the recompute at once, and the network keeps it
+// equal as the working memory moves on.
+func TestLateAddRuleSharesFirstNode(t *testing.T) {
+	late := &Rule{Name: "late", Patterns: []Pattern{
+		P("a").Bind("g", "y"),
+		P("b").Bind("g", "y").Present("k"),
+	}, Action: func(*Tx, *Match) {}}
+	withLate := append(testRules(), late)
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		wm := NewWM()
+		eng := NewEngine(wm)
+		rules := testRules()
+		for _, r := range rules {
+			eng.AddRule(r)
+		}
+		check := func(label string) {
+			t.Helper()
+			diffStrings(t, label+" conflict set", eng.instantiations(), groundTruth(wm, rules))
+			diffStrings(t, label+" agenda", agendaOrder(eng), wantAgenda(eng, wm, rules))
+		}
+		var live []*Element
+		for round := 0; round < 20; round++ {
+			label := fmt.Sprintf("seed %d round %d", seed, round)
+			if round == 10 {
+				nodes := eng.Metrics().JoinNodes
+				eng.AddRule(late)
+				if got := eng.Metrics().JoinNodes; got != nodes+1 {
+					t.Fatalf("seed %d: late rule added %d join nodes, want 1 (its first node shared)", seed, got-nodes)
+				}
+				rules = withLate
+				check(label + " after AddRule")
+			}
+			for n := rng.Intn(4) + 1; n > 0; n-- {
+				applyRandomOp(rng, wm, &live)
+			}
+			eng.applyChanges()
+			check(label)
+			if rng.Intn(3) == 0 {
+				fireHead(eng)
 			}
 			if t.Failed() {
 				return

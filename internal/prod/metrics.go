@@ -69,18 +69,27 @@ func (m *engineMetrics) observeConflictSize(n int) {
 	}
 }
 
-// RuleMetrics is one rule's share of the engine's match work.
+// RuleMetrics is one rule's share of the engine's match work. Rules share
+// first join nodes, and each node's work is counted for the rule owning
+// it, the first rule registered with it.
 type RuleMetrics struct {
-	Name        string
-	Category    string
-	Firings     int           // times the rule fired
-	Rebuilds    int           // from-scratch activations (seeding, late AddRule)
-	Deltas      int           // incremental updates seeded on changed elements
-	MatchCalls  int           // pattern tests executed on its behalf
-	MatchTime   time.Duration // wall time spent matching it
-	Added       int           // instantiations that entered the conflict set
-	Invalidated int           // instantiations that left it
-	Size        int           // instantiations currently in the conflict set
+	Name     string
+	Category string
+	Firings  int // times the rule fired
+	Rebuilds int // from-scratch activations (seeding, late AddRule)
+	// Deltas counts the batches whose changes right-activated the rule's
+	// own nodes.
+	Deltas int
+	// MatchCalls counts the join tests made at the nodes the rule owns,
+	// whichever rule's activation reached them.
+	MatchCalls int
+	// MatchTime is the wall time of the rule's activations: seeding, and
+	// each change's right activation of its own nodes, including what an
+	// activation of a shared node propagates into other rules' nodes.
+	MatchTime   time.Duration
+	Added       int // instantiations that entered the conflict set
+	Invalidated int // instantiations that left it
+	Size        int // instantiations currently in the conflict set
 }
 
 // Metrics is a point-in-time snapshot of the engine's match-cost
@@ -113,7 +122,7 @@ type Metrics struct {
 	AlphaMems     int // shared alpha memories
 	AlphaPatterns int // compiled patterns fed by those memories
 	AlphaEvals    int // constant-test evaluations performed
-	JoinNodes     int // positive beta join nodes
+	JoinNodes     int // positive beta join nodes, a shared one counted once
 	NegNodes      int // negative (negated-pattern) nodes
 	JoinTests     int // beta join-closure evaluations
 	TokenAsserts  int // partial-match tokens created

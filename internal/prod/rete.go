@@ -1,6 +1,9 @@
 package prod
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // rete is the engine's full discrimination network. The alpha layer
 // classifies each WM change once across all rules; the beta layer stores
@@ -14,6 +17,11 @@ import "time"
 // agenda, whose order is total, so the order in which rules are activated
 // never shows in selection.
 //
+// Rules share first nodes (addRule, beta.go). A memory right-activates a
+// shared node in its owner's entry, so the owner is charged the match time
+// of everything that activation propagates, into other rules' private
+// nodes included.
+//
 // Conflict resolution then reads the top of the agenda.
 
 type rete struct {
@@ -21,9 +29,8 @@ type rete struct {
 	rules []*reteRule
 
 	seeded   bool
-	touched  []*reteRule // rules right-activated by the current batch
-	clock    time.Time   // the current batch's last match-time read
-	patterns int         // compiled patterns (sharing statistic)
+	clock    time.Time // the current batch's last match-time read
+	patterns int       // compiled patterns (sharing statistic)
 }
 
 // memChange is what one WM change did to one alpha memory.
@@ -35,13 +42,13 @@ const (
 	memTouch                  // the element stayed through a Modify
 )
 
-// reteRule is one rule's beta chain, its token state, and its batch-local
-// counters.
+// reteRule is one rule's path through the beta network, the token state of
+// the nodes it owns, and its batch-local counters.
 type reteRule struct {
 	idx   int
 	r     *Rule
 	cr    *compiledRule
-	nodes []*betaNode
+	nodes []*betaNode // one per pattern; nodes[0] may be another rule's
 
 	root      *token
 	rootSlice []*token
@@ -66,61 +73,56 @@ func (rr *reteRule) newToken() *token {
 }
 
 // reteBatchStats accumulates one rule's work during a batch; folded into
-// the engine metrics at the end of the batch.
+// the engine metrics at the end of the batch. The work counters cover the
+// nodes the rule owns, whichever rule's activation reached them; elapsed
+// and activated cover its own memory-successor entries.
 type reteBatchStats struct {
 	joinTests            int
 	asserts, retracts    int
 	matchAdds, matchDels int
 	elapsed              time.Duration
-	touched              bool
+	activated            bool // a memory right-activated the rule's nodes
 }
 
 func newRete() *rete {
 	return &rete{alpha: newAlphaNet()}
 }
 
-// addRule compiles a rule and splices its beta chain into the network.
-// If the engine is already seeded, the new rule's memories are populated
-// from live WM and its chain activated immediately.
+// addRule compiles a rule and splices it into the network. The first node
+// is shared when an earlier rule has one on the same alpha memory with the
+// same projections (sharedFirst). If the engine is already seeded, the new
+// rule's memories are populated from live WM and its nodes activated
+// immediately: a sharer left-activates its private nodes from the shared
+// node's stored tokens.
 func (rt *rete) addRule(r *Rule, e *Engine) {
 	cr := compileRule(r)
 	rr := &reteRule{idx: r.index, r: r, cr: cr, ag: &e.agenda}
 	rr.root = &token{binds: make([]any, len(cr.slotNames))}
 	rr.rootSlice = []*token{rr.root}
-	var prev *betaNode
-	for _, cp := range cr.pats {
-		mem := rt.alpha.memFor(cp.class, cp.alphas, e.WM, rt.seeded)
+	mems := make([]*alphaMem, len(cr.pats))
+	for i, cp := range cr.pats {
+		mems[i] = rt.alpha.memFor(cp.class, cp.alphas, e.WM, rt.seeded)
 		rt.patterns++
-		n := &betaNode{
-			mem:   mem,
-			neg:   cp.negated,
-			joins: cp.joins,
-			projs: cp.projs,
-			attrs: map[string]bool{},
-			prev:  prev,
+	}
+	var parent *betaNode
+	for i, cp := range cr.pats {
+		var n *betaNode
+		if i == 0 {
+			n = rt.sharedFirst(cr, mems)
 		}
-		for _, a := range cp.attrs {
-			n.attrs[a] = true
-		}
-		if cp.hashSlot >= 0 {
-			n.hashed = true
-			n.hashSlot = cp.hashSlot
-			n.hashAttr = cp.hashAttr
-			n.memIdx = mem.ensureIndex(cp.hashAttr)
-			// The token-side indexes (the previous node's succIdx, a
-			// negative node's negIdx, every positive node's elIdx) are
-			// built lazily on first probe — see beta.go.
-		}
-		if prev != nil {
-			prev.next = n
+		if n == nil {
+			n = newBetaNode(rr, mems[i], cp, parent)
 		}
 		rr.nodes = append(rr.nodes, n)
-		prev = n
+		parent = n
 	}
-	// Register the nodes with their memories, deepest first. All of this
-	// rule's nodes are added here, so its entry on each memory is one run.
+	// Register the rule's own nodes with their memories, deepest first. All
+	// of them are added here, so its entry on each memory is one run.
 	for i := len(rr.nodes) - 1; i >= 0; i-- {
 		n := rr.nodes[i]
+		if n.rr != rr {
+			continue
+		}
 		mem := n.mem
 		if k := len(mem.succs) - 1; k >= 0 && mem.succs[k].rr == rr {
 			mem.succs[k].nodes = append(mem.succs[k].nodes, n)
@@ -131,14 +133,41 @@ func (rt *rete) addRule(r *Rule, e *Engine) {
 	rt.rules = append(rt.rules, rr)
 	if rt.seeded {
 		t0 := time.Now()
-		rr.leftActivate(rr.nodes[0], rr.root)
+		if first := rr.nodes[0]; first.rr == rr {
+			first.leftActivate(rr.root)
+		} else {
+			for _, t := range first.tokens {
+				rr.nodes[1].leftActivate(t)
+			}
+		}
 		rr.stats.elapsed = time.Since(t0)
 		rt.foldRule(e, rr, true)
 	}
 }
 
+// sharedFirst returns the earlier rule's first node that a new rule's first
+// pattern compiles to: the same alpha memory and the same projections, so
+// variable names may differ. Only multi-pattern rules share, so a shared
+// node is never a production node. A rule with a later pattern on the same
+// memory keeps its own first node: the memory would activate the shared
+// node in the owner's entry before the rule's later node in its own,
+// breaking the deepest-first order rightAssert relies on.
+func (rt *rete) sharedFirst(cr *compiledRule, mems []*alphaMem) *betaNode {
+	if len(mems) < 2 || slices.Contains(mems[1:], mems[0]) {
+		return nil
+	}
+	for _, o := range rt.rules {
+		if n := o.nodes[0]; len(o.nodes) > 1 && n.mem == mems[0] && slices.Equal(n.projs, cr.pats[0].projs) {
+			return n
+		}
+	}
+	return nil
+}
+
 // seed runs the network's first full match over live working memory and
-// sorts the agenda once, after every rule has been activated.
+// sorts the agenda once, after every rule has been activated. Each shared
+// first node is activated once, by its owner, which registered before its
+// sharers and so derives their private tokens before they are folded.
 func (rt *rete) seed(e *Engine) {
 	e.agenda.seeding = true
 	rt.alpha.seed(e.WM)
@@ -146,7 +175,9 @@ func (rt *rete) seed(e *Engine) {
 	rt.foldAlphaEvals(e)
 	for _, rr := range rt.rules {
 		t0 := time.Now()
-		rr.leftActivate(rr.nodes[0], rr.root)
+		if first := rr.nodes[0]; first.rr == rr {
+			first.leftActivate(rr.root)
+		}
 		rr.stats.elapsed = time.Since(t0)
 		rt.foldRule(e, rr, true)
 	}
@@ -209,38 +240,39 @@ func (rt *rete) apply(e *Engine, changes []Change) {
 		}
 	}
 	rt.foldAlphaEvals(e)
-	for _, rr := range rt.touched {
-		rt.foldRule(e, rr, false)
+	// A shared node's activation works in its sharers' private nodes too,
+	// so every rule with batch counters is folded, not only the activated.
+	for _, rr := range rt.rules {
+		if rr.stats != (reteBatchStats{}) {
+			rt.foldRule(e, rr, false)
+		}
 	}
-	rt.touched = rt.touched[:0]
 }
 
 // activate right-activates the nodes mem feeds with one change of el's
 // membership, rule by rule and each rule's nodes deepest first. Match time
-// chains one clock read per activated rule: each is charged the span since
-// the previous read of the batch, which folds the alpha work in between
-// into its figure but keeps the batch's total exact.
+// chains one clock read per memory-successor entry: its rule is charged
+// the span since the previous read of the batch, which folds the alpha
+// work in between and the work propagated into other rules' nodes into its
+// figure but keeps the batch's total exact.
 func (rt *rete) activate(mem *alphaMem, kind memChange, el *Element, attrs []string) {
 	for _, sc := range mem.succs {
 		rr := sc.rr
-		if !rr.stats.touched {
-			rr.stats.touched = true
-			rt.touched = append(rt.touched, rr)
-		}
+		rr.stats.activated = true
 		for _, n := range sc.nodes {
 			switch kind {
 			case memAdd:
-				rr.rightAssert(n, el)
+				n.rightAssert(el)
 			case memDel:
-				rr.rightRetract(n, el)
+				n.rightRetract(el)
 			case memTouch:
 				switch {
 				case n.touches(attrs):
 					// Rebuilt tokens carry the new time tag.
-					rr.rightRetract(n, el)
-					rr.rightAssert(n, el)
+					n.rightRetract(el)
+					n.rightAssert(el)
 				case !n.neg:
-					rr.restamp(n, el)
+					n.restamp(el)
 				}
 			}
 		}
@@ -271,14 +303,16 @@ func (rt *rete) foldAlphaEvals(e *Engine) {
 
 // foldRule moves a rule's batch counters into the engine metrics.
 // rebuild marks a from-scratch activation (seeding or late AddRule)
-// rather than an incremental delta.
+// rather than an incremental batch, which counts as a delta only when a
+// memory right-activated the rule's own nodes.
 func (rt *rete) foldRule(e *Engine, rr *reteRule, rebuild bool) {
 	st := &rr.stats
 	rm := &e.met.rules[rr.idx]
-	if rebuild {
+	switch {
+	case rebuild:
 		rm.rebuilds++
 		e.met.rebuilds++
-	} else {
+	case st.activated:
 		rm.deltas++
 		e.met.deltas++
 	}
@@ -300,16 +334,22 @@ func (rt *rete) tokensLive() int {
 	n := 0
 	for _, rr := range rt.rules {
 		for _, nd := range rr.nodes {
-			n += len(nd.tokens)
+			if nd.rr == rr {
+				n += len(nd.tokens)
+			}
 		}
 	}
 	return n
 }
 
-// nodeCounts returns the join and negative node totals.
+// nodeCounts returns the join and negative node totals, each shared node
+// counted once.
 func (rt *rete) nodeCounts() (joins, negs int) {
 	for _, rr := range rt.rules {
 		for _, nd := range rr.nodes {
+			if nd.rr != rr {
+				continue
+			}
 			if nd.neg {
 				negs++
 			} else {

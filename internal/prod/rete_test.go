@@ -1,6 +1,9 @@
 package prod
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The alpha layer must share constant tests and memories across rules:
 // three rules over the same class/test set compile to one memory, and a
@@ -32,6 +35,104 @@ func TestAlphaSharing(t *testing.T) {
 	}
 	if m.JoinNodes != 4 || m.NegNodes != 0 {
 		t.Errorf("nodes = %d join / %d neg, want 4/0", m.JoinNodes, m.NegNodes)
+	}
+}
+
+// Rules whose first patterns compile to the same alpha memory and the same
+// projections share one first node, whatever they name the variables.
+// Fifteen rules shaped like the control phase's placement rules — a body's
+// cursor joined to the next operator of one class — compile to one body
+// node feeding fifteen operator nodes, whose hashed probes share one index
+// of the body node's tokens. A single-pattern rule, a rule projecting
+// other attributes, and a rule with a later pattern on the first memory
+// each keep their own first node; a rule added after seeding shares.
+func TestFirstNodeSharing(t *testing.T) {
+	nop := func(*Tx, *Match) {}
+	wm := NewWM()
+	eng := NewEngine(wm)
+	joinNodes := func(label string, want int) {
+		t.Helper()
+		if got := eng.Metrics().JoinNodes; got != want {
+			t.Errorf("%s: JoinNodes = %d, want %d", label, got, want)
+		}
+	}
+	for i := 0; i < 15; i++ {
+		eng.AddRule(&Rule{Name: fmt.Sprintf("place-%d", i), Patterns: []Pattern{
+			P("body").Bind("body", "b").Bind("cursor", "c"),
+			P("op").Bind("body", "b").Bind("seq", "c").Eq("class", i),
+		}, Action: nop})
+	}
+	joinNodes("15 placement rules", 16)
+	shared := eng.rete.rules[0].nodes[0]
+	for _, rr := range eng.rete.rules {
+		if rr.nodes[0] != shared || rr.nodes[1].rr != rr {
+			t.Fatalf("%s: first node not the shared one, or second node not its own", rr.r.Name)
+		}
+	}
+	if len(shared.children) != 15 {
+		t.Fatalf("shared node feeds %d children, want 15", len(shared.children))
+	}
+
+	eng.AddRule(&Rule{Name: "renamed", Patterns: []Pattern{
+		P("body").Bind("body", "x").Bind("cursor", "y"),
+		P("op").Bind("body", "x").Bind("seq", "y").Eq("class", "renamed"),
+	}, Action: nop})
+	joinNodes("variables renamed", 17)
+	eng.AddRule(&Rule{Name: "single", Patterns: []Pattern{
+		P("body").Bind("body", "b").Bind("cursor", "c"),
+	}, Action: nop})
+	joinNodes("single-pattern rule", 18)
+	eng.AddRule(&Rule{Name: "reordered", Patterns: []Pattern{
+		P("body").Bind("cursor", "c").Bind("body", "b"),
+		P("op").Bind("body", "b").Bind("seq", "c"),
+	}, Action: nop})
+	joinNodes("other projections", 20)
+	eng.AddRule(&Rule{Name: "same-mem", Patterns: []Pattern{
+		P("body").Bind("body", "b").Bind("cursor", "c"),
+		P("body").Bind("body", "b").Bind("cursor", "c"),
+	}, Action: nop})
+	joinNodes("later pattern on the first memory", 22)
+
+	body := wm.Make("body", Attrs{"body": "main", "cursor": 0})
+	eng.applyChanges()
+	for i := 0; i < 15; i++ {
+		wm.Make("op", Attrs{"body": "main", "seq": i, "class": i})
+	}
+	eng.applyChanges()
+	if len(shared.succIdx) != 1 || shared.succIdx[0].slot != 0 {
+		t.Errorf("shared node keeps %d probe indexes, want one on slot 0", len(shared.succIdx))
+	}
+	if n := len(shared.tokens); n != 1 {
+		t.Errorf("shared node holds %d tokens for one body, want 1", n)
+	}
+	// A cursor move right-activates the shared node in its owner's entry:
+	// the owner counts the delta, and a sharer only the join test at its
+	// own node.
+	before := eng.Metrics()
+	wm.Modify(body, Attrs{"cursor": 1})
+	eng.applyChanges()
+	m := eng.Metrics()
+	if owner := m.Rules[0]; owner.Deltas != before.Rules[0].Deltas+1 {
+		t.Errorf("owner deltas %d -> %d, want one more", before.Rules[0].Deltas, owner.Deltas)
+	}
+	if sharer := m.Rules[1]; sharer.Deltas != before.Rules[1].Deltas || sharer.MatchCalls != before.Rules[1].MatchCalls+1 {
+		t.Errorf("sharer deltas %d -> %d and match calls %d -> %d, want unchanged and one more",
+			before.Rules[1].Deltas, sharer.Deltas, before.Rules[1].MatchCalls, sharer.MatchCalls)
+	}
+	if m.TokenAsserts-m.TokenRetracts != m.TokensLive {
+		t.Errorf("token asserts %d - retracts %d != live %d", m.TokenAsserts, m.TokenRetracts, m.TokensLive)
+	}
+
+	eng.AddRule(&Rule{Name: "late", Patterns: []Pattern{
+		P("body").Bind("body", "b").Bind("cursor", "c"),
+		P("op").Bind("body", "b").Bind("seq", "c").Eq("class", 1),
+	}, Action: nop})
+	joinNodes("rule added after seeding", 23)
+	if late := eng.rete.rules[len(eng.rete.rules)-1]; late.nodes[0] != shared {
+		t.Error("rule added after seeding did not share the first node")
+	}
+	if got := len(eng.conflictSet(len(eng.rules) - 1)); got != 1 {
+		t.Errorf("late rule holds %d instantiations, want 1 (cursor 1 on the class-1 op)", got)
 	}
 }
 

@@ -13,8 +13,9 @@
 //
 // The matcher is a compiled Rete network (rete.go, alpha.go, beta.go,
 // compile.go): each rule's left-hand side is compiled at AddRule time into
-// interned alpha constant tests feeding shared alpha memories, and a chain
-// of beta join nodes holding partial-match tokens — negated patterns
+// interned alpha constant tests feeding shared alpha memories, and a path
+// of beta join nodes holding partial-match tokens, its first node shared
+// with earlier rules whose first pattern compiles alike — negated patterns
 // become negative nodes carrying per-token blocker lists. The working
 // memory emits a change notification for every Make, Modify, and Remove;
 // between firings the network propagates only those changes, one at a

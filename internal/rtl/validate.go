@@ -209,9 +209,17 @@ func checkEndpointKind(ep Endpoint) error {
 }
 
 func (d *Design) validateBindings() error {
+	ops := d.Trace.AllOps()
+
 	// Carrier bindings.
+	used := map[*vt.Carrier]bool{}
+	for _, op := range ops {
+		if op.Carrier != nil {
+			used[op.Carrier] = true
+		}
+	}
 	for _, car := range d.Trace.Carriers {
-		if !d.carrierUsed(car) {
+		if !used[car] {
 			continue
 		}
 		switch car.Kind {
@@ -258,7 +266,7 @@ func (d *Design) validateBindings() error {
 			}
 		}
 	}
-	for _, op := range d.Trace.AllOps() {
+	for _, op := range ops {
 		s := d.OpState[op]
 		if s == nil {
 			return fmt.Errorf("rtl: op %s not scheduled", op)
@@ -298,7 +306,7 @@ func (d *Design) validateBindings() error {
 	}
 	regWrites := map[stateRegW][]*vt.Op{}
 
-	for _, op := range d.Trace.AllOps() {
+	for _, op := range ops {
 		s := d.OpState[op]
 		u := d.OpUnit[op]
 		if op.Kind.IsCompute() {
@@ -345,7 +353,7 @@ func (d *Design) validateBindings() error {
 	}
 
 	// Cross-step values must live in registers.
-	for _, op := range d.Trace.AllOps() {
+	for _, op := range ops {
 		v := op.Result
 		if v == nil || v.IsConst || op.Kind == vt.OpRead {
 			continue
@@ -364,13 +372,4 @@ func (d *Design) validateBindings() error {
 		}
 	}
 	return nil
-}
-
-func (d *Design) carrierUsed(car *vt.Carrier) bool {
-	for _, op := range d.Trace.AllOps() {
-		if op.Carrier == car {
-			return true
-		}
-	}
-	return false
 }
