@@ -3,7 +3,7 @@ package main
 // Design-space exploration: -explore sweeps a knob grid around the
 // flag-selected base options and prints the Pareto front. The grid syntax
 // is whitespace-separated knob=v1,v2 terms with integer ranges
-// ("memports=1..4", "maxops=0..8:2"); -knobs lists every knob with its
+// ("maxops=1..4", "maxops=0..8:2"); -knobs lists every knob with its
 // domain and default. Local and -remote sweeps render through the same
 // serve.RenderFront table — and with -json, the local output is
 // byte-identical to the daemon's POST /v1/explore response body.

@@ -198,11 +198,9 @@ func run(w io.Writer, o options) error {
 	}
 	if o.control {
 		fmt.Fprintln(w, "\ncontrol table:")
-		var sb strings.Builder
-		if err := res.Design.WriteControlTable(&sb); err != nil {
+		if err := res.Control.Write(w); err != nil {
 			return err
 		}
-		fmt.Fprint(w, sb.String())
 	}
 	return cosimVerdict(w, res.Cosim, false)
 }

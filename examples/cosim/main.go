@@ -110,6 +110,6 @@ func main() {
 	for _, l := range lines[:15] {
 		fmt.Println("  " + l)
 	}
-	fmt.Printf("  ... (%d lines total; control inputs asserted per Design.ControlTable)\n",
+	fmt.Printf("  ... (%d lines total; control inputs asserted per the table Design.Validate derives)\n",
 		strings.Count(res.Verilog, "\n"))
 }

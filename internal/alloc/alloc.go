@@ -10,9 +10,10 @@
 //     left-edge interval packing of holding registers (Hashimoto–Stevens,
 //     as used by the CMU-DA algorithmic tools contemporary with the DAA).
 //
-// Both produce complete, validated rtl.Designs through the same
-// policy-free binder (internal/bind), so the comparison isolates
-// allocation policy exactly as the paper's did.
+// Both produce complete rtl.Designs through the same policy-free binder
+// (internal/bind), so the comparison isolates allocation policy exactly as
+// the paper's did. Neither validates its design: callers run
+// rtl.Design.Validate, as flow's validate stage does once per compilation.
 package alloc
 
 import (
@@ -44,7 +45,7 @@ func unitWidth(op *vt.Op) int {
 // per operation kind), so the three designs implement identical control
 // steps and the comparison isolates binding policy, as the paper's did.
 func Naive(trace *vt.Program, opt Options) (*rtl.Design, error) {
-	scheds, err := sched.ProgramWith(opt.Scheduler, trace, defaultLimits(trace, opt.Limits))
+	scheds, err := sched.ProgramWith(opt.Scheduler, trace, opt.Limits.ForProgram(trace))
 	if err != nil {
 		return nil, err
 	}
@@ -62,9 +63,6 @@ func Naive(trace *vt.Program, opt Options) (*rtl.Design, error) {
 	if err := bind.Wire(d); err != nil {
 		return nil, err
 	}
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("alloc: naive design invalid: %v", err)
-	}
 	return d, nil
 }
 
@@ -81,24 +79,10 @@ type Options struct {
 	Scheduler string
 }
 
-// defaultLimits fills in the one-unit-per-kind default.
-func defaultLimits(trace *vt.Program, lim sched.Limits) sched.Limits {
-	if lim.UnitsPerKind == nil {
-		lim.UnitsPerKind = map[vt.OpKind]int{}
-		for _, op := range trace.AllOps() {
-			if op.Kind.IsCompute() {
-				lim.UnitsPerKind[op.Kind] = 1
-			}
-		}
-	}
-	return lim
-}
-
 // LeftEdge builds a design with greedy functional-unit sharing and
 // left-edge holding-register packing.
 func LeftEdge(trace *vt.Program, opt Options) (*rtl.Design, error) {
-	lim := defaultLimits(trace, opt.Limits)
-	scheds, err := sched.ProgramWith(opt.Scheduler, trace, lim)
+	scheds, err := sched.ProgramWith(opt.Scheduler, trace, opt.Limits.ForProgram(trace))
 	if err != nil {
 		return nil, err
 	}
@@ -109,9 +93,6 @@ func LeftEdge(trace *vt.Program, opt Options) (*rtl.Design, error) {
 	packRegisters(d)
 	if err := bind.Wire(d); err != nil {
 		return nil, err
-	}
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("alloc: left-edge design invalid: %v", err)
 	}
 	return d, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/isps"
+	"repro/internal/rtl"
 	"repro/internal/vt"
 )
 
@@ -20,6 +21,18 @@ func trace(t *testing.T, src string) *vt.Program {
 		t.Fatalf("build: %v", err)
 	}
 	return tr
+}
+
+// validated passes an allocator's result through Validate, the check
+// flow's validate stage applies to every compilation.
+func validated(d *rtl.Design, err error) (*rtl.Design, error) {
+	if err != nil {
+		return nil, err
+	}
+	if _, err := d.Validate(); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 func wrap(decls, body string) string {
@@ -45,7 +58,7 @@ processor GCD {
 
 func TestNaiveValidatesOnGCD(t *testing.T) {
 	tr := trace(t, gcdSrc)
-	d, err := Naive(tr, Options{})
+	d, err := validated(Naive(tr, Options{}))
 	if err != nil {
 		t.Fatalf("Naive: %v", err)
 	}
@@ -67,7 +80,7 @@ func TestNaiveValidatesOnGCD(t *testing.T) {
 
 func TestLeftEdgeValidatesOnGCD(t *testing.T) {
 	tr := trace(t, gcdSrc)
-	d, err := LeftEdge(tr, Options{})
+	d, err := validated(LeftEdge(tr, Options{}))
 	if err != nil {
 		t.Fatalf("LeftEdge: %v", err)
 	}
@@ -86,11 +99,11 @@ func TestLeftEdgeValidatesOnGCD(t *testing.T) {
 
 func TestLeftEdgeNeverWorseThanNaive(t *testing.T) {
 	tr := trace(t, gcdSrc)
-	naive, err := Naive(tr, Options{})
+	naive, err := validated(Naive(tr, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	le, err := LeftEdge(tr, Options{})
+	le, err := validated(LeftEdge(tr, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +119,7 @@ func TestLeftEdgeNeverWorseThanNaive(t *testing.T) {
 func TestNaiveMemoryDesign(t *testing.T) {
 	tr := trace(t, wrap("mem M[0:15]<7:0> reg A<7:0> reg P<3:0>",
 		"A := M[P]\nM[P] := A + 1\nP := P + 1"))
-	d, err := Naive(tr, Options{})
+	d, err := validated(Naive(tr, Options{}))
 	if err != nil {
 		t.Fatalf("Naive: %v", err)
 	}
@@ -118,7 +131,7 @@ func TestNaiveMemoryDesign(t *testing.T) {
 func TestSharedUnitAcrossSteps(t *testing.T) {
 	// Two adds forced into different steps (dependence chain) share a unit.
 	tr := trace(t, wrap("reg A<7:0> reg B<7:0>", "A := A + 1\nB := A + 2"))
-	d, err := LeftEdge(tr, Options{})
+	d, err := validated(LeftEdge(tr, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +151,7 @@ func TestCrossingValueGetsRegister(t *testing.T) {
 	// reused: the sum must be parked in a holding register.
 	tr := trace(t, wrap("reg A<7:0> reg B<7:0> reg C<7:0> reg D<7:0>",
 		"C := A + B\nD := C + 1"))
-	d, err := Naive(tr, Options{})
+	d, err := validated(Naive(tr, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +167,7 @@ func TestMuxInsertedForSharedUnitInput(t *testing.T) {
 	// muxes on its operand ports.
 	tr := trace(t, wrap("reg A<7:0> reg B<7:0> reg C<7:0>",
 		"A := A + 1\nB := B + 1\nC := C + 1"))
-	d, err := LeftEdge(tr, Options{})
+	d, err := validated(LeftEdge(tr, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +178,7 @@ func TestMuxInsertedForSharedUnitInput(t *testing.T) {
 
 func TestNaiveAvoidsMuxesWhenNoSharing(t *testing.T) {
 	tr := trace(t, wrap("reg A<7:0> reg B<7:0>", "B := A + 1"))
-	d, err := Naive(tr, Options{})
+	d, err := validated(Naive(tr, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +190,7 @@ func TestNaiveAvoidsMuxesWhenNoSharing(t *testing.T) {
 func TestPortsWired(t *testing.T) {
 	tr := trace(t, wrap("port in X<7:0> port out Y<7:0> reg A<7:0>",
 		"A := X\nY := A + 1"))
-	d, err := Naive(tr, Options{})
+	d, err := validated(Naive(tr, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,14 +210,14 @@ func TestDecodeHeavyDesign(t *testing.T) {
             otherwise: nop
         }`))
 	for _, build := range []func() error{
-		func() error { _, err := Naive(tr, Options{}); return err },
-		func() error { _, err := LeftEdge(tr, Options{}); return err },
+		func() error { _, err := validated(Naive(tr, Options{})); return err },
+		func() error { _, err := validated(LeftEdge(tr, Options{})); return err },
 	} {
 		if err := build(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	le, _ := LeftEdge(tr, Options{})
+	le, _ := validated(LeftEdge(tr, Options{}))
 	// Mutually exclusive branches: one unit per kind suffices.
 	if len(le.Units) != 5 {
 		t.Errorf("units %d, want 5 (one per kind)", len(le.Units))
@@ -219,7 +232,7 @@ processor P {
     proc bump { A := A + 1 }
     main m { call bump B := B + 1 call bump }
 }`)
-	d, err := LeftEdge(tr, Options{})
+	d, err := validated(LeftEdge(tr, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +250,7 @@ processor P {
 func TestPartialWriteDesign(t *testing.T) {
 	tr := trace(t, wrap("reg P<7:0> reg A<7:0>",
 		"P<0:0> := A eql 0\nP<1:1> := A gtr 5"))
-	if _, err := Naive(tr, Options{}); err != nil {
+	if _, err := validated(Naive(tr, Options{})); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -245,7 +258,7 @@ func TestPartialWriteDesign(t *testing.T) {
 func TestConcatAndSliceDesign(t *testing.T) {
 	tr := trace(t, wrap("reg A<3:0> reg B<3:0> reg W<7:0>",
 		"W := A @ B\nA := W<7:4>"))
-	d, err := Naive(tr, Options{})
+	d, err := validated(Naive(tr, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +303,11 @@ func TestAllocatorsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		naive, err := Naive(tr, Options{})
+		naive, err := validated(Naive(tr, Options{}))
 		if err != nil {
 			return false
 		}
-		le, err := LeftEdge(tr, Options{})
+		le, err := validated(LeftEdge(tr, Options{}))
 		if err != nil {
 			return false
 		}

@@ -119,7 +119,7 @@ func TestRouteInsertsMuxOnSecondSource(t *testing.T) {
 	if len(d.Muxes) != 1 || d.Muxes[0].Inputs != 2 {
 		t.Fatalf("muxes: %v", d.Muxes)
 	}
-	if err := d.Validate(); err != nil {
+	if _, err := d.Validate(); err != nil {
 		t.Fatalf("after mux insertion: %v", err)
 	}
 	if !d.Feeds(out(a), in(c)) || !d.Feeds(out(b), in(c)) {
@@ -136,7 +136,7 @@ func TestRouteGrowsExistingMux(t *testing.T) {
 	if len(d.Muxes) != 1 || d.Muxes[0].Inputs != 3 {
 		t.Fatalf("muxes: %v", d.Muxes)
 	}
-	if err := d.Validate(); err != nil {
+	if _, err := d.Validate(); err != nil {
 		t.Fatalf("after mux growth: %v", err)
 	}
 	// Re-routing an existing source must not grow the mux again.
@@ -165,7 +165,7 @@ func TestRouteIgnoresJunctionRoutes(t *testing.T) {
 	if d.FindRoute(out(a), in(c), false) == nil {
 		t.Error("A has no mux-only route to C after Route")
 	}
-	if err := d.Validate(); err != nil {
+	if _, err := d.Validate(); err != nil {
 		t.Fatalf("after routing: %v", err)
 	}
 }
@@ -191,7 +191,7 @@ func TestWireProducesValidDesign(t *testing.T) {
 	if err := Wire(d); err != nil {
 		t.Fatalf("Wire: %v", err)
 	}
-	if err := d.Validate(); err != nil {
+	if _, err := d.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	if len(d.Links) == 0 {

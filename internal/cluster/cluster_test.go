@@ -11,10 +11,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -460,5 +464,42 @@ func TestClusterStatusScrapesWorkers(t *testing.T) {
 	}
 	if hits < 1 {
 		t.Errorf("scraped %d design-cache hits, want >= 1", hits)
+	}
+}
+
+// TestStalledHeadersClosed: connections that send a request line and one
+// header and then stall are closed once the header timeout passes, instead
+// of each holding a connection and a goroutine open.
+func TestStalledHeadersClosed(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	co, err := New(Config{Peers: []Peer{{URL: "http://127.0.0.1:1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go co.Serve(l)
+	defer co.Shutdown(context.Background())
+	deadline := time.Now().Add(5 * time.Second)
+	var conns []net.Conn
+	for range 10 {
+		c, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := io.WriteString(c, "POST /v1/synthesize HTTP/1.1\r\nHost: daad\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(deadline)
+		conns = append(conns, c)
+	}
+	for i, c := range conns {
+		if _, err := io.ReadAll(c); errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("stalled connection %d still open after 5s", i)
+		}
 	}
 }

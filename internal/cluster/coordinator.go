@@ -123,6 +123,11 @@ type Coordinator struct {
 	http     http.Server
 }
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers: one that stalls mid-header is closed instead of holding
+// a connection and a goroutine forever. A variable so tests can shorten it.
+var readHeaderTimeout = 10 * time.Second
+
 // New builds a Coordinator over cfg.Peers. Call Start to begin probing,
 // Serve to accept traffic, Shutdown to drain.
 func New(cfg Config) (*Coordinator, error) {
@@ -155,6 +160,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	co.ring.Store(NewRing(nil))
 	co.http.Handler = co.Handler()
+	co.http.ReadHeaderTimeout = readHeaderTimeout
 	return co, nil
 }
 

@@ -4,8 +4,9 @@
 // technology-independent register-transfer structure.
 //
 // The design knowledge is expressed as production rules (internal/prod)
-// organized into the six phases of the prototype:
+// organized into the seven phases of the prototype:
 //
+//  0. trace         — refine the value trace in place before allocation
 //  1. data-memory   — allocate registers, memories, and ports for carriers
 //  2. control       — partition each value-trace body into control steps
 //  3. operators     — allocate functional units and bind operators to them
@@ -16,9 +17,10 @@
 //     ALUs, exploit commutativity, and delete dead hardware
 //
 // Each phase runs its own rule set to quiescence (the prototype used OPS5
-// context elements for the same sequencing). The result is a complete,
-// validated rtl.Design plus the synthesis statistics the paper reported:
-// rules fired per phase, working-memory size, and run time.
+// context elements for the same sequencing). The result is a complete
+// rtl.Design plus the synthesis statistics the paper reported: rules fired
+// per phase, working-memory size, and run time. rtl.Design.Validate checks
+// the design and derives its controller; flow's validate stage runs it.
 package core
 
 import (
@@ -118,8 +120,9 @@ type Result struct {
 	Provenance *Provenance
 }
 
-// Synthesize runs the DAA on a value trace and returns the validated
-// register-transfer design.
+// Synthesize runs the DAA on a value trace and returns the
+// register-transfer design. It does not validate the design: callers run
+// rtl.Design.Validate, as flow's validate stage does once per compilation.
 func Synthesize(trace *vt.Program, opt Options) (*Result, error) {
 	// Compatibility wrapper for tests and tools that own their lifecycle;
 	// library code threads a context through SynthesizeContext.
@@ -216,9 +219,6 @@ func SynthesizeContext(ctx context.Context, trace *vt.Program, opt Options) (*Re
 		stats.TotalCycles += eng.Cycles()
 	}
 	stats.Elapsed = time.Since(start)
-	if err := s.d.Validate(); err != nil {
-		return nil, fmt.Errorf("core: synthesized design invalid: %w", err)
-	}
 	res := &Result{Design: s.d, Stats: stats}
 	if opt.Journal {
 		res.Journal = s.journal
@@ -296,20 +296,11 @@ type unitState struct {
 }
 
 func newSynth(trace *vt.Program, opt Options) *synth {
-	lim := opt.Limits
-	if lim.UnitsPerKind == nil {
-		lim.UnitsPerKind = map[vt.OpKind]int{}
-		for _, op := range trace.AllOps() {
-			if op.Kind.IsCompute() {
-				lim.UnitsPerKind[op.Kind] = 1
-			}
-		}
-	}
 	s := &synth{
 		opt:      opt,
 		tr:       trace,
 		d:        rtl.NewDesign(trace.Name+"-daa", trace),
-		lim:      lim,
+		lim:      opt.Limits.ForProgram(trace),
 		opStep:   map[*vt.Op]int{},
 		stepUse:  map[stepKey]*stepUsage{},
 		bodyLen:  map[*vt.Body]int{},

@@ -35,6 +35,9 @@ func synthesize(t *testing.T, src string) *Result {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
+	if _, err := res.Design.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
 	return res
 }
 
@@ -214,6 +217,11 @@ func TestDAANeverWorseThanBaselines(t *testing.T) {
 			le, err := alloc.LeftEdge(tr, alloc.Options{})
 			if err != nil {
 				t.Fatal(err)
+			}
+			for _, d := range []*rtl.Design{daa.Design, naive, le} {
+				if _, err := d.Validate(); err != nil {
+					t.Fatalf("%s: %v", d.Name, err)
+				}
 			}
 			dc, nc, lc := daa.Design.Counts(), naive.Counts(), le.Counts()
 			if dc.Units > lc.Units || lc.Units > nc.Units {

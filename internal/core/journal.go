@@ -410,9 +410,11 @@ func (s *synth) applyEffect(name string, args []any) (any, error) {
 // (the same one the recorded run started from — flow.FrontEnd hands out
 // identical clones) and returns the reproduced design. Rule left-hand
 // sides are never re-matched: only the journaled effects run, followed by
-// the same deterministic post-phase hooks as Synthesize. The result must
-// be byte-identical to the recorded run's design; the journal tests
-// assert it across every embedded benchmark.
+// the same deterministic post-phase hooks as Synthesize. Unlike
+// Synthesize, Replay validates its result, because a journal may come
+// from outside the process. The result must be byte-identical to the
+// recorded run's design; the journal tests assert it across every
+// embedded benchmark.
 func Replay(trace *vt.Program, j *Journal, opt Options) (*rtl.Design, error) {
 	opt.Journal = false
 	s := newSynth(trace, opt)
@@ -445,7 +447,7 @@ func Replay(trace *vt.Program, j *Journal, opt Options) (*rtl.Design, error) {
 			}
 		}
 	}
-	if err := s.d.Validate(); err != nil {
+	if _, err := s.d.Validate(); err != nil {
 		return nil, fmt.Errorf("core: replayed design invalid: %w", err)
 	}
 	return s.d, nil

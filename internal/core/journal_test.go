@@ -16,7 +16,11 @@ func renderDesign(t *testing.T, d *rtl.Design) string {
 	if err := d.WriteVerilog(&b, "top"); err != nil {
 		t.Fatalf("render verilog: %v", err)
 	}
-	if err := d.WriteControlTable(&b); err != nil {
+	ctl, err := d.Validate()
+	if err != nil {
+		t.Fatalf("validate: %v", err)
+	}
+	if err := ctl.Write(&b); err != nil {
 		t.Fatalf("render control table: %v", err)
 	}
 	return b.String()

@@ -108,13 +108,9 @@ func (s *synth) fitsStep(op *vt.Op, step int) bool {
 			return false
 		}
 	}
-	memPorts := s.lim.MemPorts
-	if memPorts <= 0 {
-		memPorts = 1
-	}
 	switch op.Kind {
 	case vt.OpMemRead, vt.OpMemWrite:
-		if u.mem[op.Carrier] >= memPorts {
+		if u.mem[op.Carrier] > 0 {
 			return false
 		}
 	case vt.OpWrite:

@@ -95,14 +95,13 @@ type E2Row struct {
 	Cost      cost.Breakdown
 }
 
-// Allocators runs the DAA and both baselines on a loaded trace. Each
-// allocator gets its own vt.Clone: the DAA's trace-refinement rules
-// rewrite the trace in place (part of its knowledge advantage), so the
-// baselines must see the unrefined description, as the paper's
-// comparators did — and the caller's trace is never touched, so one
-// cached front-end build serves all three runs.
+// Allocators runs the DAA and both baselines on a loaded trace and
+// validates each design. Each allocator gets its own vt.Clone: the DAA's
+// trace-refinement rules rewrite the trace in place (part of its knowledge
+// advantage), so the baselines must see the unrefined description, as the
+// paper's comparators did — and the caller's trace is never touched, so
+// one cached front-end build serves all three runs.
 func Allocators(ctx context.Context, tr *vt.Program) ([]E2Row, error) {
-	model := cost.Default()
 	daa, err := core.SynthesizeContext(ctx, vt.Clone(tr), core.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("daa: %w", err)
@@ -115,11 +114,15 @@ func Allocators(ctx context.Context, tr *vt.Program) ([]E2Row, error) {
 	if err != nil {
 		return nil, fmt.Errorf("naive: %w", err)
 	}
-	return []E2Row{
-		{"daa", daa.Design.Counts(), model.Design(daa.Design)},
-		{"left-edge", le.Counts(), model.Design(le)},
-		{"naive", nv.Counts(), model.Design(nv)},
-	}, nil
+	model := cost.Default()
+	rows := []E2Row{{Allocator: "daa"}, {Allocator: "left-edge"}, {Allocator: "naive"}}
+	for i, d := range []*rtl.Design{daa.Design, le, nv} {
+		if _, err := d.Validate(); err != nil {
+			return nil, fmt.Errorf("%s: %w", rows[i].Allocator, err)
+		}
+		rows[i].Counts, rows[i].Cost = d.Counts(), model.Design(d)
+	}
+	return rows, nil
 }
 
 // E2 runs the allocator comparison on one benchmark.

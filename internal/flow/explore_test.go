@@ -21,7 +21,7 @@ func gcdInput(t *testing.T) flow.Input {
 }
 
 func TestParseGridSpec(t *testing.T) {
-	g, err := flow.ParseGridSpec("allocator=daa,leftedge memports=1..3 cleanup=true,false")
+	g, err := flow.ParseGridSpec("allocator=daa,leftedge maxops=1..3 cleanup=true,false")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,15 +47,15 @@ func TestParseGridSpec(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"",                         // empty grid
-		"allocator",                // no values
-		"allocator=",               // empty value
-		"warp=1",                   // unknown knob
-		"allocator=quantum",        // out of domain
-		"memports=3..1",            // inverted range
-		"memports=1..4:0",          // zero step
-		"memports=1..4 memports=2", // duplicate axis
-		"allocator=1..3",           // range on an enum
+		"",                     // empty grid
+		"allocator",            // no values
+		"allocator=",           // empty value
+		"warp=1",               // unknown knob
+		"allocator=quantum",    // out of domain
+		"maxops=3..1",          // inverted range
+		"maxops=1..4:0",        // zero step
+		"maxops=1..4 maxops=2", // duplicate axis
+		"allocator=1..3",       // range on an enum
 	} {
 		if _, err := flow.ParseGridSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
@@ -179,7 +179,7 @@ func TestExploreFailedSourceIsPerPointDiagnostic(t *testing.T) {
 
 func TestExploreGridCap(t *testing.T) {
 	in := gcdInput(t)
-	grid, err := flow.ParseGridSpec("maxops=1..100 memports=1..50")
+	grid, err := flow.ParseGridSpec("maxops=1..100 cosim-seed=1..50")
 	if err != nil {
 		t.Fatal(err)
 	}

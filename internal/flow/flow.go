@@ -11,7 +11,8 @@
 // Compile runs a memoized front half — parse → sema → build (Value Trace
 // construction and validation) — and then a composable back-end stage
 // list: the mandatory allocate (DAA or a baseline allocator) → validate
-// (register-transfer structural checks) → cost spine, plus the optional
+// (rtl.Design.Validate: structure, bindings and interconnect, deriving the
+// control table onto Result.Control) → cost spine, plus the optional
 // emit (structural Verilog onto Result.Verilog) and cosim (behavioral-
 // vs-RTL equivalence verdict onto Result.Cosim) stages selected through
 // Options. Every stage is a named unit with three cross-cutting concerns:
@@ -186,6 +187,9 @@ type Result struct {
 	VT *vt.Program
 	// Design is the synthesized register-transfer structure.
 	Design *rtl.Design
+	// Control is the design's control table, derived by the validate
+	// stage; every report and artifact of the controller reads it.
+	Control rtl.Control
 	// Synth carries the DAA's rule-firing statistics and engine metrics;
 	// nil for the baseline allocators.
 	Synth *core.Result

@@ -48,9 +48,12 @@ func (in Input) ContentHash() [sha256.Size]byte {
 // The "exhaustive=false" and "lite=false" fragments are literals: they
 // once named an exhaustive driving mode of the engine and a second
 // incremental matcher, both since removed (the exhaustive matcher survives
-// only as the crosscheck oracle). Every design-cache, shard and explain
-// key in service (and the golden keys) carries them, so dropping them
-// would silently split every cache and reshuffle cluster routing.
+// only as the crosscheck oracle). So is "memports=1" in both limits
+// fragments: it once named a memory-port limit, removed because the
+// register-transfer model gives each memory one port. Every design-cache,
+// shard and explain key in service (and the golden keys) carries them, so
+// dropping them would silently split every cache and reshuffle cluster
+// routing.
 func (o Options) Key() string {
 	k := o.Knobs()
 	var b strings.Builder
@@ -106,11 +109,7 @@ func (o Options) Cacheable() bool {
 // kind, and the nil map (the "one unit per compute kind" default) is
 // spelled distinctly from an explicit empty or populated map.
 func writeLimits(b *strings.Builder, l sched.Limits) {
-	memPorts := l.MemPorts
-	if memPorts <= 0 {
-		memPorts = 1 // sched treats 0 as single-ported
-	}
-	fmt.Fprintf(b, "memports=%d,maxops=%d,units=", memPorts, l.MaxOpsPerStep)
+	fmt.Fprintf(b, "memports=1,maxops=%d,units=", l.MaxOpsPerStep)
 	if l.UnitsPerKind == nil {
 		b.WriteString("default")
 		return

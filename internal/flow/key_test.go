@@ -33,11 +33,10 @@ func TestOptionsKeyDistinct(t *testing.T) {
 		"no-cleanup":       {Core: core.Options{DisableCleanup: true}},
 		"no-trace-rules":   {Core: core.Options{DisableTraceRules: true}},
 		"crosscheck":       {Core: core.Options{CrossCheckMatch: true}},
-		"mem-ports":        {Core: core.Options{Limits: sched.Limits{MemPorts: 2}}},
 		"max-ops":          {Core: core.Options{Limits: sched.Limits{MaxOpsPerStep: 3}}},
 		"units-capped":     {Core: core.Options{Limits: sched.Limits{UnitsPerKind: map[vt.OpKind]int{vt.OpAdd: 2}}}},
 		"units-empty":      {Core: core.Options{Limits: sched.Limits{UnitsPerKind: map[vt.OpKind]int{}}}},
-		"alloc-mem-ports":  {Allocator: flow.AllocLeftEdge, Alloc: alloc.Options{Limits: sched.Limits{MemPorts: 2}}},
+		"alloc-max-ops":    {Allocator: flow.AllocLeftEdge, Alloc: alloc.Options{Limits: sched.Limits{MaxOpsPerStep: 3}}},
 		"model-regbit":     {Model: &tweakedModel},
 		"model-fnbit":      {Model: &fnModel},
 		"model-fnbit-swap": {Model: &fnModel2},
@@ -71,11 +70,6 @@ func TestOptionsKeyNormalizesDefaults(t *testing.T) {
 	}
 	if got := (flow.Options{NoCache: true}).Key(); got != base.Key() {
 		t.Errorf("NoCache leaked into the key:\n  %q\n  %q", got, base.Key())
-	}
-	// MemPorts 0 and 1 both mean single-ported in sched.
-	a := flow.Options{Core: core.Options{Limits: sched.Limits{MemPorts: 1}}}
-	if a.Key() != base.Key() {
-		t.Errorf("MemPorts 0 vs 1 key differently:\n  %q\n  %q", a.Key(), base.Key())
 	}
 	// Cosim stimulus parameters only count while the stage is on: a stray
 	// seed with Cosim off must not split caches…

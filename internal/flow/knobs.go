@@ -328,14 +328,6 @@ func costKnob(name, doc string, def float64, read func(*cost.Model) *float64) Kn
 	)
 }
 
-// normMemPorts spells the sched "0 means 1" default canonically.
-func normMemPorts(n int) int {
-	if n <= 0 {
-		return 1
-	}
-	return n
-}
-
 func buildKnobRegistry() []Knob {
 	def := cost.Default()
 	knobs := []Knob{
@@ -369,12 +361,6 @@ func buildKnobRegistry() []Knob {
 		boolKnob("journal", "record rule-firing effects and build the provenance index", false,
 			func(o *Options) bool { return o.Core.Journal },
 			func(o *Options, v bool) { o.Core.Journal = v }),
-		intKnob("memports", "memory accesses allowed per step per memory", 1, 1,
-			func(o *Options) int { return normMemPorts(o.Core.Limits.MemPorts) },
-			func(o *Options, n int) {
-				o.Core.Limits.MemPorts = n
-				o.Alloc.Limits.MemPorts = n
-			}),
 		intKnob("maxops", "cap on operators per control step (0 = uncapped)", 0, 0,
 			func(o *Options) int { return o.Core.Limits.MaxOpsPerStep },
 			func(o *Options, n int) {

@@ -75,7 +75,6 @@ func TestEachKnobMovesKey(t *testing.T) {
 		"cleanup":       "false",
 		"crosscheck":    "true",
 		"journal":       "true",
-		"memports":      "2",
 		"maxops":        "3",
 		"units":         "add:2",
 		"fold-slack":    "7.5",
@@ -134,9 +133,10 @@ func TestEachKnobMovesKey(t *testing.T) {
 
 func TestApplyKnobsRejectsBadInput(t *testing.T) {
 	var o flow.Options
-	// "lite" and "exhaustive" named matcher modes that no longer exist;
-	// the key keeps their fragments, but the knobs are gone.
-	for _, name := range []string{"warp-speed", "lite", "exhaustive"} {
+	// "lite" and "exhaustive" named matcher modes that no longer exist, and
+	// "memports" a memory-port limit that could only be 1; the key keeps
+	// their fragments, but the knobs are gone.
+	for _, name := range []string{"warp-speed", "lite", "exhaustive", "memports"} {
 		if err := o.ApplyKnobs(map[string]string{name: "9"}); err == nil || !strings.Contains(err.Error(), "unknown knob") {
 			t.Errorf("unknown knob %s accepted: %v", name, err)
 		}
@@ -144,7 +144,6 @@ func TestApplyKnobsRejectsBadInput(t *testing.T) {
 	cases := map[string]string{
 		"allocator":  "quantum",
 		"scheduler":  "greedy",
-		"memports":   "0",
 		"maxops":     "-1",
 		"fold-slack": "-2",
 		"units":      "add:x",
@@ -192,7 +191,7 @@ func TestKnobModelNormalization(t *testing.T) {
 // ApplyKnobs, read back with Knobs, re-apply onto a fresh Options, and the
 // two option sets key identically.
 func FuzzKnobRoundTrip(f *testing.F) {
-	f.Add("allocator=leftedge;scheduler=asap;memports=2")
+	f.Add("allocator=leftedge;scheduler=asap;maxops=2")
 	f.Add("fold-slack=3.5;cost.reg=9;units=add:2+sub:1")
 	f.Add("cosim=true;cosim-seed=42;journal=true")
 	f.Add("cost.fn=add:16+xor:2;maxops=4;cleanup=false")

@@ -99,11 +99,16 @@ func runAllocate(ctx context.Context, in Input, opt Options, res *Result) (strin
 		which, c.Registers, c.Units, c.Muxes, c.Links, c.States), nil
 }
 
-// runValidate applies the register-transfer structural checks.
+// runValidate checks the design — structure, bindings and interconnect —
+// and stores the control table the check derives on Result.Control. It is
+// the compilation's one validation: neither allocator validates its own
+// design.
 func runValidate(ctx context.Context, in Input, opt Options, res *Result) (string, error) {
-	if err := res.Design.Validate(); err != nil {
+	ctl, err := res.Design.Validate()
+	if err != nil {
 		return "", Diagnose(StageValidate, in, err)
 	}
+	res.Control = ctl
 	return "", nil
 }
 

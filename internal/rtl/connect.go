@@ -6,58 +6,6 @@ import (
 	"repro/internal/vt"
 )
 
-// validateConnectivity checks that every transfer of Transfers rides
-// allocated hardware: each source of the value reaches the transfer's sink,
-// directly or through the multiplexers and junctions that FindRoute walks, so
-// mux trees built by the cleanup rules remain valid. The binder chooses the
-// port assignment of a two-operand compute operator, so either orientation
-// is accepted.
-func (d *Design) validateConnectivity() error {
-	for _, op := range d.Trace.AllOps() {
-		ts, err := d.OpTransfers(op)
-		if err != nil {
-			return err
-		}
-		err = d.checkTransfers(ts)
-		if err != nil && len(ts) == 2 && op.Kind.IsCompute() {
-			ts[0].Dst, ts[1].Dst = ts[1].Dst, ts[0].Dst
-			if d.checkTransfers(ts) == nil {
-				err = nil
-			}
-		}
-		if err != nil {
-			return err
-		}
-	}
-	for _, v := range d.ParkedValues() {
-		if err := d.checkTransfers([]Transfer{d.ParkTransfer(v)}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkTransfers reports the first transfer with a source that does not
-// feed its sink.
-func (d *Design) checkTransfers(ts []Transfer) error {
-	for _, t := range ts {
-		srcs, err := d.ValueSources(t.Val, t.State)
-		for _, src := range srcs {
-			if !d.Feeds(src, t.Dst) {
-				err = fmt.Errorf("no path from %s to %s", src, t.Dst)
-				break
-			}
-		}
-		if err != nil {
-			if t.Op == nil {
-				return fmt.Errorf("rtl: parking %s: %v", t.Val, err)
-			}
-			return fmt.Errorf("rtl: op %s: %v", t.Op, err)
-		}
-	}
-	return nil
-}
-
 // ValueSources returns the hardware endpoints supplying v to a consumer in
 // state s. Wiring operators are transparent: a slice reads through to its
 // argument's sources and a concatenation contributes the sources of both
@@ -134,7 +82,8 @@ const maxRouteLinks = 5
 // multiplexers, and through junctions when viaJunctions is set, and gives
 // up on routes longer than maxRouteLinks. It returns nil when src does not
 // reach dst. FindRoute is the one walk over the interconnect: Feeds, the
-// binder's check for a reusable route, and control derivation all use it.
+// binder's check for a reusable route, and Validate's control derivation
+// all use it.
 //
 // FindRoute is small enough to inline, so the returned slice stays on the
 // caller's stack unless the caller keeps it.

@@ -2,6 +2,8 @@ package rtl
 
 import (
 	"fmt"
+	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -11,10 +13,10 @@ import (
 // Controller synthesis: the DAA's control allocation produced, besides the
 // step sequence, the control signals each step asserts — register load
 // enables, multiplexer selects, unit function selects, and memory write
-// strobes. ControlTable derives exactly those signals from the bindings
-// and the interconnect, and doubles as a deeper validation pass: deriving
-// a contradictory multiplexer selection (one mux asked for two ways in one
-// step) is a real resource conflict.
+// strobes. Validate derives exactly those signals from the bindings and
+// the interconnect in its one walk over the transfers, so every design
+// that validates has a controller: a transfer with no route to its sink,
+// or one multiplexer asked for two ways in one step, fails validation.
 
 // StateControl lists the signals asserted during one control step.
 type StateControl struct {
@@ -26,9 +28,11 @@ type StateControl struct {
 	PortWrites []*Port
 	// MemWrites are memories strobed this step.
 	MemWrites []*Memory
-	// MuxSel maps each multiplexer used this step to the selected way.
+	// MuxSel maps each multiplexer used this step to the selected way;
+	// nil when the step selects none.
 	MuxSel map[*Mux]int
-	// UnitFn maps each active unit to the function it performs this step.
+	// UnitFn maps each active unit to the function it performs this step;
+	// nil when no unit is active.
 	UnitFn map[*Unit]vt.OpKind
 }
 
@@ -37,111 +41,9 @@ func (sc *StateControl) Signals() int {
 	return len(sc.Loads) + len(sc.PortWrites) + len(sc.MemWrites) + len(sc.MuxSel) + len(sc.UnitFn)
 }
 
-// ControlTable derives the control signals of every state. It fails if the
-// datapath would need one multiplexer in two positions during a single
-// step — a conflict the structural validator cannot see.
-func (d *Design) ControlTable() ([]*StateControl, error) {
-	byState := map[*State]*StateControl{}
-	get := func(s *State) *StateControl {
-		sc := byState[s]
-		if sc == nil {
-			sc = &StateControl{State: s, MuxSel: map[*Mux]int{}, UnitFn: map[*Unit]vt.OpKind{}}
-			byState[s] = sc
-		}
-		return sc
-	}
-
-	transfers, err := d.Transfers()
-	if err != nil {
-		return nil, err
-	}
-	loads := map[*State]map[*Register]bool{}
-	portW := map[*State]map[*Port]bool{}
-	memW := map[*State]map[*Memory]bool{}
-
-	for _, t := range transfers {
-		sc := get(t.State)
-		srcs, err := d.ValueSources(t.Val, t.State)
-		if err != nil {
-			return nil, err
-		}
-		for _, src := range srcs {
-			if err := d.selectRoute(sc, src, t.Dst); err != nil {
-				return nil, err
-			}
-		}
-		switch t.Dst.Kind {
-		case EPRegIn:
-			if loads[t.State] == nil {
-				loads[t.State] = map[*Register]bool{}
-			}
-			loads[t.State][t.Dst.Comp.(*Register)] = true
-		case EPPortOut:
-			if portW[t.State] == nil {
-				portW[t.State] = map[*Port]bool{}
-			}
-			portW[t.State][t.Dst.Comp.(*Port)] = true
-		case EPMemDataIn:
-			if memW[t.State] == nil {
-				memW[t.State] = map[*Memory]bool{}
-			}
-			memW[t.State][t.Dst.Comp.(*Memory)] = true
-		}
-	}
-
-	for _, op := range d.Trace.AllOps() {
-		u := d.OpUnit[op]
-		if u == nil {
-			continue
-		}
-		s := d.OpState[op]
-		sc := get(s)
-		if prev, ok := sc.UnitFn[u]; ok && prev != op.Kind {
-			return nil, fmt.Errorf("rtl: unit %s asked for %s and %s in %s", u.Name, prev, op.Kind, s)
-		}
-		sc.UnitFn[u] = op.Kind
-	}
-
-	var out []*StateControl
-	for _, s := range d.States {
-		sc := get(s)
-		for r := range loads[s] {
-			sc.Loads = append(sc.Loads, r)
-		}
-		sort.Slice(sc.Loads, func(i, j int) bool { return sc.Loads[i].ID < sc.Loads[j].ID })
-		for p := range portW[s] {
-			sc.PortWrites = append(sc.PortWrites, p)
-		}
-		sort.Slice(sc.PortWrites, func(i, j int) bool { return sc.PortWrites[i].ID < sc.PortWrites[j].ID })
-		for m := range memW[s] {
-			sc.MemWrites = append(sc.MemWrites, m)
-		}
-		sort.Slice(sc.MemWrites, func(i, j int) bool { return sc.MemWrites[i].ID < sc.MemWrites[j].ID })
-		out = append(out, sc)
-	}
-	return out, nil
-}
-
-// selectRoute records the mux selections along the route from src to dst,
-// rejecting contradictory selections within one step. Junctions pass
-// through without asserting control (they are wiring).
-func (d *Design) selectRoute(sc *StateControl, src, dst Endpoint) error {
-	route := d.FindRoute(src, dst, true)
-	if route == nil {
-		return fmt.Errorf("rtl: no route from %s to %s while deriving control", src, dst)
-	}
-	for _, l := range route {
-		if l.To.Kind != EPMuxIn {
-			continue
-		}
-		m := l.To.Comp.(*Mux)
-		if prev, ok := sc.MuxSel[m]; ok && prev != l.To.Index {
-			return fmt.Errorf("rtl: mux %s asked for ways %d and %d in %s", m.Name, prev, l.To.Index, sc.State)
-		}
-		sc.MuxSel[m] = l.To.Index
-	}
-	return nil
-}
+// Control is a design's controller: one StateControl per state, in the
+// order of Design.States. Validate derives it.
+type Control []*StateControl
 
 // ControlStats summarizes the controller for reporting.
 type ControlStats struct {
@@ -150,30 +52,22 @@ type ControlStats struct {
 	MaxSignals int // widest step
 }
 
-// ControlStats derives the controller summary.
-func (d *Design) ControlStats() (ControlStats, error) {
-	table, err := d.ControlTable()
-	if err != nil {
-		return ControlStats{}, err
-	}
-	cs := ControlStats{States: len(table)}
-	for _, sc := range table {
+// Stats summarizes the controller.
+func (c Control) Stats() ControlStats {
+	cs := ControlStats{States: len(c)}
+	for _, sc := range c {
 		n := sc.Signals()
 		cs.Signals += n
 		if n > cs.MaxSignals {
 			cs.MaxSignals = n
 		}
 	}
-	return cs, nil
+	return cs
 }
 
-// WriteControlTable renders the controller as text, one line per state.
-func (d *Design) WriteControlTable(w interface{ WriteString(string) (int, error) }) error {
-	table, err := d.ControlTable()
-	if err != nil {
-		return err
-	}
-	for _, sc := range table {
+// Write renders the controller as text, one line per state.
+func (c Control) Write(w io.Writer) error {
+	for _, sc := range c {
 		var parts []string
 		for u, fn := range sc.UnitFn {
 			parts = append(parts, fmt.Sprintf("%s=%s", u.Name, fn))
@@ -182,21 +76,120 @@ func (d *Design) WriteControlTable(w interface{ WriteString(string) (int, error)
 			parts = append(parts, fmt.Sprintf("%s<-%d", m.Name, way))
 		}
 		sort.Strings(parts)
-		var names []string
 		for _, r := range sc.Loads {
-			names = append(names, "load "+r.Name)
+			parts = append(parts, "load "+r.Name)
 		}
 		for _, p := range sc.PortWrites {
-			names = append(names, "drive "+p.Name)
+			parts = append(parts, "drive "+p.Name)
 		}
 		for _, mem := range sc.MemWrites {
-			names = append(names, "write "+mem.Name)
+			parts = append(parts, "write "+mem.Name)
 		}
 		line := fmt.Sprintf("%-24s %s", fmt.Sprintf("%s/%d:", sc.State.Body, sc.State.Index),
-			strings.Join(append(parts, names...), " "))
-		if _, err := w.WriteString(strings.TrimRight(line, " ") + "\n"); err != nil {
+			strings.Join(parts, " "))
+		if _, err := io.WriteString(w, strings.TrimRight(line, " ")+"\n"); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// deriveControl walks every transfer once — each operator's OpTransfers
+// in trace order, then the parking transfers — checking that each source
+// of the value reaches the sink and recording the signals that get it
+// there. Operands must arrive in the port order op.Args records: the
+// commutativity rule swaps op.Args when it swaps the wiring, so wiring
+// that disagrees with argument order is a defect, not a second orientation.
+// It runs after validateBindings, which guarantees that every operator is
+// scheduled into a listed state and that no unit runs two operators in one
+// step.
+func (d *Design) deriveControl() (Control, error) {
+	rows := make([]StateControl, len(d.States))
+	ctl := make(Control, len(d.States))
+	of := make(map[*State]*StateControl, len(d.States))
+	for i, s := range d.States {
+		rows[i].State = s
+		ctl[i] = &rows[i]
+		of[s] = &rows[i]
+	}
+	var ts []Transfer
+	for _, b := range d.Trace.Bodies {
+		for _, op := range b.Ops {
+			var err error
+			if ts, err = d.appendOpTransfers(ts[:0], op); err != nil {
+				return nil, err
+			}
+			sc := of[d.OpState[op]]
+			for _, t := range ts {
+				if err := d.controlTransfer(sc, t); err != nil {
+					return nil, fmt.Errorf("rtl: op %s: %v", op, err)
+				}
+			}
+			if u := d.OpUnit[op]; u != nil {
+				if sc.UnitFn == nil {
+					sc.UnitFn = map[*Unit]vt.OpKind{}
+				}
+				sc.UnitFn[u] = op.Kind
+			}
+		}
+	}
+	for _, v := range d.ParkedValues() {
+		t := d.ParkTransfer(v)
+		sc := of[t.State]
+		if sc == nil {
+			return nil, fmt.Errorf("rtl: parking %s: producer not scheduled", v)
+		}
+		if err := d.controlTransfer(sc, t); err != nil {
+			return nil, fmt.Errorf("rtl: parking %s: %v", v, err)
+		}
+	}
+	for _, sc := range ctl {
+		slices.SortFunc(sc.Loads, func(a, b *Register) int { return a.ID - b.ID })
+		sc.Loads = slices.Compact(sc.Loads)
+		slices.SortFunc(sc.PortWrites, func(a, b *Port) int { return a.ID - b.ID })
+		sc.PortWrites = slices.Compact(sc.PortWrites)
+		slices.SortFunc(sc.MemWrites, func(a, b *Memory) int { return a.ID - b.ID })
+		sc.MemWrites = slices.Compact(sc.MemWrites)
+	}
+	return ctl, nil
+}
+
+// controlTransfer records the signals transfer t asserts in its step: the
+// multiplexer selects along the first route (in link order) from each
+// source of the value to the sink, then the sink's load, drive or write
+// strobe. Junctions pass through without asserting control (they are
+// wiring).
+func (d *Design) controlTransfer(sc *StateControl, t Transfer) error {
+	srcs, err := d.ValueSources(t.Val, t.State)
+	if err != nil {
+		return err
+	}
+	for _, src := range srcs {
+		route := d.FindRoute(src, t.Dst, true)
+		if route == nil {
+			return fmt.Errorf("no path from %s to %s", src, t.Dst)
+		}
+		for _, l := range route {
+			if l.To.Kind != EPMuxIn {
+				continue
+			}
+			m := l.To.Comp.(*Mux)
+			if way, ok := sc.MuxSel[m]; ok && way != l.To.Index {
+				return fmt.Errorf("mux %s asked for ways %d and %d in %s", m.Name, way, l.To.Index, sc.State)
+			}
+			if sc.MuxSel == nil {
+				sc.MuxSel = map[*Mux]int{}
+			}
+			sc.MuxSel[m] = l.To.Index
+		}
+	}
+	switch t.Dst.Kind {
+	case EPRegIn:
+		sc.Loads = append(sc.Loads, t.Dst.Comp.(*Register))
+	case EPPortOut:
+		sc.PortWrites = append(sc.PortWrites, t.Dst.Comp.(*Port))
+	case EPMemDataIn:
+		sc.MemWrites = append(sc.MemWrites, t.Dst.Comp.(*Memory))
 	}
 	return nil
 }

@@ -15,7 +15,9 @@ import (
 	"repro/internal/vt"
 )
 
-func designFor(t *testing.T, src string) *rtl.Design {
+// designFor synthesizes src with the DAA and validates the design,
+// returning it with the control table Validate derives.
+func designFor(t *testing.T, src string) (*rtl.Design, rtl.Control) {
 	t.Helper()
 	prog, err := isps.Parse("t", src)
 	if err != nil {
@@ -29,7 +31,11 @@ func designFor(t *testing.T, src string) *rtl.Design {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Design
+	ctl, err := res.Design.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Design, ctl
 }
 
 func TestControlTableAllBenchmarks(t *testing.T) {
@@ -43,7 +49,7 @@ func TestControlTableAllBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := res.Design.ControlTable(); err != nil {
+			if _, err := res.Design.Validate(); err != nil {
 				t.Errorf("daa: %v", err)
 			}
 			tr2, _ := bench.Load(name)
@@ -51,7 +57,7 @@ func TestControlTableAllBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := le.ControlTable(); err != nil {
+			if _, err := le.Validate(); err != nil {
 				t.Errorf("left-edge: %v", err)
 			}
 			tr3, _ := bench.Load(name)
@@ -59,24 +65,83 @@ func TestControlTableAllBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := nv.ControlTable(); err != nil {
+			if _, err := nv.Validate(); err != nil {
 				t.Errorf("naive: %v", err)
 			}
 		})
 	}
 }
 
+// swapOperands builds the operand-swap mutant of a design: the two
+// operand-port links of its first unit with a non-commutative function
+// trade ports, so the unit computes B op A where the trace says A op B.
+// It reports false when that unit has no two-operand wiring.
+func swapOperands(d *rtl.Design) (*rtl.Unit, bool) {
+	for _, u := range d.Units {
+		nonComm := false
+		for fn := range u.Fns {
+			nonComm = nonComm || !fn.IsCommutative()
+		}
+		if !nonComm {
+			continue
+		}
+		var ports [2]*rtl.Link
+		for _, l := range d.Links {
+			if l.To.Kind == rtl.EPUnitIn && l.To.Comp == u {
+				ports[l.To.Index] = l
+			}
+		}
+		if ports[0] == nil || ports[1] == nil {
+			return u, false
+		}
+		ports[0].To.Index, ports[1].To.Index = 1, 0
+		return u, true
+	}
+	return nil, false
+}
+
+// TestValidateRejectsSwappedOperands: wiring that feeds a non-commutative
+// unit its operands in the wrong order is a defect, even though every
+// source still reaches a port of the unit. gcd's mutant is the one
+// exception: control derivation picks different selects on both of its
+// multiplexers, so that design still computes what the trace describes.
+func TestValidateRejectsSwappedOperands(t *testing.T) {
+	equivalent := map[string]bool{"gcd": true}
+	mutated := 0
+	for _, name := range bench.Names() {
+		tr, err := bench.Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Synthesize(tr, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, ok := swapOperands(res.Design)
+		if !ok {
+			continue
+		}
+		mutated++
+		_, err = res.Design.Validate()
+		switch {
+		case equivalent[name] && err != nil:
+			t.Errorf("%s: equivalent mutant of %s rejected: %v", name, u.Name, err)
+		case !equivalent[name] && (err == nil || !strings.Contains(err.Error(), "no path from")):
+			t.Errorf("%s: mutant with the operands of %s swapped: got %v, want a route error", name, u.Name, err)
+		}
+	}
+	if mutated != 7 {
+		t.Errorf("built %d mutants, want 7 (every benchmark but counter and ibm370)", mutated)
+	}
+}
+
 func TestControlTableSignals(t *testing.T) {
-	d := designFor(t, `
+	d, table := designFor(t, `
 processor P {
     reg A<7:0>
     reg B<7:0>
     main m { A := A + B }
 }`)
-	table, err := d.ControlTable()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(table) != len(d.States) {
 		t.Fatalf("table rows %d, states %d", len(table), len(d.States))
 	}
@@ -98,7 +163,7 @@ processor P {
 func TestControlTableMuxSelectsDiffer(t *testing.T) {
 	// A shared adder fed from different registers in different steps must
 	// assert different mux ways.
-	d := designFor(t, `
+	_, table := designFor(t, `
 processor P {
     reg A<7:0>
     reg B<7:0>
@@ -107,10 +172,6 @@ processor P {
         B := B + 1
     }
 }`)
-	table, err := d.ControlTable()
-	if err != nil {
-		t.Fatal(err)
-	}
 	sels := map[int]bool{}
 	for _, sc := range table {
 		for _, way := range sc.MuxSel {
@@ -123,7 +184,7 @@ processor P {
 }
 
 func TestControlStatsAndRender(t *testing.T) {
-	d := designFor(t, `
+	d, table := designFor(t, `
 processor P {
     reg A<7:0>
     reg Z
@@ -131,15 +192,12 @@ processor P {
         if Z { A := A + 1 } else { A := A - 1 }
     }
 }`)
-	cs, err := d.ControlStats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := table.Stats()
 	if cs.States != len(d.States) || cs.Signals == 0 || cs.MaxSignals == 0 {
 		t.Errorf("implausible control stats: %+v", cs)
 	}
 	var sb strings.Builder
-	if err := d.WriteControlTable(&sb); err != nil {
+	if err := table.Write(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -153,7 +211,7 @@ processor P {
 
 func TestConcatUsesJunctionNotMux(t *testing.T) {
 	// A concat feeding a port is parallel wiring: a junction, never a mux.
-	d := designFor(t, `
+	d, _ := designFor(t, `
 processor P {
     reg A<3:0>
     reg B<3:0>
@@ -166,15 +224,12 @@ processor P {
 	if len(d.Muxes) != 0 {
 		t.Fatalf("muxes %d, want 0 (concat is wiring)", len(d.Muxes))
 	}
-	if _, err := d.ControlTable(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestPartialWritesSerialize(t *testing.T) {
 	// Two field writes to P in one description must land in different
 	// steps (strictly one write per register per step).
-	d := designFor(t, `
+	d, _ := designFor(t, `
 processor P {
     reg PS<7:0>
     reg A<7:0>
@@ -196,8 +251,5 @@ processor P {
 	}
 	if len(steps) != 2 {
 		t.Fatalf("PS written in %d steps, want 2", len(steps))
-	}
-	if _, err := d.ControlTable(); err != nil {
-		t.Fatal(err)
 	}
 }

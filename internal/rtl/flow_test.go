@@ -11,7 +11,7 @@ import (
 
 func flowFor(t *testing.T, src string) ([]rtl.Transition, *rtl.Design) {
 	t.Helper()
-	d := designFor(t, src)
+	d, _ := designFor(t, src)
 	edges, err := d.ControlFlow()
 	if err != nil {
 		t.Fatal(err)

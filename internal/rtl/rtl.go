@@ -5,14 +5,15 @@
 //
 // The model is deliberately structural, exactly as in the paper: no gate
 // netlist, no layout — those belonged to later stages of the CMU system.
-// Validate checks the structural and binding invariants; internal/cost
-// attaches gate-equivalent weights for design comparison.
+// Validate checks the structural and binding invariants and derives the
+// controller; internal/cost attaches gate-equivalent weights for design
+// comparison.
 //
 // The package owns the interconnect facts every allocator shares: which
 // sink each operand feeds (Design.OpTransfers, Design.Transfers) and how a
 // source reaches a sink (Design.FindRoute, the one walk over the links).
-// Validation, control derivation and the binder in internal/bind all read
-// them from here.
+// Validate, which derives the controller in the same walk, and the binder
+// in internal/bind both read them from here.
 package rtl
 
 import (

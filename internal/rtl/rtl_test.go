@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/isps"
 	"repro/internal/vt"
 )
 
@@ -13,7 +14,7 @@ import (
 func newStructural() *Design { return NewDesign("t", nil) }
 
 func TestEmptyDesignValid(t *testing.T) {
-	if err := newStructural().Validate(); err != nil {
+	if _, err := newStructural().Validate(); err != nil {
 		t.Fatalf("empty design: %v", err)
 	}
 }
@@ -26,7 +27,7 @@ func TestSimpleDatapathValid(t *testing.T) {
 	d.AddLink(Endpoint{Kind: EPRegOut, Comp: a}, Endpoint{Kind: EPUnitIn, Comp: u, Index: 0}, 8)
 	d.AddLink(Endpoint{Kind: EPRegOut, Comp: b}, Endpoint{Kind: EPUnitIn, Comp: u, Index: 1}, 8)
 	d.AddLink(Endpoint{Kind: EPUnitOut, Comp: u}, Endpoint{Kind: EPRegIn, Comp: a}, 8)
-	if err := d.Validate(); err != nil {
+	if _, err := d.Validate(); err != nil {
 		t.Fatalf("valid datapath rejected: %v", err)
 	}
 }
@@ -39,7 +40,7 @@ func TestSharedSinkRequiresMux(t *testing.T) {
 	// Two links into C.regin without a mux: illegal.
 	d.AddLink(Endpoint{Kind: EPRegOut, Comp: a}, Endpoint{Kind: EPRegIn, Comp: c}, 8)
 	d.AddLink(Endpoint{Kind: EPRegOut, Comp: b}, Endpoint{Kind: EPRegIn, Comp: c}, 8)
-	err := d.Validate()
+	_, err := d.Validate()
 	if err == nil || !strings.Contains(err.Error(), "requires a mux") {
 		t.Fatalf("got %v, want shared-sink error", err)
 	}
@@ -54,7 +55,7 @@ func TestMuxResolvesSharedSink(t *testing.T) {
 	d.AddLink(Endpoint{Kind: EPRegOut, Comp: a}, Endpoint{Kind: EPMuxIn, Comp: m, Index: 0}, 8)
 	d.AddLink(Endpoint{Kind: EPRegOut, Comp: b}, Endpoint{Kind: EPMuxIn, Comp: m, Index: 1}, 8)
 	d.AddLink(Endpoint{Kind: EPMuxOut, Comp: m}, Endpoint{Kind: EPRegIn, Comp: c}, 8)
-	if err := d.Validate(); err != nil {
+	if _, err := d.Validate(); err != nil {
 		t.Fatalf("mux datapath rejected: %v", err)
 	}
 }
@@ -129,7 +130,7 @@ func TestStructuralErrors(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			d := newStructural()
 			c.build(d)
-			err := d.Validate()
+			_, err := d.Validate()
 			if err == nil {
 				t.Fatal("expected validation error")
 			}
@@ -248,7 +249,7 @@ func TestFeedsThroughMuxTree(t *testing.T) {
 	d.AddLink(Endpoint{Kind: EPMuxOut, Comp: m1}, Endpoint{Kind: EPMuxIn, Comp: m2, Index: 0}, 8)
 	d.AddLink(Endpoint{Kind: EPRegOut, Comp: c}, Endpoint{Kind: EPMuxIn, Comp: m2, Index: 1}, 8)
 	d.AddLink(Endpoint{Kind: EPMuxOut, Comp: m2}, Endpoint{Kind: EPRegIn, Comp: dst}, 8)
-	if err := d.Validate(); err != nil {
+	if _, err := d.Validate(); err != nil {
 		t.Fatalf("mux tree invalid: %v", err)
 	}
 	target := Endpoint{Kind: EPRegIn, Comp: dst}
@@ -302,11 +303,27 @@ func TestFindRouteModesAndDepthBound(t *testing.T) {
 // TestSelectRouteFollowsLinkOrder: when a source reaches a sink along two
 // routes, control derivation selects the first route in link order.
 func TestSelectRouteFollowsLinkOrder(t *testing.T) {
+	prog, err := isps.Parse("t", "processor P { reg A<7:0> reg B<7:0> reg D<7:0> main m { D := A } }")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, viaM1First := range []bool{true, false} {
-		d := newStructural()
-		a := d.AddRegister("A", 8)
-		b := d.AddRegister("B", 8)
-		dst := d.AddRegister("D", 8)
+		tr, err := vt.Build(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewDesign("t", tr)
+		regs := map[string]*Register{}
+		for _, car := range tr.Carriers {
+			regs[car.Name] = d.AddRegister(car.Name, car.Width)
+			d.CarrierReg[car] = regs[car.Name]
+		}
+		s := d.AddState(tr.Main.Name, 0)
+		for _, op := range tr.Main.Ops {
+			d.OpState[op] = s
+			s.Ops = append(s.Ops, op)
+		}
+		a, b, dst := regs["A"], regs["B"], regs["D"]
 		m1 := d.AddMux("m1", 8, 2)
 		m2 := d.AddMux("m2", 8, 2)
 		out := func(r *Register) Endpoint { return Endpoint{Kind: EPRegOut, Comp: r} }
@@ -322,19 +339,16 @@ func TestSelectRouteFollowsLinkOrder(t *testing.T) {
 		d.AddLink(out(b), Endpoint{Kind: EPMuxIn, Comp: m1, Index: 1}, 8)
 		d.AddLink(Endpoint{Kind: EPMuxOut, Comp: m1}, Endpoint{Kind: EPMuxIn, Comp: m2, Index: 0}, 8)
 		d.AddLink(Endpoint{Kind: EPMuxOut, Comp: m2}, Endpoint{Kind: EPRegIn, Comp: dst}, 8)
-		if err := d.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		sc := &StateControl{MuxSel: map[*Mux]int{}}
-		if err := d.selectRoute(sc, out(a), Endpoint{Kind: EPRegIn, Comp: dst}); err != nil {
+		ctl, err := d.Validate()
+		if err != nil {
 			t.Fatal(err)
 		}
 		want := map[*Mux]int{m2: 1}
 		if viaM1First {
 			want = map[*Mux]int{m1: 0, m2: 0}
 		}
-		if !reflect.DeepEqual(sc.MuxSel, want) {
-			t.Errorf("viaM1First=%t: selects %v, want %v", viaM1First, sc.MuxSel, want)
+		if !reflect.DeepEqual(ctl[0].MuxSel, want) {
+			t.Errorf("viaM1First=%t: selects %v, want %v", viaM1First, ctl[0].MuxSel, want)
 		}
 	}
 }

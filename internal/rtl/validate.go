@@ -6,7 +6,10 @@ import (
 	"repro/internal/vt"
 )
 
-// Validate checks the structural and binding invariants of the design:
+// Validate checks the structural and binding invariants of the design and
+// derives its controller, returning the control table (nil for a design
+// without a trace). It is the one check a design passes: flow's validate
+// stage runs it once per compilation.
 //
 // Structure
 //   - component widths positive; muxes have ≥ 2 ways; memories ≥ 1 word
@@ -29,20 +32,24 @@ import (
 //     strictly at most once per step
 //   - a value consumed in a later step than its producer is held in an
 //     allocated register
-//   - every transfer of Transfers rides existing links, possibly through
-//     multiplexers and junctions (see FindRoute; concatenations are checked
-//     per contributing source)
-func (d *Design) Validate() error {
+//
+// Control (one walk over Transfers)
+//   - every source of every transfer reaches its sink over existing links,
+//     possibly through multiplexers and junctions (see FindRoute;
+//     concatenations are checked per contributing source); operands arrive
+//     in the port order op.Args records
+//   - no multiplexer is asked for two ways in one step
+func (d *Design) Validate() (Control, error) {
 	if err := d.validateStructure(); err != nil {
-		return err
+		return nil, err
 	}
 	if d.Trace == nil {
-		return nil
+		return nil, nil
 	}
 	if err := d.validateBindings(); err != nil {
-		return err
+		return nil, err
 	}
-	return d.validateConnectivity()
+	return d.deriveControl()
 }
 
 func (d *Design) validateStructure() error {

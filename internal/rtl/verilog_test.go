@@ -11,7 +11,7 @@ import (
 
 func verilogFor(t *testing.T, src string) string {
 	t.Helper()
-	d := designFor(t, src)
+	d, _ := designFor(t, src)
 	var sb strings.Builder
 	if err := d.WriteVerilog(&sb, "top"); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,8 @@
 // ASAP and ALAP give the unconstrained extremes and mobility; List performs
 // resource-constrained list scheduling honoring per-operation-kind unit
 // caps, single-ported memories, and one-write-per-register-per-step.
+// Memories are single-ported because the register-transfer model gives
+// each memory one address port; that is not a limit callers can raise.
 //
 // Schedulers are addressable by name (SchedList, SchedASAP, SchedALAP) so
 // callers can sweep the scheduling policy as an option. Infeasible inputs
@@ -43,17 +45,27 @@ func Schedulers() []string { return []string{SchedList, SchedASAP, SchedALAP} }
 type Limits struct {
 	// UnitsPerKind caps concurrent compute operators by kind (0 = no cap).
 	UnitsPerKind map[vt.OpKind]int
-	// MemPorts caps accesses per memory per step; 0 means 1 (single port).
-	MemPorts int
 	// MaxOpsPerStep caps the total operators per step (0 = no cap).
 	MaxOpsPerStep int
 }
 
-func (l Limits) memPorts() int {
-	if l.MemPorts <= 0 {
-		return 1
+// ForProgram returns l with its default unit caps filled in: when
+// UnitsPerKind is nil, every compute kind present in p is capped at one
+// unit, the minimum-hardware operating point that the DAA and the
+// baseline allocators share.
+func (l Limits) ForProgram(p *vt.Program) Limits {
+	if l.UnitsPerKind != nil {
+		return l
 	}
-	return l.MemPorts
+	l.UnitsPerKind = map[vt.OpKind]int{}
+	for _, b := range p.Bodies {
+		for _, op := range b.Ops {
+			if op.Kind.IsCompute() {
+				l.UnitsPerKind[op.Kind] = 1
+			}
+		}
+	}
+	return l
 }
 
 // Schedule assigns each operator of one body to a control step.
@@ -275,7 +287,7 @@ func fits(op *vt.Op, lim Limits, usedKind map[vt.OpKind]int, usedMem map[*vt.Car
 	}
 	switch op.Kind {
 	case vt.OpMemRead, vt.OpMemWrite:
-		if usedMem[op.Carrier] >= lim.memPorts() {
+		if usedMem[op.Carrier] > 0 {
 			return false
 		}
 	case vt.OpWrite:
@@ -338,7 +350,7 @@ func (s *Schedule) Verify(lim Limits) error {
 			switch op.Kind {
 			case vt.OpMemRead, vt.OpMemWrite:
 				usedMem[op.Carrier]++
-				if usedMem[op.Carrier] > lim.memPorts() {
+				if usedMem[op.Carrier] > 1 {
 					return fmt.Errorf("sched: step %d accesses memory %s twice", step, op.Carrier.Name)
 				}
 			case vt.OpWrite:

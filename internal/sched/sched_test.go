@@ -146,14 +146,6 @@ func TestListSinglePortedMemory(t *testing.T) {
 	if len(steps) != 2 || steps[0] == steps[1] {
 		t.Errorf("memread steps %v, want distinct", steps)
 	}
-	dual := Limits{MemPorts: 2}
-	s2 := mustList(t, tr.Main, dual)
-	if err := s2.Verify(dual); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() >= s.Len() {
-		t.Errorf("dual-ported schedule (%d) not shorter than single-ported (%d)", s2.Len(), s.Len())
-	}
 }
 
 func TestListMaxOpsPerStep(t *testing.T) {

@@ -73,8 +73,6 @@ type RequestOptions struct {
 	NoCleanup bool `json:"noCleanup,omitempty"`
 	// MaxOpsPerStep caps total operators per control step (0 = no cap).
 	MaxOpsPerStep int `json:"maxOpsPerStep,omitempty"`
-	// MemPorts caps accesses per memory per step (0 = single-ported).
-	MemPorts int `json:"memPorts,omitempty"`
 	// Provenance journals the run's rule firings and builds the
 	// provenance index; the response carries a provenance summary and the
 	// design becomes queryable through GET /v1/explain. DAA only.
@@ -101,7 +99,7 @@ func (o RequestOptions) flowOptions() (flow.Options, error) {
 		return flow.Options{}, fmt.Errorf("unknown allocator %q (want %s, %s, or %s)",
 			o.Allocator, flow.AllocDAA, flow.AllocLeftEdge, flow.AllocNaive)
 	}
-	lim := sched.Limits{MaxOpsPerStep: o.MaxOpsPerStep, MemPorts: o.MemPorts}
+	lim := sched.Limits{MaxOpsPerStep: o.MaxOpsPerStep}
 	opt := flow.Options{
 		Allocator: alloc,
 		Core: core.Options{

@@ -37,10 +37,14 @@ func TestBaselineDesignsDeterministic(t *testing.T) {
 					if err := d.WriteVerilog(&b, d.Name); err != nil {
 						t.Fatal(err)
 					}
-					if err := d.WriteControlTable(&b); err != nil {
+					ctl, err := d.Validate()
+					if err != nil {
 						t.Fatal(err)
 					}
-					b.WriteString(RenderReport(&flow.Result{Design: d, Cost: cost.Default().Design(d)}))
+					if err := ctl.Write(&b); err != nil {
+						t.Fatal(err)
+					}
+					b.WriteString(RenderReport(&flow.Result{Design: d, Control: ctl, Cost: cost.Default().Design(d)}))
 					if run == 0 {
 						first = b.String()
 					} else if b.String() != first {

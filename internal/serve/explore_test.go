@@ -105,7 +105,7 @@ func TestExploreEndpointRejectsBadRequests(t *testing.T) {
 		grid    map[string]GridAxis
 		want    string
 	}{
-		{16, map[string]GridAxis{"memports": {"1..5"}, "maxops": {"0..4"}}, "25 points"},
+		{16, map[string]GridAxis{"cosim-seed": {"1..5"}, "maxops": {"0..4"}}, "25 points"},
 		{-1, map[string]GridAxis{"cleanup": {"true"}}, "grid expands to 1 points, limit -1"},
 	} {
 		_, ts := newTestServer(t, Config{MaxGridPoints: c.maxGrid})
@@ -130,7 +130,7 @@ func TestExploreEndpointRejectsBadRequests(t *testing.T) {
 		{Source: src, Grid: map[string]GridAxis{"warp": {"1"}}},          // unknown knob
 		{Source: src, Grid: map[string]GridAxis{"lite": {"true"}}},       // removed knob
 		{Source: src, Grid: map[string]GridAxis{"allocator": {"wrong"}}}, // bad value
-		{Source: src, Grid: map[string]GridAxis{"memports": {"3..1"}}},   // inverted range
+		{Source: src, Grid: map[string]GridAxis{"maxops": {"3..1"}}},     // inverted range
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/explore", bad)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -170,7 +170,7 @@ func TestExploreGridAxisWireForms(t *testing.T) {
 	var req ExploreRequest
 	blob := `{"source":"x","grid":{
 		"allocator": ["daa","leftedge"],
-		"memports": [1,2],
+		"cosim-seed": [1,2],
 		"cleanup": [true,false],
 		"maxops": "0,2..6:2",
 		"scheduler": "list,asap"
@@ -183,11 +183,11 @@ func TestExploreGridAxisWireForms(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string][]string{
-		"allocator": {"daa", "leftedge"},
-		"cleanup":   {"true", "false"},
-		"maxops":    {"0", "2", "4", "6"},
-		"memports":  {"1", "2"},
-		"scheduler": {"list", "asap"},
+		"allocator":  {"daa", "leftedge"},
+		"cleanup":    {"true", "false"},
+		"cosim-seed": {"1", "2"},
+		"maxops":     {"0", "2", "4", "6"},
+		"scheduler":  {"list", "asap"},
 	}
 	for _, ax := range grid {
 		w, ok := want[ax.Name]

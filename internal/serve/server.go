@@ -107,6 +107,11 @@ type Server struct {
 	synthesize func(ctx context.Context, in flow.Input, opt flow.Options) (*flow.Result, error)
 }
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers: one that stalls mid-header is closed instead of holding
+// a connection and a goroutine forever. A variable so tests can shorten it.
+var readHeaderTimeout = 10 * time.Second
+
 // New builds a Server from cfg (zero value fine).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
@@ -124,6 +129,7 @@ func New(cfg Config) *Server {
 	}
 	s.ready.Store(true)
 	s.http.Handler = s.Handler()
+	s.http.ReadHeaderTimeout = readHeaderTimeout
 	return s
 }
 
@@ -442,7 +448,7 @@ func (s *Server) renderSynthesis(req SynthesizeRequest, in flow.Input, opt flow.
 		}
 		if req.Artifacts.ControlTable {
 			var sb strings.Builder
-			if err := res.Design.WriteControlTable(&sb); err != nil {
+			if err := res.Control.Write(&sb); err != nil {
 				return nil, err
 			}
 			art.ControlTable = sb.String()
