@@ -9,6 +9,15 @@ import "slices"
 // modified element (betaNode.restamp) — so a cycle reads the top entry
 // instead of ranking the whole conflict set.
 //
+// Refraction lives on the instantiation: firing marks the Match spent, and
+// it stays in the conflict set, off the agenda, until a Modify restamps one
+// of its elements, which gives it a refraction key no firing can have had
+// (time tags only grow) and clears the mark. Any other new Match carries a
+// new key too, except below a negated pattern: when a blocker leaves, the
+// blocked token's instantiations are derived again with the elements and
+// time tags of the ones the block deleted. So rules with a negated pattern
+// also keep the keys of their fired instantiations.
+//
 // Entries are ordered by the time tags their elements carried when they
 // were queued (token.time), not by live Element.Time: a Modify bumps the
 // tag in place before the batch that requeues its instantiations runs, and
@@ -18,10 +27,9 @@ import "slices"
 type agenda struct {
 	q []*Match // ascending rank: q[len(q)-1] fires next
 
-	// fired holds the refraction keys of every instantiation that has
-	// fired. It is probed only when an entry is queued or requeued: a
-	// spent instantiation stays in the conflict set but off the agenda
-	// until a Modify gives it a new key.
+	// fired holds the refraction keys of the fired instantiations of rules
+	// with a negated pattern, probed when one of their entries is queued;
+	// nil until the first such firing.
 	fired map[refraction]bool
 
 	// seeding defers ordering while the network's first full match runs:
@@ -31,7 +39,7 @@ type agenda struct {
 
 // queue adds m unless refraction has spent it.
 func (a *agenda) queue(m *Match) {
-	if a.fired[refractionKey(m)] {
+	if m.spent || m.Rule.negates && a.fired[refractionKey(m)] {
 		return
 	}
 	m.queued = true
@@ -86,10 +94,17 @@ func (a *agenda) search(m *Match) int {
 	return lo
 }
 
-// fire spends m: its key goes into fired and it leaves the agenda, though
-// it stays in the conflict set for as long as it matches.
+// fire spends m: it leaves the agenda, though it stays in the conflict set
+// for as long as it matches, and a rule with a negated pattern records its
+// key.
 func (a *agenda) fire(m *Match) {
-	a.fired[refractionKey(m)] = true
+	m.spent = true
+	if m.Rule.negates {
+		if a.fired == nil {
+			a.fired = map[refraction]bool{}
+		}
+		a.fired[refractionKey(m)] = true
+	}
 	a.dequeue(m)
 }
 

@@ -32,13 +32,13 @@ type missingKey struct{}
 // value, maintained for beta nodes whose first join tests equality on that
 // attribute.
 type memIndex struct {
-	attr   string
+	attr   int   // the attribute's slot in the memory's class
 	keys   []any // parallel to the memory's els: the key each is filed under
 	bucket map[any][]*Element
 }
 
-func indexKey(el *Element, attr string) any {
-	if v, ok := el.lookup(attr); ok {
+func indexKey(el *Element, attr int) any {
+	if v := el.at(attr); v != nil {
 		return v
 	}
 	return missingKey{}
@@ -66,26 +66,34 @@ func (ix *memIndex) unfile(k any, el *Element) {
 
 // alphaTest is one interned constant test with a per-element-change result
 // cache: gen is bumped once per element change, so a test shared by many
-// memories evaluates once per element change.
+// memories evaluates once per element change. fn receives the values the
+// test reads (nil when absent); each memory passes its class's slots.
 type alphaTest struct {
 	id   int
-	fn   func(*Element) bool
+	fn   func(v, w any) bool
 	gen  uint64
 	pass bool
+}
+
+// memTest is one of a memory's tests with the slots it reads in the
+// memory's class.
+type memTest struct {
+	t           *alphaTest
+	slot, slot2 int
 }
 
 // alphaMem is one shared alpha memory: the elements of a class passing a
 // set of constant tests, and the beta nodes they feed.
 type alphaMem struct {
-	tests []*alphaTest
+	tests []memTest
 
 	els     []*Element       // members, in no particular order
 	pos     map[*Element]int // member -> position in els
 	indexes []*memIndex      // value indexes requested by hashed join nodes
 
-	// testAttrs is the set of attributes the memory's own tests read; a
+	// testMask has a bit for each slot the memory's own tests read; a
 	// Modify changing none of them cannot flip membership.
-	testAttrs map[string]bool
+	testMask uint64
 
 	// succs lists the nodes fed by the memory, grouped by owner rule in
 	// registration order, each rule's nodes deepest first. A shared node
@@ -102,10 +110,11 @@ type memSucc struct {
 // eval applies the memory's tests to an element, short-circuiting on the
 // first failure. gen must have been bumped once for this element change.
 func (mem *alphaMem) eval(el *Element, net *alphaNet) bool {
-	for _, t := range mem.tests {
+	for _, mt := range mem.tests {
+		t := mt.t
 		if t.gen != net.gen {
 			t.gen = net.gen
-			t.pass = t.fn(el)
+			t.pass = t.fn(el.at(mt.slot), el.at(mt.slot2))
 			net.batchEvals++
 		}
 		if !t.pass {
@@ -148,10 +157,10 @@ func (mem *alphaMem) del(el *Element) {
 	}
 }
 
-// ensureIndex returns the value index over attr, building it from the
-// current members on first request (the memory may predate the
-// requesting rule).
-func (mem *alphaMem) ensureIndex(attr string) *memIndex {
+// ensureIndex returns the value index over the attribute in slot attr,
+// building it from the current members on first request (the memory may
+// predate the requesting rule).
+func (mem *alphaMem) ensureIndex(attr int) *memIndex {
 	for _, ix := range mem.indexes {
 		if ix.attr == attr {
 			return ix
@@ -227,11 +236,11 @@ func (net *alphaNet) intern(s alphaSpec) *alphaTest {
 // memFor returns the shared memory for (class, tests), creating and — if
 // the engine is already seeded — populating it from live working memory.
 func (net *alphaNet) memFor(class string, specs []alphaSpec, wm *WM, seeded bool) *alphaMem {
-	tests := make([]*alphaTest, len(specs))
+	tests := make([]memTest, len(specs))
 	ids := make([]int, len(specs))
 	for i, s := range specs {
-		tests[i] = net.intern(s)
-		ids[i] = tests[i].id
+		tests[i] = memTest{t: net.intern(s), slot: s.slot, slot2: s.slot2}
+		ids[i] = tests[i].t.id
 	}
 	sort.Ints(ids)
 	var sig strings.Builder
@@ -243,16 +252,9 @@ func (net *alphaNet) memFor(class string, specs []alphaSpec, wm *WM, seeded bool
 	if mem, ok := net.memBySig[sig.String()]; ok {
 		return mem
 	}
-	mem := &alphaMem{
-		tests:     tests,
-		pos:       map[*Element]int{},
-		testAttrs: map[string]bool{},
-	}
+	mem := &alphaMem{tests: tests, pos: map[*Element]int{}}
 	for _, s := range specs {
-		mem.testAttrs[s.key.attr] = true
-		if s.key.kind == aVarEq {
-			mem.testAttrs[s.key.attr2] = true
-		}
+		mem.testMask |= 1<<s.slot | 1<<s.slot2
 	}
 	net.memBySig[sig.String()] = mem
 	net.byClass[class] = append(net.byClass[class], mem)

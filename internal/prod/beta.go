@@ -27,9 +27,9 @@ type betaNode struct {
 	rr    *reteRule // owner
 	mem   *alphaMem
 	neg   bool
-	joins []joinFn
+	joins []joinSpec
 	projs []projSpec
-	attrs map[string]bool // element attrs its joins/projs read
+	mask  uint64 // the element slots its joins/projs read
 
 	// Hashed-join acceleration. When the node's first join is an equality
 	// (hashed; hashSlot/hashAttr from the compiler), probes replace scans:
@@ -48,7 +48,7 @@ type betaNode struct {
 	// activation after the seed — never pay index maintenance at all.
 	hashed   bool
 	hashSlot int
-	hashAttr string
+	hashAttr int
 	memIdx   *memIndex
 	succIdx  []slotIndex
 	negIdx   map[any][]*token
@@ -74,11 +74,8 @@ func newBetaNode(rr *reteRule, mem *alphaMem, cp compiledPat, parent *betaNode) 
 		neg:    cp.negated,
 		joins:  cp.joins,
 		projs:  cp.projs,
-		attrs:  map[string]bool{},
+		mask:   cp.mask,
 		parent: parent,
-	}
-	for _, a := range cp.attrs {
-		n.attrs[a] = true
 	}
 	if cp.hashSlot >= 0 {
 		n.hashed = true
@@ -116,25 +113,15 @@ type token struct {
 	dead bool
 }
 
-// pass runs the node's compiled join tests.
+// pass runs the node's compiled join tests: each joined attribute must be
+// present and equal to its bound variable.
 func (n *betaNode) pass(binds []any, el *Element) bool {
 	for _, j := range n.joins {
-		if !j(binds, el) {
+		if v := el.at(j.attr); v == nil || v != binds[j.slot] {
 			return false
 		}
 	}
 	return true
-}
-
-// touches reports whether a Modify changing attrs can affect this node's
-// join outcomes.
-func (n *betaNode) touches(attrs []string) bool {
-	for _, a := range attrs {
-		if n.attrs[a] {
-			return true
-		}
-	}
-	return false
 }
 
 // blocked reports whether a token suppresses downstream propagation.
@@ -194,8 +181,7 @@ func (n *betaNode) extend(left *token, el *Element) {
 		}
 		copy(binds, left.binds)
 		for _, pj := range n.projs {
-			v, _ := el.lookup(pj.attr)
-			binds[pj.slot] = v
+			binds[pj.slot] = el.at(pj.attr)
 		}
 	}
 	t := rr.newToken()
@@ -304,8 +290,8 @@ func (n *betaNode) rightAssert(el *Element) {
 	if n.neg {
 		cands := n.tokens
 		if n.hashed {
-			v, ok := el.lookup(n.hashAttr)
-			if !ok {
+			v := el.at(n.hashAttr)
+			if v == nil {
 				return // the first join requires the attribute present
 			}
 			cands = n.negIndex()[v]
@@ -326,8 +312,8 @@ func (n *betaNode) rightAssert(el *Element) {
 	}
 	lefts := n.leftTokens()
 	if n.hashed {
-		v, ok := el.lookup(n.hashAttr)
-		if !ok {
+		v := el.at(n.hashAttr)
+		if v == nil {
 			return
 		}
 		lefts = n.parent.succIndex(n.hashSlot)[v]
@@ -485,7 +471,8 @@ func (rr *reteRule) removeMatch(t *token) {
 // tokens matching el survive, but el's new time tag changes the rank and
 // the refraction key of every instantiation below them, in every rule,
 // and no conflict-set event reports it: take those instantiations off the
-// agenda, restamp, and queue them again.
+// agenda, restamp, and queue them again. No firing can have had the new
+// key, so refraction no longer spends them.
 func (n *betaNode) restamp(el *Element) {
 	ag := n.rr.ag
 	for _, t := range n.elIndex()[el] {
@@ -495,12 +482,13 @@ func (n *betaNode) restamp(el *Element) {
 	}
 }
 
-// requeue dequeues (queue false) or queues every instantiation derived
-// from t. Only production-level tokens carry matches, and they have no
-// children.
+// requeue dequeues (queue false) or unspends and queues every
+// instantiation derived from t. Only production-level tokens carry
+// matches, and they have no children.
 func (a *agenda) requeue(t *token, queue bool) {
 	if m := t.match; m != nil {
 		if queue {
+			m.spent = false
 			a.queue(m)
 		} else {
 			a.dequeue(m)

@@ -1,18 +1,22 @@
 package prod
 
 // LHS compilation: at AddRule time every pattern's interpreted test list
-// is lowered into three closure sets, so the Rete hot paths execute no
-// testKind switches:
+// is lowered into three sets, so the Rete hot paths execute no testKind
+// switches and look no attribute up by name:
 //
 //   - alpha specs — per-element constant tests (Eq/Neq/Absent/Present/
 //     Pred, plus same-element variable reoccurrence lowered to an
 //     attribute-equality test). These are interned network-wide so each
 //     distinct test is evaluated at most once per element change no
 //     matter how many rules use it (alpha.go).
-//   - join closures — tests against variables bound by earlier patterns,
-//     executed at the pattern's beta node against the partial-match token.
+//   - joins — tests against variables bound by earlier patterns, executed
+//     at the pattern's beta node against the partial-match token.
 //   - projections — variable slots this pattern binds, written into the
 //     token's binding vector when a join succeeds.
+//
+// Every attribute a pattern names is interned in its class's layout
+// (wm.go) as the rule compiles, so the specs, joins and projections carry
+// the element slots they read.
 //
 // Variable slots are assigned in first-positive-occurrence order (pattern
 // order, then test order), which is exactly the order the interpreted
@@ -36,7 +40,9 @@ const (
 // are guaranteed comparable (checkAttrValue), so the key is comparable.
 // Predicate tests carry an interning serial instead of appearing here:
 // two closures with the same code pointer can capture different state, so
-// predicates are never deduplicated.
+// predicates are never deduplicated. The key names attributes, not slots:
+// one test serves every class that tests the attribute alike, each memory
+// supplying its class's slots (alphaMem.tests).
 type alphaKey struct {
 	kind  alphaKind
 	attr  string
@@ -45,49 +51,62 @@ type alphaKey struct {
 }
 
 // alphaSpec is one compiled constant test as emitted by the compiler,
-// before interning.
+// before interning, with the slots of key.attr and key.attr2 in the
+// pattern's class (slot2 is slot for single-attribute tests).
 type alphaSpec struct {
-	key  alphaKey
-	pred func(any) bool // aPred only
+	key         alphaKey
+	pred        func(any) bool // aPred only
+	slot, slot2 int
 }
 
-// compile builds the element-test closure for a spec. Called once per
-// interned test, not per rule.
-func (s alphaSpec) compile() func(*Element) bool {
-	attr := s.key.attr
+// newAlphaSpec interns the attributes a constant test reads in the
+// pattern class's layout.
+func newAlphaSpec(l *layout, k alphaKey, pred func(any) bool) alphaSpec {
+	s := alphaSpec{key: k, pred: pred, slot: l.intern(k.attr)}
+	s.slot2 = s.slot
+	if k.kind == aVarEq {
+		s.slot2 = l.intern(k.attr2)
+	}
+	return s
+}
+
+// compile builds the value-test closure for a spec: it receives the values
+// in the spec's slots, nil when absent. Called once per interned test, not
+// per rule.
+func (s alphaSpec) compile() func(v, w any) bool {
 	switch s.key.kind {
 	case aEq:
 		val := s.key.val
-		return func(e *Element) bool { v, ok := e.lookup(attr); return ok && v == val }
+		return func(v, _ any) bool { return v != nil && v == val }
 	case aNeq:
 		val := s.key.val
-		return func(e *Element) bool { v, ok := e.lookup(attr); return !ok || v != val }
+		return func(v, _ any) bool { return v == nil || v != val }
 	case aAbsent:
-		return func(e *Element) bool { _, ok := e.lookup(attr); return !ok }
+		return func(v, _ any) bool { return v == nil }
 	case aPresent:
-		return func(e *Element) bool { _, ok := e.lookup(attr); return ok }
+		return func(v, _ any) bool { return v != nil }
 	case aPred:
 		pred := s.pred
-		return func(e *Element) bool { v, ok := e.lookup(attr); return ok && pred(v) }
+		return func(v, _ any) bool { return v != nil && pred(v) }
 	case aVarEq:
-		attr2 := s.key.attr2
-		return func(e *Element) bool {
-			v1, ok1 := e.lookup(attr)
-			v2, ok2 := e.lookup(attr2)
-			return ok1 && ok2 && v1 == v2
-		}
+		return func(v, w any) bool { return v != nil && v == w }
 	}
 	panic("prod: unknown alpha kind")
 }
 
-// joinFn tests an element against the bindings accumulated by earlier
-// patterns' tokens.
-type joinFn func(binds []any, el *Element) bool
+// joinSpec tests an element attribute (attr, an element slot) for
+// equality with a variable bound by an earlier pattern (slot, a binding
+// slot).
+type joinSpec struct {
+	slot int
+	attr int
+}
 
-// projSpec writes one newly bound variable into a token's binding vector.
+// projSpec writes one newly bound variable (slot) from an element
+// attribute (attr, an element slot) into a token's binding vector.
 type projSpec struct {
 	slot int
-	attr string
+	attr int
 }
 
 // compiledPat is one pattern lowered for the network.
@@ -95,18 +114,19 @@ type compiledPat struct {
 	class   string
 	negated bool
 	alphas  []alphaSpec
-	joins   []joinFn
+	joins   []joinSpec
 	projs   []projSpec
-	// attrs this pattern's joins and projections read from the element;
-	// a Modify that changes none of them (and none of the alpha-test
-	// attributes, handled by the alpha layer) cannot affect this node.
-	attrs []string
+	// mask has a bit for each element slot this pattern's joins and
+	// projections read; a Modify that changes none of them (and none of
+	// the alpha-test attributes, handled by the alpha layer) cannot affect
+	// this node.
+	mask uint64
 	// hashSlot/hashAttr describe the first join — always an equality
 	// between an element attribute and an earlier slot — so the beta node
 	// can probe hash indexes instead of scanning memories and token lists.
 	// hashSlot is -1 for join-free (cross-product) nodes.
 	hashSlot int
-	hashAttr string
+	hashAttr int
 }
 
 // compiledRule is a rule's full lowered LHS.
@@ -116,29 +136,31 @@ type compiledRule struct {
 	positives int
 }
 
-// compileRule lowers a rule's patterns. Patterns must already be
-// finalized (AddRule does this on its private copy).
-func compileRule(r *Rule) *compiledRule {
+// compileRule lowers a rule's patterns, interning every attribute they
+// name in wm's class layouts. Patterns must already be finalized (AddRule
+// does this on its private copy).
+func compileRule(r *Rule, wm *WM) *compiledRule {
 	cr := &compiledRule{}
 	slot := map[string]int{} // variable name -> slot, first positive occurrence
 	for _, p := range r.Patterns {
 		cp := compiledPat{class: p.Class, negated: p.Negated, hashSlot: -1}
+		l := wm.layoutOf(p.Class)
 		local := map[string]string{} // variable -> attr bound earlier in THIS pattern
 		for _, t := range p.tests {
 			switch t.kind {
 			case testEq:
-				cp.alphas = append(cp.alphas, alphaSpec{key: alphaKey{kind: aEq, attr: t.attr, val: t.val}})
+				cp.alphas = append(cp.alphas, newAlphaSpec(l, alphaKey{kind: aEq, attr: t.attr, val: t.val}, nil))
 			case testNeq:
-				cp.alphas = append(cp.alphas, alphaSpec{key: alphaKey{kind: aNeq, attr: t.attr, val: t.val}})
+				cp.alphas = append(cp.alphas, newAlphaSpec(l, alphaKey{kind: aNeq, attr: t.attr, val: t.val}, nil))
 			case testAbsent:
-				cp.alphas = append(cp.alphas, alphaSpec{key: alphaKey{kind: aAbsent, attr: t.attr}})
+				cp.alphas = append(cp.alphas, newAlphaSpec(l, alphaKey{kind: aAbsent, attr: t.attr}, nil))
 			case testPresent:
-				cp.alphas = append(cp.alphas, alphaSpec{key: alphaKey{kind: aPresent, attr: t.attr}})
+				cp.alphas = append(cp.alphas, newAlphaSpec(l, alphaKey{kind: aPresent, attr: t.attr}, nil))
 			case testPred:
-				cp.alphas = append(cp.alphas, alphaSpec{key: alphaKey{kind: aPred, attr: t.attr}, pred: t.pred})
+				cp.alphas = append(cp.alphas, newAlphaSpec(l, alphaKey{kind: aPred, attr: t.attr}, t.pred))
 			case testBind:
 				// Every Bind requires presence, whatever else it compiles to.
-				cp.alphas = append(cp.alphas, alphaSpec{key: alphaKey{kind: aPresent, attr: t.attr}})
+				cp.alphas = append(cp.alphas, newAlphaSpec(l, alphaKey{kind: aPresent, attr: t.attr}, nil))
 				if prev, ok := local[t.vari]; ok {
 					// Reoccurrence within the same pattern: an intra-element
 					// equality is a constant test, not a join.
@@ -146,17 +168,18 @@ func compileRule(r *Rule) *compiledRule {
 					if a2 < a1 {
 						a1, a2 = a2, a1
 					}
-					cp.alphas = append(cp.alphas, alphaSpec{key: alphaKey{kind: aVarEq, attr: a1, attr2: a2}})
+					cp.alphas = append(cp.alphas, newAlphaSpec(l, alphaKey{kind: aVarEq, attr: a1, attr2: a2}, nil))
 					continue
 				}
+				attr := l.intern(t.attr)
 				if s, ok := slot[t.vari]; ok {
 					// Bound by an earlier pattern: a real beta join test.
 					if cp.hashSlot < 0 {
 						cp.hashSlot = s
-						cp.hashAttr = t.attr
+						cp.hashAttr = attr
 					}
-					cp.joins = append(cp.joins, compileJoin(s, t.attr))
-					cp.attrs = append(cp.attrs, t.attr)
+					cp.joins = append(cp.joins, joinSpec{slot: s, attr: attr})
+					cp.mask |= 1 << attr
 					local[t.vari] = t.attr
 					continue
 				}
@@ -170,8 +193,8 @@ func compileRule(r *Rule) *compiledRule {
 				s := len(cr.slotNames)
 				slot[t.vari] = s
 				cr.slotNames = append(cr.slotNames, t.vari)
-				cp.projs = append(cp.projs, projSpec{slot: s, attr: t.attr})
-				cp.attrs = append(cp.attrs, t.attr)
+				cp.projs = append(cp.projs, projSpec{slot: s, attr: attr})
+				cp.mask |= 1 << attr
 			}
 		}
 		if !p.Negated {
@@ -180,13 +203,4 @@ func compileRule(r *Rule) *compiledRule {
 		cr.pats = append(cr.pats, cp)
 	}
 	return cr
-}
-
-// compileJoin builds the closure testing an element attribute against a
-// previously bound slot.
-func compileJoin(slot int, attr string) joinFn {
-	return func(binds []any, el *Element) bool {
-		v, ok := el.lookup(attr)
-		return ok && v == binds[slot]
-	}
 }

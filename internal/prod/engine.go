@@ -29,6 +29,7 @@ type Rule struct {
 	index       int
 	specificity int
 	positives   int
+	negates     bool // a pattern is negated (refraction keeps its keys, agenda.go)
 }
 
 // Specificity reports the number of condition tests on the rule's LHS
@@ -72,7 +73,8 @@ type Engine struct {
 	// CrossCheck runs the exhaustive matcher beside the Rete network in
 	// lockstep and panics on any divergence in the selected instantiation.
 	// It is a verification mode: it costs a full re-match per cycle and
-	// charges none of it to the metrics.
+	// charges none of it to the metrics. Set it before the first Run: the
+	// oracle keeps its own record of what has fired.
 	CrossCheck bool
 	// Apply, when non-nil, executes registered host effects on behalf of
 	// Tx.Do. Hosts install one dispatcher mapping effect names to appliers;
@@ -85,12 +87,13 @@ type Engine struct {
 	cycles     int
 	matchCalls int
 
-	// pending buffers WM change notifications between cycles.
+	// pending buffers the WM change notifications made since the last
+	// cycle. Changes before the first cycle are not buffered: the network's
+	// first full match reads live working memory instead.
 	pending []Change
 
-	// rete is the match network and agenda its selection order. The
-	// agenda also owns the refraction record both matchers consult;
-	// oracle is CrossCheck's exhaustive matcher, made on first use.
+	// rete is the match network and agenda its selection order; oracle is
+	// CrossCheck's exhaustive matcher, made on first use.
 	rete   *rete
 	agenda agenda
 	oracle *oracle
@@ -108,8 +111,10 @@ type Engine struct {
 
 // refraction keys an instantiation: a rule plus the identity *and recency*
 // of the matched elements, so a modified element re-enables its rules, as
-// in OPS5. Rules with more than four positive patterns fold the overflow
-// into an FNV-1a hash so key construction never allocates.
+// in OPS5. The agenda spends a fired Match in place and keeps keys only
+// for rules with a negated pattern; the oracle keeps every fired key.
+// Rules with more than four positive patterns fold the overflow into an
+// FNV-1a hash so key construction never allocates.
 type refraction struct {
 	rule  int
 	sig   [4]int64 // packed (id,time) pairs for up to the first 4 elements
@@ -128,11 +133,12 @@ func NewEngine(wm *WM) *Engine {
 	e := &Engine{
 		WM:         wm,
 		MaxFirings: 1_000_000,
-		agenda:     agenda{fired: map[refraction]bool{}},
 		rete:       newRete(),
 	}
 	wm.Observe(func(c Change) {
-		e.pending = append(e.pending, c)
+		if e.rete.seeded {
+			e.pending = append(e.pending, c)
+		}
 		if e.jr != nil {
 			e.recordChange(c)
 		}
@@ -171,7 +177,9 @@ func (e *Engine) AddRule(r *Rule) {
 	}
 	for _, p := range rc.Patterns {
 		rc.specificity += p.specificity()
-		if !p.Negated {
+		if p.Negated {
+			rc.negates = true
+		} else {
 			rc.positives++
 		}
 	}
@@ -233,7 +241,7 @@ func (e *Engine) Run() error {
 		if e.firings >= e.MaxFirings {
 			return fmt.Errorf("prod: firing limit %d exceeded (last rule %s)", e.MaxFirings, m.Rule.Name)
 		}
-		e.agenda.fire(m)
+		e.fire(m)
 		e.firings++
 		e.met.rules[m.Rule.index].firings++
 		if e.TraceWriter != nil {
@@ -256,6 +264,15 @@ func (e *Engine) Run() error {
 		e.cur = nil
 	}
 	return nil
+}
+
+// fire spends m on the agenda and, under CrossCheck, in the oracle's
+// refraction record.
+func (e *Engine) fire(m *Match) {
+	e.agenda.fire(m)
+	if e.CrossCheck {
+		e.exhaustive().fired[refractionKey(m)] = true
+	}
 }
 
 // matchIDs renders a match's element IDs for trace lines and divergence
@@ -301,7 +318,8 @@ func refractionKey(m *Match) refraction {
 //
 // The Rete matcher applies refraction when it queues an instantiation and
 // keeps the agenda sorted by rules 2-4, so it reads the top entry whose
-// Where passes; the exhaustive oracle ranks every instantiation afresh.
+// Where passes; the exhaustive oracle ranks every instantiation afresh and
+// filters the fired keys it has recorded.
 // The ordering is total over distinct instantiations (two matches of one
 // rule with identical elements are the same instantiation), so both
 // matchers necessarily agree; CrossCheck asserts it anyway.
@@ -318,17 +336,16 @@ func (e *Engine) selectMatch() *Match {
 }
 
 // applyChanges drains the buffered WM notifications into the Rete network.
-// The first call seeds the network from live WM instead: the changes
-// buffered until then describe the initial WM, which the first full match
-// observes directly.
+// The first call seeds the network from live WM instead; nothing is
+// buffered before it.
 func (e *Engine) applyChanges() {
 	switch {
 	case !e.rete.seeded:
 		e.rete.seed(e)
 	case len(e.pending) > 0:
 		e.rete.apply(e, e.pending)
+		e.pending = e.pending[:0]
 	}
-	e.pending = e.pending[:0]
 }
 
 func describeMatch(m *Match) string {

@@ -74,6 +74,72 @@ func TestWMClassIndex(t *testing.T) {
 	}
 }
 
+// Working-memory updates allocate only what they store: a Modify that
+// changes one value writes its slot in place, and a Make allocates the
+// element and its value vector.
+func TestWMUpdateAllocs(t *testing.T) {
+	wm := NewWM()
+	el := wm.Make("op", Attrs{"kind": "add", "width": 8, "seq": 0})
+	mods := [2]Attrs{{"seq": 1}, {"seq": 2}}
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		i ^= 1
+		wm.Modify(el, mods[i])
+	}); n != 0 {
+		t.Errorf("Modify of one value allocates %.0f times, want 0", n)
+	}
+	attrs := Attrs{"kind": "add", "width": 8, "seq": 3}
+	if n := testing.AllocsPerRun(100, func() { wm.Make("op", attrs) }); n != 2 {
+		t.Errorf("Make allocates %.0f times, want 2 (the element and its vector)", n)
+	}
+}
+
+// A class's layout gains slots after elements of the class exist: a rule
+// naming a new attribute reads it as absent on them, and a Modify that
+// sets it widens the element's vector.
+func TestLayoutGrowsUnderLiveElements(t *testing.T) {
+	wm := NewWM()
+	el := wm.Make("x", Attrs{"a": 1})
+	eng := NewEngine(wm)
+	fired := 0
+	eng.AddRule(&Rule{
+		Name:     "has-b",
+		Patterns: []Pattern{P("x").Bind("a", "a").Present("b")},
+		Action:   func(*Tx, *Match) { fired++ },
+	})
+	run(t, eng)
+	if fired != 0 || el.Has("b") {
+		t.Fatalf("fired %d before ^b was set, element %s", fired, el)
+	}
+	wm.Modify(el, Attrs{"b": 2, "c": 3})
+	run(t, eng)
+	if fired != 1 || el.Int("b") != 2 || el.Int("c") != 3 {
+		t.Errorf("fired %d after ^b was set, element %s", fired, el)
+	}
+	if got, want := el.String(), fmt.Sprintf("(x #%d ^a 1 ^b 2 ^c 3)", el.ID); got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
+
+// A layout holds at most 64 attributes: a Modify reports its changed
+// slots in one uint64. The 65th name panics, naming the class.
+func TestLayoutWidthLimit(t *testing.T) {
+	wm := NewWM()
+	attrs := Attrs{}
+	for i := 0; i < maxClassAttrs; i++ {
+		attrs[fmt.Sprintf("a%02d", i)] = i
+	}
+	el := wm.Make("wide", attrs)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "wide") || !strings.Contains(msg, "^extra") {
+			t.Errorf("panic %q does not name the class and attribute", msg)
+		}
+	}()
+	wm.Modify(el, Attrs{"extra": 1})
+	t.Error("interning a 65th attribute did not panic")
+}
+
 func run(t *testing.T, e *Engine) {
 	t.Helper()
 	if err := e.Run(); err != nil {

@@ -10,10 +10,7 @@ package prod
 // rule over the current working memory. The engine keeps one oracle, so
 // each selection's index reuses the previous one's storage.
 func (e *Engine) selectExhaustive() *Match {
-	if e.oracle == nil {
-		e.oracle = newOracle(e.WM)
-	}
-	o := e.oracle
+	o := e.exhaustive()
 	o.gen++
 	var best *Match
 	var bestRank recencyRank
@@ -22,7 +19,7 @@ func (e *Engine) selectExhaustive() *Match {
 			if r.Where != nil && !r.Where(m) {
 				return
 			}
-			if e.agenda.fired[refractionKey(m)] {
+			if o.fired[refractionKey(m)] {
 				return
 			}
 			var rk recencyRank
@@ -39,11 +36,14 @@ func (e *Engine) selectExhaustive() *Match {
 // oracle is the exhaustive matcher over a working memory. Its (class,
 // attribute, value) index is rebuilt lazily for each selection, one
 // (class, attribute) at a time, the first time a pattern could narrow its
-// candidates with it, so working-memory updates never maintain it.
+// candidates with it, so working-memory updates never maintain it. fired
+// is its own refraction record: the key of every instantiation the engine
+// has fired since CrossCheck made the oracle.
 type oracle struct {
-	wm  *WM
-	gen uint64 // the current selection; bumped by the caller between selections
-	idx map[classAttr]*attrIndex
+	wm    *WM
+	gen   uint64 // the current selection; bumped by the caller between selections
+	idx   map[classAttr]*attrIndex
+	fired map[refraction]bool
 }
 
 type classAttr struct{ class, attr string }
@@ -56,7 +56,15 @@ type attrIndex struct {
 }
 
 func newOracle(wm *WM) *oracle {
-	return &oracle{wm: wm, gen: 1, idx: map[classAttr]*attrIndex{}}
+	return &oracle{wm: wm, gen: 1, idx: map[classAttr]*attrIndex{}, fired: map[refraction]bool{}}
+}
+
+// exhaustive returns the engine's oracle, made on first use.
+func (e *Engine) exhaustive() *oracle {
+	if e.oracle == nil {
+		e.oracle = newOracle(e.WM)
+	}
+	return e.oracle
 }
 
 // lookup returns the live elements of class whose attr equals val.
@@ -75,7 +83,7 @@ func (o *oracle) lookup(class, attr string, val any) []*Element {
 			ix.byVal[v] = els[:0]
 		}
 		for _, el := range o.wm.byClass[class] {
-			if v, ok := el.lookup(attr); ok {
+			if v := el.Get(attr); v != nil {
 				ix.byVal[v] = append(ix.byVal[v], el)
 			}
 		}

@@ -130,13 +130,26 @@ func agendaOrder(e *Engine) []string {
 	return out
 }
 
+// newOracleEngine registers rules on an engine over wm in CrossCheck mode,
+// so its oracle records the key of every instantiation fireHead spends:
+// the record wantAgenda filters by.
+func newOracleEngine(wm *WM, rules []*Rule) *Engine {
+	eng := NewEngine(wm)
+	eng.CrossCheck = true
+	for _, r := range rules {
+		eng.AddRule(r)
+	}
+	return eng
+}
+
 // wantAgenda is what e's agenda must hold between cycles: every
-// instantiation of the exhaustive conflict set that e's refraction record
-// has not spent, best first by betterRank under current time tags.
+// instantiation of the exhaustive conflict set whose key e's oracle has
+// not recorded as fired, best first by betterRank under current time tags.
 func wantAgenda(e *Engine, wm *WM, rules []*Rule) []string {
+	fired := e.exhaustive().fired
 	var ms []*Match
 	for _, m := range exhaustiveMatches(wm, rules) {
-		if !e.agenda.fired[refractionKey(m)] {
+		if !fired[refractionKey(m)] {
 			ms = append(ms, m)
 		}
 	}
@@ -157,7 +170,7 @@ func wantAgenda(e *Engine, wm *WM, rules []*Rule) []string {
 // its action.
 func fireHead(e *Engine) {
 	if m := e.agenda.best(); m != nil {
-		e.agenda.fire(m)
+		e.fire(m)
 	}
 }
 
@@ -240,10 +253,7 @@ func TestIncrementalConflictSetEqualsRecompute(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		wm := NewWM()
-		eng := NewEngine(wm)
-		for _, r := range rules {
-			eng.AddRule(r)
-		}
+		eng := newOracleEngine(wm, rules)
 		var live []*Element
 		for round := 0; round < 25; round++ {
 			for n := rng.Intn(4) + 1; n > 0; n-- { // one action's worth of changes
@@ -277,11 +287,8 @@ func TestLateAddRuleSharesFirstNode(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		wm := NewWM()
-		eng := NewEngine(wm)
 		rules := testRules()
-		for _, r := range rules {
-			eng.AddRule(r)
-		}
+		eng := newOracleEngine(wm, rules)
 		check := func(label string) {
 			t.Helper()
 			diffStrings(t, label+" conflict set", eng.instantiations(), groundTruth(wm, rules))
@@ -350,10 +357,7 @@ func FuzzIncrementalConflictSet(f *testing.F) {
 		}
 		rules := testRules()
 		wm := NewWM()
-		eng := NewEngine(wm)
-		for _, r := range rules {
-			eng.AddRule(r)
-		}
+		eng := newOracleEngine(wm, rules)
 		var live []*Element
 		for i := 0; i < len(data); i++ {
 			b := data[i]

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"sort"
 )
 
 // Ref is a journaled reference into host state (outside working memory).
@@ -267,26 +266,14 @@ func (e *Engine) recordChange(c Change) {
 	switch c.Kind {
 	case ChangeMake:
 		eff = Effect{Kind: EffMake, Class: c.El.Class, Elem: c.El.ID}
-		keys := make([]string, 0, len(c.El.attrs))
-		for _, s := range c.El.attrs {
-			keys = append(keys, s.key)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			v, _ := c.El.lookup(k)
-			eff.Attrs = append(eff.Attrs, AttrValue{Attr: k, Val: e.encodeVal(v)})
+		for _, k := range c.El.attrNames() {
+			eff.Attrs = append(eff.Attrs, AttrValue{Attr: k, Val: e.encodeVal(c.El.Get(k))})
 		}
 	case ChangeModify:
 		eff = Effect{Kind: EffModify, Elem: c.El.ID}
-		keys := append([]string(nil), c.Attrs...)
-		sort.Strings(keys)
-		for _, k := range keys {
-			v, present := c.El.lookup(k)
-			if !present {
-				eff.Attrs = append(eff.Attrs, AttrValue{Attr: k}) // unset
-				continue
-			}
-			eff.Attrs = append(eff.Attrs, AttrValue{Attr: k, Val: e.encodeVal(v)})
+		for _, k := range c.ChangedAttrs() {
+			// An unset attribute encodes as the zero Value.
+			eff.Attrs = append(eff.Attrs, AttrValue{Attr: k, Val: e.encodeVal(c.El.Get(k))})
 		}
 	case ChangeRemove:
 		eff = Effect{Kind: EffRemove, Elem: c.El.ID}

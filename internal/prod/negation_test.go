@@ -189,3 +189,40 @@ func TestNegationFiringFlips(t *testing.T) {
 		t.Errorf("rete trace diverges:\ncross-check:\n%s\nrete:\n%s", trace, got)
 	}
 }
+
+// A fired instantiation of a rule with a negated pattern stays spent when
+// a blocker comes and goes without touching its elements: unblocking
+// derives it again with the same elements and time tags, so the same
+// refraction key, and the agenda must not queue it. idle fires once for
+// the task; lock and unlock then make and remove a lock on its group.
+func TestRefractionSurvivesBlockerFlip(t *testing.T) {
+	wm := NewWM()
+	wm.Make("task", Attrs{"g": 1})
+	eng := NewEngine(wm)
+	eng.MaxFirings = 20
+	eng.AddRule(&Rule{
+		Name:     "idle",
+		Patterns: []Pattern{P("task").Bind("g", "g"), N("lock").Bind("g", "g")},
+		Action:   func(tx *Tx, m *Match) { tx.Make("want-lock", Attrs{"g": m.Get("g")}) },
+	})
+	eng.AddRule(&Rule{
+		Name:     "lock",
+		Patterns: []Pattern{P("want-lock").Bind("g", "g")},
+		Action: func(tx *Tx, m *Match) {
+			tx.Remove(m.El(0))
+			tx.Make("lock", Attrs{"g": m.Get("g")})
+		},
+	})
+	eng.AddRule(&Rule{
+		Name:     "unlock",
+		Patterns: []Pattern{P("lock").Bind("g", "g")},
+		Action:   func(tx *Tx, m *Match) { tx.Remove(m.El(0)) },
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got := eng.FiringsByRule()
+	if got["idle"] != 1 || got["lock"] != 1 || got["unlock"] != 1 {
+		t.Errorf("firings %v, want idle, lock and unlock once each", got)
+	}
+}

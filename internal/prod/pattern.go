@@ -124,7 +124,8 @@ func (p Pattern) match(e *Element, b *bindings) (mark int, ok bool) {
 		return mark, false
 	}
 	for _, t := range p.tests {
-		v, present := e.lookup(t.attr)
+		v := e.Get(t.attr)
+		present := v != nil
 		switch t.kind {
 		case testEq:
 			if !present || v != t.val {
@@ -215,9 +216,11 @@ type Match struct {
 
 	// tok back-links a Rete-produced match to its production-node token,
 	// whose chain carries the time tags it was queued under; queued marks
-	// it as on the agenda. Nil and false for exhaustive matches.
+	// it as on the agenda, and spent as fired under its current time tags
+	// (agenda.go). Nil and false for exhaustive matches.
 	tok    *token
 	queued bool
+	spent  bool
 }
 
 // El returns the element matched by the i-th positive pattern.

@@ -95,7 +95,7 @@ func newRete() *rete {
 // immediately: a sharer left-activates its private nodes from the shared
 // node's stored tokens.
 func (rt *rete) addRule(r *Rule, e *Engine) {
-	cr := compileRule(r)
+	cr := compileRule(r, e.WM)
 	rr := &reteRule{idx: r.index, r: r, cr: cr, ag: &e.agenda}
 	rr.root = &token{binds: make([]any, len(cr.slotNames))}
 	rr.rootSlice = []*token{rr.root}
@@ -210,31 +210,33 @@ func (rt *rete) apply(e *Engine, changes []Change) {
 				// AddRule-time population may already hold the element.
 				if !mem.has(el) && mem.eval(el, rt.alpha) {
 					mem.add(el)
-					rt.activate(mem, memAdd, el, nil)
+					rt.activate(mem, memAdd, el, 0)
 				}
 			case ChangeRemove:
 				if mem.has(el) {
 					mem.del(el)
-					rt.activate(mem, memDel, el, nil)
+					rt.activate(mem, memDel, el, 0)
 				}
 			case ChangeModify:
+				// A Modify changing none of the slots the memory's tests
+				// read cannot flip membership.
 				wasIn := mem.has(el)
 				nowIn := wasIn
-				if memTestsTouch(mem, ch.Attrs) {
+				if mem.testMask&ch.Changed != 0 {
 					nowIn = mem.eval(el, rt.alpha)
 				}
 				switch {
 				case wasIn && !nowIn:
 					mem.del(el)
-					rt.activate(mem, memDel, el, nil)
+					rt.activate(mem, memDel, el, 0)
 				case !wasIn && nowIn:
 					mem.add(el)
-					rt.activate(mem, memAdd, el, nil)
+					rt.activate(mem, memAdd, el, 0)
 				case wasIn:
 					// Membership held, but joins may care, and the new
 					// time tag re-ranks the element's instantiations even
 					// when nothing they were matched on changed.
-					rt.activate(mem, memTouch, el, ch.Attrs)
+					rt.activate(mem, memTouch, el, ch.Changed)
 				}
 			}
 		}
@@ -254,8 +256,9 @@ func (rt *rete) apply(e *Engine, changes []Change) {
 // chains one clock read per memory-successor entry: its rule is charged
 // the span since the previous read of the batch, which folds the alpha
 // work in between and the work propagated into other rules' nodes into its
-// figure but keeps the batch's total exact.
-func (rt *rete) activate(mem *alphaMem, kind memChange, el *Element, attrs []string) {
+// figure but keeps the batch's total exact. changed is a memTouch's
+// Change.Changed.
+func (rt *rete) activate(mem *alphaMem, kind memChange, el *Element, changed uint64) {
 	for _, sc := range mem.succs {
 		rr := sc.rr
 		rr.stats.activated = true
@@ -267,8 +270,10 @@ func (rt *rete) activate(mem *alphaMem, kind memChange, el *Element, attrs []str
 				n.rightRetract(el)
 			case memTouch:
 				switch {
-				case n.touches(attrs):
-					// Rebuilt tokens carry the new time tag.
+				case n.mask&changed != 0:
+					// The Modify changed a slot the node's joins or
+					// projections read. Rebuilt tokens carry the new time
+					// tag.
 					n.rightRetract(el)
 					n.rightAssert(el)
 				case !n.neg:
@@ -280,17 +285,6 @@ func (rt *rete) activate(mem *alphaMem, kind memChange, el *Element, attrs []str
 		rr.stats.elapsed += now.Sub(rt.clock)
 		rt.clock = now
 	}
-}
-
-// memTestsTouch reports whether any of the memory's own tests read one of
-// the changed attributes.
-func memTestsTouch(mem *alphaMem, attrs []string) bool {
-	for _, a := range attrs {
-		if mem.testAttrs[a] {
-			return true
-		}
-	}
-	return false
 }
 
 // foldAlphaEvals moves the constant-test evaluations made since the last

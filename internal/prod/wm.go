@@ -33,6 +33,7 @@ package prod
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"sort"
 	"strings"
@@ -42,63 +43,61 @@ import (
 // pairs. Values may be any comparable Go value; pointers into the value
 // trace or the RTL design are the common case in internal/core.
 //
-// Attributes are stored as a small association slice: elements carry a
-// handful of attributes and the matcher probes them constantly, where a
-// linear scan beats map hashing.
+// Values are stored by slot, as OPS5's literalize compiled them: the
+// working memory gives each class a layout (its attribute names in
+// first-use order), an element holds one vector of its class's width, and
+// the compiled network reads attributes by slot index. A nil entry is an
+// absent attribute, and so is a slot the layout gained after the vector
+// was made.
 type Element struct {
 	ID    int
 	Class string
 	Time  int // recency tag: bumped on creation and each modification
 
-	attrs   []attrSlot
+	cls     *layout
+	vals    []any // by slot of cls
 	deleted bool
 }
 
-type attrSlot struct {
-	key string
-	val any
+// at returns the value in slot s, nil when absent.
+func (e *Element) at(s int) any {
+	if s < len(e.vals) {
+		return e.vals[s]
+	}
+	return nil
 }
 
-// lookup returns the attribute value and presence.
-func (e *Element) lookup(attr string) (any, bool) {
-	for i := range e.attrs {
-		if e.attrs[i].key == attr {
-			return e.attrs[i].val, true
-		}
+// put stores v in slot s, widening the vector to the layout's current
+// width when the slot was added after the element was made.
+func (e *Element) put(s int, v any) {
+	if s >= len(e.vals) {
+		e.vals = append(e.vals, make([]any, len(e.cls.names)-len(e.vals))...)
 	}
-	return nil, false
+	e.vals[s] = v
 }
 
-func (e *Element) set(attr string, v any) {
-	for i := range e.attrs {
-		if e.attrs[i].key == attr {
-			e.attrs[i].val = v
-			return
+// attrNames returns the names of the element's present attributes, sorted.
+func (e *Element) attrNames() []string {
+	var names []string
+	for s, v := range e.vals {
+		if v != nil {
+			names = append(names, e.cls.names[s])
 		}
 	}
-	e.attrs = append(e.attrs, attrSlot{attr, v})
-}
-
-func (e *Element) unset(attr string) {
-	for i := range e.attrs {
-		if e.attrs[i].key == attr {
-			e.attrs = append(e.attrs[:i], e.attrs[i+1:]...)
-			return
-		}
-	}
+	sort.Strings(names)
+	return names
 }
 
 // Get returns the value of attr, or nil when absent.
 func (e *Element) Get(attr string) any {
-	v, _ := e.lookup(attr)
-	return v
+	if s, ok := e.cls.slots[attr]; ok {
+		return e.at(s)
+	}
+	return nil
 }
 
 // Has reports whether attr is present with a non-nil value.
-func (e *Element) Has(attr string) bool {
-	v, ok := e.lookup(attr)
-	return ok && v != nil
-}
+func (e *Element) Has(attr string) bool { return e.Get(attr) != nil }
 
 // Int returns the attribute as an int (zero when absent or mistyped).
 func (e *Element) Int(attr string) int {
@@ -122,16 +121,10 @@ func (e *Element) Bool(attr string) bool {
 func (e *Element) Live() bool { return !e.deleted }
 
 func (e *Element) String() string {
-	keys := make([]string, 0, len(e.attrs))
-	for _, s := range e.attrs {
-		keys = append(keys, s.key)
-	}
-	sort.Strings(keys)
 	var b strings.Builder
 	fmt.Fprintf(&b, "(%s #%d", e.Class, e.ID)
-	for _, k := range keys {
-		v, _ := e.lookup(k)
-		fmt.Fprintf(&b, " ^%s %v", k, v)
+	for _, k := range e.attrNames() {
+		fmt.Fprintf(&b, " ^%s %v", k, e.Get(k))
 	}
 	b.WriteString(")")
 	return b.String()
@@ -139,6 +132,54 @@ func (e *Element) String() string {
 
 // Attrs is the attribute/value map used to create or modify elements.
 type Attrs map[string]any
+
+// maxClassAttrs bounds a class's layout: a Modify reports the slots it
+// changed as one uint64.
+const maxClassAttrs = 64
+
+// layout is one class's slot assignment: every attribute name the working
+// memory has seen for the class, in first-use order. AddRule interns the
+// names its patterns test before the first element is made, and Make and
+// Modify intern new names in sorted order, so numbering never depends on
+// map iteration. Slots are only ever added, so a slot compiled into the
+// network stays valid for the life of the working memory.
+type layout struct {
+	class string
+	names []string       // slot -> attribute name
+	slots map[string]int // attribute name -> slot
+}
+
+// intern returns attr's slot, adding one on first use. A class has at most
+// maxClassAttrs attributes.
+func (l *layout) intern(attr string) int {
+	if s, ok := l.slots[attr]; ok {
+		return s
+	}
+	if len(l.names) == maxClassAttrs {
+		panic(fmt.Sprintf("prod: class %s: interning ^%s would give it %d attributes, more than the %d a layout holds",
+			l.class, attr, maxClassAttrs+1, maxClassAttrs))
+	}
+	s := len(l.names)
+	l.names = append(l.names, attr)
+	l.slots[attr] = s
+	return s
+}
+
+// internNew interns the names attrs sets (non-nil values) that the layout
+// lacks, in sorted order.
+func (l *layout) internNew(attrs Attrs) {
+	var fresh []string
+	//daalint:allow detmap the names are sorted before they are interned
+	for k, v := range attrs {
+		if _, ok := l.slots[k]; !ok && v != nil {
+			fresh = append(fresh, k)
+		}
+	}
+	sort.Strings(fresh)
+	for _, k := range fresh {
+		l.intern(k)
+	}
+}
 
 // ChangeKind discriminates working-memory change notifications.
 type ChangeKind uint8
@@ -150,14 +191,25 @@ const (
 )
 
 // Change is one working-memory mutation, delivered to observers registered
-// with WM.Observe. For ChangeModify, Attrs names the attributes whose
-// values actually changed (set, unset, or altered); a Modify that only
-// bumps recency carries no attrs. For ChangeMake and ChangeRemove, Attrs
-// is nil: every attribute of the element is considered touched.
+// with WM.Observe. For ChangeModify, Changed has bit s set for each slot s
+// of the element's class whose value actually changed (set, unset, or
+// altered); a Modify that only bumps recency sets none. ChangeMake and
+// ChangeRemove set none: every attribute of the element is considered
+// touched.
 type Change struct {
-	Kind  ChangeKind
-	El    *Element
-	Attrs []string
+	Kind    ChangeKind
+	El      *Element
+	Changed uint64
+}
+
+// ChangedAttrs names the attributes a ChangeModify changed, sorted.
+func (c Change) ChangedAttrs() []string {
+	var names []string
+	for m := c.Changed; m != 0; m &= m - 1 {
+		names = append(names, c.El.cls.names[bits.TrailingZeros64(m)])
+	}
+	sort.Strings(names)
+	return names
 }
 
 // WM is a working memory: the set of live elements, indexed by class. The
@@ -167,6 +219,7 @@ type Change struct {
 // function) panics with the class and attribute named.
 type WM struct {
 	byClass   map[string][]*Element
+	layouts   map[string]*layout
 	observers []func(Change)
 	nextID    int
 	clock     int
@@ -176,7 +229,17 @@ type WM struct {
 
 // NewWM returns an empty working memory.
 func NewWM() *WM {
-	return &WM{byClass: map[string][]*Element{}}
+	return &WM{byClass: map[string][]*Element{}, layouts: map[string]*layout{}}
+}
+
+// layoutOf returns class's layout, creating an empty one on first use.
+func (w *WM) layoutOf(class string) *layout {
+	l := w.layouts[class]
+	if l == nil {
+		l = &layout{class: class, slots: map[string]int{}}
+		w.layouts[class] = l
+	}
+	return l
 }
 
 // Observe registers f to receive every subsequent working-memory change.
@@ -193,39 +256,32 @@ func (w *WM) notify(c Change) {
 // checkAttrValue rejects non-comparable attribute values up front: they
 // would otherwise surface later as an opaque "hash of unhashable type"
 // runtime panic inside a matcher's value index or the old == v comparison
-// in Modify.
-func checkAttrValue(class, attr string, v any) {
-	if v == nil {
+// in Modify. attrs is the whole update, so that with several bad values
+// the panic names the first in sorted order, whatever the map order.
+func checkAttrValue(class string, attrs Attrs, v any) {
+	if v == nil || reflect.TypeOf(v).Comparable() {
 		return
 	}
-	if t := reflect.TypeOf(v); !t.Comparable() {
-		panic(fmt.Sprintf("prod: %s ^%s: attribute value of non-comparable type %s (working-memory values must be comparable: ints, strings, bools, pointers)", class, attr, t))
-	}
-}
-
-// sortedKeys returns the attribute names in sorted order so attribute
-// slots and change notifications are independent of Go's randomized map
-// iteration.
-func (a Attrs) sortedKeys() []string {
-	keys := make([]string, 0, len(a))
-	for k := range a {
+	keys := make([]string, 0, len(attrs))
+	for k := range attrs {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	return keys
+	for _, k := range keys {
+		if v := attrs[k]; v != nil {
+			if t := reflect.TypeOf(v); !t.Comparable() {
+				panic(fmt.Sprintf("prod: %s ^%s: attribute value of non-comparable type %s (working-memory values must be comparable: ints, strings, bools, pointers)", class, k, t))
+			}
+		}
+	}
 }
 
 // Make creates a new element of the given class.
 func (w *WM) Make(class string, attrs Attrs) *Element {
 	w.clock++
-	e := &Element{ID: w.nextID, Class: class, Time: w.clock}
+	e := &Element{ID: w.nextID, Class: class, Time: w.clock, cls: w.layoutOf(class)}
 	w.nextID++
-	for _, k := range attrs.sortedKeys() {
-		if v := attrs[k]; v != nil {
-			checkAttrValue(class, k, v)
-			e.set(k, v)
-		}
-	}
+	e.fill(attrs)
 	w.byClass[class] = append(w.byClass[class], e)
 	w.count++
 	if w.count > w.peak {
@@ -233,6 +289,29 @@ func (w *WM) Make(class string, attrs Attrs) *Element {
 	}
 	w.notify(Change{Kind: ChangeMake, El: e})
 	return e
+}
+
+// fill stores attrs in a new element's vector, made at its layout's full
+// width so a later Modify of any known attribute writes in place.
+func (e *Element) fill(attrs Attrs) {
+	l := e.cls
+	e.vals = make([]any, len(l.names))
+	//daalint:allow detmap each attribute writes its own slot
+	for k, v := range attrs {
+		if v == nil {
+			continue
+		}
+		s, ok := l.slots[k]
+		if !ok {
+			// A name new to the class: intern every new name at once, in
+			// sorted order, and fill a vector of the new width.
+			l.internNew(attrs)
+			e.fill(attrs)
+			return
+		}
+		checkAttrValue(l.class, attrs, v)
+		e.vals[s] = v
+	}
 }
 
 // Modify updates attributes of a live element and bumps its recency tag.
@@ -243,25 +322,25 @@ func (w *WM) Modify(e *Element, attrs Attrs) {
 	}
 	w.clock++
 	e.Time = w.clock
-	var changed []string
-	for _, k := range attrs.sortedKeys() {
-		v := attrs[k]
-		checkAttrValue(e.Class, k, v)
-		old, had := e.lookup(k)
-		if had && old == v {
+	var changed uint64
+	//daalint:allow detmap each attribute sets its own slot and bit
+	for k, v := range attrs {
+		s, ok := e.cls.slots[k]
+		if !ok {
+			if v == nil {
+				continue // unsetting an attribute the class never had
+			}
+			e.cls.internNew(attrs)
+			s = e.cls.slots[k]
+		}
+		checkAttrValue(e.Class, attrs, v)
+		if e.at(s) == v {
 			continue
 		}
-		if v == nil {
-			if !had {
-				continue
-			}
-			e.unset(k)
-		} else {
-			e.set(k, v)
-		}
-		changed = append(changed, k)
+		e.put(s, v)
+		changed |= 1 << s
 	}
-	w.notify(Change{Kind: ChangeModify, El: e, Attrs: changed})
+	w.notify(Change{Kind: ChangeModify, El: e, Changed: changed})
 }
 
 // Remove deletes an element from working memory.

@@ -299,9 +299,10 @@ func (p *Program) BodyByName(name string) *Body {
 	return nil
 }
 
-// Ops returns every operator in the trace, in body order then program order.
+// AllOps returns every operator in the trace, in body order then program
+// order, in a new slice sized by OpCount.
 func (p *Program) AllOps() []*Op {
-	var out []*Op
+	out := make([]*Op, 0, p.OpCount())
 	for _, b := range p.Bodies {
 		out = append(out, b.Ops...)
 	}
