@@ -24,8 +24,7 @@ import (
 	"repro/internal/vt"
 )
 
-// BenchmarkE1KnowledgeBase — Table 1: building and summarizing the rule
-// base.
+// BenchmarkE1KnowledgeBase — Table 1: summarizing the rule base.
 func BenchmarkE1KnowledgeBase(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := exp.E1()

@@ -232,11 +232,12 @@ func (o options) flowOptions() (flow.Options, error) {
 func runLintRules(w io.Writer) error {
 	findings := core.LintKnowledgeBase()
 	if len(findings) == 0 {
+		kb := core.KnowledgeBase()
 		total := 0
-		for _, rules := range core.KnowledgeBase() {
-			total += len(rules)
+		for _, ph := range kb {
+			total += len(ph.Rules)
 		}
-		fmt.Fprintf(w, "rule base clean: %d rules across %d phases, 0 findings\n", total, len(core.PhaseOrder))
+		fmt.Fprintf(w, "rule base clean: %d rules across %d phases, 0 findings\n", total, len(kb))
 		return nil
 	}
 	var dl flow.DiagnosticList

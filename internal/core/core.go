@@ -17,7 +17,9 @@
 //     ALUs, exploit commutativity, and delete dead hardware
 //
 // Each phase runs its own rule set to quiescence (the prototype used OPS5
-// context elements for the same sequencing). The result is a complete
+// context elements for the same sequencing). The phases, in order, with
+// their rules, working-memory schemas, seeders and post hooks, are one
+// package-level table, the knowledge base (kb.go). The result is a complete
 // rtl.Design plus the synthesis statistics the paper reported: rules fired
 // per phase, working-memory size, and run time. rtl.Design.Validate checks
 // the design and derives its controller; flow's validate stage runs it.
@@ -137,31 +139,14 @@ func Synthesize(trace *vt.Program, opt Options) (*Result, error) {
 // partial design.
 func SynthesizeContext(ctx context.Context, trace *vt.Program, opt Options) (*Result, error) {
 	s := newSynth(trace, opt)
-	phases := []struct {
-		name  string
-		rules func() []*prod.Rule
-		seed  func(*prod.WM)
-		post  func() error
-	}{
-		{"trace", s.traceRules, s.seedTrace, s.finishTrace},
-		{"data-memory", s.dataMemoryRules, s.seedDataMemory, nil},
-		{"control", s.controlRules, s.seedControl, s.finishControl},
-		{"operators", s.operatorRules, s.seedOperators, nil},
-		{"values", s.valueRules, s.seedValues, nil},
-		{"datapath", s.datapathRules, s.seedDatapath, nil},
-		{"cleanup", s.cleanupRules, s.seedCleanup, s.finishCleanup},
-	}
 	start := time.Now()
 	var stats Stats
-	for _, ph := range phases {
-		if ph.name == "cleanup" && opt.DisableCleanup {
-			break
-		}
-		if ph.name == "trace" && opt.DisableTraceRules {
+	for _, ph := range knowledgeBase {
+		if ph.skip != nil && ph.skip(opt) {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: phase %s: %w", ph.name, err)
+			return nil, fmt.Errorf("core: phase %s: %w", ph.Name, err)
 		}
 		t0 := time.Now()
 		wm := prod.NewWM()
@@ -171,28 +156,26 @@ func SynthesizeContext(ctx context.Context, trace *vt.Program, opt Options) (*Re
 		}
 		eng.TraceWriter = opt.Trace
 		eng.CrossCheck = opt.CrossCheckMatch
-		eng.Apply = s.applyEffect
-		s.phase = ph.name
+		eng.Host = s
+		s.phase = ph.Name
 		s.seq = eng.Firings
 		if opt.Journal {
 			s.journal.Phases = append(s.journal.Phases, PhaseJournal{
-				Phase: ph.name,
+				Phase: ph.Name,
 				J:     eng.RecordJournal(encodeRef),
 			})
 		}
-		rules := ph.rules()
-		if ph.name == "cleanup" {
-			rules = append(rules, opt.ExtraRules...)
-		}
-		for _, r := range rules {
+		for _, r := range ph.Rules {
 			eng.AddRule(r)
 		}
-		ph.seed(wm)
-		if err := eng.Run(); err != nil {
-			return nil, fmt.Errorf("core: phase %s: %w", ph.name, err)
+		if ph.extra != nil {
+			for _, r := range ph.extra(opt) {
+				eng.AddRule(r)
+			}
 		}
-		if s.err != nil {
-			return nil, fmt.Errorf("core: phase %s: %w", ph.name, s.err)
+		ph.seed(s, wm)
+		if err := eng.Run(); err != nil {
+			return nil, fmt.Errorf("core: phase %s: %w", ph.Name, err)
 		}
 		if s.prov != nil {
 			// Post-phase hooks run outside any firing; rewire attributes
@@ -200,13 +183,13 @@ func SynthesizeContext(ctx context.Context, trace *vt.Program, opt Options) (*Re
 			s.prov.cur = FiringRef{}
 		}
 		if ph.post != nil {
-			if err := ph.post(); err != nil {
-				return nil, fmt.Errorf("core: phase %s: %w", ph.name, err)
+			if err := ph.post(s); err != nil {
+				return nil, fmt.Errorf("core: phase %s: %w", ph.Name, err)
 			}
 		}
 		stats.Phases = append(stats.Phases, PhaseStats{
-			Name:    ph.name,
-			Rules:   len(rules),
+			Name:    ph.Name,
+			Rules:   len(eng.Rules()),
 			Firings: eng.Firings(),
 			Cycles:  eng.Cycles(),
 			WMPeak:  wm.Peak(),
@@ -227,27 +210,9 @@ func SynthesizeContext(ctx context.Context, trace *vt.Program, opt Options) (*Re
 	return res, nil
 }
 
-// KnowledgeBase returns the full rule set grouped by phase, for the
-// knowledge-base inventory (experiment E1). The rules are built against an
-// empty design and must not be fired.
-func KnowledgeBase() map[string][]*prod.Rule {
-	tr := &vt.Program{Name: "kb"}
-	s := newSynth(tr, Options{})
-	return map[string][]*prod.Rule{
-		"trace":       s.traceRules(),
-		"data-memory": s.dataMemoryRules(),
-		"control":     s.controlRules(),
-		"operators":   s.operatorRules(),
-		"values":      s.valueRules(),
-		"datapath":    s.datapathRules(),
-		"cleanup":     s.cleanupRules(),
-	}
-}
-
-// PhaseOrder lists the phases in execution order.
-var PhaseOrder = []string{"trace", "data-memory", "control", "operators", "values", "datapath", "cleanup"}
-
-// synth carries the mutable synthesis state shared by rule actions.
+// synth carries the mutable state of one synthesis: the engines' Host,
+// which the shared rule base reads in Where tests and actions and changes
+// through Tx.Do (Apply, journal.go).
 type synth struct {
 	opt Options
 	tr  *vt.Program
@@ -264,8 +229,6 @@ type synth struct {
 	regVals map[*rtl.Register][]*vt.Value
 	// cleanup: sub-body -> structural operator executing it.
 	embed map[*vt.Body]*vt.Op
-	// first error raised by a rule action (halts the engine).
-	err error
 
 	// Journaling and provenance state. phase names the phase whose engine
 	// (or replayer) is running; seq reports the current firing sequence;
@@ -335,12 +298,4 @@ func (s *synth) usage(body *vt.Body, step int) *stepUsage {
 		s.stepUse[k] = u
 	}
 	return u
-}
-
-// fail records the first rule-action error and halts the engine.
-func (s *synth) fail(tx *prod.Tx, err error) {
-	if s.err == nil {
-		s.err = err
-	}
-	tx.Halt()
 }

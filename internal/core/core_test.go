@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/alloc"
@@ -259,15 +261,14 @@ func TestKnowledgeBaseInventory(t *testing.T) {
 		t.Fatalf("phases %d, want 7", len(kb))
 	}
 	total := 0
-	for _, phase := range PhaseOrder {
-		rules := kb[phase]
-		if len(rules) == 0 {
-			t.Errorf("phase %s has no rules", phase)
+	for _, ph := range kb {
+		if len(ph.Rules) == 0 {
+			t.Errorf("phase %s has no rules", ph.Name)
 		}
-		total += len(rules)
-		for _, r := range rules {
-			if r.Name == "" || r.Doc == "" || r.Category == "" {
-				t.Errorf("rule %+v lacks name/doc/category", r.Name)
+		total += len(ph.Rules)
+		for _, r := range ph.Rules {
+			if r.Name == "" || r.Doc == "" || r.Category != ph.Name {
+				t.Errorf("rule %+v lacks name/doc or is not filed under its phase", r.Name)
 			}
 		}
 	}
@@ -318,6 +319,80 @@ func TestExtraRulesRun(t *testing.T) {
 	}
 	if !fired {
 		t.Error("extra cleanup rule never fired")
+	}
+}
+
+// A failing host effect stops synthesis: the engine keeps the effect's
+// error and halts after the firing, and SynthesizeContext returns no
+// design. The extra rule must not join the shared knowledge base.
+func TestExtraRuleEffectErrorFailsSynthesis(t *testing.T) {
+	cleanup := KnowledgeBase()[len(KnowledgeBase())-1]
+	before := len(cleanup.Rules)
+	bad := &prod.Rule{
+		Name:     "call-missing-effect",
+		Doc:      "test extension whose effect is not registered",
+		Patterns: []prod.Pattern{prod.P("unit")},
+		Action: func(tx *prod.Tx, m *prod.Match) {
+			if _, err := tx.Do("no-such-effect"); err != nil {
+				return
+			}
+			t.Error("Do of an unknown effect succeeded")
+		},
+	}
+	res, err := SynthesizeContext(context.Background(), trace(t, gcdSrc), Options{ExtraRules: []*prod.Rule{bad}})
+	if res != nil {
+		t.Error("a failed synthesis returned a result")
+	}
+	const want = `core: phase cleanup: prod: rule call-missing-effect: effect no-such-effect: core: unknown effect "no-such-effect"`
+	if err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %s", err, want)
+	}
+	if after := len(KnowledgeBase()[len(KnowledgeBase())-1].Rules); after != before {
+		t.Errorf("cleanup phase has %d rules after the run, want %d", after, before)
+	}
+}
+
+// Concurrent syntheses share the one knowledge base, extra rules or not,
+// and each builds the design a lone synthesis builds (go test -race checks
+// that nothing in the table is written).
+func TestConcurrentSynthesesShareKnowledgeBase(t *testing.T) {
+	want := renderDesign(t, synthesize(t, gcdSrc).Design)
+	extra := &prod.Rule{
+		Name:     "concurrent-audit",
+		Doc:      "inert test extension",
+		Patterns: []prod.Pattern{prod.P("hreg")},
+		Action:   func(*prod.Tx, *prod.Match) {},
+	}
+	traces := make([]*vt.Program, 6)
+	for i := range traces {
+		traces[i] = trace(t, gcdSrc)
+	}
+	designs := make([]*rtl.Design, len(traces))
+	errs := make([]error, len(traces))
+	var wg sync.WaitGroup
+	for i := range traces {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			opt := Options{Journal: i%3 == 0}
+			if i%2 == 1 {
+				opt.ExtraRules = []*prod.Rule{extra}
+			}
+			res, err := Synthesize(traces[i], opt)
+			if err == nil {
+				designs[i] = res.Design
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("synthesis %d: %v", i, err)
+		}
+		if got := renderDesign(t, designs[i]); got != want {
+			t.Errorf("synthesis %d built a different design", i)
+		}
 	}
 }
 

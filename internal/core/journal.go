@@ -11,13 +11,13 @@ import (
 )
 
 // The DAA's effect journal. Every rule action routes its design mutations
-// through Tx.Do into the applier registry below; with Options.Journal set
-// each phase engine records the firings, and Replay re-applies a journal
-// against a fresh trace to reproduce the design byte-identically. The
-// appliers are pure applications of decisions already present in their
-// arguments — the decisions themselves (step choice, operand orientation,
-// merge candidates) live in the rule actions and Where clauses, which
-// replay never re-evaluates.
+// through Tx.Do into the applier registry below (synth.Apply); with
+// Options.Journal set each phase engine records the firings, and Replay
+// re-applies a journal against a fresh trace to reproduce the design
+// byte-identically. The appliers are pure applications of decisions
+// already present in their arguments — the decisions themselves (step
+// choice, operand orientation, merge candidates) live in the rule actions
+// and Where clauses, which replay never re-evaluates.
 
 // Journal is the complete record of one synthesis run: one prod.Journal
 // per executed phase, in phase order.
@@ -172,12 +172,12 @@ func effArg[T any](name string, args []any, i int) (T, error) {
 	return v, nil
 }
 
-// applyEffect is the effect registry installed as the phase engines'
-// Apply hook and re-used verbatim by Replay. It updates the design, the
-// trace, and the synthesis bookkeeping (step usage, unit busyness,
-// register occupancy) so post-phase hooks behave identically in both
-// modes; it never touches working memory.
-func (s *synth) applyEffect(name string, args []any) (any, error) {
+// Apply is the effect registry behind the phase engines' Tx.Do, re-used
+// verbatim by Replay: it makes the synthesis the engines' prod.Host. It
+// updates the design, the trace, and the synthesis bookkeeping (step
+// usage, unit busyness, register occupancy) so post-phase hooks behave
+// identically in both modes; it never touches working memory.
+func (s *synth) Apply(name string, args []any) (any, error) {
 	if s.prov != nil {
 		s.prov.cur = FiringRef{Phase: s.phase, Seq: s.seq()}
 	}
@@ -420,29 +420,24 @@ func Replay(trace *vt.Program, j *Journal, opt Options) (*rtl.Design, error) {
 	s := newSynth(trace, opt)
 	dec := newDecoder(trace, s.d)
 	for _, pj := range j.Phases {
+		i := phaseIndex(pj.Phase)
+		if i == len(knowledgeBase) {
+			return nil, fmt.Errorf("core: replay phase %s: not a phase of the knowledge base", pj.Phase)
+		}
 		s.phase = pj.Phase
 		curSeq := 0
 		s.seq = func() int { return curSeq }
 		rep := &prod.Replayer{
 			WM:       prod.NewWM(),
 			Decode:   dec.decode,
-			Apply:    s.applyEffect,
+			Host:     s,
 			OnFiring: func(f *prod.Firing) { curSeq = f.Seq },
 		}
 		if err := rep.Run(pj.J); err != nil {
 			return nil, fmt.Errorf("core: replay phase %s: %w", pj.Phase, err)
 		}
-		var post func() error
-		switch pj.Phase {
-		case "trace":
-			post = s.finishTrace
-		case "control":
-			post = s.finishControl
-		case "cleanup":
-			post = s.finishCleanup
-		}
-		if post != nil {
-			if err := post(); err != nil {
+		if post := knowledgeBase[i].post; post != nil {
+			if err := post(s); err != nil {
 				return nil, fmt.Errorf("core: replay phase %s: %w", pj.Phase, err)
 			}
 		}

@@ -70,16 +70,6 @@ func newProvTrack() *provTrack {
 	}
 }
 
-// phaseIndex orders firing notes by execution order.
-func phaseIndex(name string) int {
-	for i, p := range PhaseOrder {
-		if p == name {
-			return i
-		}
-	}
-	return len(PhaseOrder)
-}
-
 // buildProvenance assembles the index from the journal and the tracker.
 func buildProvenance(d *rtl.Design, j *Journal, pt *provTrack) *Provenance {
 	// Rule-name lookup: seq is the 1-based position in the phase journal.

@@ -61,39 +61,41 @@ func sortRegs(regs []*rtl.Register) {
 }
 
 // mergeRegs folds register r2 into r1 and retires r2.
-func (s *synth) mergeRegs(tx *prod.Tx, el1, el2 *prod.Element) {
+func mergeRegs(tx *prod.Tx, m *prod.Match) {
+	el1, el2 := m.El(0), m.El(1)
 	r1 := el1.Get("reg").(*rtl.Register)
 	r2 := el2.Get("reg").(*rtl.Register)
 	if _, err := tx.Do("merge-regs", r1, r2); err != nil {
-		s.fail(tx, err)
 		return
 	}
 	tx.Remove(el2)
 	tx.Modify(el1, prod.Attrs{"width": r1.Width})
 }
 
-// foldUnits folds unit u2 into u1 and retires u2.
-func (s *synth) foldUnits(tx *prod.Tx, el1, el2 *prod.Element, class string) {
-	u1 := el1.Get("unit").(*rtl.Unit)
-	u2 := el2.Get("unit").(*rtl.Unit)
-	if _, err := tx.Do("fold-units", u1, u2); err != nil {
-		s.fail(tx, err)
-		return
-	}
-	tx.Remove(el2)
-	tx.Modify(el1, prod.Attrs{"class": class})
-}
-
-func (s *synth) mergePair() func(*prod.Match) bool {
-	return func(m *prod.Match) bool {
-		r1 := m.El(0).Get("reg").(*rtl.Register)
-		r2 := m.El(1).Get("reg").(*rtl.Register)
-		return r1.ID < r2.ID && s.regsCanMerge(r1, r2)
+// foldUnits builds the action that folds unit u2 into u1, retires u2, and
+// files the survivor under class.
+func foldUnits(class string) func(*prod.Tx, *prod.Match) {
+	return func(tx *prod.Tx, m *prod.Match) {
+		el1, el2 := m.El(0), m.El(1)
+		u1 := el1.Get("unit").(*rtl.Unit)
+		u2 := el2.Get("unit").(*rtl.Unit)
+		if _, err := tx.Do("fold-units", u1, u2); err != nil {
+			return
+		}
+		tx.Remove(el2)
+		tx.Modify(el1, prod.Attrs{"class": class})
 	}
 }
 
-func (s *synth) foldPair(c1, c2 string) func(*prod.Match) bool {
-	return func(m *prod.Match) bool {
+func mergePair(h prod.Host, m *prod.Match) bool {
+	r1 := m.El(0).Get("reg").(*rtl.Register)
+	r2 := m.El(1).Get("reg").(*rtl.Register)
+	return r1.ID < r2.ID && h.(*synth).regsCanMerge(r1, r2)
+}
+
+func foldPair(c1, c2 string) func(prod.Host, *prod.Match) bool {
+	return func(h prod.Host, m *prod.Match) bool {
+		s := h.(*synth)
 		u1 := m.El(0).Get("unit").(*rtl.Unit)
 		u2 := m.El(1).Get("unit").(*rtl.Unit)
 		if u1 == u2 {
@@ -126,113 +128,87 @@ func sameFns(u1, u2 *rtl.Unit) bool {
 	return true
 }
 
-func (s *synth) cleanupRules() []*prod.Rule {
-	return []*prod.Rule{
-		{
-			Name:     "merge-twin-holding-registers",
-			Category: "cleanup",
-			Doc:      "Merge two equal-width holding registers whose occupants can never coexist — typically temporaries of mutually exclusive DECODE arms.",
-			Patterns: []prod.Pattern{
-				prod.P("hreg").Bind("width", "w"),
-				prod.P("hreg").Bind("width", "w"),
-			},
-			Where: s.mergePair(),
-			Action: func(tx *prod.Tx, m *prod.Match) {
-				s.mergeRegs(tx, m.El(0), m.El(1))
-			},
+var cleanupRules = []*prod.Rule{
+	{
+		Name: "merge-twin-holding-registers",
+		Doc:  "Merge two equal-width holding registers whose occupants can never coexist — typically temporaries of mutually exclusive DECODE arms.",
+		Patterns: []prod.Pattern{
+			prod.P("hreg").Bind("width", "w"),
+			prod.P("hreg").Bind("width", "w"),
 		},
-		{
-			Name:     "merge-holding-registers",
-			Category: "cleanup",
-			Doc:      "Merge holding registers of different widths when their occupants can never coexist; the survivor takes the larger width.",
-			Patterns: []prod.Pattern{
-				prod.P("hreg"),
-				prod.P("hreg"),
-			},
-			Where: s.mergePair(),
-			Action: func(tx *prod.Tx, m *prod.Match) {
-				s.mergeRegs(tx, m.El(0), m.El(1))
-			},
+		Where:  mergePair,
+		Action: mergeRegs,
+	},
+	{
+		Name: "merge-holding-registers",
+		Doc:  "Merge holding registers of different widths when their occupants can never coexist; the survivor takes the larger width.",
+		Patterns: []prod.Pattern{
+			prod.P("hreg"),
+			prod.P("hreg"),
 		},
-		{
-			Name:     "fold-arithmetic-units",
-			Category: "cleanup",
-			Doc:      "Two arithmetic units never busy in the same step fold into one arithmetic ALU.",
-			Patterns: []prod.Pattern{
-				prod.P("unit").Eq("class", "arith"),
-				prod.P("unit").Eq("class", "arith"),
-			},
-			Where: s.foldPair("arith", "arith"),
-			Action: func(tx *prod.Tx, m *prod.Match) {
-				s.foldUnits(tx, m.El(0), m.El(1), "arith")
-			},
+		Where:  mergePair,
+		Action: mergeRegs,
+	},
+	{
+		Name: "fold-arithmetic-units",
+		Doc:  "Two arithmetic units never busy in the same step fold into one arithmetic ALU.",
+		Patterns: []prod.Pattern{
+			prod.P("unit").Eq("class", "arith"),
+			prod.P("unit").Eq("class", "arith"),
 		},
-		{
-			Name:     "fold-logic-units",
-			Category: "cleanup",
-			Doc:      "Two logic units never busy in the same step fold into one logic unit.",
-			Patterns: []prod.Pattern{
-				prod.P("unit").Eq("class", "logic"),
-				prod.P("unit").Eq("class", "logic"),
-			},
-			Where: s.foldPair("logic", "logic"),
-			Action: func(tx *prod.Tx, m *prod.Match) {
-				s.foldUnits(tx, m.El(0), m.El(1), "logic")
-			},
+		Where:  foldPair("arith", "arith"),
+		Action: foldUnits("arith"),
+	},
+	{
+		Name: "fold-logic-units",
+		Doc:  "Two logic units never busy in the same step fold into one logic unit.",
+		Patterns: []prod.Pattern{
+			prod.P("unit").Eq("class", "logic"),
+			prod.P("unit").Eq("class", "logic"),
 		},
-		{
-			Name:     "fold-comparators",
-			Category: "cleanup",
-			Doc:      "Two comparators never busy in the same step fold into one.",
-			Patterns: []prod.Pattern{
-				prod.P("unit").Eq("class", "compare"),
-				prod.P("unit").Eq("class", "compare"),
-			},
-			Where: s.foldPair("compare", "compare"),
-			Action: func(tx *prod.Tx, m *prod.Match) {
-				s.foldUnits(tx, m.El(0), m.El(1), "compare")
-			},
+		Where:  foldPair("logic", "logic"),
+		Action: foldUnits("logic"),
+	},
+	{
+		Name: "fold-comparators",
+		Doc:  "Two comparators never busy in the same step fold into one.",
+		Patterns: []prod.Pattern{
+			prod.P("unit").Eq("class", "compare"),
+			prod.P("unit").Eq("class", "compare"),
 		},
-		{
-			Name:     "fold-shifters",
-			Category: "cleanup",
-			Doc:      "Two shifters never busy in the same step fold into one; shifters stay out of the ALU (dedicated shift path).",
-			Patterns: []prod.Pattern{
-				prod.P("unit").Eq("class", "shift"),
-				prod.P("unit").Eq("class", "shift"),
-			},
-			Where: s.foldPair("shift", "shift"),
-			Action: func(tx *prod.Tx, m *prod.Match) {
-				s.foldUnits(tx, m.El(0), m.El(1), "shift")
-			},
+		Where:  foldPair("compare", "compare"),
+		Action: foldUnits("compare"),
+	},
+	{
+		Name: "fold-shifters",
+		Doc:  "Two shifters never busy in the same step fold into one; shifters stay out of the ALU (dedicated shift path).",
+		Patterns: []prod.Pattern{
+			prod.P("unit").Eq("class", "shift"),
+			prod.P("unit").Eq("class", "shift"),
 		},
-		{
-			Name:     "fold-comparator-into-arithmetic-alu",
-			Category: "cleanup",
-			Doc:      "A comparison is a subtraction: fold an idle-compatible comparator into the arithmetic ALU.",
-			Patterns: []prod.Pattern{
-				prod.P("unit").Eq("class", "arith"),
-				prod.P("unit").Eq("class", "compare"),
-			},
-			Where: s.foldPair("arith", "compare"),
-			Action: func(tx *prod.Tx, m *prod.Match) {
-				s.foldUnits(tx, m.El(0), m.El(1), "arith")
-			},
+		Where:  foldPair("shift", "shift"),
+		Action: foldUnits("shift"),
+	},
+	{
+		Name: "fold-comparator-into-arithmetic-alu",
+		Doc:  "A comparison is a subtraction: fold an idle-compatible comparator into the arithmetic ALU.",
+		Patterns: []prod.Pattern{
+			prod.P("unit").Eq("class", "arith"),
+			prod.P("unit").Eq("class", "compare"),
 		},
-		{
-			Name:     "fold-logic-into-arithmetic-alu",
-			Category: "cleanup",
-			Doc:      "The era's single-ALU datapath: fold an idle-compatible logic unit into the arithmetic ALU (the 6502 ALU performs ADC, AND, ORA, EOR).",
-			Patterns: []prod.Pattern{
-				prod.P("unit").Eq("class", "arith"),
-				prod.P("unit").Eq("class", "logic"),
-			},
-			Where: s.foldPair("arith", "logic"),
-			Action: func(tx *prod.Tx, m *prod.Match) {
-				s.foldUnits(tx, m.El(0), m.El(1), "arith")
-			},
+		Where:  foldPair("arith", "compare"),
+		Action: foldUnits("arith"),
+	},
+	{
+		Name: "fold-logic-into-arithmetic-alu",
+		Doc:  "The era's single-ALU datapath: fold an idle-compatible logic unit into the arithmetic ALU (the 6502 ALU performs ADC, AND, ORA, EOR).",
+		Patterns: []prod.Pattern{
+			prod.P("unit").Eq("class", "arith"),
+			prod.P("unit").Eq("class", "logic"),
 		},
-	}
+		Where:  foldPair("arith", "logic"),
+		Action: foldUnits("arith"),
+	},
 }
 
 // finishCleanup rebuilds the interconnect from the merged bindings.

@@ -74,7 +74,8 @@ func (s *synth) seedControl(wm *prod.WM) {
 // placeNext chooses the earliest feasible step for the matched operator
 // (the decision), applies it through the place-op effect, and advances the
 // body cursor.
-func (s *synth) placeNext(tx *prod.Tx, m *prod.Match) {
+func placeNext(tx *prod.Tx, m *prod.Match) {
+	s := tx.Host().(*synth)
 	bodyEl, opEl := m.El(0), m.El(1)
 	op := opEl.Get("op").(*vt.Op)
 	step := 0
@@ -91,7 +92,6 @@ func (s *synth) placeNext(tx *prod.Tx, m *prod.Match) {
 		step++
 	}
 	if _, err := tx.Do("place-op", op, step); err != nil {
-		s.fail(tx, err)
 		return
 	}
 	tx.Remove(opEl)
@@ -137,46 +137,42 @@ func (s *synth) markStep(op *vt.Op, step int) {
 
 // placeRule builds the shared shape of the placement rules: the body
 // cursor joined to the next operator of a given class.
-func (s *synth) placeRule(name, class, doc string) *prod.Rule {
+func placeRule(name, class, doc string) *prod.Rule {
 	return &prod.Rule{
-		Name:     name,
-		Category: "control",
-		Doc:      doc,
+		Name: name,
+		Doc:  doc,
 		Patterns: []prod.Pattern{
 			prod.P("body").Bind("body", "b").Bind("cursor", "c"),
 			prod.P("op").Bind("body", "b").Bind("seq", "c").Eq("class", class),
 		},
-		Action: s.placeNext,
+		Action: placeNext,
 	}
 }
 
-func (s *synth) controlRules() []*prod.Rule {
-	return []*prod.Rule{
-		s.placeRule("place-carrier-read", "read", "Register and port reads are combinational: pack them into the current step."),
-		s.placeRule("place-constant", "constant", "Constants are free sources available in any step."),
-		s.placeRule("place-wiring", "wiring", "Bit selection and concatenation are wiring and take no step of their own."),
-		s.placeRule("place-arithmetic", "arith", "Arithmetic chains combinationally but is bounded by the per-step adder budget."),
-		s.placeRule("place-logical", "logic", "Logical operations chain combinationally within the logic-unit budget."),
-		s.placeRule("place-comparison", "compare", "Comparisons and tests chain combinationally within the comparator budget."),
-		s.placeRule("place-shift", "shift", "Shifts chain combinationally within the shifter budget."),
-		s.placeRule("place-register-write", "write", "A register transfer commits at end-of-step; strictly one write per register per step (partial field writes serialize)."),
-		s.placeRule("place-memory-read", "mem-read", "A memory read claims the single memory port for the step."),
-		s.placeRule("place-memory-write", "mem-write", "A memory write claims the single memory port and commits at end-of-step."),
-		s.placeRule("place-branch", "branch", "A DECODE or conditional ends the current control step; its arms get their own step sequences."),
-		s.placeRule("place-loop", "loop", "A loop ends the current step; condition and body are stepped separately."),
-		s.placeRule("place-subroutine-call", "call", "A call ends the step and transfers control to the callee's step sequence."),
-		s.placeRule("place-leave", "leave", "LEAVE is a control exit and ends the step."),
-		s.placeRule("place-no-op", "nop", "An explicit no-operation occupies the current step."),
-		{
-			Name:     "close-body",
-			Category: "control",
-			Doc:      "A body whose cursor has consumed every operator is complete.",
-			Patterns: []prod.Pattern{
-				prod.P("body").Bind("cursor", "n").Bind("count", "n"),
-			},
-			Action: func(tx *prod.Tx, m *prod.Match) { tx.Remove(m.El(0)) },
+var controlRules = []*prod.Rule{
+	placeRule("place-carrier-read", "read", "Register and port reads are combinational: pack them into the current step."),
+	placeRule("place-constant", "constant", "Constants are free sources available in any step."),
+	placeRule("place-wiring", "wiring", "Bit selection and concatenation are wiring and take no step of their own."),
+	placeRule("place-arithmetic", "arith", "Arithmetic chains combinationally but is bounded by the per-step adder budget."),
+	placeRule("place-logical", "logic", "Logical operations chain combinationally within the logic-unit budget."),
+	placeRule("place-comparison", "compare", "Comparisons and tests chain combinationally within the comparator budget."),
+	placeRule("place-shift", "shift", "Shifts chain combinationally within the shifter budget."),
+	placeRule("place-register-write", "write", "A register transfer commits at end-of-step; strictly one write per register per step (partial field writes serialize)."),
+	placeRule("place-memory-read", "mem-read", "A memory read claims the single memory port for the step."),
+	placeRule("place-memory-write", "mem-write", "A memory write claims the single memory port and commits at end-of-step."),
+	placeRule("place-branch", "branch", "A DECODE or conditional ends the current control step; its arms get their own step sequences."),
+	placeRule("place-loop", "loop", "A loop ends the current step; condition and body are stepped separately."),
+	placeRule("place-subroutine-call", "call", "A call ends the step and transfers control to the callee's step sequence."),
+	placeRule("place-leave", "leave", "LEAVE is a control exit and ends the step."),
+	placeRule("place-no-op", "nop", "An explicit no-operation occupies the current step."),
+	{
+		Name: "close-body",
+		Doc:  "A body whose cursor has consumed every operator is complete.",
+		Patterns: []prod.Pattern{
+			prod.P("body").Bind("cursor", "n").Bind("count", "n"),
 		},
-	}
+		Action: func(tx *prod.Tx, m *prod.Match) { tx.Remove(m.El(0)) },
+	},
 }
 
 // finishControl materializes the control steps chosen by the placement

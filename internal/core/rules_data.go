@@ -24,63 +24,53 @@ func (s *synth) seedDataMemory(wm *prod.WM) {
 	}
 }
 
-func (s *synth) dataMemoryRules() []*prod.Rule {
-	return []*prod.Rule{
-		{
-			Name:     "allocate-register-for-carrier",
-			Category: "data-memory",
-			Doc:      "Every register carrier of the description gets a hardware register of the same width.",
-			Patterns: []prod.Pattern{prod.P("carrier").Eq("kind", "reg").Absent("bound")},
-			Action: func(tx *prod.Tx, m *prod.Match) {
-				car := m.El(0).Get("car").(*vt.Carrier)
-				if _, err := tx.Do("bind-carrier-reg", car); err != nil {
-					s.fail(tx, err)
-					return
-				}
-				tx.Modify(m.El(0), prod.Attrs{"bound": true})
-			},
+var dataMemoryRules = []*prod.Rule{
+	{
+		Name:     "allocate-register-for-carrier",
+		Doc:      "Every register carrier of the description gets a hardware register of the same width.",
+		Patterns: []prod.Pattern{prod.P("carrier").Eq("kind", "reg").Absent("bound")},
+		Action: func(tx *prod.Tx, m *prod.Match) {
+			car := m.El(0).Get("car").(*vt.Carrier)
+			if _, err := tx.Do("bind-carrier-reg", car); err != nil {
+				return
+			}
+			tx.Modify(m.El(0), prod.Attrs{"bound": true})
 		},
-		{
-			Name:     "allocate-memory-for-carrier",
-			Category: "data-memory",
-			Doc:      "Memory carriers become single-port RAM arrays of the declared geometry.",
-			Patterns: []prod.Pattern{prod.P("carrier").Eq("kind", "mem").Absent("bound")},
-			Action: func(tx *prod.Tx, m *prod.Match) {
-				car := m.El(0).Get("car").(*vt.Carrier)
-				if _, err := tx.Do("bind-carrier-mem", car); err != nil {
-					s.fail(tx, err)
-					return
-				}
-				tx.Modify(m.El(0), prod.Attrs{"bound": true})
-			},
+	},
+	{
+		Name:     "allocate-memory-for-carrier",
+		Doc:      "Memory carriers become single-port RAM arrays of the declared geometry.",
+		Patterns: []prod.Pattern{prod.P("carrier").Eq("kind", "mem").Absent("bound")},
+		Action: func(tx *prod.Tx, m *prod.Match) {
+			car := m.El(0).Get("car").(*vt.Carrier)
+			if _, err := tx.Do("bind-carrier-mem", car); err != nil {
+				return
+			}
+			tx.Modify(m.El(0), prod.Attrs{"bound": true})
 		},
-		{
-			Name:     "allocate-input-port",
-			Category: "data-memory",
-			Doc:      "Input carriers become external input pins.",
-			Patterns: []prod.Pattern{prod.P("carrier").Eq("kind", "port-in").Absent("bound")},
-			Action: func(tx *prod.Tx, m *prod.Match) {
-				car := m.El(0).Get("car").(*vt.Carrier)
-				if _, err := tx.Do("bind-carrier-port", car, true); err != nil {
-					s.fail(tx, err)
-					return
-				}
-				tx.Modify(m.El(0), prod.Attrs{"bound": true})
-			},
+	},
+	{
+		Name:     "allocate-input-port",
+		Doc:      "Input carriers become external input pins.",
+		Patterns: []prod.Pattern{prod.P("carrier").Eq("kind", "port-in").Absent("bound")},
+		Action: func(tx *prod.Tx, m *prod.Match) {
+			car := m.El(0).Get("car").(*vt.Carrier)
+			if _, err := tx.Do("bind-carrier-port", car, true); err != nil {
+				return
+			}
+			tx.Modify(m.El(0), prod.Attrs{"bound": true})
 		},
-		{
-			Name:     "allocate-output-port",
-			Category: "data-memory",
-			Doc:      "Output carriers become external output pins.",
-			Patterns: []prod.Pattern{prod.P("carrier").Eq("kind", "port-out").Absent("bound")},
-			Action: func(tx *prod.Tx, m *prod.Match) {
-				car := m.El(0).Get("car").(*vt.Carrier)
-				if _, err := tx.Do("bind-carrier-port", car, false); err != nil {
-					s.fail(tx, err)
-					return
-				}
-				tx.Modify(m.El(0), prod.Attrs{"bound": true})
-			},
+	},
+	{
+		Name:     "allocate-output-port",
+		Doc:      "Output carriers become external output pins.",
+		Patterns: []prod.Pattern{prod.P("carrier").Eq("kind", "port-out").Absent("bound")},
+		Action: func(tx *prod.Tx, m *prod.Match) {
+			car := m.El(0).Get("car").(*vt.Carrier)
+			if _, err := tx.Do("bind-carrier-port", car, false); err != nil {
+				return
+			}
+			tx.Modify(m.El(0), prod.Attrs{"bound": true})
 		},
-	}
+	},
 }

@@ -62,80 +62,70 @@ func (s *synth) seedDatapath(wm *prod.WM) {
 }
 
 // routeTask wires one operator's transfers and retires the task element.
-func (s *synth) routeTask(tx *prod.Tx, m *prod.Match) {
+func routeTask(tx *prod.Tx, m *prod.Match) {
 	op := m.El(0).Get("op").(*vt.Op)
 	if _, err := tx.Do("route-op", op); err != nil {
-		s.fail(tx, err)
 		return
 	}
 	tx.Modify(m.El(0), prod.Attrs{"routed": true})
 }
 
-func (s *synth) routeRule(name, class, doc string) *prod.Rule {
+func routeRule(name, class, doc string) *prod.Rule {
 	return &prod.Rule{
-		Name:     name,
-		Category: "datapath",
-		Doc:      doc,
+		Name: name,
+		Doc:  doc,
 		Patterns: []prod.Pattern{
 			prod.P("task").Eq("class", class).Eq("commutative", false).Absent("routed"),
 		},
-		Action: s.routeTask,
+		Action: routeTask,
 	}
 }
 
-func (s *synth) datapathRules() []*prod.Rule {
-	return []*prod.Rule{
-		{
-			Name:     "allocate-constant-source",
-			Category: "datapath",
-			Doc:      "A constant consumed by the datapath becomes a hardwired source.",
-			Patterns: []prod.Pattern{prod.P("constant").Absent("done")},
-			Action: func(tx *prod.Tx, m *prod.Match) {
-				el := m.El(0)
-				if _, err := tx.Do("add-const", el.Int("value"), el.Int("width")); err != nil {
-					s.fail(tx, err)
-					return
-				}
-				tx.Modify(el, prod.Attrs{"done": true})
-			},
+var datapathRules = []*prod.Rule{
+	{
+		Name:     "allocate-constant-source",
+		Doc:      "A constant consumed by the datapath becomes a hardwired source.",
+		Patterns: []prod.Pattern{prod.P("constant").Absent("done")},
+		Action: func(tx *prod.Tx, m *prod.Match) {
+			el := m.El(0)
+			if _, err := tx.Do("add-const", el.Int("value"), el.Int("width")); err != nil {
+				return
+			}
+			tx.Modify(el, prod.Attrs{"done": true})
 		},
-		{
-			Name:     "orient-and-route-commutative-operation",
-			Category: "datapath",
-			Doc:      "Swap the operands of a commutative operation when the swap reuses existing links instead of growing a mux, then route.",
-			Patterns: []prod.Pattern{
-				prod.P("task").Eq("class", "compute").Eq("commutative", true).Absent("routed"),
-			},
-			Action: func(tx *prod.Tx, m *prod.Match) {
-				op := m.El(0).Get("op").(*vt.Op)
-				if _, err := tx.Do("orient-op", op, s.orientSwap(op)); err != nil {
-					s.fail(tx, err)
-					return
-				}
-				s.routeTask(tx, m)
-			},
+	},
+	{
+		Name: "orient-and-route-commutative-operation",
+		Doc:  "Swap the operands of a commutative operation when the swap reuses existing links instead of growing a mux, then route.",
+		Patterns: []prod.Pattern{
+			prod.P("task").Eq("class", "compute").Eq("commutative", true).Absent("routed"),
 		},
-		s.routeRule("route-computation-operands", "compute",
-			"Wire each operand of a bound computation to its unit port, through a mux when the port is shared."),
-		s.routeRule("route-register-transfer", "write",
-			"Wire a written value to its destination register or output port."),
-		s.routeRule("route-memory-address", "mem-read",
-			"Wire the address of a memory read to the memory's address port."),
-		s.routeRule("route-memory-write", "mem-write",
-			"Wire address and data of a memory write to the memory's ports."),
-		{
-			Name:     "route-value-parking",
-			Category: "datapath",
-			Doc:      "Wire a step-crossing value from its producer into its holding register.",
-			Patterns: []prod.Pattern{prod.P("park").Absent("routed")},
-			Action: func(tx *prod.Tx, m *prod.Match) {
-				v := m.El(0).Get("val").(*vt.Value)
-				if _, err := tx.Do("route-park", v); err != nil {
-					s.fail(tx, err)
-					return
-				}
-				tx.Modify(m.El(0), prod.Attrs{"routed": true})
-			},
+		Action: func(tx *prod.Tx, m *prod.Match) {
+			op := m.El(0).Get("op").(*vt.Op)
+			if _, err := tx.Do("orient-op", op, tx.Host().(*synth).orientSwap(op)); err != nil {
+				return
+			}
+			routeTask(tx, m)
 		},
-	}
+	},
+	routeRule("route-computation-operands", "compute",
+		"Wire each operand of a bound computation to its unit port, through a mux when the port is shared."),
+	routeRule("route-register-transfer", "write",
+		"Wire a written value to its destination register or output port."),
+	routeRule("route-memory-address", "mem-read",
+		"Wire the address of a memory read to the memory's address port."),
+	routeRule("route-memory-write", "mem-write",
+		"Wire address and data of a memory write to the memory's ports."),
+	{
+		Name:     "route-value-parking",
+		Doc:      "Wire a step-crossing value from its producer into its holding register.",
+		Patterns: []prod.Pattern{prod.P("park").Absent("routed")},
+		Action: func(tx *prod.Tx, m *prod.Match) {
+			v := m.El(0).Get("val").(*vt.Value)
+			if _, err := tx.Do("route-park", v); err != nil {
+				return
+			}
+			tx.Modify(m.El(0), prod.Attrs{"routed": true})
+		},
+	},
 }

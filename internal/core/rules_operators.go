@@ -61,13 +61,13 @@ func (s *synth) freeUnit(kind vt.OpKind, st *rtl.State) *rtl.Unit {
 }
 
 // allocateRule builds the per-class unit allocation rules.
-func (s *synth) allocateRule(name, class, doc string) *prod.Rule {
+func allocateRule(name, class, doc string) *prod.Rule {
 	return &prod.Rule{
 		Name:     name,
-		Category: "operators",
 		Doc:      doc,
 		Patterns: []prod.Pattern{prod.P("op").Eq("class", class).Absent("bound")},
-		Where: func(m *prod.Match) bool {
+		Where: func(h prod.Host, m *prod.Match) bool {
+			s := h.(*synth)
 			op := m.El(0).Get("op").(*vt.Op)
 			return s.freeUnit(op.Kind, s.d.OpState[op]) == nil
 		},
@@ -75,7 +75,6 @@ func (s *synth) allocateRule(name, class, doc string) *prod.Rule {
 			op := m.El(0).Get("op").(*vt.Op)
 			res, err := tx.Do("alloc-unit", op)
 			if err != nil {
-				s.fail(tx, err)
 				return
 			}
 			u := res.(*rtl.Unit)
@@ -85,16 +84,16 @@ func (s *synth) allocateRule(name, class, doc string) *prod.Rule {
 	}
 }
 
-func (s *synth) operatorRules() []*prod.Rule {
-	bind := &prod.Rule{
-		Name:     "bind-operation-to-idle-unit",
-		Category: "operators",
-		Doc:      "Reuse an existing unit of the operation's kind when it is idle in the operation's control step.",
+var operatorRules = []*prod.Rule{
+	{
+		Name: "bind-operation-to-idle-unit",
+		Doc:  "Reuse an existing unit of the operation's kind when it is idle in the operation's control step.",
 		Patterns: []prod.Pattern{
 			prod.P("op").Absent("bound").Bind("kind", "k"),
 			prod.P("unit").Bind("kind", "k"),
 		},
-		Where: func(m *prod.Match) bool {
+		Where: func(h prod.Host, m *prod.Match) bool {
+			s := h.(*synth)
 			op := m.El(0).Get("op").(*vt.Op)
 			u := m.El(1).Get("unit").(*rtl.Unit)
 			return !s.unitBusy[unitState{u, s.d.OpState[op]}]
@@ -103,21 +102,17 @@ func (s *synth) operatorRules() []*prod.Rule {
 			op := m.El(0).Get("op").(*vt.Op)
 			u := m.El(1).Get("unit").(*rtl.Unit)
 			if _, err := tx.Do("bind-op-unit", op, u); err != nil {
-				s.fail(tx, err)
 				return
 			}
 			tx.Modify(m.El(0), prod.Attrs{"bound": true})
 		},
-	}
-	return []*prod.Rule{
-		bind,
-		s.allocateRule("allocate-arithmetic-unit", "arith",
-			"No idle adder/subtracter/negater of this kind exists: allocate one."),
-		s.allocateRule("allocate-logic-unit", "logic",
-			"No idle gate-level logic unit of this kind exists: allocate one."),
-		s.allocateRule("allocate-comparator", "compare",
-			"No idle comparator of this kind exists: allocate one."),
-		s.allocateRule("allocate-shifter", "shift",
-			"No idle shifter of this kind exists: allocate one."),
-	}
+	},
+	allocateRule("allocate-arithmetic-unit", "arith",
+		"No idle adder/subtracter/negater of this kind exists: allocate one."),
+	allocateRule("allocate-logic-unit", "logic",
+		"No idle gate-level logic unit of this kind exists: allocate one."),
+	allocateRule("allocate-comparator", "compare",
+		"No idle comparator of this kind exists: allocate one."),
+	allocateRule("allocate-shifter", "shift",
+		"No idle shifter of this kind exists: allocate one."),
 }

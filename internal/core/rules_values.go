@@ -32,31 +32,28 @@ func (s *synth) seedValues(wm *prod.WM) {
 	}
 }
 
-func (s *synth) valueRules() []*prod.Rule {
-	share := &prod.Rule{
-		Name:     "share-holding-register",
-		Category: "values",
-		Doc:      "Park a value in an existing register of its body whose previous occupant died before this value is born.",
+var valueRules = []*prod.Rule{
+	{
+		Name: "share-holding-register",
+		Doc:  "Park a value in an existing register of its body whose previous occupant died before this value is born.",
 		Patterns: []prod.Pattern{
 			prod.P("value").Absent("bound").Bind("body", "b").Bind("lo", "lo"),
 			prod.P("track").Bind("body", "b").Bind("hi", "th"),
 		},
-		Where: func(m *prod.Match) bool { return m.Int("th") <= m.Int("lo") },
+		Where: func(_ prod.Host, m *prod.Match) bool { return m.Int("th") <= m.Int("lo") },
 		Action: func(tx *prod.Tx, m *prod.Match) {
 			valEl, trEl := m.El(0), m.El(1)
 			v := valEl.Get("val").(*vt.Value)
 			r := trEl.Get("reg").(*rtl.Register)
 			if _, err := tx.Do("share-value-reg", v, r); err != nil {
-				s.fail(tx, err)
 				return
 			}
 			tx.Modify(trEl, prod.Attrs{"hi": valEl.Int("hi")})
 			tx.Modify(valEl, prod.Attrs{"bound": true})
 		},
-	}
-	allocate := &prod.Rule{
+	},
+	{
 		Name:     "allocate-holding-register",
-		Category: "values",
 		Doc:      "No register of this body is free over the value's lifetime: allocate a new holding register.",
 		Patterns: []prod.Pattern{prod.P("value").Absent("bound")},
 		Action: func(tx *prod.Tx, m *prod.Match) {
@@ -64,7 +61,6 @@ func (s *synth) valueRules() []*prod.Rule {
 			v := valEl.Get("val").(*vt.Value)
 			res, err := tx.Do("alloc-value-reg", v)
 			if err != nil {
-				s.fail(tx, err)
 				return
 			}
 			tx.Make("track", prod.Attrs{
@@ -74,6 +70,5 @@ func (s *synth) valueRules() []*prod.Rule {
 			})
 			tx.Modify(valEl, prod.Attrs{"bound": true})
 		},
-	}
-	return []*prod.Rule{share, allocate}
+	},
 }

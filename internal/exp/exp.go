@@ -49,13 +49,11 @@ type E1Row struct {
 
 // E1 computes the knowledge-base inventory.
 func E1() []E1Row {
-	kb := core.KnowledgeBase()
 	var rows []E1Row
 	total := E1Row{Phase: "total"}
-	for _, phase := range core.PhaseOrder {
-		rules := kb[phase]
-		r := E1Row{Phase: phase, Rules: len(rules)}
-		for _, rule := range rules {
+	for _, ph := range core.KnowledgeBase() {
+		r := E1Row{Phase: ph.Name, Rules: len(ph.Rules)}
+		for _, rule := range ph.Rules {
 			r.MeanLHS += float64(rule.Specificity())
 			pos := 0
 			for _, p := range rule.Patterns {
@@ -439,9 +437,9 @@ func RenderProvenanceDepth(ctx context.Context, w io.Writer, benchName string) e
 		"kind", "components", "total firings", "mean", "top phase")
 	for _, r := range rows {
 		top, topN := "-", 0
-		for _, phase := range core.PhaseOrder {
-			if n := r.ByPhase[phase]; n > topN {
-				top, topN = phase, n
+		for _, ph := range core.KnowledgeBase() {
+			if n := r.ByPhase[ph.Name]; n > topN {
+				top, topN = ph.Name, n
 			}
 		}
 		t.Row(r.Kind, r.Components, r.Total, fmt.Sprintf("%.1f", r.Mean),

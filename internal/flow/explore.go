@@ -341,14 +341,3 @@ func Explore(ctx context.Context, in Input, base Options, grid Grid) (*Front, er
 	}
 	return front, nil
 }
-
-// FrontierPoints returns the Pareto-optimal points in front order.
-func (f *Front) FrontierPoints() []Point {
-	var out []Point
-	for _, p := range f.Points {
-		if p.Frontier {
-			out = append(out, p)
-		}
-	}
-	return out
-}

@@ -337,9 +337,6 @@ func (e *BinOp) String() string {
 // Lookup returns the declaration for name, if any (valid after Analyze).
 func (p *Program) Lookup(name string) *Decl { return p.symbols[name] }
 
-// LookupProc returns the procedure named name, if any (valid after Analyze).
-func (p *Program) LookupProc(name string) *Proc { return p.procs[name] }
-
 // Carriers returns the non-constant declarations in declaration order.
 func (p *Program) Carriers() []*Decl {
 	var out []*Decl

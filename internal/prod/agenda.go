@@ -109,12 +109,12 @@ func (a *agenda) fire(m *Match) {
 }
 
 // best returns the highest-ranked entry whose rule has no Where or whose
-// Where passes, or nil. Where reads state outside working memory, so it is
-// asked afresh each cycle, top down.
-func (a *agenda) best() *Match {
+// Where passes against h, or nil. Where reads state outside working
+// memory, so it is asked afresh each cycle, top down.
+func (a *agenda) best(h Host) *Match {
 	for i := len(a.q) - 1; i >= 0; i-- {
 		m := a.q[i]
-		if m.Rule.Where == nil || m.Rule.Where(m) {
+		if m.Rule.Where == nil || m.Rule.Where(h, m) {
 			return m
 		}
 	}

@@ -17,9 +17,9 @@ type Rule struct {
 	// Where, when non-nil, is an extra join test over the full match. It is
 	// asked at selection time, every cycle, of the rule's instantiations the
 	// agenda ranks above the first one that may fire, so it may read state
-	// outside working memory (the DAA rules consult the growing RTL
-	// design); it must not mutate anything.
-	Where func(*Match) bool
+	// outside working memory through the engine's Host (the DAA rules
+	// consult the growing RTL design); it must not mutate anything.
+	Where func(Host, *Match) bool
 	// Action fires the rule. It receives a transaction handle: every
 	// working-memory operation (make/modify/remove), halt, and registered
 	// host effect (Tx.Do) goes through the Tx, which is how the effect
@@ -28,8 +28,17 @@ type Rule struct {
 
 	index       int
 	specificity int
-	positives   int
 	negates     bool // a pattern is negated (refraction keeps its keys, agenda.go)
+}
+
+// Host is the state outside working memory that a rule base acts on. Apply
+// executes one registered host effect on behalf of Tx.Do (and of replay):
+// it must be a pure application of decisions already in its arguments (no
+// re-deciding), because replay re-invokes it verbatim, and it must not
+// mutate working memory. Rules reach the host through Tx.Host in actions
+// and as Where's first argument, so one rule value serves every engine.
+type Host interface {
+	Apply(name string, args []any) (any, error)
 }
 
 // Specificity reports the number of condition tests on the rule's LHS
@@ -76,13 +85,12 @@ type Engine struct {
 	// charges none of it to the metrics. Set it before the first Run: the
 	// oracle keeps its own record of what has fired.
 	CrossCheck bool
-	// Apply, when non-nil, executes registered host effects on behalf of
-	// Tx.Do. Hosts install one dispatcher mapping effect names to appliers;
-	// appliers must be pure applications of decisions already in the
-	// arguments (no re-deciding), because replay re-invokes them verbatim.
-	Apply func(name string, args []any) (any, error)
+	// Host, when non-nil, executes the host effects of Tx.Do and is what
+	// Where tests and actions read outside working memory.
+	Host Host
 
 	halted     bool
+	err        error // the first host-effect error; Run returns it
 	firings    int
 	cycles     int
 	matchCalls int
@@ -177,11 +185,7 @@ func (e *Engine) AddRule(r *Rule) {
 	}
 	for _, p := range rc.Patterns {
 		rc.specificity += p.specificity()
-		if p.Negated {
-			rc.negates = true
-		} else {
-			rc.positives++
-		}
+		rc.negates = rc.negates || p.Negated
 	}
 	e.rules = append(e.rules, &rc)
 	e.met.rules = append(e.met.rules, ruleCounters{})
@@ -200,31 +204,10 @@ func (e *Engine) Firings() int { return e.firings }
 // Cycles reports the number of recognize-act cycles executed.
 func (e *Engine) Cycles() int { return e.cycles }
 
-// FiringsByRule returns the per-rule firing counts (fired rules only).
-func (e *Engine) FiringsByRule() map[string]int {
-	out := map[string]int{}
-	for i, r := range e.rules {
-		if n := e.met.rules[i].firings; n > 0 {
-			out[r.Name] = n
-		}
-	}
-	return out
-}
-
-// FiringsByCategory aggregates firing counts by rule category.
-func (e *Engine) FiringsByCategory() map[string]int {
-	out := map[string]int{}
-	for i, r := range e.rules {
-		if n := e.met.rules[i].firings; n > 0 {
-			out[r.Category] += n
-		}
-	}
-	return out
-}
-
 // Run executes recognize-act cycles until no instantiation can fire, a rule
-// halts the engine, MaxFirings is exceeded (an error), or Interrupt reports
-// an error (cancellation).
+// halts the engine, MaxFirings is exceeded (an error), Interrupt reports an
+// error (cancellation), or a host effect fails: Tx.Do halts the engine
+// after that firing, and Run returns the first such error.
 func (e *Engine) Run() error {
 	for !e.halted {
 		if e.Interrupt != nil {
@@ -263,7 +246,7 @@ func (e *Engine) Run() error {
 		m.Rule.Action(tx, m)
 		e.cur = nil
 	}
-	return nil
+	return e.err
 }
 
 // fire spends m on the agenda and, under CrossCheck, in the oracle's
@@ -380,7 +363,7 @@ func (e *Engine) selectRete(observe bool) *Match {
 		}
 		e.met.observeConflictSize(size)
 	}
-	return e.agenda.best()
+	return e.agenda.best(e.Host)
 }
 
 // maxInlineRecency is the widest recency key kept on the stack; matches
@@ -476,37 +459,3 @@ func betterRank(m *Match, k *recencyRank, best *Match, bk *recencyRank) bool {
 // (alpha constant-test evaluations plus beta join tests); exposed for the
 // engine benchmarks and the observability layer.
 func (e *Engine) MatchCount() int { return e.matchCalls }
-
-// KnowledgeStats describes a rule set for reporting (experiment E1).
-type KnowledgeStats struct {
-	Category      string
-	Rules         int
-	MeanLHS       float64 // mean condition tests per rule
-	MeanPositives float64 // mean positive patterns per rule
-}
-
-// Knowledge summarizes the registered rules grouped by category, in first-
-// appearance order.
-func (e *Engine) Knowledge() []KnowledgeStats {
-	order := []string{}
-	agg := map[string]*KnowledgeStats{}
-	for _, r := range e.rules {
-		ks := agg[r.Category]
-		if ks == nil {
-			ks = &KnowledgeStats{Category: r.Category}
-			agg[r.Category] = ks
-			order = append(order, r.Category)
-		}
-		ks.Rules++
-		ks.MeanLHS += float64(r.specificity)
-		ks.MeanPositives += float64(r.positives)
-	}
-	out := make([]KnowledgeStats, 0, len(order))
-	for _, cat := range order {
-		ks := agg[cat]
-		ks.MeanLHS /= float64(ks.Rules)
-		ks.MeanPositives /= float64(ks.Rules)
-		out = append(out, *ks)
-	}
-	return out
-}

@@ -335,7 +335,7 @@ func TestWhereJoin(t *testing.T) {
 	eng.AddRule(&Rule{
 		Name:     "big",
 		Patterns: []Pattern{P("n").Bind("v", "v")},
-		Where:    func(m *Match) bool { return m.Int("v") > 3 },
+		Where:    func(_ Host, m *Match) bool { return m.Int("v") > 3 },
 		Action:   func(e *Tx, m *Match) { got = append(got, m.Int("v")) },
 	})
 	run(t, eng)
@@ -444,24 +444,6 @@ func TestUnboundVariablePanics(t *testing.T) {
 		},
 	})
 	run(t, eng)
-}
-
-func TestKnowledgeStats(t *testing.T) {
-	eng := NewEngine(NewWM())
-	nop := func(*Tx, *Match) {}
-	eng.AddRule(&Rule{Name: "a1", Category: "alpha", Patterns: []Pattern{P("x").Eq("k", 1)}, Action: nop})
-	eng.AddRule(&Rule{Name: "a2", Category: "alpha", Patterns: []Pattern{P("x"), N("y")}, Action: nop})
-	eng.AddRule(&Rule{Name: "b1", Category: "beta", Patterns: []Pattern{P("x")}, Action: nop})
-	ks := eng.Knowledge()
-	if len(ks) != 2 {
-		t.Fatalf("categories %d, want 2", len(ks))
-	}
-	if ks[0].Category != "alpha" || ks[0].Rules != 2 {
-		t.Errorf("alpha: %+v", ks[0])
-	}
-	if ks[1].Category != "beta" || ks[1].Rules != 1 {
-		t.Errorf("beta: %+v", ks[1])
-	}
 }
 
 func TestTraceWriter(t *testing.T) {

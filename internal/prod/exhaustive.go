@@ -16,7 +16,7 @@ func (e *Engine) selectExhaustive() *Match {
 	var bestRank recencyRank
 	for _, r := range e.rules {
 		o.enumerate(r, func(m *Match) {
-			if r.Where != nil && !r.Where(m) {
+			if r.Where != nil && !r.Where(e.Host, m) {
 				return
 			}
 			if o.fired[refractionKey(m)] {

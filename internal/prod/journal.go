@@ -4,11 +4,11 @@ package prod
 // receive a Tx instead of the engine: working-memory operations still go
 // through WM (the engine's change stream records them), and host-state
 // mutations — the DAA rules grow an rtl.Design — go through Tx.Do, which
-// dispatches to an effect registry the host installs on the engine. With
-// journaling enabled every firing is appended to a Journal as
-// (seq, rule, bindings, effects); a Replayer re-applies a journal against
-// fresh state and must reproduce it exactly, which is the machine-checked
-// proof that the journal captured every mutation.
+// dispatches to the Host installed on the engine. With journaling enabled
+// every firing is appended to a Journal as (seq, rule, bindings, effects);
+// a Replayer re-applies a journal against fresh state and must reproduce
+// it exactly, which is the machine-checked proof that the journal captured
+// every mutation.
 
 import (
 	"fmt"
@@ -320,15 +320,20 @@ func (t *Tx) Halt() {
 // use it to attribute state they build outside working memory.
 func (t *Tx) Firings() int { return t.e.firings }
 
-// Do executes the named host effect with args through the engine's Apply
-// registry, journaling the call (and its result, when encodable) before
-// application. Appliers must be pure applications of pre-computed
-// decisions — Do is replayed verbatim — and must not mutate working
-// memory.
+// Host returns the engine's host: the state outside working memory the
+// rule base reads and, through Do, changes.
+func (t *Tx) Host() Host { return t.e.Host }
+
+// Do executes the named host effect with args through the engine's Host,
+// journaling the call (and its result, when encodable) before application.
+// Host.Apply must be a pure application of pre-computed decisions — Do is
+// replayed verbatim — and must not mutate working memory. When it fails,
+// the engine keeps the first such error, halts after this firing, and Run
+// returns the error; the action gets it too, and should just return.
 func (t *Tx) Do(name string, args ...any) (any, error) {
 	e := t.e
-	if e.Apply == nil {
-		panic(fmt.Sprintf("prod: rule %s: Do(%q) with no Apply registered on the engine", t.m.Rule.Name, name))
+	if e.Host == nil {
+		panic(fmt.Sprintf("prod: rule %s: Do(%q) with no Host on the engine", t.m.Rule.Name, name))
 	}
 	idx := -1
 	if e.jr != nil && e.cur != nil {
@@ -339,9 +344,14 @@ func (t *Tx) Do(name string, args ...any) (any, error) {
 		e.cur.Effects = append(e.cur.Effects, eff)
 		idx = len(e.cur.Effects) - 1
 	}
-	res, err := e.Apply(name, args)
+	res, err := e.Host.Apply(name, args)
 	if err != nil {
-		return nil, fmt.Errorf("prod: rule %s: effect %s: %w", t.m.Rule.Name, name, err)
+		err = fmt.Errorf("prod: rule %s: effect %s: %w", t.m.Rule.Name, name, err)
+		if e.err == nil {
+			e.err = err
+		}
+		t.Halt()
+		return nil, err
 	}
 	if res != nil && idx >= 0 {
 		v := e.encodeVal(res)
@@ -351,15 +361,15 @@ func (t *Tx) Do(name string, args ...any) (any, error) {
 }
 
 // Replayer re-applies a journal against a fresh working memory and host
-// state. Decode resolves the Refs the recording encoder produced; Apply is
-// the same effect registry the recording run used (the appliers, not the
+// state. Decode resolves the Refs the recording encoder produced; Host is
+// a fresh host of the kind the recording run used (its appliers, not the
 // decisions — every decision is already in the journal). Element IDs are
 // verified as effects apply: a fresh WM hands out the same IDs exactly
 // when the journal captured every make.
 type Replayer struct {
 	WM     *WM
 	Decode func(Ref) (any, error)
-	Apply  func(name string, args []any) (any, error)
+	Host   Host
 	// OnFiring, when non-nil, runs before each firing's effects are
 	// applied; hosts use it to attribute replayed mutations.
 	OnFiring func(*Firing)
@@ -450,8 +460,8 @@ func (r *Replayer) applyEffect(eff *Effect) error {
 	case EffHalt:
 		// Recorded for rendering; replay has no engine to halt.
 	case EffDo:
-		if r.Apply == nil {
-			return fmt.Errorf("effect %s with no Apply registry", eff.Name)
+		if r.Host == nil {
+			return fmt.Errorf("effect %s with no Host", eff.Name)
 		}
 		args := make([]any, len(eff.Args))
 		for i, a := range eff.Args {
@@ -461,7 +471,7 @@ func (r *Replayer) applyEffect(eff *Effect) error {
 			}
 			args[i] = v
 		}
-		if _, err := r.Apply(eff.Name, args); err != nil {
+		if _, err := r.Host.Apply(eff.Name, args); err != nil {
 			return fmt.Errorf("effect %s: %w", eff.Name, err)
 		}
 	}

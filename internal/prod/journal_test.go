@@ -12,7 +12,7 @@ type toyHost struct {
 	vals map[string]int
 }
 
-func (h *toyHost) apply(name string, args []any) (any, error) {
+func (h *toyHost) Apply(name string, args []any) (any, error) {
 	switch name {
 	case "set":
 		h.vals[args[0].(string)] = args[1].(int)
@@ -63,7 +63,7 @@ func recordToyRun(t *testing.T) (*Journal, *toyHost, string) {
 	wm := NewWM()
 	eng := NewEngine(wm)
 	host := &toyHost{vals: map[string]int{}}
-	eng.Apply = host.apply
+	eng.Host = host
 	j := eng.RecordJournal(nil)
 	for _, r := range journalRules() {
 		eng.AddRule(r)
@@ -117,11 +117,74 @@ func TestJournalRecordsSeedAndFirings(t *testing.T) {
 	}
 }
 
+// failingHost fails every effect from its failOn-th call on.
+type failingHost struct{ calls, failOn int }
+
+func (h *failingHost) Apply(name string, args []any) (any, error) {
+	h.calls++
+	if h.calls >= h.failOn {
+		return nil, fmt.Errorf("call %d refused", h.calls)
+	}
+	return nil, nil
+}
+
+// The engine owns effect errors: an effect that fails halts the engine
+// after its firing, no later rule fires, the journal ends with that
+// firing, and Run returns the first error, naming the rule and the effect.
+func TestEffectErrorHaltsEngine(t *testing.T) {
+	wm := NewWM()
+	eng := NewEngine(wm)
+	eng.Host = &failingHost{failOn: 2}
+	j := eng.RecordJournal(nil)
+	var fired []string
+	eng.AddRule(&Rule{
+		Name:     "count",
+		Patterns: []Pattern{P("tok").Absent("done").Bind("n", "n")},
+		Action: func(tx *Tx, m *Match) {
+			fired = append(fired, fmt.Sprintf("count %d", m.Int("n")))
+			if _, err := tx.Do("set", m.Int("n")); err != nil {
+				return
+			}
+			tx.Modify(m.El(0), Attrs{"done": true})
+		},
+	})
+	eng.AddRule(&Rule{
+		Name:     "cleanup",
+		Patterns: []Pattern{P("tok").Eq("done", true)},
+		Action:   func(tx *Tx, m *Match) { fired = append(fired, "cleanup") },
+	})
+	for i := 1; i <= 3; i++ {
+		wm.Make("tok", Attrs{"n": i})
+	}
+	err := eng.Run()
+	const want = "prod: rule count: effect set: call 2 refused"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Run error %v, want %s", err, want)
+	}
+	if got := fmt.Sprint(fired); got != "[count 3 cleanup count 2]" {
+		t.Errorf("fired %s, want [count 3 cleanup count 2]", got)
+	}
+	if eng.Firings() != 3 {
+		t.Errorf("firings %d, want 3", eng.Firings())
+	}
+	last := j.Firings[len(j.Firings)-1]
+	if len(j.Firings) != 3 || last.Rule != "count" || last.Seq != 3 {
+		t.Fatalf("journal ends with firing %d (%s) of %d, want the failing firing 3", last.Seq, last.Rule, len(j.Firings))
+	}
+	var kinds []EffectKind
+	for _, eff := range last.Effects {
+		kinds = append(kinds, eff.Kind)
+	}
+	if want := []EffectKind{EffDo, EffHalt}; fmt.Sprint(kinds) != fmt.Sprint(want) {
+		t.Errorf("failing firing's effects %v, want %v", kinds, want)
+	}
+}
+
 func TestJournalReplayReproducesState(t *testing.T) {
 	j, host, wantDump := recordToyRun(t)
 	fresh := &toyHost{vals: map[string]int{}}
 	wm := NewWM()
-	rep := &Replayer{WM: wm, Apply: fresh.apply}
+	rep := &Replayer{WM: wm, Host: fresh}
 	var seen []string
 	rep.OnFiring = func(f *Firing) { seen = append(seen, f.Rule) }
 	if err := rep.Run(j); err != nil {

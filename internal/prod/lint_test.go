@@ -132,13 +132,13 @@ func TestLintRulesDefective(t *testing.T) {
 				{
 					Name:     "guarded-a",
 					Patterns: []Pattern{P("op").Eq("kind", "add")},
-					Where:    func(m *Match) bool { return true },
+					Where:    func(Host, *Match) bool { return true },
 					Action:   noopAction,
 				},
 				{
 					Name:     "guarded-b",
 					Patterns: []Pattern{P("op").Eq("kind", "add")},
-					Where:    func(m *Match) bool { return false },
+					Where:    func(Host, *Match) bool { return false },
 					Action:   noopAction,
 				},
 			},

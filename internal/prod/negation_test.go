@@ -221,7 +221,10 @@ func TestRefractionSurvivesBlockerFlip(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	got := eng.FiringsByRule()
+	got := map[string]int{}
+	for _, r := range eng.Metrics().Rules {
+		got[r.Name] = r.Firings
+	}
 	if got["idle"] != 1 || got["lock"] != 1 || got["unlock"] != 1 {
 		t.Errorf("firings %v, want idle, lock and unlock once each", got)
 	}

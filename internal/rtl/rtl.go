@@ -397,16 +397,6 @@ func (d *Design) AddJunction(name string, width, inputs int) *Junction {
 	return j
 }
 
-// RemoveJunction deletes a junction.
-func (d *Design) RemoveJunction(j *Junction) {
-	for i, x := range d.Junctions {
-		if x == j {
-			d.Junctions = append(d.Junctions[:i], d.Junctions[i+1:]...)
-			return
-		}
-	}
-}
-
 // AddConst allocates (or reuses) a hardwired constant source.
 func (d *Design) AddConst(value uint64, width int) *Constant {
 	for _, c := range d.Consts {

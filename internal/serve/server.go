@@ -560,9 +560,9 @@ func (s *Server) lintJob(req LintRequest) (job, error) {
 		}
 		if req.Rules {
 			kb := core.KnowledgeBase()
-			rb := &RuleBaseLint{Phases: len(core.PhaseOrder)}
-			for _, phase := range core.PhaseOrder {
-				rb.Rules += len(kb[phase])
+			rb := &RuleBaseLint{Phases: len(kb)}
+			for _, ph := range kb {
+				rb.Rules += len(ph.Rules)
 			}
 			for _, f := range core.LintKnowledgeBase() {
 				rb.Findings = append(rb.Findings, RuleBaseFinding{

@@ -289,16 +289,6 @@ func (p *Program) CarrierByName(name string) *Carrier {
 	return nil
 }
 
-// BodyByName returns the named body, or nil.
-func (p *Program) BodyByName(name string) *Body {
-	for _, b := range p.Bodies {
-		if b.Name == name {
-			return b
-		}
-	}
-	return nil
-}
-
 // AllOps returns every operator in the trace, in body order then program
 // order, in a new slice sized by OpCount.
 func (p *Program) AllOps() []*Op {
