@@ -80,12 +80,17 @@ func buildProvenance(d *rtl.Design, j *Journal, pt *provTrack) *Provenance {
 		}
 	}
 	notes := map[prod.Ref][]FiringNote{}
-	seen := map[string]bool{} // dedup key: ref|phase|seq|effect
+	type noteKey struct {
+		ref    prod.Ref
+		fr     FiringRef
+		effect string
+	}
+	seen := map[noteKey]bool{}
 	add := func(ref prod.Ref, fr FiringRef, effect string) {
 		if fr.Seq == 0 {
 			return
 		}
-		key := fmt.Sprintf("%s|%d|%s|%d|%s", ref.Kind, ref.ID, fr.Phase, fr.Seq, effect)
+		key := noteKey{ref, fr, effect}
 		if seen[key] {
 			return
 		}

@@ -2,6 +2,7 @@ package flow_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/flow"
@@ -32,6 +33,53 @@ func TestCompileAllocRatchet(t *testing.T) {
 	t.Logf("allocs per compile: %.0f", allocs)
 	if allocs > compileAllocCeiling {
 		t.Errorf("flow.Compile of mcs6502 made %.0f allocations, ceiling %d", allocs, compileAllocCeiling)
+	}
+}
+
+// cosimByteCeiling caps the bytes one flow.RunCosim allocates at the
+// default stimulus (4 vectors x 4 cycles, each vector on a fresh pair of
+// machines). Both simulators keep memories in pages allocated on first
+// write, so the cost follows the words a run touches. Measured with Go
+// 1.24: 65,984 bytes for ibm370 and 220,504 for mcs6502, down from 4.24
+// and 4.38 MB when every machine allocated and zeroed its whole 64K-word
+// memory. Each ceiling adds 25% headroom for differences between Go
+// releases (CI builds with Go 1.22), whose maps allocate differently. A
+// change may lower a ceiling; it must never raise one.
+var cosimByteCeiling = []struct {
+	bench   string
+	ceiling uint64
+}{
+	{"ibm370", 82_500},
+	{"mcs6502", 275_600},
+}
+
+func TestCosimAllocRatchet(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	for _, c := range cosimByteCeiling {
+		res, err := flow.Compile(context.Background(), mustInput(t, c.bench), flow.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			rep, err := flow.RunCosim(res.AST, res.Design, flow.CosimParams{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Equivalent {
+				t.Fatalf("%s: %s", c.bench, rep.Summary())
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %d bytes per RunCosim, ceiling %d", c.bench, perRun, c.ceiling)
+		if perRun > c.ceiling {
+			t.Errorf("flow.RunCosim of %s allocated %d bytes, ceiling %d", c.bench, perRun, c.ceiling)
+		}
 	}
 }
 

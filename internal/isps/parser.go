@@ -144,9 +144,14 @@ func (p *parser) parseDecl() *Decl {
 		hiTok := p.expect(TokNumber)
 		p.expect(TokRBracket)
 		d.ALo, d.AHi = int(loTok.Val), int(hiTok.Val)
-		if d.AHi < d.ALo {
+		switch {
+		case d.AHi < d.ALo:
 			p.errorf(loTok.Pos, "memory range [%d:%d] has lo > hi", d.ALo, d.AHi)
 			d.AHi = d.ALo
+		case d.ALo != 0:
+			// The design, its simulator and its Verilog address a memory
+			// from word 0.
+			p.errorf(loTok.Pos, "memory range [%d:%d] must start at 0", d.ALo, d.AHi)
 		}
 		d.Hi, d.Lo = p.parseRange()
 		return d

@@ -256,6 +256,7 @@ func TestParseErrors(t *testing.T) {
 		{"missing-processor", "reg A", "expected 'processor'"},
 		{"bad-range", "processor P { reg A<0:7> main m { A := 1 } }", "hi < lo"},
 		{"bad-mem-range", "processor P { mem M[5:2]<7:0> main m { M[5] := 1 } }", "lo > hi"},
+		{"mem-range-not-from-0", "processor P { mem M[16:31]<7:0> main m { M[20] := 1 } }", "t:1:21: memory range [16:31] must start at 0"},
 		{"unclosed", "processor P { main m {", "unexpected end of file"},
 		{"dup-otherwise", `processor P { reg A<1:0> main m { decode A { 0: nop otherwise: nop otherwise: nop } }}`, "duplicate otherwise"},
 		{"zero-repeat", `processor P { reg A main m { repeat 0 { A := 1 } } }`, "repeat count"},

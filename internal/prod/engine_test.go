@@ -72,6 +72,41 @@ func TestWMClassIndex(t *testing.T) {
 	if len(wm.Class("b")) != 1 {
 		t.Error("remove did not update index")
 	}
+
+	// Remove finds an element by binary search on ID within its class
+	// list: interleave two classes, then remove the first, a middle and
+	// the last element of one (and one of them twice), checking both
+	// lists keep creation order each time.
+	wm = NewWM()
+	var xs, ys []*Element
+	for i := 0; i < 6; i++ {
+		xs = append(xs, wm.Make("x", nil))
+		ys = append(ys, wm.Make("y", nil))
+	}
+	want := func(step string, class string, es ...*Element) {
+		t.Helper()
+		got := wm.Class(class)
+		if len(got) != len(es) {
+			t.Fatalf("%s: class %s has %d elements, want %d", step, class, len(got), len(es))
+		}
+		for i := range es {
+			if got[i] != es[i] {
+				t.Fatalf("%s: class %s[%d] = #%d, want #%d", step, class, i, got[i].ID, es[i].ID)
+			}
+		}
+	}
+	wm.Remove(xs[0])
+	want("remove first", "x", xs[1], xs[2], xs[3], xs[4], xs[5])
+	wm.Remove(xs[3])
+	want("remove middle", "x", xs[1], xs[2], xs[4], xs[5])
+	wm.Remove(xs[5])
+	want("remove last", "x", xs[1], xs[2], xs[4])
+	wm.Remove(xs[3])
+	want("remove twice", "x", xs[1], xs[2], xs[4])
+	want("other class", "y", ys...)
+	if wm.Size() != 9 {
+		t.Errorf("Size = %d after four removals (one repeated) of twelve, want 9", wm.Size())
+	}
 }
 
 // Working-memory updates allocate only what they store: a Modify that

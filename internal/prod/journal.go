@@ -266,15 +266,11 @@ func (e *Engine) recordChange(c Change) {
 	switch c.Kind {
 	case ChangeMake:
 		eff = Effect{Kind: EffMake, Class: c.El.Class, Elem: c.El.ID}
-		for _, k := range c.El.attrNames() {
-			eff.Attrs = append(eff.Attrs, AttrValue{Attr: k, Val: e.encodeVal(c.El.Get(k))})
-		}
+		eff.Attrs = e.attrValues(c.El, c.El.attrNames())
 	case ChangeModify:
+		// An unset attribute encodes as the zero Value.
 		eff = Effect{Kind: EffModify, Elem: c.El.ID}
-		for _, k := range c.ChangedAttrs() {
-			// An unset attribute encodes as the zero Value.
-			eff.Attrs = append(eff.Attrs, AttrValue{Attr: k, Val: e.encodeVal(c.El.Get(k))})
-		}
+		eff.Attrs = e.attrValues(c.El, c.ChangedAttrs())
 	case ChangeRemove:
 		eff = Effect{Kind: EffRemove, Elem: c.El.ID}
 	}
@@ -283,6 +279,18 @@ func (e *Engine) recordChange(c Change) {
 	} else {
 		e.jr.Seed = append(e.jr.Seed, eff)
 	}
+}
+
+// attrValues encodes el's values of the named attributes, nil for none.
+func (e *Engine) attrValues(el *Element, names []string) []AttrValue {
+	if len(names) == 0 {
+		return nil
+	}
+	avs := make([]AttrValue, len(names))
+	for i, k := range names {
+		avs[i] = AttrValue{Attr: k, Val: e.encodeVal(el.Get(k))}
+	}
+	return avs
 }
 
 // Tx is the transaction handle a rule action fires through. Working-memory

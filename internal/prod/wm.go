@@ -350,13 +350,10 @@ func (w *WM) Remove(e *Element) {
 	}
 	e.deleted = true
 	w.count--
+	// A class list is in creation order, which is ascending ID.
 	class := w.byClass[e.Class]
-	for i, x := range class {
-		if x == e {
-			w.byClass[e.Class] = append(class[:i], class[i+1:]...)
-			break
-		}
-	}
+	i := sort.Search(len(class), func(i int) bool { return class[i].ID >= e.ID })
+	w.byClass[e.Class] = append(class[:i], class[i+1:]...)
 	w.notify(Change{Kind: ChangeRemove, El: e})
 }
 

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"repro/internal/rtl"
+	"repro/internal/sim"
 	"repro/internal/vt"
 )
 
@@ -24,7 +25,7 @@ import (
 type Machine struct {
 	d     *rtl.Design
 	regs  map[*rtl.Register]uint64
-	mems  map[*rtl.Memory][]uint64
+	mems  map[*rtl.Memory]*sim.Memory
 	ports map[*rtl.Port]uint64
 
 	states map[string][]*rtl.State // body name -> ordered states
@@ -44,13 +45,13 @@ func New(d *rtl.Design) (*Machine, error) {
 	m := &Machine{
 		d:        d,
 		regs:     map[*rtl.Register]uint64{},
-		mems:     map[*rtl.Memory][]uint64{},
+		mems:     map[*rtl.Memory]*sim.Memory{},
 		ports:    map[*rtl.Port]uint64{},
 		states:   map[string][]*rtl.State{},
 		MaxSteps: 1_000_000,
 	}
 	for _, mem := range d.Memories {
-		m.mems[mem] = make([]uint64, mem.Words)
+		m.mems[mem] = sim.NewMemory(mem.Words)
 	}
 	for _, s := range d.States {
 		m.states[s.Body] = append(m.states[s.Body], s)
@@ -137,7 +138,7 @@ func (m *Machine) SetMem(name string, addr int, v uint64) error {
 	if addr < 0 || addr >= mem.Words {
 		return fmt.Errorf("rtlsim: %s[%d] out of range", name, addr)
 	}
-	m.mems[mem][addr] = v & mask(mem.Width)
+	m.mems[mem].SetWord(addr, v&mask(mem.Width))
 	return nil
 }
 
@@ -154,7 +155,7 @@ func (m *Machine) Mem(name string, addr int) (uint64, error) {
 	if addr < 0 || addr >= mem.Words {
 		return 0, fmt.Errorf("rtlsim: %s[%d] out of range", name, addr)
 	}
-	return m.mems[mem][addr], nil
+	return m.mems[mem].Word(addr), nil
 }
 
 // Load copies an image into a memory starting at addr.
@@ -268,7 +269,7 @@ func (m *Machine) execOp(op *vt.Op, st *rtl.State, wires map[*vt.Value]uint64, c
 		if int(idx) >= mem.Words {
 			return false, fmt.Errorf("rtlsim: %s[%d] out of range at %s", op.Carrier.Name, idx, op.Pos)
 		}
-		wires[op.Result] = m.mems[mem][idx]
+		wires[op.Result] = m.mems[mem].Word(int(idx))
 	case vt.OpMemWrite:
 		idx, err := arg(0)
 		if err != nil {
@@ -283,7 +284,7 @@ func (m *Machine) execOp(op *vt.Op, st *rtl.State, wires map[*vt.Value]uint64, c
 			return false, fmt.Errorf("rtlsim: %s[%d] out of range at %s", op.Carrier.Name, idx, op.Pos)
 		}
 		*commits = append(*commits, func() {
-			m.mems[mem][idx] = v & mask(mem.Width)
+			m.mems[mem].SetWord(int(idx), v&mask(mem.Width))
 		})
 	case vt.OpSlice:
 		x, err := arg(0)

@@ -514,3 +514,105 @@ func TestCosimRandomInputsProperty(t *testing.T) {
 		})
 	}
 }
+
+// Both simulators keep their memories in the paged store sim.Memory. One
+// table drives the two through SetMem and Mem: every case runs on fresh
+// machines, whose memories start with no pages. M is two pages long and N
+// (300 words) ends part-way into its second page.
+func TestPagedMemory(t *testing.T) {
+	prog, err := isps.Parse("t", `
+processor P {
+    mem M[0:511]<7:0> mem N[0:299]<7:0>
+    reg A<8:0> reg B<7:0>
+    port out R<7:0>
+    main m { M[A] := B  N[A] := B  R := M[A] + N[A] }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := vt.Build(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := alloc.Naive(tr, alloc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type word struct {
+		mem  string
+		addr int
+		v    uint64
+	}
+	cases := []struct {
+		name   string
+		writes []word
+		reads  []word // v is the value read back
+	}{
+		{"unwritten words read zero", nil,
+			[]word{{"M", 0, 0}, {"M", 255, 0}, {"M", 256, 0}, {"M", 511, 0}, {"N", 299, 0}}},
+		{"words either side of a page boundary", []word{{"M", 255, 0xaa}, {"M", 256, 0xbb}},
+			[]word{{"M", 254, 0}, {"M", 255, 0xaa}, {"M", 256, 0xbb}, {"M", 257, 0}, {"N", 255, 0}, {"N", 256, 0}}},
+		{"last word of a memory that is not a page multiple", []word{{"N", 299, 0x5a}},
+			[]word{{"N", 298, 0}, {"N", 299, 0x5a}, {"M", 299, 0}}},
+		{"zero into an unwritten page", []word{{"M", 300, 0}},
+			[]word{{"M", 300, 0}, {"M", 301, 0}}},
+		{"zero over a written word", []word{{"M", 7, 0x11}, {"M", 7, 0}},
+			[]word{{"M", 7, 0}}},
+		{"values masked to the word width", []word{{"N", 3, 0x1ff}},
+			[]word{{"N", 3, 0xff}}},
+	}
+	type memSim interface {
+		SetMem(name string, addr int, v uint64) error
+		Mem(name string, addr int) (uint64, error)
+	}
+	machines := func(t *testing.T) map[string]memSim {
+		dut, err := rtlsim.New(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string]memSim{"sim": sim.New(prog), "rtlsim": dut}
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for simName, m := range machines(t) {
+				for _, w := range c.writes {
+					if err := m.SetMem(w.mem, w.addr, w.v); err != nil {
+						t.Fatalf("%s: SetMem(%s, %d): %v", simName, w.mem, w.addr, err)
+					}
+				}
+				for _, r := range c.reads {
+					got, err := m.Mem(r.mem, r.addr)
+					if err != nil {
+						t.Fatalf("%s: Mem(%s, %d): %v", simName, r.mem, r.addr, err)
+					}
+					if got != r.v {
+						t.Errorf("%s: %s[%d] = %#x, want %#x", simName, r.mem, r.addr, got, r.v)
+					}
+				}
+			}
+		})
+	}
+
+	// Out-of-range addresses, one below the memory and one past its last
+	// word, fail both reads and writes with each simulator's error text.
+	for _, c := range []struct {
+		mem  string
+		addr int
+		want map[string]string
+	}{
+		{"M", -1, map[string]string{"sim": "sim: M[-1] outside [0:511]", "rtlsim": "rtlsim: M[-1] out of range"}},
+		{"M", 512, map[string]string{"sim": "sim: M[512] outside [0:511]", "rtlsim": "rtlsim: M[512] out of range"}},
+		{"N", -1, map[string]string{"sim": "sim: N[-1] outside [0:299]", "rtlsim": "rtlsim: N[-1] out of range"}},
+		{"N", 300, map[string]string{"sim": "sim: N[300] outside [0:299]", "rtlsim": "rtlsim: N[300] out of range"}},
+	} {
+		for simName, m := range machines(t) {
+			want := c.want[simName]
+			if err := m.SetMem(c.mem, c.addr, 1); err == nil || err.Error() != want {
+				t.Errorf("%s: SetMem(%s, %d) = %v, want %q", simName, c.mem, c.addr, err, want)
+			}
+			if _, err := m.Mem(c.mem, c.addr); err == nil || err.Error() != want {
+				t.Errorf("%s: Mem(%s, %d) = %v, want %q", simName, c.mem, c.addr, err, want)
+			}
+		}
+	}
+}

@@ -24,7 +24,7 @@ import (
 type Machine struct {
 	prog *isps.Program
 	regs map[*isps.Decl]uint64
-	mems map[*isps.Decl][]uint64
+	mems map[*isps.Decl]*Memory
 	// MaxSteps bounds executed statements per Run (default 1,000,000).
 	MaxSteps int
 	// Trace, when non-nil, receives one line per committed assignment —
@@ -38,12 +38,12 @@ func New(prog *isps.Program) *Machine {
 	m := &Machine{
 		prog:     prog,
 		regs:     map[*isps.Decl]uint64{},
-		mems:     map[*isps.Decl][]uint64{},
+		mems:     map[*isps.Decl]*Memory{},
 		MaxSteps: 1_000_000,
 	}
 	for _, d := range prog.Carriers() {
 		if d.Kind == isps.DeclMem {
-			m.mems[d] = make([]uint64, d.Words())
+			m.mems[d] = NewMemory(d.Words())
 		}
 	}
 	return m
@@ -95,14 +95,14 @@ func (m *Machine) SetMem(name string, addr int, v uint64) error {
 	if err != nil {
 		return err
 	}
-	words, ok := m.mems[d]
+	mem, ok := m.mems[d]
 	if !ok {
 		return fmt.Errorf("sim: %s is not a memory", name)
 	}
 	if addr < d.ALo || addr > d.AHi {
 		return fmt.Errorf("sim: %s[%d] outside [%d:%d]", name, addr, d.ALo, d.AHi)
 	}
-	words[addr-d.ALo] = v & mask(d.Width())
+	mem.SetWord(addr-d.ALo, v&mask(d.Width()))
 	return nil
 }
 
@@ -112,14 +112,14 @@ func (m *Machine) Mem(name string, addr int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	words, ok := m.mems[d]
+	mem, ok := m.mems[d]
 	if !ok {
 		return 0, fmt.Errorf("sim: %s is not a memory", name)
 	}
 	if addr < d.ALo || addr > d.AHi {
 		return 0, fmt.Errorf("sim: %s[%d] outside [%d:%d]", name, addr, d.ALo, d.AHi)
 	}
-	return words[addr-d.ALo], nil
+	return mem.Word(addr - d.ALo), nil
 }
 
 // Load copies a byte-like program image into memory starting at addr.
