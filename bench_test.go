@@ -225,8 +225,8 @@ func BenchmarkVTBuildMCS6502(b *testing.B) {
 
 // BenchmarkFlowCompileGCD prices the full staged pipeline, front to back:
 // cached (the steady state of the experiment harness — parse+sema+build
-// served as a clone from the artifact cache) vs uncached (every stage
-// from scratch).
+// served as a clone from the artifact cache) vs cold (the cache emptied
+// before each compile, so every stage runs from scratch).
 func BenchmarkFlowCompileGCD(b *testing.B) {
 	in, err := bench.Input("gcd")
 	if err != nil {
@@ -240,9 +240,10 @@ func BenchmarkFlowCompileGCD(b *testing.B) {
 			}
 		}
 	})
-	b.Run("nocache", func(b *testing.B) {
+	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := flow.Compile(ctx, in, flow.Options{NoCache: true}); err != nil {
+			flow.ResetCache()
+			if _, err := flow.Compile(ctx, in, flow.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

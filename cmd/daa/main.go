@@ -123,6 +123,10 @@ func run(w io.Writer, o options) error {
 	if o.exploreSpec != "" {
 		return runExplore(w, in, o)
 	}
+	if (o.allocator == flow.AllocLeftEdge || o.allocator == flow.AllocNaive) && (o.explain != "" || o.journal != "") {
+		// Journal and provenance record rule firings; a baseline fires none.
+		return flow.Usagef("-explain and -journal need -allocator daa: the %s allocator fires no rules", o.allocator)
+	}
 	if o.remote != "" {
 		return runRemote(w, in, o)
 	}

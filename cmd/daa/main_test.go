@@ -122,6 +122,35 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
+// TestBaselineRefusesExplainAndJournal: the baseline allocators fire no
+// rules, so they have neither a journal nor provenance. Asking for either
+// is a usage error, locally and with -remote, not a crash.
+func TestBaselineRefusesExplainAndJournal(t *testing.T) {
+	jnl := filepath.Join(t.TempDir(), "run.jnl")
+	flags := []struct {
+		name string
+		set  func(*options)
+	}{
+		{"explain", func(o *options) { o.explain = "all" }},
+		{"journal", func(o *options) { o.journal = jnl }},
+		{"explain+verilog", func(o *options) { o.explain, o.verilog = "all", true }},
+	}
+	for _, a := range []string{flow.AllocLeftEdge, flow.AllocNaive} {
+		for _, f := range flags {
+			for _, remote := range []string{"", "http://localhost:1"} {
+				o := options{benchName: "gcd", allocator: a, remote: remote}
+				f.set(&o)
+				if got := flow.ExitCode(runQuiet(o)); got != flow.ExitUsage {
+					t.Errorf("-allocator %s -%s (remote %q): exit %d, want %d (usage)", a, f.name, remote, got, flow.ExitUsage)
+				}
+			}
+		}
+	}
+	if _, err := os.Stat(jnl); !os.IsNotExist(err) {
+		t.Errorf("a refused run wrote the journal file (stat: %v)", err)
+	}
+}
+
 // TestBadSourceGetsCaretDiagnostic compiles an ill-formed file and checks
 // the error renders with a position and a caret under the column.
 func TestBadSourceGetsCaretDiagnostic(t *testing.T) {

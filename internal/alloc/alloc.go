@@ -102,7 +102,6 @@ func LeftEdge(trace *vt.Program, opt Options) (*rtl.Design, error) {
 // steps units are reused. Unit widths grow to the widest operator bound.
 func shareUnits(d *rtl.Design) {
 	pools := map[vt.OpKind][]*rtl.Unit{}
-	// Deterministic order: by state ID then op sequence.
 	ops := computeOps(d)
 	lastState := map[*rtl.Unit]*rtl.State{}
 	for _, op := range ops {
@@ -127,23 +126,19 @@ func shareUnits(d *rtl.Design) {
 }
 
 // computeOps returns the trace's compute operators ordered by control step
-// then program order. Operators in different bodies never execute
-// concurrently (control is a single sequential machine), so the only
-// conflict to avoid is two operators on one unit in one step.
+// (state ID: d.States is in creation order) then program order, the order
+// each step lists its operators. Operators in different bodies never
+// execute concurrently (control is a single sequential machine), so the
+// only conflict to avoid is two operators on one unit in one step.
 func computeOps(d *rtl.Design) []*vt.Op {
 	var ops []*vt.Op
-	for _, op := range d.Trace.AllOps() {
-		if op.Kind.IsCompute() {
-			ops = append(ops, op)
+	for _, st := range d.States {
+		for _, op := range st.Ops {
+			if op.Kind.IsCompute() {
+				ops = append(ops, op)
+			}
 		}
 	}
-	sort.Slice(ops, func(i, j int) bool {
-		si, sj := d.OpState[ops[i]], d.OpState[ops[j]]
-		if si.ID != sj.ID {
-			return si.ID < sj.ID
-		}
-		return ops[i].Seq < ops[j].Seq
-	})
 	return ops
 }
 

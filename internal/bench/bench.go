@@ -52,20 +52,14 @@ func Source(name string) (string, error) {
 // callers may hand the trace to the DAA (which refines it in place)
 // without affecting later loads.
 func Load(name string) (*vt.Program, error) {
-	// Compatibility wrapper for tests and tools that own their lifecycle;
-	// library code threads a context through LoadContext.
-	//daalint:allow ctxflow documented compatibility wrapper
-	return LoadContext(context.Background(), name)
-}
-
-// LoadContext is Load under a caller-supplied context: the front-end
-// build is cancelled with it.
-func LoadContext(ctx context.Context, name string) (*vt.Program, error) {
 	in, err := Input(name)
 	if err != nil {
 		return nil, err
 	}
-	trace, err := flow.FrontEnd(ctx, in)
+	// For tests and tools that own their lifecycle; library code compiles
+	// through flow with its own context.
+	//daalint:allow ctxflow documented compatibility wrapper
+	trace, err := flow.FrontEnd(context.Background(), in)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s: %w", name, err)
 	}

@@ -170,15 +170,12 @@ func isDesignRef(r prod.Ref) bool {
 }
 
 // nearestPopulated returns the closest state of the same body that
-// executes at least one operator, preferring earlier steps.
+// executes at least one operator, preferring earlier steps: the body's
+// steps come in index order, so a tie keeps the one found first.
 func nearestPopulated(d *rtl.Design, st *rtl.State) *rtl.State {
 	var best *rtl.State
-	for _, other := range d.States {
-		if other.Body != st.Body || len(other.Ops) == 0 {
-			continue
-		}
-		if best == nil || absInt(other.Index-st.Index) < absInt(best.Index-st.Index) ||
-			(absInt(other.Index-st.Index) == absInt(best.Index-st.Index) && other.Index < best.Index) {
+	for _, other := range d.Steps(st.Body) {
+		if len(other.Ops) > 0 && (best == nil || absInt(other.Index-st.Index) < absInt(best.Index-st.Index)) {
 			best = other
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/prod"
-	"repro/internal/rtl"
 	"repro/internal/sched"
 	"repro/internal/vt"
 )
@@ -178,17 +177,17 @@ var controlRules = []*prod.Rule{
 // finishControl materializes the control steps chosen by the placement
 // rules as design states and binds every operator to its state.
 func (s *synth) finishControl() error {
-	states := map[stepKey]*rtl.State{}
 	for _, body := range s.tr.Bodies {
 		for i := 0; i < s.bodyLen[body]; i++ {
-			states[stepKey{body, i}] = s.d.AddState(body.Name, i)
+			s.d.AddState(body.Name, i)
 		}
+		steps := s.d.Steps(body.Name)
 		for _, op := range body.Ops {
 			step, ok := s.opStep[op]
 			if !ok {
 				return fmt.Errorf("operator %s was never placed", op)
 			}
-			st := states[stepKey{body, step}]
+			st := steps[step]
 			st.Ops = append(st.Ops, op)
 			s.d.OpState[op] = st
 		}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"context"
 	"regexp"
 	"strings"
@@ -13,30 +12,14 @@ import (
 )
 
 // TestAllocatorsLeaveInputUnrefined pins the comparison's fairness
-// invariant: Allocators clones per allocator, so the caller's trace is
-// never refined in place and the baselines see the unrefined description.
+// invariant: the DAA refines its own clone of the trace, so the baselines
+// in E2 see the unrefined description. Each baseline row must match a run
+// on a freshly loaded trace.
 func TestAllocatorsLeaveInputUnrefined(t *testing.T) {
-	tr, err := bench.Load("gcd")
+	rows, err := E2(context.Background(), "gcd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var before bytes.Buffer
-	if err := tr.Dump(&before); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Allocators(context.Background(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var after bytes.Buffer
-	if err := tr.Dump(&after); err != nil {
-		t.Fatal(err)
-	}
-	if before.String() != after.String() {
-		t.Fatal("Allocators refined its input trace in place")
-	}
-	// The baselines saw the unrefined description: each must match a run
-	// on a freshly loaded trace.
 	fresh, err := bench.Load("gcd")
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,6 @@ import (
 	"io"
 	"sort"
 
-	"repro/internal/alloc"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -26,7 +25,6 @@ import (
 	"repro/internal/prod"
 	"repro/internal/report"
 	"repro/internal/rtl"
-	"repro/internal/vt"
 )
 
 // compileBench runs a benchmark through the full pipeline with the DAA (or
@@ -93,43 +91,21 @@ type E2Row struct {
 	Cost      cost.Breakdown
 }
 
-// Allocators runs the DAA and both baselines on a loaded trace and
-// validates each design. Each allocator gets its own vt.Clone: the DAA's
-// trace-refinement rules rewrite the trace in place (part of its knowledge
-// advantage), so the baselines must see the unrefined description, as the
-// paper's comparators did — and the caller's trace is never touched, so
-// one cached front-end build serves all three runs.
-func Allocators(ctx context.Context, tr *vt.Program) ([]E2Row, error) {
-	daa, err := core.SynthesizeContext(ctx, vt.Clone(tr), core.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("daa: %w", err)
-	}
-	le, err := alloc.LeftEdge(vt.Clone(tr), alloc.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("left-edge: %w", err)
-	}
-	nv, err := alloc.Naive(vt.Clone(tr), alloc.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("naive: %w", err)
-	}
-	model := cost.Default()
+// E2 runs the DAA and both baselines on one benchmark, each through the
+// full pipeline. Every compilation gets its own clone of the cached trace:
+// the DAA's trace-refinement rules rewrite their clone in place (part of
+// its knowledge advantage), and the baselines see the unrefined
+// description, as the paper's comparators did.
+func E2(ctx context.Context, benchName string) ([]E2Row, error) {
 	rows := []E2Row{{Allocator: "daa"}, {Allocator: "left-edge"}, {Allocator: "naive"}}
-	for i, d := range []*rtl.Design{daa.Design, le, nv} {
-		if _, err := d.Validate(); err != nil {
-			return nil, fmt.Errorf("%s: %w", rows[i].Allocator, err)
+	for i, a := range []string{flow.AllocDAA, flow.AllocLeftEdge, flow.AllocNaive} {
+		res, err := compileBench(ctx, benchName, flow.Options{Allocator: a})
+		if err != nil {
+			return nil, err
 		}
-		rows[i].Counts, rows[i].Cost = d.Counts(), model.Design(d)
+		rows[i].Counts, rows[i].Cost = res.Design.Counts(), res.Cost
 	}
 	return rows, nil
-}
-
-// E2 runs the allocator comparison on one benchmark.
-func E2(ctx context.Context, benchName string) ([]E2Row, error) {
-	tr, err := bench.LoadContext(ctx, benchName)
-	if err != nil {
-		return nil, err
-	}
-	return Allocators(ctx, tr)
 }
 
 // RenderE2 prints Table 2 for a benchmark.

@@ -81,15 +81,7 @@ func ResetCache() { frontCache.Reset() }
 // frontStages returns the analyzed AST, a private clone of the validated
 // value trace, and the front-stage timing records, building or reusing the
 // cached artifact.
-func frontStages(in Input, useCache bool) (*isps.Program, *vt.Program, []StageInfo, error) {
-	if !useCache {
-		art, err := buildFront(in)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		// Uncached artifacts are private: no clone needed.
-		return art.ast, art.trace, art.stages, nil
-	}
+func frontStages(in Input) (*isps.Program, *vt.Program, []StageInfo, error) {
 	e := frontCache.GetOrAdd(in.ContentHash(), func() *frontEntry { return new(frontEntry) })
 	built := false
 	e.once.Do(func() {

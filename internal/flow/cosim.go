@@ -66,7 +66,8 @@ type CosimReport struct {
 	Seed    uint64
 	Vectors int
 	Cycles  int
-	// Samples counts individual carrier comparisons performed.
+	// Samples counts individual comparisons performed: one per register
+	// or output port per cycle, one per memory word compared.
 	Samples int
 	// Hung counts vectors both simulators abandoned together (step budget
 	// exhausted on each side — agreement on divergence, not a mismatch).
@@ -166,9 +167,10 @@ const cosimInputBits = 8
 // RunCosim co-simulates a design against its behavioral description:
 // Vectors independent stimulus vectors, each run for Cycles machine
 // cycles on fresh machines, comparing every register and output port the
-// design binds after every cycle and every memory at the end of the
-// vector. It is exported (rather than reachable only through Compile) so
-// tests can corrupt a design and watch the verdict flip.
+// design binds after every cycle and, at the end of the vector, every
+// memory word either side wrote. It is exported (rather than reachable
+// only through Compile) so tests can corrupt a design and watch the
+// verdict flip.
 //
 // The returned error reports infrastructure failures only (a design
 // without its trace); a disagreement is a report with Equivalent false
@@ -285,33 +287,21 @@ func compareState(tr *vt.Program, ref *sim.Machine, dut *rtlsim.Machine, rep *Co
 	return nil
 }
 
-// cosimMemWindow bounds the per-memory comparison: the low words cover
-// every small memory completely and the hot page of the processor ones.
-const cosimMemWindow = 64
-
-// compareMemories checks the low window of every memory at vector end.
+// compareMemories checks every memory word either side wrote, at vector
+// end: sim.Diff walks the union of the pages the two stores allocated.
 func compareMemories(tr *vt.Program, ref *sim.Machine, dut *rtlsim.Machine, rep *CosimReport) *CosimMismatch {
 	for _, c := range tr.Carriers {
 		if c.Kind != vt.CarMem {
 			continue
 		}
-		n := c.Words
-		if n > cosimMemWindow {
-			n = cosimMemWindow
+		want, got := ref.Memory(c.Name), dut.Memory(c.Name)
+		if want == nil || got == nil {
+			continue // memory unused by the trace: unbound in the design
 		}
-		for addr := 0; addr < n; addr++ {
-			want, err := ref.Mem(c.Name, addr)
-			if err != nil {
-				continue
-			}
-			got, err := dut.Mem(c.Name, addr)
-			if err != nil {
-				continue
-			}
-			rep.Samples++
-			if got != want {
-				return &CosimMismatch{Carrier: c.Name, Addr: addr, Behavioral: want, Design: got}
-			}
+		n, addr, w, g := sim.Diff(want, got)
+		rep.Samples += n
+		if addr >= 0 {
+			return &CosimMismatch{Carrier: c.Name, Addr: addr, Behavioral: w, Design: g}
 		}
 	}
 	return nil

@@ -135,6 +135,46 @@ func TestCosimMismatchCounterexample(t *testing.T) {
 	}
 }
 
+// TestCosimComparesWholeMemory: cosim compares every memory word either
+// side wrote, not a window of low words. The program writes only M[200]
+// and reads N[1]. The corrupted design aliases N onto M's memory, so at
+// vector end the design's N holds the word written at M[200] while the
+// behavioral N is still zero.
+func TestCosimComparesWholeMemory(t *testing.T) {
+	in := flow.Input{Name: "cosim-whole-memory.isps", Source: `
+processor P {
+    mem M[0:255]<7:0> mem N[0:255]<7:0>
+    reg A<7:0>
+    main m { M[200] := 5  A := N[1] }
+}`}
+	res, err := flow.Compile(context.Background(), in, flow.Options{Cosim: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Cosim.Equivalent {
+		t.Fatalf("uncorrupted design: %s", res.Cosim.Summary())
+	}
+	m := res.Design.Trace.CarrierByName("M")
+	n := res.Design.Trace.CarrierByName("N")
+	if m == nil || n == nil || res.Design.CarrierMem[m] == res.Design.CarrierMem[n] {
+		t.Fatal("want M and N bound to two memories before corruption")
+	}
+	res.Design.CarrierMem[n] = res.Design.CarrierMem[m]
+
+	rep, err := flow.RunCosim(res.AST, res.Design, flow.CosimParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Equivalent {
+		t.Fatal("design whose N aliases M reported equivalent")
+	}
+	got := rep.Mismatch
+	if got.Carrier != "N" || got.Addr != 200 || got.Behavioral != 0 || got.Design != 5 {
+		t.Errorf("mismatch %s[%d] = %#x (design), %#x (behavioral); want N[200] = 0x5, 0x0",
+			got.Carrier, got.Addr, got.Design, got.Behavioral)
+	}
+}
+
 // TestStageListComposition pins the stage-list refactor's contract:
 // cached and uncached compilations of the same option set produce
 // identical Trace.Stages names in the same order, and the emit/cosim
@@ -159,9 +199,8 @@ func TestStageListComposition(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			uncached := c.opt
-			uncached.NoCache = true
-			cold, err := flow.Compile(context.Background(), in, uncached)
+			flow.ResetCache()
+			cold, err := flow.Compile(context.Background(), in, c.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,6 +213,9 @@ func TestStageListComposition(t *testing.T) {
 			}
 			if got := stageNames(cold.Trace); !reflect.DeepEqual(got, c.want) {
 				t.Errorf("uncached stages %v, want %v", got, c.want)
+			}
+			if st, _ := cold.Trace.Stage(flow.StageParse); st.Cached {
+				t.Error("cold compile's parse stage reported cache-served")
 			}
 			if got := stageNames(warm.Trace); !reflect.DeepEqual(got, c.want) {
 				t.Errorf("cached stages %v, want %v", got, c.want)

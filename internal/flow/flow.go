@@ -43,7 +43,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/isps"
@@ -95,16 +94,17 @@ type Options struct {
 	// knowledge-based allocator), AllocLeftEdge, or AllocNaive.
 	Allocator string
 	// Core configures the DAA allocator (trace/cleanup ablations, extra
-	// rules, firing trace, matcher cross-check). Ignored by the baselines.
+	// rules, firing trace, matcher cross-check). Its Limits also bound the
+	// baselines' scheduler: all three allocators schedule under the same
+	// limits. Its other fields are ignored by the baselines.
 	Core core.Options
-	// Alloc configures the baseline allocators. Ignored by the DAA.
-	Alloc alloc.Options
+	// Scheduler names the baselines' control-step scheduling policy
+	// (sched.SchedList, the default; SchedASAP; SchedALAP). Ignored by the
+	// DAA, whose control phase places operators by rule.
+	Scheduler string
 	// Model overrides the gate-equivalent cost model (default
 	// cost.Default).
 	Model *cost.Model
-	// NoCache bypasses the front-end artifact cache: the compilation
-	// parses and builds privately and nothing is memoized.
-	NoCache bool
 	// EmitVerilog adds the emit stage: the synthesized datapath renders
 	// as structural Verilog, carried on Result.Verilog.
 	EmitVerilog bool
@@ -232,7 +232,7 @@ func Compile(ctx context.Context, in Input, opt Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{Input: in}
-	ast, trace, stages, err := frontStages(in, !opt.NoCache)
+	ast, trace, stages, err := frontStages(in)
 	if err != nil {
 		return nil, err
 	}
@@ -254,7 +254,7 @@ func FrontEnd(ctx context.Context, in Input) (*vt.Program, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	_, trace, _, err := frontStages(in, true)
+	_, trace, _, err := frontStages(in)
 	return trace, err
 }
 

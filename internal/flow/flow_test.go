@@ -215,12 +215,13 @@ func TestCompileCacheMarksFrontStages(t *testing.T) {
 	if !ok || !st.Cached {
 		t.Errorf("second compile's parse stage not cache-served: %+v", res.Trace.Stages)
 	}
-	un, err := flow.Compile(context.Background(), in, flow.Options{NoCache: true})
+	flow.ResetCache()
+	cold, err := flow.Compile(context.Background(), in, flow.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := un.Trace.Stage(flow.StageParse); st.Cached {
-		t.Error("NoCache compile reported a cached parse stage")
+	if st, _ := cold.Trace.Stage(flow.StageParse); st.Cached {
+		t.Error("compile after ResetCache reported a cached parse stage")
 	}
 }
 

@@ -36,14 +36,13 @@ func (in Input) ContentHash() [sha256.Size]byte {
 // fragment, so keys for pre-existing option sets are byte-identical to
 // what earlier releases produced (the golden key tests pin this).
 //
-// The limits fragments are written from the raw Core/Alloc fields rather
-// than the knob view: the knob space sets both in lockstep, but hand-built
-// option sets may diverge them, and the key must separate those too.
+// Both limits fragments are written from Core.Limits, which all three
+// allocators schedule under. The baselines once carried a second copy of
+// the limits, and every key in service spells both fragments.
 //
 // Key covers only declarative options. Live state that cannot be
 // canonicalized — a firing-trace writer, extra rules — is flagged by
-// Cacheable; NoCache is a compilation-path toggle that never changes the
-// result and is excluded.
+// Cacheable.
 //
 // The "exhaustive=false" and "lite=false" fragments are literals: they
 // once named an exhaustive driving mode of the engine and a second
@@ -69,7 +68,7 @@ func (o Options) Key() string {
 	b.WriteString(";core-limits=")
 	writeLimits(&b, o.Core.Limits)
 	b.WriteString(";alloc-limits=")
-	writeLimits(&b, o.Alloc.Limits)
+	writeLimits(&b, o.Core.Limits)
 	b.WriteString(";model=")
 	if o.Model == nil {
 		b.WriteString("default")
@@ -85,8 +84,11 @@ func (o Options) Key() string {
 		// but only while the stage is on: with cosim off a stray seed must
 		// not split caches, and defaults are normalized like everything
 		// else ({Cosim: true} and an explicit seed-1/4x4 key identically).
+		// "mem=written" names the memory compare (every word either side
+		// wrote), so no cache serves a verdict reached under an older,
+		// narrower one.
 		p := o.cosimParams()
-		fmt.Fprintf(&b, ";cosim-stim=%d/%dx%d", p.Seed, p.Vectors, p.Cycles)
+		fmt.Fprintf(&b, ";cosim-stim=%d/%dx%d,mem=written", p.Seed, p.Vectors, p.Cycles)
 	}
 	if !o.Cacheable() {
 		// Uncacheable options still get distinct keys for logging, but two

@@ -4,7 +4,6 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/flow"
@@ -36,7 +35,8 @@ func TestOptionsKeyDistinct(t *testing.T) {
 		"max-ops":          {Core: core.Options{Limits: sched.Limits{MaxOpsPerStep: 3}}},
 		"units-capped":     {Core: core.Options{Limits: sched.Limits{UnitsPerKind: map[vt.OpKind]int{vt.OpAdd: 2}}}},
 		"units-empty":      {Core: core.Options{Limits: sched.Limits{UnitsPerKind: map[vt.OpKind]int{}}}},
-		"alloc-max-ops":    {Allocator: flow.AllocLeftEdge, Alloc: alloc.Options{Limits: sched.Limits{MaxOpsPerStep: 3}}},
+		"leftedge-max-ops": {Allocator: flow.AllocLeftEdge, Core: core.Options{Limits: sched.Limits{MaxOpsPerStep: 3}}},
+		"leftedge-asap":    {Allocator: flow.AllocLeftEdge, Scheduler: sched.SchedASAP},
 		"model-regbit":     {Model: &tweakedModel},
 		"model-fnbit":      {Model: &fnModel},
 		"model-fnbit-swap": {Model: &fnModel2},
@@ -61,15 +61,11 @@ func TestOptionsKeyDistinct(t *testing.T) {
 }
 
 // TestOptionsKeyNormalizesDefaults checks that equivalent spellings of the
-// default configuration key identically, so caches hit across them, and
-// that the result-neutral NoCache toggle is excluded from the key.
+// default configuration key identically, so caches hit across them.
 func TestOptionsKeyNormalizesDefaults(t *testing.T) {
 	base := flow.Options{}
 	if got := (flow.Options{Allocator: flow.AllocDAA}).Key(); got != base.Key() {
 		t.Errorf("explicit daa allocator keys differently:\n  %q\n  %q", got, base.Key())
-	}
-	if got := (flow.Options{NoCache: true}).Key(); got != base.Key() {
-		t.Errorf("NoCache leaked into the key:\n  %q\n  %q", got, base.Key())
 	}
 	// Cosim stimulus parameters only count while the stage is on: a stray
 	// seed with Cosim off must not split caches…

@@ -9,9 +9,9 @@ package flow
 // round-trips through plain map[string]string — the form /v1/explore
 // grids, daa -explore specs, and Options.Key all build on.
 //
-// The NoCache toggle, which never changes the result, and live state a
-// string cannot carry (Core.Trace, Core.ExtraRules) are deliberately
-// outside the knob space, exactly as they are outside Options.Key.
+// Live state a string cannot carry (Core.Trace, Core.ExtraRules) is
+// deliberately outside the knob space, exactly as it is outside
+// Options.Key.
 
 import (
 	"fmt"
@@ -343,12 +343,12 @@ func buildKnobRegistry() []Knob {
 		enumKnob("scheduler", "control-step scheduling policy for the baseline allocators (the DAA's control phase places operators by rule)",
 			sched.Schedulers(),
 			func(o *Options) string {
-				if o.Alloc.Scheduler == "" {
+				if o.Scheduler == "" {
 					return sched.SchedList
 				}
-				return o.Alloc.Scheduler
+				return o.Scheduler
 			},
-			func(o *Options, v string) { o.Alloc.Scheduler = v }),
+			func(o *Options, v string) { o.Scheduler = v }),
 		boolKnob("trace-rules", "run phase 0 trace refinement (the paper's in-place VT rewrites)", true,
 			func(o *Options) bool { return !o.Core.DisableTraceRules },
 			func(o *Options, v bool) { o.Core.DisableTraceRules = !v }),
@@ -363,10 +363,7 @@ func buildKnobRegistry() []Knob {
 			func(o *Options, v bool) { o.Core.Journal = v }),
 		intKnob("maxops", "cap on operators per control step (0 = uncapped)", 0, 0,
 			func(o *Options) int { return o.Core.Limits.MaxOpsPerStep },
-			func(o *Options, n int) {
-				o.Core.Limits.MaxOpsPerStep = n
-				o.Alloc.Limits.MaxOpsPerStep = n
-			}),
+			func(o *Options, n int) { o.Core.Limits.MaxOpsPerStep = n }),
 		{
 			Name: "units", Kind: KnobMap, Default: "default",
 			Doc: "functional units per operator kind, e.g. add:2+sub:1 (default: one per kind present)",
@@ -377,15 +374,6 @@ func buildKnobRegistry() []Knob {
 					return err
 				}
 				o.Core.Limits.UnitsPerKind = m
-				if m == nil {
-					o.Alloc.Limits.UnitsPerKind = nil
-				} else {
-					o.Alloc.Limits.UnitsPerKind = make(map[vt.OpKind]int, len(m))
-					//daalint:allow detmap order-insensitive map copy
-					for k, n := range m {
-						o.Alloc.Limits.UnitsPerKind[k] = n
-					}
-				}
 				return nil
 			},
 		},

@@ -2,6 +2,7 @@ package flow_test
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -36,21 +37,27 @@ func TestCompileAllocRatchet(t *testing.T) {
 	}
 }
 
-// cosimByteCeiling caps the bytes one flow.RunCosim allocates at the
+// cosimByteCeiling caps the bytes one flow.RunCosim allocates, at the
 // default stimulus (4 vectors x 4 cycles, each vector on a fresh pair of
-// machines). Both simulators keep memories in pages allocated on first
-// write, so the cost follows the words a run touches. Measured with Go
-// 1.24: 65,984 bytes for ibm370 and 220,504 for mcs6502, down from 4.24
-// and 4.38 MB when every machine allocated and zeroed its whole 64K-word
-// memory. Each ceiling adds 25% headroom for differences between Go
+// machines) and at 64 x 64 on mcs6502. Both simulators keep memories in
+// pages allocated on first write, and rtlsim runs each step's operators
+// as the design lists them, with one scratch wire map per machine, so the
+// cost follows the words a run touches and the design, not the steps it
+// executes. Measured with Go 1.24: 24,960 bytes for ibm370 and 43,512 for
+// mcs6502 at 4 x 4, down from 65,984 and 220,504 when rtlsim regrouped the
+// design's states for every machine and copied and sorted each step's
+// operators on every step; 695,409 for mcs6502 at 64 x 64, down from
+// 14.6 MB. Each ceiling adds 25% headroom for differences between Go
 // releases (CI builds with Go 1.22), whose maps allocate differently. A
 // change may lower a ceiling; it must never raise one.
 var cosimByteCeiling = []struct {
-	bench   string
-	ceiling uint64
+	bench           string
+	vectors, cycles int
+	ceiling         uint64
 }{
-	{"ibm370", 82_500},
-	{"mcs6502", 275_600},
+	{"ibm370", 4, 4, 31_200},
+	{"mcs6502", 4, 4, 54_400},
+	{"mcs6502", 64, 64, 869_300},
 }
 
 func TestCosimAllocRatchet(t *testing.T) {
@@ -58,28 +65,31 @@ func TestCosimAllocRatchet(t *testing.T) {
 		t.Skip("the race detector changes allocation counts")
 	}
 	for _, c := range cosimByteCeiling {
-		res, err := flow.Compile(context.Background(), mustInput(t, c.bench), flow.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		const runs = 10
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			rep, err := flow.RunCosim(res.AST, res.Design, flow.CosimParams{})
+		t.Run(fmt.Sprintf("%s/%dx%d", c.bench, c.vectors, c.cycles), func(t *testing.T) {
+			res, err := flow.Compile(context.Background(), mustInput(t, c.bench), flow.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !rep.Equivalent {
-				t.Fatalf("%s: %s", c.bench, rep.Summary())
+			p := flow.CosimParams{Vectors: c.vectors, Cycles: c.cycles}
+			const runs = 10
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				rep, err := flow.RunCosim(res.AST, res.Design, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rep.Equivalent {
+					t.Fatal(rep.Summary())
+				}
 			}
-		}
-		runtime.ReadMemStats(&after)
-		perRun := (after.TotalAlloc - before.TotalAlloc) / runs
-		t.Logf("%s: %d bytes per RunCosim, ceiling %d", c.bench, perRun, c.ceiling)
-		if perRun > c.ceiling {
-			t.Errorf("flow.RunCosim of %s allocated %d bytes, ceiling %d", c.bench, perRun, c.ceiling)
-		}
+			runtime.ReadMemStats(&after)
+			perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+			t.Logf("%d bytes per RunCosim, ceiling %d", perRun, c.ceiling)
+			if perRun > c.ceiling {
+				t.Errorf("flow.RunCosim allocated %d bytes, ceiling %d", perRun, c.ceiling)
+			}
+		})
 	}
 }
 

@@ -71,6 +71,7 @@ func runAllocate(ctx context.Context, in Input, opt Options, res *Result) (strin
 	if which == "" {
 		which = AllocDAA
 	}
+	baseline := alloc.Options{Limits: opt.Core.Limits, Scheduler: opt.Scheduler}
 	switch which {
 	case AllocDAA:
 		synth, err := core.SynthesizeContext(ctx, res.VT, opt.Core)
@@ -79,13 +80,13 @@ func runAllocate(ctx context.Context, in Input, opt Options, res *Result) (strin
 		}
 		res.Synth, res.Design = synth, synth.Design
 	case AllocLeftEdge:
-		d, err := alloc.LeftEdge(res.VT, opt.Alloc)
+		d, err := alloc.LeftEdge(res.VT, baseline)
 		if err != nil {
 			return "", Diagnose(StageAllocate, in, err)
 		}
 		res.Design = d
 	case AllocNaive:
-		d, err := alloc.Naive(res.VT, opt.Alloc)
+		d, err := alloc.Naive(res.VT, baseline)
 		if err != nil {
 			return "", Diagnose(StageAllocate, in, err)
 		}

@@ -135,6 +135,69 @@ func TestValidateRejectsSwappedOperands(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsStepOrder: the design lists each body's steps in index
+// order and each step's operators in trace order, and the simulator, the
+// controller graph and the allocators rely on both. Each mutant keeps the
+// schedule itself intact and breaks only the listing.
+func TestValidateRejectsStepOrder(t *testing.T) {
+	cases := []struct {
+		name, want string
+		mutate     func(*rtl.Design) bool
+	}{
+		{"steps", "out of index order", func(d *rtl.Design) bool {
+			// Two consecutive steps of one body trade their indices and
+			// their operators, so the body's list runs 1, 0.
+			for i := 0; i+1 < len(d.States); i++ {
+				a, b := d.States[i], d.States[i+1]
+				if a.Body != b.Body {
+					continue
+				}
+				a.Index, b.Index = b.Index, a.Index
+				a.Ops, b.Ops = b.Ops, a.Ops
+				for _, op := range a.Ops {
+					d.OpState[op] = a
+				}
+				for _, op := range b.Ops {
+					d.OpState[op] = b
+				}
+				return true
+			}
+			return false
+		}},
+		{"ops", "out of trace order", func(d *rtl.Design) bool {
+			for _, s := range d.States {
+				if len(s.Ops) >= 2 {
+					s.Ops[0], s.Ops[1] = s.Ops[1], s.Ops[0]
+					return true
+				}
+			}
+			return false
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr, err := bench.Load("gcd")
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.Synthesize(tr, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := res.Design.Validate(); err != nil {
+				t.Fatalf("unmutated design: %v", err)
+			}
+			if !c.mutate(res.Design) {
+				t.Fatal("gcd's design offers nothing to reorder")
+			}
+			_, err = res.Design.Validate()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("got %v, want an error containing %q", err, c.want)
+			}
+		})
+	}
+}
+
 func TestControlTableSignals(t *testing.T) {
 	d, table := designFor(t, `
 processor P {

@@ -3,7 +3,6 @@ package rtl
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/vt"
@@ -63,24 +62,17 @@ func (t Transition) String() string {
 
 // flowBuilder accumulates transitions while walking the body structure.
 type flowBuilder struct {
-	d      *Design
-	states map[string][]*State
-	edges  []Transition
+	d     *Design
+	edges []Transition
 }
 
-// ControlFlow derives the controller's transition graph.
+// ControlFlow derives the controller's transition graph, walking each
+// body's steps in the order the design lists them (Steps).
 func (d *Design) ControlFlow() ([]Transition, error) {
 	if d.Trace == nil {
 		return nil, fmt.Errorf("rtl: design has no trace")
 	}
-	fb := &flowBuilder{d: d, states: map[string][]*State{}}
-	for _, s := range d.States {
-		fb.states[s.Body] = append(fb.states[s.Body], s)
-	}
-	//daalint:allow detmap each body's states sort on their own
-	for _, ss := range fb.states {
-		sort.Slice(ss, func(i, j int) bool { return ss[i].Index < ss[j].Index })
-	}
+	fb := &flowBuilder{d: d}
 	for _, body := range d.Trace.Bodies {
 		if body.Kind == vt.BodyProc {
 			fb.walkBody(body, nil, nil)
@@ -91,7 +83,7 @@ func (d *Design) ControlFlow() ([]Transition, error) {
 
 // first returns the first state of a body, or nil when the body is empty.
 func (fb *flowBuilder) first(b *vt.Body) *State {
-	if ss := fb.states[b.Name]; len(ss) > 0 {
+	if ss := fb.d.Steps(b.Name); len(ss) > 0 {
 		return ss[0]
 	}
 	return nil
@@ -101,7 +93,7 @@ func (fb *flowBuilder) first(b *vt.Body) *State {
 // when it falls off its end (nil = dynamic/outer), and loopExit is where a
 // LEAVE inside this body transfers (nil when not inside a loop).
 func (fb *flowBuilder) walkBody(b *vt.Body, join *State, loopExit *State) {
-	ss := fb.states[b.Name]
+	ss := fb.d.Steps(b.Name)
 	for i, s := range ss {
 		next := join
 		kind := EdgeReturn
@@ -176,7 +168,7 @@ func (fb *flowBuilder) walkBody(b *vt.Body, join *State, loopExit *State) {
 
 // lastOrNil returns the last state of a body, or nil.
 func (fb *flowBuilder) lastOrNil(b *vt.Body) *State {
-	ss := fb.states[b.Name]
+	ss := fb.d.Steps(b.Name)
 	if len(ss) == 0 {
 		return nil
 	}
@@ -257,19 +249,14 @@ func (d *Design) ReachableStates() (map[*State]bool, error) {
 		}
 	}
 	seen := map[*State]bool{}
-	var entry *State
+	var entry []*State
 	if d.Trace.Main != nil {
-		for _, s := range d.States {
-			if s.Body == d.Trace.Main.Name && s.Index == 0 {
-				entry = s
-				break
-			}
-		}
+		entry = d.Steps(d.Trace.Main.Name)
 	}
-	if entry == nil {
+	if len(entry) == 0 {
 		return seen, nil
 	}
-	stack := []*State{entry}
+	stack := []*State{entry[0]}
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

@@ -242,7 +242,7 @@ func (l *Link) String() string {
 }
 
 // State is one control step. Ops lists the value-trace operators executing
-// in this step.
+// in this step, in trace order (ascending Seq); Validate checks it.
 type State struct {
 	ID    int
 	Body  string // owning value-trace body
@@ -267,7 +267,7 @@ type Design struct {
 	Junctions []*Junction
 	Consts    []*Constant
 	Links     []*Link
-	States    []*State
+	States    []*State // every control step, in creation (ID) order
 
 	// Bindings.
 	OpUnit      map[*vt.Op]*Unit     // compute op -> functional unit
@@ -278,6 +278,7 @@ type Design struct {
 	CarrierPort map[*vt.Carrier]*Port
 	ValueReg    map[*vt.Value]*Register // intermediate value -> holding register
 
+	steps     map[string][]*State // body name -> its steps, see Steps
 	nextID    int
 	observers []func(any)
 }
@@ -308,6 +309,7 @@ func NewDesign(name string, trace *vt.Program) *Design {
 		CarrierMem:  map[*vt.Carrier]*Memory{},
 		CarrierPort: map[*vt.Carrier]*Port{},
 		ValueReg:    map[*vt.Value]*Register{},
+		steps:       map[string][]*State{},
 	}
 }
 
@@ -428,12 +430,28 @@ func (d *Design) RemoveLink(l *Link) {
 	}
 }
 
-// AddState appends a control step for the named body.
+// AddState appends a control step for the named body. Allocators add a
+// body's steps in index order, so the step at position i of Steps(body)
+// has Index i; Validate rejects a design where that does not hold.
 func (d *Design) AddState(body string, index int) *State {
 	s := &State{ID: d.id(), Body: body, Index: index}
 	d.States = append(d.States, s)
+	d.steps[body] = append(d.steps[body], s)
 	d.added(s)
 	return s
+}
+
+// Steps returns the named body's control steps in the order AddState
+// created them, which in a valid design is index order. The design owns
+// this order: the controller graph, the simulator and the allocators walk
+// the list instead of regrouping d.States. The caller must not modify it.
+func (d *Design) Steps(body string) []*State { return d.steps[body] }
+
+// listed reports whether s is the step at position s.Index of its body's
+// list.
+func (d *Design) listed(s *State) bool {
+	ss := d.steps[s.Body]
+	return s.Index >= 0 && s.Index < len(ss) && ss[s.Index] == s
 }
 
 // Counts summarizes component usage for the experiment tables.

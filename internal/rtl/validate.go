@@ -23,6 +23,8 @@ import (
 // Binding (against the value trace)
 //   - every carrier referenced by the trace is bound to a register, memory,
 //     or port of sufficient width
+//   - each body's steps are listed in index order (Steps), and each step
+//     lists its operators in trace order
 //   - every operator is scheduled into a control step of its own body, and
 //     dependences never run backwards; writes, memory writes, and control
 //     operators take effect at end-of-step, so dependents sit strictly later
@@ -260,16 +262,17 @@ func (d *Design) validateBindings() error {
 		}
 	}
 
-	// Schedule bindings.
-	stateIndex := map[string]map[*State]bool{}
+	// Step order and schedule bindings.
 	for _, s := range d.States {
-		if stateIndex[s.Body] == nil {
-			stateIndex[s.Body] = map[*State]bool{}
+		if !d.listed(s) {
+			return fmt.Errorf("rtl: %s out of index order in its body's step list", s)
 		}
-		stateIndex[s.Body][s] = true
-		for _, op := range s.Ops {
+		for i, op := range s.Ops {
 			if d.OpState[op] != s {
 				return fmt.Errorf("rtl: op %s listed in %s but bound elsewhere", op, s)
+			}
+			if i > 0 && s.Ops[i-1].Seq >= op.Seq {
+				return fmt.Errorf("rtl: %s lists op %s after %s, out of trace order", s, op, s.Ops[i-1])
 			}
 		}
 	}
@@ -281,7 +284,7 @@ func (d *Design) validateBindings() error {
 		if s.Body != op.Body.Name {
 			return fmt.Errorf("rtl: op %s scheduled into foreign body %s", op, s.Body)
 		}
-		if !stateIndex[s.Body][s] {
+		if !d.listed(s) {
 			return fmt.Errorf("rtl: op %s bound to unlisted state", op)
 		}
 		for _, dep := range op.Deps {

@@ -14,7 +14,6 @@ package rtlsim
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/rtl"
 	"repro/internal/sim"
@@ -28,11 +27,22 @@ type Machine struct {
 	mems  map[*rtl.Memory]*sim.Memory
 	ports map[*rtl.Port]uint64
 
-	states map[string][]*rtl.State // body name -> ordered states
+	// Scratch of the executing step, emptied as each step starts: the
+	// values it computes and the writes it commits at its end.
+	wires   map[*vt.Value]uint64
+	commits []commit
 
 	// MaxSteps bounds executed control steps per Run (default 1,000,000).
 	MaxSteps int
 	steps    int
+}
+
+// commit is the value a write op stores at end of step (at word addr,
+// for a memory write).
+type commit struct {
+	op   *vt.Op
+	addr int
+	v    uint64
 }
 
 // New builds a machine for a design with all storage cleared. The design
@@ -47,17 +57,11 @@ func New(d *rtl.Design) (*Machine, error) {
 		regs:     map[*rtl.Register]uint64{},
 		mems:     map[*rtl.Memory]*sim.Memory{},
 		ports:    map[*rtl.Port]uint64{},
-		states:   map[string][]*rtl.State{},
+		wires:    map[*vt.Value]uint64{},
 		MaxSteps: 1_000_000,
 	}
 	for _, mem := range d.Memories {
 		m.mems[mem] = sim.NewMemory(mem.Words)
-	}
-	for _, s := range d.States {
-		m.states[s.Body] = append(m.states[s.Body], s)
-	}
-	for _, ss := range m.states {
-		sort.Slice(ss, func(i, j int) bool { return ss[i].Index < ss[j].Index })
 	}
 	return m, nil
 }
@@ -158,6 +162,15 @@ func (m *Machine) Mem(name string, addr int) (uint64, error) {
 	return m.mems[mem].Word(addr), nil
 }
 
+// Memory returns the store of a memory carrier the design binds, or nil.
+func (m *Machine) Memory(name string) *sim.Memory {
+	c := m.d.Trace.CarrierByName(name)
+	if c == nil || c.Kind != vt.CarMem {
+		return nil
+	}
+	return m.mems[m.d.CarrierMem[c]]
+}
+
 // Load copies an image into a memory starting at addr.
 func (m *Machine) Load(name string, addr int, image []uint64) error {
 	for i, v := range image {
@@ -185,23 +198,22 @@ func (m *Machine) RunN(n int) error {
 	return nil
 }
 
-// execBody runs every control step of a body. When want is non-nil, the
-// value it carries at definition time is captured and returned (used for
-// loop conditions, which the controller samples combinationally).
+// execBody runs every control step of a body, in the order the design
+// lists them, each step's operators in trace order. When want is non-nil,
+// the value it carries at definition time is captured and returned (used
+// for loop conditions, which the controller samples combinationally).
 func (m *Machine) execBody(b *vt.Body, want *vt.Value) (wanted uint64, left bool, err error) {
-	for _, st := range m.states[b.Name] {
+	for _, st := range m.d.Steps(b.Name) {
 		m.steps++
 		if m.steps > m.MaxSteps {
 			return 0, false, fmt.Errorf("rtlsim: step budget %d exceeded in %s", m.MaxSteps, b.Name)
 		}
-		wires := map[*vt.Value]uint64{}
-		var commits []func()
+		clear(m.wires)
+		m.commits = m.commits[:0]
 		var control *vt.Op
 
-		ops := append([]*vt.Op(nil), st.Ops...)
-		sort.Slice(ops, func(i, j int) bool { return ops[i].Seq < ops[j].Seq })
-		for _, op := range ops {
-			c, err := m.execOp(op, st, wires, &commits)
+		for _, op := range st.Ops {
+			c, err := m.execOp(op, st)
 			if err != nil {
 				return 0, false, err
 			}
@@ -209,27 +221,27 @@ func (m *Machine) execBody(b *vt.Body, want *vt.Value) (wanted uint64, left bool
 				control = op
 			}
 			if want != nil && op.Result == want {
-				wanted = wires[want]
+				wanted = m.wires[want]
 			}
 		}
 
 		// End of step: commit writes, then park crossing values.
-		for _, c := range commits {
-			c()
+		for _, c := range m.commits {
+			m.write(c)
 		}
-		for _, op := range ops {
+		for _, op := range st.Ops {
 			v := op.Result
 			if v == nil {
 				continue
 			}
 			if r := m.d.ValueReg[v]; r != nil {
-				m.regs[r] = wires[v] & mask(r.Width)
+				m.regs[r] = m.wires[v] & mask(r.Width)
 			}
 		}
 
 		// Control transfer after the step completes.
 		if control != nil {
-			l, err := m.execControl(control, st, wires)
+			l, err := m.execControl(control, st)
 			if err != nil {
 				return wanted, false, err
 			}
@@ -242,24 +254,20 @@ func (m *Machine) execBody(b *vt.Body, want *vt.Value) (wanted uint64, left bool
 }
 
 // execOp evaluates one operator combinationally; writes are deferred into
-// commits. It reports whether the operator transfers control.
-func (m *Machine) execOp(op *vt.Op, st *rtl.State, wires map[*vt.Value]uint64, commits *[]func()) (bool, error) {
-	arg := func(i int) (uint64, error) { return m.value(op.Args[i], st, wires) }
+// m.commits. It reports whether the operator transfers control.
+func (m *Machine) execOp(op *vt.Op, st *rtl.State) (bool, error) {
+	arg := func(i int) (uint64, error) { return m.value(op.Args[i], st) }
 	switch op.Kind {
 	case vt.OpConst:
-		wires[op.Result] = op.Result.ConstVal
+		m.wires[op.Result] = op.Result.ConstVal
 	case vt.OpRead:
-		wires[op.Result] = m.readCarrier(op.Carrier)
+		m.wires[op.Result] = m.readCarrier(op.Carrier)
 	case vt.OpWrite:
 		v, err := arg(0)
 		if err != nil {
 			return false, err
 		}
-		car := op.Carrier
-		partial, hi, lo := op.Partial, op.Hi, op.Lo
-		*commits = append(*commits, func() {
-			m.writeCarrier(car, v, partial, hi, lo)
-		})
+		m.commits = append(m.commits, commit{op: op, v: v})
 	case vt.OpMemRead:
 		idx, err := arg(0)
 		if err != nil {
@@ -269,7 +277,7 @@ func (m *Machine) execOp(op *vt.Op, st *rtl.State, wires map[*vt.Value]uint64, c
 		if int(idx) >= mem.Words {
 			return false, fmt.Errorf("rtlsim: %s[%d] out of range at %s", op.Carrier.Name, idx, op.Pos)
 		}
-		wires[op.Result] = m.mems[mem].Word(int(idx))
+		m.wires[op.Result] = m.mems[mem].Word(int(idx))
 	case vt.OpMemWrite:
 		idx, err := arg(0)
 		if err != nil {
@@ -283,15 +291,13 @@ func (m *Machine) execOp(op *vt.Op, st *rtl.State, wires map[*vt.Value]uint64, c
 		if int(idx) >= mem.Words {
 			return false, fmt.Errorf("rtlsim: %s[%d] out of range at %s", op.Carrier.Name, idx, op.Pos)
 		}
-		*commits = append(*commits, func() {
-			m.mems[mem].SetWord(int(idx), v&mask(mem.Width))
-		})
+		m.commits = append(m.commits, commit{op: op, addr: int(idx), v: v})
 	case vt.OpSlice:
 		x, err := arg(0)
 		if err != nil {
 			return false, err
 		}
-		wires[op.Result] = (x >> uint(op.Lo)) & mask(op.Hi-op.Lo+1)
+		m.wires[op.Result] = (x >> uint(op.Lo)) & mask(op.Hi-op.Lo+1)
 	case vt.OpConcat:
 		x, err := arg(0)
 		if err != nil {
@@ -301,7 +307,7 @@ func (m *Machine) execOp(op *vt.Op, st *rtl.State, wires map[*vt.Value]uint64, c
 		if err != nil {
 			return false, err
 		}
-		wires[op.Result] = ((x << uint(op.Args[1].Width)) | y) & mask(op.Result.Width)
+		m.wires[op.Result] = ((x << uint(op.Args[1].Width)) | y) & mask(op.Result.Width)
 	case vt.OpSelect, vt.OpLoop, vt.OpCall, vt.OpLeave:
 		return true, nil
 	case vt.OpNop:
@@ -309,23 +315,23 @@ func (m *Machine) execOp(op *vt.Op, st *rtl.State, wires map[*vt.Value]uint64, c
 		if !op.Kind.IsCompute() {
 			return false, fmt.Errorf("rtlsim: unexpected operator %s", op.Kind)
 		}
-		v, err := m.compute(op, st, wires)
+		v, err := m.compute(op, st)
 		if err != nil {
 			return false, err
 		}
-		wires[op.Result] = v
+		m.wires[op.Result] = v
 	}
 	return false, nil
 }
 
-func (m *Machine) compute(op *vt.Op, st *rtl.State, wires map[*vt.Value]uint64) (uint64, error) {
-	x, err := m.value(op.Args[0], st, wires)
+func (m *Machine) compute(op *vt.Op, st *rtl.State) (uint64, error) {
+	x, err := m.value(op.Args[0], st)
 	if err != nil {
 		return 0, err
 	}
 	var y uint64
 	if len(op.Args) > 1 {
-		y, err = m.value(op.Args[1], st, wires)
+		y, err = m.value(op.Args[1], st)
 		if err != nil {
 			return 0, err
 		}
@@ -377,13 +383,13 @@ func (m *Machine) compute(op *vt.Op, st *rtl.State, wires map[*vt.Value]uint64) 
 // value resolves an operand: same-step values come off the wires; plain
 // register reads come from the (unchanged) register; everything else
 // crossing steps comes from its holding register.
-func (m *Machine) value(v *vt.Value, st *rtl.State, wires map[*vt.Value]uint64) (uint64, error) {
+func (m *Machine) value(v *vt.Value, st *rtl.State) (uint64, error) {
 	if v.IsConst {
 		return v.ConstVal, nil
 	}
 	def := v.Def
 	if m.d.OpState[def] == st {
-		return wires[v], nil
+		return m.wires[v], nil
 	}
 	if def.Kind == vt.OpRead {
 		return m.readCarrier(def.Carrier), nil
@@ -402,26 +408,31 @@ func (m *Machine) readCarrier(c *vt.Carrier) uint64 {
 	return m.regs[m.d.CarrierReg[c]]
 }
 
-func (m *Machine) writeCarrier(c *vt.Carrier, v uint64, partial bool, hi, lo int) {
-	if c.Kind == vt.CarPortOut {
+// write stores a commit into its memory word, output port or register.
+func (m *Machine) write(w commit) {
+	c, v := w.op.Carrier, w.v
+	switch {
+	case w.op.Kind == vt.OpMemWrite:
+		mem := m.d.CarrierMem[c]
+		m.mems[mem].SetWord(w.addr, v&mask(mem.Width))
+	case c.Kind == vt.CarPortOut:
 		m.ports[m.d.CarrierPort[c]] = v & mask(c.Width)
-		return
-	}
-	r := m.d.CarrierReg[c]
-	if partial {
+	case w.op.Partial:
+		r, hi, lo := m.d.CarrierReg[c], w.op.Hi, w.op.Lo
 		fieldMask := mask(hi-lo+1) << uint(lo)
 		m.regs[r] = (m.regs[r] &^ fieldMask) | ((v & mask(hi-lo+1)) << uint(lo))
-		return
+	default:
+		m.regs[m.d.CarrierReg[c]] = v & mask(c.Width)
 	}
-	m.regs[r] = v & mask(c.Width)
 }
 
 // execControl runs the sub-body transfer of a SELECT/LOOP/CALL/LEAVE
-// operator once its step has committed.
-func (m *Machine) execControl(op *vt.Op, st *rtl.State, wires map[*vt.Value]uint64) (left bool, err error) {
+// operator once its step has committed. It reads the step's wires before
+// it runs a sub-body, whose steps reuse them.
+func (m *Machine) execControl(op *vt.Op, st *rtl.State) (left bool, err error) {
 	switch op.Kind {
 	case vt.OpSelect:
-		sel, err := m.value(op.Args[0], st, wires)
+		sel, err := m.value(op.Args[0], st)
 		if err != nil {
 			return false, err
 		}

@@ -99,20 +99,17 @@ func (o RequestOptions) flowOptions() (flow.Options, error) {
 		return flow.Options{}, fmt.Errorf("unknown allocator %q (want %s, %s, or %s)",
 			o.Allocator, flow.AllocDAA, flow.AllocLeftEdge, flow.AllocNaive)
 	}
-	lim := sched.Limits{MaxOpsPerStep: o.MaxOpsPerStep}
-	opt := flow.Options{
+	return flow.Options{
 		Allocator: alloc,
 		Core: core.Options{
-			Limits:            lim,
+			Limits:            sched.Limits{MaxOpsPerStep: o.MaxOpsPerStep},
 			DisableTraceRules: o.NoTraceRules,
 			DisableCleanup:    o.NoCleanup,
 			Journal:           o.Provenance,
 		},
 		Cosim:     o.Verify,
 		CosimSeed: o.CosimSeed,
-	}
-	opt.Alloc.Limits = lim
-	return opt, nil
+	}, nil
 }
 
 // ArtifactRequest selects the optional outputs of a synthesize call.

@@ -122,6 +122,10 @@ func (m *Machine) Mem(name string, addr int) (uint64, error) {
 	return mem.Word(addr - d.ALo), nil
 }
 
+// Memory returns the word store behind a memory carrier, or nil when name
+// is not a memory.
+func (m *Machine) Memory(name string) *Memory { return m.mems[m.prog.Lookup(name)] }
+
 // Load copies a byte-like program image into memory starting at addr.
 func (m *Machine) Load(name string, addr int, image []uint64) error {
 	for i, v := range image {

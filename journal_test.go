@@ -110,8 +110,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		in := flow.Input{Name: "fuzz.isps", Source: src}
 		res, err := flow.Compile(context.Background(), in, flow.Options{
-			Core:    core.Options{Journal: true},
-			NoCache: true,
+			Core: core.Options{Journal: true},
 		})
 		if err != nil {
 			t.Skip() // invalid input: the front end rejected it
