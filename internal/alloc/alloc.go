@@ -26,20 +26,6 @@ import (
 	"repro/internal/vt"
 )
 
-// unitWidth is the width a unit needs to execute op.
-func unitWidth(op *vt.Op) int {
-	w := 0
-	for _, a := range op.Args {
-		if a.Width > w {
-			w = a.Width
-		}
-	}
-	if op.Result != nil && op.Result.Width > w {
-		w = op.Result.Width
-	}
-	return w
-}
-
 // Naive builds the maximal design with no hardware sharing. It schedules
 // under the same limits as the other allocators (defaulting to one unit
 // per operation kind), so the three designs implement identical control
@@ -54,7 +40,7 @@ func Naive(trace *vt.Program, opt Options) (*rtl.Design, error) {
 	bind.ApplySchedule(d, scheds)
 	for _, op := range trace.AllOps() {
 		if op.Kind.IsCompute() {
-			d.OpUnit[op] = d.AddUnit(fmt.Sprintf("u%d.%s", op.ID, op.Kind), unitWidth(op), op.Kind)
+			d.OpUnit[op] = d.AddUnit(fmt.Sprintf("u%d.%s", op.ID, op.Kind), op.UnitWidth(), op.Kind)
 		}
 	}
 	for i, v := range bind.CrossingValues(d) {
@@ -114,10 +100,10 @@ func shareUnits(d *rtl.Design) {
 			}
 		}
 		if unit == nil {
-			unit = d.AddUnit(fmt.Sprintf("%s%d", op.Kind, len(pools[op.Kind])), unitWidth(op), op.Kind)
+			unit = d.AddUnit(fmt.Sprintf("%s%d", op.Kind, len(pools[op.Kind])), op.UnitWidth(), op.Kind)
 			pools[op.Kind] = append(pools[op.Kind], unit)
 		}
-		if w := unitWidth(op); w > unit.Width {
+		if w := op.UnitWidth(); w > unit.Width {
 			unit.Width = w
 		}
 		lastState[unit] = s

@@ -414,6 +414,10 @@ func TestRoutedEndpointRefusals(t *testing.T) {
 		!strings.HasPrefix(er.Error, "unknown allocator") {
 		t.Errorf("invalid options: %d %+v, want 400", code, er)
 	}
+	if code, er := post("/v1/synthesize", `{"source": "x", "options": {"allocator": "naive", "provenance": true}}`); code != http.StatusBadRequest ||
+		!strings.HasPrefix(er.Error, "provenance needs allocator daa") {
+		t.Errorf("provenance with a baseline: %d %+v, want 400", code, er)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
@@ -423,7 +427,7 @@ func TestRoutedEndpointRefusals(t *testing.T) {
 			t.Errorf("%s while draining: %d %+v, want 503 shutdown", path, code, er)
 		}
 	}
-	want := RequestCounts{Synthesize: 5, Explore: 4, Lint: 4}
+	want := RequestCounts{Synthesize: 6, Explore: 4, Lint: 4}
 	if got := co.Metrics().Requests; got != want {
 		t.Errorf("request counts %+v, want %+v", got, want)
 	}
@@ -501,5 +505,40 @@ func TestStalledHeadersClosed(t *testing.T) {
 		if _, err := io.ReadAll(c); errors.Is(err, os.ErrDeadlineExceeded) {
 			t.Fatalf("stalled connection %d still open after 5s", i)
 		}
+	}
+}
+
+// TestStalledBodyClosed: a connection that sends its headers and part of
+// the body they announce, then stalls, gets its 400 and is closed once the
+// read timeout passes, instead of holding a connection and a goroutine.
+func TestStalledBodyClosed(t *testing.T) {
+	defer func(d time.Duration) { readTimeout = d }(readTimeout)
+	readTimeout = 100 * time.Millisecond
+	co, err := New(Config{Peers: []Peer{{URL: "http://127.0.0.1:1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go co.Serve(l)
+	defer co.Shutdown(context.Background())
+	c, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	head := "POST /v1/synthesize HTTP/1.1\r\nHost: daad\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n"
+	if _, err := io.WriteString(c, head+`{"source":`); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(c)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("stalled connection still open after 5s")
+	}
+	if !strings.HasPrefix(string(got), "HTTP/1.1 400 ") {
+		t.Errorf("stalled client got %q, want a 400", got)
 	}
 }

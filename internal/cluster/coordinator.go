@@ -128,6 +128,13 @@ type Coordinator struct {
 // a connection and a goroutine forever. A variable so tests can shorten it.
 var readHeaderTimeout = 10 * time.Second
 
+// readTimeout bounds how long a connection may take to send a whole
+// request, body included: one that stalls mid-body is closed. It does not
+// cut off a long synthesis, since net/http clears the read deadline once
+// the handler has the body. With IdleTimeout unset it also closes idle
+// keep-alive connections. A variable so tests can shorten it.
+var readTimeout = time.Minute
+
 // New builds a Coordinator over cfg.Peers. Call Start to begin probing,
 // Serve to accept traffic, Shutdown to drain.
 func New(cfg Config) (*Coordinator, error) {
@@ -161,6 +168,7 @@ func New(cfg Config) (*Coordinator, error) {
 	co.ring.Store(NewRing(nil))
 	co.http.Handler = co.Handler()
 	co.http.ReadHeaderTimeout = readHeaderTimeout
+	co.http.ReadTimeout = readTimeout
 	return co, nil
 }
 

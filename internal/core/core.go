@@ -219,10 +219,8 @@ type synth struct {
 	d   *rtl.Design
 	lim sched.Limits
 
-	// control phase: per-body step cursors and per-step resource usage.
-	opStep  map[*vt.Op]int
-	stepUse map[stepKey]*stepUsage
-	bodyLen map[*vt.Body]int
+	// control phase: each body's control steps.
+	steps map[*vt.Body]*sched.Schedule
 	// operator phase: units busy per (unit, state).
 	unitBusy map[unitState]bool
 	// value phase and cleanup: values held per register.
@@ -240,19 +238,6 @@ type synth struct {
 	prov    *provTrack
 }
 
-type stepKey struct {
-	body *vt.Body
-	step int
-}
-
-type stepUsage struct {
-	kind      map[vt.OpKind]int
-	mem       map[*vt.Carrier]int
-	regWrites map[*vt.Carrier][]*vt.Op
-	closed    bool // a control operator ended this step
-	total     int
-}
-
 type unitState struct {
 	u *rtl.Unit
 	s *rtl.State
@@ -264,12 +249,13 @@ func newSynth(trace *vt.Program, opt Options) *synth {
 		tr:       trace,
 		d:        rtl.NewDesign(trace.Name+"-daa", trace),
 		lim:      opt.Limits.ForProgram(trace),
-		opStep:   map[*vt.Op]int{},
-		stepUse:  map[stepKey]*stepUsage{},
-		bodyLen:  map[*vt.Body]int{},
+		steps:    make(map[*vt.Body]*sched.Schedule, len(trace.Bodies)),
 		unitBusy: map[unitState]bool{},
 		regVals:  map[*rtl.Register][]*vt.Value{},
 		seq:      func() int { return 0 },
+	}
+	for _, b := range trace.Bodies {
+		s.steps[b] = sched.New(b)
 	}
 	if opt.Journal {
 		s.journal = &Journal{Design: s.d.Name}
@@ -284,18 +270,4 @@ func newSynth(trace *vt.Program, opt Options) *synth {
 		})
 	}
 	return s
-}
-
-func (s *synth) usage(body *vt.Body, step int) *stepUsage {
-	k := stepKey{body, step}
-	u := s.stepUse[k]
-	if u == nil {
-		u = &stepUsage{
-			kind:      map[vt.OpKind]int{},
-			mem:       map[*vt.Carrier]int{},
-			regWrites: map[*vt.Carrier][]*vt.Op{},
-		}
-		s.stepUse[k] = u
-	}
-	return u
 }

@@ -252,11 +252,7 @@ func (s *synth) Apply(name string, args []any) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.markStep(op, step)
-		s.opStep[op] = step
-		if step+1 > s.bodyLen[op.Body] {
-			s.bodyLen[op.Body] = step + 1
-		}
+		s.steps[op.Body].Place(op, step)
 		if s.prov != nil {
 			s.prov.opPlace[op] = s.prov.cur
 		}
@@ -285,7 +281,7 @@ func (s *synth) Apply(name string, args []any) (any, error) {
 				n++
 			}
 		}
-		u := s.d.AddUnit(fmt.Sprintf("%s%d", op.Kind, n), unitWidthFor(op), op.Kind)
+		u := s.d.AddUnit(fmt.Sprintf("%s%d", op.Kind, n), op.UnitWidth(), op.Kind)
 		s.bindOpToUnit(op, u)
 		return u, nil
 

@@ -1,0 +1,47 @@
+package core_test
+
+import (
+	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/sched"
+)
+
+// TestDAAHonorsLimits reads every body's control steps back from the
+// DAA's design into a sched.Schedule and verifies it under the limits the
+// design was synthesized with: an operator cap per step, or two units of
+// every compute kind.
+func TestDAAHonorsLimits(t *testing.T) {
+	for _, name := range bench.Names() {
+		tr, err := bench.Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twoEach := sched.Limits{}.ForProgram(tr).UnitsPerKind
+		for k := range twoEach {
+			twoEach[k] = 2
+		}
+		for _, lim := range []sched.Limits{{MaxOpsPerStep: 1}, {MaxOpsPerStep: 2}, {UnitsPerKind: twoEach}} {
+			tr, err := bench.Load(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.Synthesize(tr, core.Options{Limits: lim})
+			if err != nil {
+				t.Fatalf("%s %+v: %v", name, lim, err)
+			}
+			for _, b := range tr.Bodies {
+				s := sched.New(b)
+				for i, st := range res.Design.Steps(b.Name) {
+					for _, op := range st.Ops {
+						s.Place(op, i)
+					}
+				}
+				if err := s.Verify(lim.ForProgram(tr)); err != nil {
+					t.Errorf("%s %+v: %v", name, lim, err)
+				}
+			}
+		}
+	}
+}

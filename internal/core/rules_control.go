@@ -3,18 +3,20 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/bind"
 	"repro/internal/prod"
-	"repro/internal/sched"
 	"repro/internal/vt"
 )
 
 // Phase 2 — control-step allocation. Each body is walked in program order
 // by a cursor element; one placement rule per operator class puts the next
-// operator into the earliest control step that satisfies its dependences
-// and the resource limits (one unit per operation kind by default, a
-// single memory port, one write per register per step). Combinational
-// operators chain within a step; writes and control operators take effect
-// at end-of-step, exactly as in internal/sched and internal/rtl.
+// operator into the earliest control step of the body's sched.Schedule
+// that satisfies its dependences and the resource limits (one unit per
+// operation kind by default, a single memory port, one write per register
+// per step). The schedule states that rule for every allocator
+// (Schedule.Earliest and Fits): combinational operators chain within a
+// step; writes and control operators take effect at end-of-step, exactly
+// as in internal/rtl.
 
 // opClass names the operator's placement class.
 func opClass(k vt.OpKind) string {
@@ -70,24 +72,16 @@ func (s *synth) seedControl(wm *prod.WM) {
 	}
 }
 
-// placeNext chooses the earliest feasible step for the matched operator
-// (the decision), applies it through the place-op effect, and advances the
-// body cursor.
+// placeNext chooses the earliest step of the operator's body schedule that
+// its dependences allow and the step rule admits (the decision), applies
+// it through the place-op effect, and advances the body cursor.
 func placeNext(tx *prod.Tx, m *prod.Match) {
 	s := tx.Host().(*synth)
 	bodyEl, opEl := m.El(0), m.El(1)
 	op := opEl.Get("op").(*vt.Op)
-	step := 0
-	for _, dep := range op.Deps {
-		min := s.opStep[dep]
-		if sched.StrictAfter(dep) {
-			min++
-		}
-		if min > step {
-			step = min
-		}
-	}
-	for !s.fitsStep(op, step) {
+	sc := s.steps[op.Body]
+	step := sc.Earliest(op)
+	for !sc.Fits(op, step, s.lim) {
 		step++
 	}
 	if _, err := tx.Do("place-op", op, step); err != nil {
@@ -95,43 +89,6 @@ func placeNext(tx *prod.Tx, m *prod.Match) {
 	}
 	tx.Remove(opEl)
 	tx.Modify(bodyEl, prod.Attrs{"cursor": bodyEl.Int("cursor") + 1})
-}
-
-func (s *synth) fitsStep(op *vt.Op, step int) bool {
-	u := s.usage(op.Body, step)
-	if s.lim.MaxOpsPerStep > 0 && u.total >= s.lim.MaxOpsPerStep {
-		return false
-	}
-	if op.Kind.IsCompute() {
-		if cap, capped := s.lim.UnitsPerKind[op.Kind]; capped && cap > 0 && u.kind[op.Kind] >= cap {
-			return false
-		}
-	}
-	switch op.Kind {
-	case vt.OpMemRead, vt.OpMemWrite:
-		if u.mem[op.Carrier] > 0 {
-			return false
-		}
-	case vt.OpWrite:
-		if len(u.regWrites[op.Carrier]) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *synth) markStep(op *vt.Op, step int) {
-	u := s.usage(op.Body, step)
-	u.total++
-	if op.Kind.IsCompute() {
-		u.kind[op.Kind]++
-	}
-	switch op.Kind {
-	case vt.OpMemRead, vt.OpMemWrite:
-		u.mem[op.Carrier]++
-	case vt.OpWrite:
-		u.regWrites[op.Carrier] = append(u.regWrites[op.Carrier], op)
-	}
 }
 
 // placeRule builds the shared shape of the placement rules: the body
@@ -175,22 +132,17 @@ var controlRules = []*prod.Rule{
 }
 
 // finishControl materializes the control steps chosen by the placement
-// rules as design states and binds every operator to its state.
+// rules as design states and binds every operator to its state. The
+// cursor placed each body's operators in trace order, so every step lists
+// its operators in the order rtl.Design.Validate requires.
 func (s *synth) finishControl() error {
 	for _, body := range s.tr.Bodies {
-		for i := 0; i < s.bodyLen[body]; i++ {
-			s.d.AddState(body.Name, i)
-		}
-		steps := s.d.Steps(body.Name)
 		for _, op := range body.Ops {
-			step, ok := s.opStep[op]
-			if !ok {
+			if _, ok := s.steps[body].OfOp[op]; !ok {
 				return fmt.Errorf("operator %s was never placed", op)
 			}
-			st := steps[step]
-			st.Ops = append(st.Ops, op)
-			s.d.OpState[op] = st
 		}
 	}
+	bind.ApplySchedule(s.d, s.steps)
 	return nil
 }

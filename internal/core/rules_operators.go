@@ -13,19 +13,6 @@ import (
 // into multi-function ALUs is deliberately left to the global-improvement
 // phase, as in the prototype.
 
-func unitWidthFor(op *vt.Op) int {
-	w := 0
-	for _, a := range op.Args {
-		if a.Width > w {
-			w = a.Width
-		}
-	}
-	if op.Result != nil && op.Result.Width > w {
-		w = op.Result.Width
-	}
-	return w
-}
-
 func (s *synth) seedOperators(wm *prod.WM) {
 	for _, op := range s.tr.AllOps() {
 		if !op.Kind.IsCompute() {
@@ -35,14 +22,14 @@ func (s *synth) seedOperators(wm *prod.WM) {
 			"op":    op,
 			"kind":  op.Kind.String(),
 			"class": opClass(op.Kind),
-			"width": unitWidthFor(op),
+			"width": op.UnitWidth(),
 		})
 	}
 }
 
 // bindOpToUnit performs the binding bookkeeping shared by every rule here.
 func (s *synth) bindOpToUnit(op *vt.Op, u *rtl.Unit) {
-	if w := unitWidthFor(op); w > u.Width {
+	if w := op.UnitWidth(); w > u.Width {
 		u.Width = w
 	}
 	s.d.OpUnit[op] = u

@@ -36,6 +36,10 @@ func (in Input) ContentHash() [sha256.Size]byte {
 // fragment, so keys for pre-existing option sets are byte-identical to
 // what earlier releases produced (the golden key tests pin this).
 //
+// The baseline allocators ignore the DAA-only knobs (daaOnlyKnobs), so
+// for them Key writes those knobs at their defaults: option sets that
+// compile one baseline design share one key. DAA keys are unaffected.
+//
 // Both limits fragments are written from Core.Limits, which all three
 // allocators schedule under. The baselines once carried a second copy of
 // the limits, and every key in service spells both fragments.
@@ -55,6 +59,11 @@ func (in Input) ContentHash() [sha256.Size]byte {
 // routing.
 func (o Options) Key() string {
 	k := o.Knobs()
+	if a := k["allocator"]; a == AllocLeftEdge || a == AllocNaive {
+		for _, name := range daaOnlyKnobs {
+			k[name] = knobIndex[name].Default
+		}
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "alloc=%s", k["allocator"])
 	fmt.Fprintf(&b, ";trace-rules=%s;cleanup=%s;exhaustive=false;lite=false;crosscheck=%s;journal=%s",
@@ -98,6 +107,11 @@ func (o Options) Key() string {
 	}
 	return b.String()
 }
+
+// daaOnlyKnobs are the knobs only the DAA reads. The DAA ignores
+// "scheduler" in turn; that fragment stays, since no synthesize request
+// can set the knob.
+var daaOnlyKnobs = []string{"trace-rules", "cleanup", "crosscheck", "journal", "fold-slack"}
 
 // Cacheable reports whether Key fully determines the compilation result:
 // false when the options carry live state (a firing-trace writer, extra

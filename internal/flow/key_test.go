@@ -81,6 +81,26 @@ func TestOptionsKeyNormalizesDefaults(t *testing.T) {
 	}
 }
 
+// TestBaselineKeysIgnoreDAAKnobs checks that a baseline allocator keys
+// like its plain option set whatever the DAA-only knobs say: the
+// baselines ignore them, so such option sets compile one design and must
+// share one design-cache entry.
+func TestBaselineKeysIgnoreDAAKnobs(t *testing.T) {
+	naive := flow.Options{Allocator: flow.AllocNaive}
+	leftedge := flow.Options{Allocator: flow.AllocLeftEdge}
+	for name, c := range map[string]struct{ got, want flow.Options }{
+		"naive-no-cleanup":     {flow.Options{Allocator: flow.AllocNaive, Core: core.Options{DisableCleanup: true}}, naive},
+		"leftedge-journal":     {flow.Options{Allocator: flow.AllocLeftEdge, Core: core.Options{Journal: true}}, leftedge},
+		"naive-fold-slack":     {flow.Options{Allocator: flow.AllocNaive, Core: core.Options{FoldSlack: 3}}, naive},
+		"naive-no-trace-rules": {flow.Options{Allocator: flow.AllocNaive, Core: core.Options{DisableTraceRules: true}}, naive},
+		"leftedge-crosscheck":  {flow.Options{Allocator: flow.AllocLeftEdge, Core: core.Options{CrossCheckMatch: true}}, leftedge},
+	} {
+		if got, want := c.got.Key(), c.want.Key(); got != want {
+			t.Errorf("%s keys differently from the plain baseline:\n  %q\n  %q", name, got, want)
+		}
+	}
+}
+
 // TestOptionsCacheable pins which options a result cache may store: live
 // state (trace writers, extra rules) cannot be canonicalized and must be
 // refused.

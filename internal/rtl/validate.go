@@ -3,6 +3,7 @@ package rtl
 import (
 	"fmt"
 
+	"repro/internal/sched"
 	"repro/internal/vt"
 )
 
@@ -292,8 +293,7 @@ func (d *Design) validateBindings() error {
 			if ds == nil {
 				return fmt.Errorf("rtl: dependence of %s unscheduled", op)
 			}
-			strict := dep.Kind == vt.OpWrite || dep.Kind == vt.OpMemWrite || dep.Kind.IsControl()
-			if ds.Index > s.Index || (strict && ds.Index >= s.Index) {
+			if ds.Index > s.Index || (sched.StrictAfter(dep) && ds.Index >= s.Index) {
 				return fmt.Errorf("rtl: op %s in step %d violates dependence on %s in step %d", op, s.Index, dep, ds.Index)
 			}
 		}
@@ -326,16 +326,7 @@ func (d *Design) validateBindings() error {
 			if !u.Has(op.Kind) {
 				return fmt.Errorf("rtl: op %s bound to %s which lacks %s", op, u, op.Kind)
 			}
-			need := 0
-			for _, a := range op.Args {
-				if a.Width > need {
-					need = a.Width
-				}
-			}
-			if op.Result != nil && op.Result.Width > need {
-				need = op.Result.Width
-			}
-			if u.Width < need {
+			if need := op.UnitWidth(); u.Width < need {
 				return fmt.Errorf("rtl: op %s needs %d bits but %s is narrower", op, need, u)
 			}
 			key := stateUnit{s, u}

@@ -5,12 +5,16 @@
 // combinational operators (reads, computes, wiring) may chain within a
 // step; register writes, memory writes, and control operators take effect
 // at end-of-step, so their dependents must occupy strictly later steps.
-//
-// ASAP and ALAP give the unconstrained extremes and mobility; List performs
-// resource-constrained list scheduling honoring per-operation-kind unit
-// caps, single-ported memories, and one-write-per-register-per-step.
+// Schedule owns that rule for every allocator: Earliest is the dependence
+// bound, Fits decides what may share a step (the per-step operator cap,
+// per-operation-kind unit caps, single-ported memories, and
+// one-write-per-register-per-step), and Place records a decision. The
+// DAA's control phase fills a Schedule through them as List does.
 // Memories are single-ported because the register-transfer model gives
 // each memory one address port; that is not a limit callers can raise.
+//
+// ASAP and ALAP give the unconstrained extremes and mobility; List performs
+// resource-constrained list scheduling under Limits.
 //
 // Schedulers are addressable by name (SchedList, SchedASAP, SchedALAP) so
 // callers can sweep the scheduling policy as an option. Infeasible inputs
@@ -21,6 +25,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/vt"
@@ -69,10 +74,30 @@ func (l Limits) ForProgram(p *vt.Program) Limits {
 }
 
 // Schedule assigns each operator of one body to a control step.
+// Allocators fill one through Earliest, Fits and Place.
 type Schedule struct {
 	Body  *vt.Body
 	Steps [][]*vt.Op
 	OfOp  map[*vt.Op]int
+
+	// use[i] is what the operators Place put in step i claim. Place grows
+	// it with Steps, so a step at or past len(use) holds no operator. A
+	// step holds about three operators, so each claim list is a short
+	// slice.
+	use []stepUse
+}
+
+// stepUse is one step's claims on the resources the step rule limits.
+type stepUse struct {
+	ops   int           // operators in the step
+	units []vt.OpKind   // the kind of each compute operator
+	mems  []*vt.Carrier // memories accessed
+	regs  []*vt.Carrier // registers written
+}
+
+// New returns an empty schedule of b.
+func New(b *vt.Body) *Schedule {
+	return &Schedule{Body: b, OfOp: make(map[*vt.Op]int, len(b.Ops))}
 }
 
 // Len reports the number of control steps.
@@ -84,26 +109,83 @@ func StrictAfter(dep *vt.Op) bool {
 	return dep.Kind == vt.OpWrite || dep.Kind == vt.OpMemWrite || dep.Kind.IsControl()
 }
 
+// Earliest returns the first step op's dependences allow: op may chain
+// behind a combinational dependence in its step, but sits strictly after
+// one that commits at end-of-step. Every dependence must be placed.
+func (s *Schedule) Earliest(op *vt.Op) int {
+	step := 0
+	for _, dep := range op.Deps {
+		at := s.OfOp[dep]
+		if StrictAfter(dep) {
+			at++
+		}
+		step = max(step, at)
+	}
+	return step
+}
+
+// Fits reports whether op may join the given step under lim: the step
+// stays within MaxOpsPerStep and op's unit cap (a cap of 0, or none,
+// leaves the kind uncapped), a memory access finds the memory's one port
+// free, and a register write finds no other write to that register. A
+// step past the end is empty and admits any operator. Fits reads what
+// Place recorded and does not test dependences (see Earliest).
+func (s *Schedule) Fits(op *vt.Op, step int, lim Limits) bool {
+	if step >= len(s.use) {
+		return true
+	}
+	u := &s.use[step]
+	if lim.MaxOpsPerStep > 0 && u.ops >= lim.MaxOpsPerStep {
+		return false
+	}
+	switch {
+	case op.Kind.IsCompute():
+		units := lim.UnitsPerKind[op.Kind]
+		busy := 0
+		for _, k := range u.units {
+			if k == op.Kind {
+				busy++
+			}
+		}
+		return units <= 0 || busy < units
+	case op.Kind == vt.OpMemRead || op.Kind == vt.OpMemWrite:
+		return !slices.Contains(u.mems, op.Carrier)
+	case op.Kind == vt.OpWrite:
+		return !slices.Contains(u.regs, op.Carrier)
+	}
+	return true
+}
+
+// Place appends op to the given step, growing the schedule to reach it,
+// and records what op claims there. A step lists its operators in the
+// order they were placed.
+func (s *Schedule) Place(op *vt.Op, step int) {
+	for len(s.Steps) <= step {
+		s.Steps = append(s.Steps, nil)
+	}
+	for len(s.use) <= step {
+		s.use = append(s.use, stepUse{})
+	}
+	s.Steps[step] = append(s.Steps[step], op)
+	s.OfOp[op] = step
+	u := &s.use[step]
+	u.ops++
+	switch {
+	case op.Kind.IsCompute():
+		u.units = append(u.units, op.Kind)
+	case op.Kind == vt.OpMemRead || op.Kind == vt.OpMemWrite:
+		u.mems = append(u.mems, op.Carrier)
+	case op.Kind == vt.OpWrite:
+		u.regs = append(u.regs, op.Carrier)
+	}
+}
+
 // ASAP schedules each operator as early as dependences permit, with
 // unlimited resources.
 func ASAP(b *vt.Body) *Schedule {
-	s := &Schedule{Body: b, OfOp: make(map[*vt.Op]int, len(b.Ops))}
+	s := New(b)
 	for _, op := range b.Ops {
-		step := 0
-		for _, dep := range op.Deps {
-			min := s.OfOp[dep]
-			if StrictAfter(dep) {
-				min++
-			}
-			if min > step {
-				step = min
-			}
-		}
-		s.OfOp[op] = step
-		for len(s.Steps) <= step {
-			s.Steps = append(s.Steps, nil)
-		}
-		s.Steps[step] = append(s.Steps[step], op)
+		s.Place(op, s.Earliest(op))
 	}
 	return s
 }
@@ -116,7 +198,7 @@ func ALAP(b *vt.Body, length int) (*Schedule, error) {
 		length = 1
 	}
 	succs := successors(b)
-	s := &Schedule{Body: b, OfOp: make(map[*vt.Op]int, len(b.Ops))}
+	s := New(b)
 	s.Steps = make([][]*vt.Op, length)
 	for i := len(b.Ops) - 1; i >= 0; i-- {
 		op := b.Ops[i]
@@ -133,8 +215,7 @@ func ALAP(b *vt.Body, length int) (*Schedule, error) {
 		if step < 0 {
 			return nil, fmt.Errorf("sched: ALAP length %d infeasible for body %s", length, b.Name)
 		}
-		s.OfOp[op] = step
-		s.Steps[step] = append(s.Steps[step], op)
+		s.Place(op, step)
 	}
 	// Keep per-step op order consistent with program order.
 	for _, ops := range s.Steps {
@@ -173,63 +254,35 @@ func Mobility(b *vt.Body) (map[*vt.Op]int, error) {
 // current step by ascending mobility (critical path first), subject to the
 // limits.
 func List(b *vt.Body, lim Limits) (*Schedule, error) {
-	if len(b.Ops) == 0 {
-		return &Schedule{Body: b, OfOp: map[*vt.Op]int{}}, nil
-	}
 	mobility, err := Mobility(b)
 	if err != nil {
 		return nil, err
 	}
-	s := &Schedule{Body: b, OfOp: make(map[*vt.Op]int, len(b.Ops))}
-	scheduled := make(map[*vt.Op]bool, len(b.Ops))
-	remaining := len(b.Ops)
-
-	for step := 0; remaining > 0; step++ {
+	s := New(b)
+	for step := 0; len(s.OfOp) < len(b.Ops); step++ {
 		if step > 4*len(b.Ops)+4 {
-			return nil, fmt.Errorf("sched: list scheduler stuck on body %s (limits leave %d ops unplaceable)", b.Name, remaining)
+			return nil, fmt.Errorf("sched: list scheduler stuck on body %s (limits leave %d ops unplaceable)", b.Name, len(b.Ops)-len(s.OfOp))
 		}
-		var placed []*vt.Op
-		usedKind := map[vt.OpKind]int{}
-		usedMem := map[*vt.Carrier]int{}
-		regWrites := map[*vt.Carrier][]*vt.Op{}
-		total := 0
-		for {
-			ready := readyOps(b, s, scheduled, step)
-			if len(ready) == 0 {
-				break
-			}
+		s.Steps = append(s.Steps, nil)
+		for closed := false; !closed; {
+			ready := readyOps(s, step)
 			sort.Slice(ready, func(i, j int) bool {
 				if mobility[ready[i]] != mobility[ready[j]] {
 					return mobility[ready[i]] < mobility[ready[j]]
 				}
 				return ready[i].Seq < ready[j].Seq
 			})
-			progress := false
-			for _, op := range ready {
-				if lim.MaxOpsPerStep > 0 && total >= lim.MaxOpsPerStep {
-					break
-				}
-				if !fits(op, lim, usedKind, usedMem, regWrites) {
-					continue
-				}
-				place(op, step, s, scheduled, usedKind, usedMem, regWrites)
-				placed = append(placed, op)
-				total++
-				remaining--
-				progress = true
-				// Control operators end the step.
-				if op.Kind.IsControl() && op.Kind != vt.OpNop {
-					progress = false
-					ready = nil
-				}
-				break // recompute readiness: chained consumers may now fit
-			}
-			if !progress {
+			i := slices.IndexFunc(ready, func(op *vt.Op) bool { return s.Fits(op, step, lim) })
+			if i < 0 {
 				break
 			}
+			s.Place(ready[i], step)
+			// Control operators end the step; otherwise recompute
+			// readiness, since chained consumers may now fit.
+			closed = ready[i].Kind.IsControl() && ready[i].Kind != vt.OpNop
 		}
-		sort.Slice(placed, func(i, j int) bool { return placed[i].Seq < placed[j].Seq })
-		s.Steps = append(s.Steps, placed)
+		ops := s.Steps[step]
+		sort.Slice(ops, func(i, j int) bool { return ops[i].Seq < ops[j].Seq })
 	}
 	return s, nil
 }
@@ -249,67 +302,25 @@ func For(name string, b *vt.Body, lim Limits) (*Schedule, error) {
 	}
 }
 
-// readyOps returns unscheduled operators whose dependences allow placement
-// in the given step.
-func readyOps(b *vt.Body, s *Schedule, scheduled map[*vt.Op]bool, step int) []*vt.Op {
+// readyOps returns the unplaced operators whose dependences are all placed
+// and allow the given step.
+func readyOps(s *Schedule, step int) []*vt.Op {
 	var out []*vt.Op
-	for _, op := range b.Ops {
-		if scheduled[op] {
+next:
+	for _, op := range s.Body.Ops {
+		if _, placed := s.OfOp[op]; placed {
 			continue
 		}
-		ok := true
 		for _, dep := range op.Deps {
-			if !scheduled[dep] {
-				ok = false
-				break
-			}
-			min := s.OfOp[dep]
-			if StrictAfter(dep) {
-				min++
-			}
-			if min > step {
-				ok = false
-				break
+			if _, placed := s.OfOp[dep]; !placed {
+				continue next
 			}
 		}
-		if ok {
+		if s.Earliest(op) <= step {
 			out = append(out, op)
 		}
 	}
 	return out
-}
-
-func fits(op *vt.Op, lim Limits, usedKind map[vt.OpKind]int, usedMem map[*vt.Carrier]int, regWrites map[*vt.Carrier][]*vt.Op) bool {
-	if op.Kind.IsCompute() {
-		if cap, capped := lim.UnitsPerKind[op.Kind]; capped && cap > 0 && usedKind[op.Kind] >= cap {
-			return false
-		}
-	}
-	switch op.Kind {
-	case vt.OpMemRead, vt.OpMemWrite:
-		if usedMem[op.Carrier] > 0 {
-			return false
-		}
-	case vt.OpWrite:
-		if len(regWrites[op.Carrier]) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func place(op *vt.Op, step int, s *Schedule, scheduled map[*vt.Op]bool, usedKind map[vt.OpKind]int, usedMem map[*vt.Carrier]int, regWrites map[*vt.Carrier][]*vt.Op) {
-	scheduled[op] = true
-	s.OfOp[op] = step
-	if op.Kind.IsCompute() {
-		usedKind[op.Kind]++
-	}
-	switch op.Kind {
-	case vt.OpMemRead, vt.OpMemWrite:
-		usedMem[op.Carrier]++
-	case vt.OpWrite:
-		regWrites[op.Carrier] = append(regWrites[op.Carrier], op)
-	}
 }
 
 // Verify checks that the schedule covers every operator exactly once and
@@ -318,6 +329,9 @@ func place(op *vt.Op, step int, s *Schedule, scheduled map[*vt.Op]bool, usedKind
 func (s *Schedule) Verify(lim Limits) error {
 	seen := map[*vt.Op]bool{}
 	for step, ops := range s.Steps {
+		if lim.MaxOpsPerStep > 0 && len(ops) > lim.MaxOpsPerStep {
+			return fmt.Errorf("sched: step %d holds %d ops, over the cap of %d", step, len(ops), lim.MaxOpsPerStep)
+		}
 		usedKind := map[vt.OpKind]int{}
 		usedMem := map[*vt.Carrier]int{}
 		regWrites := map[*vt.Carrier][]*vt.Op{}

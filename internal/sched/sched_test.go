@@ -223,6 +223,79 @@ func TestVerifyCatchesMissingOp(t *testing.T) {
 	}
 }
 
+func TestVerifyCatchesOpCap(t *testing.T) {
+	tr := trace(t, "reg A<7:0>", "A := A + 1")
+	s := ASAP(tr.Main)
+	if len(s.Steps[0]) < 2 {
+		t.Fatalf("step 0 holds %d ops, want at least 2", len(s.Steps[0]))
+	}
+	if err := s.Verify(Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Verify(Limits{MaxOpsPerStep: 1}); err == nil {
+		t.Fatal("a step over the op cap passed verification")
+	}
+}
+
+// opsOf returns the operators of b of kind k on the named carrier, in
+// trace order; an empty name matches any carrier.
+func opsOf(b *vt.Body, k vt.OpKind, carrier string) []*vt.Op {
+	var out []*vt.Op
+	for _, op := range b.Ops {
+		if op.Kind == k && (carrier == "" || op.Carrier != nil && op.Carrier.Name == carrier) {
+			out = append(out, op)
+		}
+	}
+	return out
+}
+
+// TestFits drives the step rule one case at a time: each row places some
+// operators in step 0 and asks whether one more may join a step.
+func TestFits(t *testing.T) {
+	tr := trace(t, "mem M[0:7]<7:0> mem N[0:7]<7:0> reg A<7:0> reg B<7:0> reg P<2:0> reg Q<2:0>",
+		"A := M[P] + 1\nA := M[Q] + N[P]\nB := A + 1\nM[P] := B")
+	b := tr.Main
+	adds := opsOf(b, vt.OpAdd, "")
+	readsM := opsOf(b, vt.OpMemRead, "M")
+	readN := opsOf(b, vt.OpMemRead, "N")[0]
+	writeM := opsOf(b, vt.OpMemWrite, "M")[0]
+	writesA := opsOf(b, vt.OpWrite, "A")
+	writeB := opsOf(b, vt.OpWrite, "B")[0]
+	readA := opsOf(b, vt.OpRead, "A")[0]
+	adders := func(n int) map[vt.OpKind]int { return map[vt.OpKind]int{vt.OpAdd: n} }
+	for _, c := range []struct {
+		name   string
+		placed []*vt.Op // in step 0
+		op     *vt.Op
+		step   int
+		lim    Limits
+		want   bool
+	}{
+		{"op cap reached", []*vt.Op{readA}, adds[0], 0, Limits{MaxOpsPerStep: 1}, false},
+		{"op cap not reached", []*vt.Op{readA}, adds[0], 0, Limits{MaxOpsPerStep: 2}, true},
+		{"unit cap reached", adds[:1], adds[1], 0, Limits{UnitsPerKind: adders(1)}, false},
+		{"unit cap not reached", adds[:2], adds[2], 0, Limits{UnitsPerKind: adders(3)}, true},
+		{"unit cap of 0 is no cap", adds[:2], adds[2], 0, Limits{UnitsPerKind: adders(0)}, true},
+		{"absent kind is uncapped", adds[:2], adds[2], 0, Limits{UnitsPerKind: map[vt.OpKind]int{vt.OpSub: 1}}, true},
+		{"second read of one memory", readsM[:1], readsM[1], 0, Limits{}, false},
+		{"write to a memory read in the step", readsM[:1], writeM, 0, Limits{}, false},
+		{"access to another memory", readsM[:1], readN, 0, Limits{}, true},
+		{"second write to one register", writesA[:1], writesA[1], 0, Limits{}, false},
+		{"write to another register", writesA[:1], writeB, 0, Limits{}, true},
+		{"read of a register written in the step", writesA[:1], readA, 0, Limits{}, true},
+		{"step past the end", []*vt.Op{adds[0], readsM[0], writesA[0]}, adds[1], 1,
+			Limits{MaxOpsPerStep: 1, UnitsPerKind: adders(1)}, true},
+	} {
+		s := New(b)
+		for _, op := range c.placed {
+			s.Place(op, 0)
+		}
+		if got := s.Fits(c.op, c.step, c.lim); got != c.want {
+			t.Errorf("%s: Fits(%s, %d) = %t, want %t", c.name, c.op, c.step, got, c.want)
+		}
+	}
+}
+
 // Property: for random straight-line programs, list scheduling under a
 // 1-adder limit verifies and is never shorter than the unconstrained ASAP.
 func TestListScheduleProperty(t *testing.T) {

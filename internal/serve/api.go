@@ -75,7 +75,8 @@ type RequestOptions struct {
 	MaxOpsPerStep int `json:"maxOpsPerStep,omitempty"`
 	// Provenance journals the run's rule firings and builds the
 	// provenance index; the response carries a provenance summary and the
-	// design becomes queryable through GET /v1/explain. DAA only.
+	// design becomes queryable through GET /v1/explain. DAA only: with a
+	// baseline allocator the request is refused (400).
 	Provenance bool `json:"provenance,omitempty"`
 	// Verify runs the cosim stage — seeded stimulus through the behavioral
 	// interpreter and the register-transfer simulator — and the response
@@ -94,7 +95,12 @@ func (o RequestOptions) flowOptions() (flow.Options, error) {
 		alloc = flow.AllocDAA
 	}
 	switch alloc {
-	case flow.AllocDAA, flow.AllocLeftEdge, flow.AllocNaive:
+	case flow.AllocDAA:
+	case flow.AllocLeftEdge, flow.AllocNaive:
+		if o.Provenance {
+			// Provenance indexes rule firings; a baseline fires none.
+			return flow.Options{}, fmt.Errorf("provenance needs allocator %s: the %s allocator fires no rules", flow.AllocDAA, alloc)
+		}
 	default:
 		return flow.Options{}, fmt.Errorf("unknown allocator %q (want %s, %s, or %s)",
 			o.Allocator, flow.AllocDAA, flow.AllocLeftEdge, flow.AllocNaive)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"net/http"
 	"strings"
 	"testing"
 
@@ -53,5 +54,44 @@ func TestBaselineDesignsDeterministic(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBaselineProvenanceRefused: provenance indexes rule firings, which a
+// baseline allocator has none of, so asking for it is a request error.
+func TestBaselineProvenanceRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, a := range []string{flow.AllocLeftEdge, flow.AllocNaive} {
+		req := benchRequest(t, "gcd")
+		req.Options = RequestOptions{Allocator: a, Provenance: true}
+		resp, body := postJSON(t, ts.URL+"/v1/synthesize", req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", a, resp.StatusCode, body)
+		}
+		want := "provenance needs allocator daa: the " + a + " allocator fires no rules"
+		if er := decodeError(t, body); er.Kind != KindRequest || er.Error != want {
+			t.Errorf("%s: error %+v, want kind %s, %q", a, er, KindRequest, want)
+		}
+	}
+}
+
+// TestBaselineIgnoresDAAKnobsInCache: the baselines ignore the DAA-only
+// options, so a baseline request that sets one is served from the entry
+// its plain spelling filled.
+func TestBaselineIgnoresDAAKnobsInCache(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req := benchRequest(t, "gcd")
+	req.Options = RequestOptions{Allocator: flow.AllocNaive}
+	resp, body := postJSON(t, ts.URL+"/v1/synthesize", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	req.Options.NoCleanup = true
+	resp2, body2 := postJSON(t, ts.URL+"/v1/synthesize", req)
+	if got := resp2.Header.Get("X-DAAD-Cache"); got != "hit" {
+		t.Errorf("naive with noCleanup after naive: cache header %q, want hit", got)
+	}
+	if string(body2) != string(body) {
+		t.Error("cache hit body differs from the miss that filled it")
 	}
 }

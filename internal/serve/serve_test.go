@@ -874,3 +874,35 @@ func TestStalledHeadersClosed(t *testing.T) {
 		}
 	}
 }
+
+// TestStalledBodyClosed: a connection that sends its headers and part of
+// the body they announce, then stalls, gets its 400 and is closed once the
+// read timeout passes, instead of holding a connection and a goroutine.
+func TestStalledBodyClosed(t *testing.T) {
+	defer func(d time.Duration) { readTimeout = d }(readTimeout)
+	readTimeout = 100 * time.Millisecond
+	s := New(Config{})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(l)
+	defer s.Shutdown(context.Background())
+	c, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	head := "POST /v1/synthesize HTTP/1.1\r\nHost: daad\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n"
+	if _, err := io.WriteString(c, head+`{"source":`); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(c)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("stalled connection still open after 5s")
+	}
+	if !strings.HasPrefix(string(got), "HTTP/1.1 400 ") {
+		t.Errorf("stalled client got %q, want a 400", got)
+	}
+}

@@ -112,6 +112,13 @@ type Server struct {
 // a connection and a goroutine forever. A variable so tests can shorten it.
 var readHeaderTimeout = 10 * time.Second
 
+// readTimeout bounds how long a connection may take to send a whole
+// request, body included: one that stalls mid-body is closed. It does not
+// cut off a long synthesis, since net/http clears the read deadline once
+// the handler has the body. With IdleTimeout unset it also closes idle
+// keep-alive connections. A variable so tests can shorten it.
+var readTimeout = time.Minute
+
 // New builds a Server from cfg (zero value fine).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
@@ -130,6 +137,7 @@ func New(cfg Config) *Server {
 	s.ready.Store(true)
 	s.http.Handler = s.Handler()
 	s.http.ReadHeaderTimeout = readHeaderTimeout
+	s.http.ReadTimeout = readTimeout
 	return s
 }
 

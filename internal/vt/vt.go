@@ -245,6 +245,19 @@ func (o *Op) String() string {
 	return b.String()
 }
 
+// UnitWidth is the width a functional unit needs to execute the operator:
+// its widest operand or result.
+func (o *Op) UnitWidth() int {
+	w := 0
+	for _, a := range o.Args {
+		w = max(w, a.Width)
+	}
+	if o.Result != nil {
+		w = max(w, o.Result.Width)
+	}
+	return w
+}
+
 // BodyKind classifies how a body is reached.
 type BodyKind int
 
