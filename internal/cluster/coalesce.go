@@ -17,7 +17,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sync"
@@ -138,7 +137,7 @@ func (co *Coordinator) runFlight(key string, f *flight, path string, body []byte
 		return
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxCoalescedBody))
+	raw, err := readResponse(resp, maxCoalescedBody)
 	if err != nil {
 		f.err = fmt.Errorf("peer %s: reading response: %w", peer.id, err)
 		return

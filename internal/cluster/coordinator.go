@@ -19,6 +19,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -394,6 +395,18 @@ func (co *Coordinator) observeResponse(peer *peerState, resp *http.Response) {
 	}
 }
 
+// readResponse reads at most limit bytes of a forwarded response body. A
+// declared length sizes the buffer once, as Frame.ReadBody does for
+// requests; the limit still applies to what arrives.
+func readResponse(resp *http.Response, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= limit {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(io.LimitReader(resp.Body, limit))
+	return buf.Bytes(), err
+}
+
 // copyHeaders propagates the response headers a caller can act on: the
 // body type, the shard identity pair (which worker served it, whether it
 // was a cache hit), the worker-side request ID, and Retry-After on 429
@@ -484,7 +497,7 @@ func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			defer resp.Body.Close()
 			co.observeResponse(peer, resp)
-			raw, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+			raw, err := readResponse(resp, 256<<20)
 			if err != nil {
 				co.fillGroupError(items, g.indices, err)
 				return

@@ -264,8 +264,11 @@ type Front struct {
 // Explore evaluates the grid around the base options: each assignment is
 // applied to a copy of base, compiled on the RunAll pool (sharing the
 // front-end artifact cache across all points), and reduced to a Pareto
-// front over (cost, area, steps). Per-point failures are reported in the
-// front; only context cancellation (or an over-large grid) fails the call.
+// front over (cost, area, steps). Points whose option sets share an
+// Options.Key compile one design (a baseline ignores the DAA-only knobs,
+// for example), so each distinct key compiles once and its points share
+// the outcome. Per-point failures are reported in the front; only context
+// cancellation (or an over-large grid) fails the call.
 func Explore(ctx context.Context, in Input, base Options, grid Grid) (*Front, error) {
 	if len(grid) == 0 {
 		return nil, Usagef("empty grid: name at least one knob axis")
@@ -275,49 +278,62 @@ func Explore(ctx context.Context, in Input, base Options, grid Grid) (*Front, er
 	}
 	assignments := grid.expand()
 	points := make([]Point, len(assignments))
-	err := RunAll(ctx, len(assignments), func(ctx context.Context, i int) error {
-		p := Point{Knobs: assignments[i], KnobKey: KnobKey(assignments[i])}
+	var distinct []Options    // one option set per distinct key, first point first
+	byKey := map[string]int{} // option key -> index into distinct
+	for i, a := range assignments {
+		p := Point{Knobs: a, KnobKey: KnobKey(a)}
 		opt := base
-		if err := opt.ApplyKnobs(assignments[i]); err != nil {
+		if err := opt.ApplyKnobs(a); err != nil {
 			// ParseGrid validated every value, so this only fires for
 			// hand-built grids; still a per-point failure, not a sweep error.
 			p.Failed, p.Err = true, err.Error()
-			points[i] = p
-			return nil
+		} else {
+			p.OptionsKey = opt.Key()
+			if _, ok := byKey[p.OptionsKey]; !ok {
+				byKey[p.OptionsKey] = len(distinct)
+				distinct = append(distinct, opt)
+			}
 		}
-		p.OptionsKey = opt.Key()
-		res, err := Compile(ctx, in, opt)
+		points[i] = p
+	}
+	outcomes := make([]Point, len(distinct)) // the compiled fields only
+	err := RunAll(ctx, len(distinct), func(ctx context.Context, i int) error {
+		out := &outcomes[i]
+		res, err := Compile(ctx, in, distinct[i])
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			p.Failed, p.Err = true, err.Error()
-			var diags DiagnosticList
-			if errors.As(err, &diags) {
-				p.Diags = diags
-			}
-			points[i] = p
+			out.Failed, out.Err = true, err.Error()
+			errors.As(err, &out.Diags)
 			return nil
 		}
 		counts := res.Design.Counts()
-		p.Metrics = PointMetrics{
+		out.Metrics = PointMetrics{
 			Cost:  res.Cost.Datapath,
 			Area:  counts.Registers + counts.Units + counts.Muxes + counts.Links + counts.Consts,
 			Steps: counts.States,
 		}
 		if prov := res.Provenance(); prov != nil {
 			firings, effects := res.Journal().Counts()
-			p.Provenance = &PointProvenance{
+			out.Provenance = &PointProvenance{
 				Components: len(prov.Components),
 				Firings:    firings,
 				Effects:    effects,
 			}
 		}
-		points[i] = p
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	for i := range points {
+		p := &points[i]
+		if p.OptionsKey == "" {
+			continue // the assignment did not apply
+		}
+		out := outcomes[byKey[p.OptionsKey]]
+		p.Metrics, p.Failed, p.Err, p.Diags, p.Provenance = out.Metrics, out.Failed, out.Err, out.Diags, out.Provenance
 	}
 
 	sort.Slice(points, func(i, j int) bool { return points[i].KnobKey < points[j].KnobKey })

@@ -2,25 +2,30 @@ package flow
 
 import (
 	"crypto/sha256"
-	"fmt"
-	"sort"
+	"strconv"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/sched"
-	"repro/internal/vt"
 )
 
 // ContentHash returns the input's cache identity: a SHA-256 over the name
 // and source with a separator, so (name, source) pairs cannot collide by
 // concatenation. It keys the front-end artifact cache here and the design
-// cache in internal/serve.
-func (in Input) ContentHash() [sha256.Size]byte {
+// cache in internal/serve. The strings reach the hash through a fixed
+// buffer instead of a []byte conversion, which would copy the whole
+// source on every call.
+func (in Input) ContentHash() (k [sha256.Size]byte) {
 	h := sha256.New()
-	h.Write([]byte(in.Name))
-	h.Write([]byte{0})
-	h.Write([]byte(in.Source))
-	var k [sha256.Size]byte
-	copy(k[:], h.Sum(nil))
+	var buf [512]byte
+	for _, s := range [...]string{in.Name, "\x00", in.Source} {
+		for len(s) > 0 {
+			n := copy(buf[:], s)
+			h.Write(buf[:n])
+			s = s[n:]
+		}
+	}
+	h.Sum(k[:0])
 	return k
 }
 
@@ -28,17 +33,23 @@ func (in Input) ContentHash() [sha256.Size]byte {
 // a stable string: equal option sets always produce equal keys, and
 // distinct option sets (different allocator, scheduler, ablations, matcher
 // cross-check, scheduler limits, cost model, fold slack, or emit/cosim
-// stage selection) never share one. Key is built from the canonical knob
-// encoding (Options.Knobs), so defaults are normalized — the zero Options
-// and an explicit {Allocator: "daa"} key identically — and result caches
-// keyed by (Input.ContentHash, Options.Key) hit across equivalent
-// spellings. Knobs still at their default (scheduler, fold-slack) write no
-// fragment, so keys for pre-existing option sets are byte-identical to
-// what earlier releases produced (the golden key tests pin this).
+// stage selection) never share one. Each fragment spells its knob's
+// canonical wire value (the spelling Options.Knobs returns), so defaults
+// are normalized — the zero Options and an explicit {Allocator: "daa"}
+// key identically — and result caches keyed by (Input.ContentHash,
+// Options.Key) hit across equivalent spellings. Key writes the fragments
+// straight from the option fields rather than through Knobs, because a
+// design-cache hit computes it on every request; a test keeps the two
+// spellings equal over the knob space. Knobs still at their default
+// (scheduler, fold-slack) write no fragment, so keys for pre-existing
+// option sets are byte-identical to what earlier releases produced (the
+// golden key tests pin this).
 //
-// The baseline allocators ignore the DAA-only knobs (daaOnlyKnobs), so
-// for them Key writes those knobs at their defaults: option sets that
-// compile one baseline design share one key. DAA keys are unaffected.
+// The baseline allocators ignore the DAA-only knobs (trace-rules,
+// cleanup, crosscheck, journal, fold-slack), so for them Key writes those
+// knobs at their defaults: option sets that compile one baseline design
+// share one key. DAA keys are unaffected. The DAA ignores "scheduler" in
+// turn; that fragment stays, since no synthesize request can set the knob.
 //
 // Both limits fragments are written from Core.Limits, which all three
 // allocators schedule under. The baselines once carried a second copy of
@@ -58,36 +69,50 @@ func (in Input) ContentHash() [sha256.Size]byte {
 // dropping them would silently split every cache and reshuffle cluster
 // routing.
 func (o Options) Key() string {
-	k := o.Knobs()
-	if a := k["allocator"]; a == AllocLeftEdge || a == AllocNaive {
-		for _, name := range daaOnlyKnobs {
-			k[name] = knobIndex[name].Default
+	var b strings.Builder
+	b.Grow(keySize)
+	put := func(parts ...string) {
+		for _, p := range parts {
+			b.WriteString(p)
 		}
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "alloc=%s", k["allocator"])
-	fmt.Fprintf(&b, ";trace-rules=%s;cleanup=%s;exhaustive=false;lite=false;crosscheck=%s;journal=%s",
-		k["trace-rules"], k["cleanup"], k["crosscheck"], k["journal"])
-	if v := k["scheduler"]; v != sched.SchedList {
-		fmt.Fprintf(&b, ";scheduler=%s", v)
+	alloc := o.Allocator
+	if alloc == "" {
+		alloc = AllocDAA
 	}
-	if v := k["fold-slack"]; v != "0" {
-		fmt.Fprintf(&b, ";fold-slack=%s", v)
+	daa := o.Core // the DAA-only knobs, left at their defaults for a baseline
+	if alloc == AllocLeftEdge || alloc == AllocNaive {
+		daa = core.Options{}
 	}
-	b.WriteString(";core-limits=")
-	writeLimits(&b, o.Core.Limits)
-	b.WriteString(";alloc-limits=")
-	writeLimits(&b, o.Core.Limits)
-	b.WriteString(";model=")
-	if o.Model == nil {
-		b.WriteString("default")
+	put("alloc=", alloc,
+		";trace-rules=", strconv.FormatBool(!daa.DisableTraceRules),
+		";cleanup=", strconv.FormatBool(!daa.DisableCleanup),
+		";exhaustive=false;lite=false;crosscheck=", strconv.FormatBool(daa.CrossCheckMatch),
+		";journal=", strconv.FormatBool(daa.Journal))
+	if o.Scheduler != "" && o.Scheduler != sched.SchedList {
+		put(";scheduler=", o.Scheduler)
+	}
+	if v := formatFloatKnob(daa.FoldSlack); v != "0" {
+		put(";fold-slack=", v)
+	}
+	limits := o.Core.Limits
+	for _, name := range [...]string{";core-limits=", ";alloc-limits="} {
+		put(name, "memports=1,maxops=", strconv.Itoa(limits.MaxOpsPerStep), ",units=", encodeUnits(limits.UnitsPerKind))
+	}
+	if m := o.Model; m == nil {
+		put(";model=default")
 	} else {
-		m := o.Model
-		fmt.Fprintf(&b, "reg=%g,mem=%g,muxway=%g,link=%g,const=%g,port=%g,state=%g,fnsel=%g,fn=",
-			m.RegBit, m.MemBit, m.MuxWayBit, m.LinkBit, m.ConstBit, m.PortBit, m.StateCost, m.FnSelBit)
-		writeKindMapF(&b, m.FnBit)
+		put(";model=reg=", formatFloatKnob(m.RegBit),
+			",mem=", formatFloatKnob(m.MemBit),
+			",muxway=", formatFloatKnob(m.MuxWayBit),
+			",link=", formatFloatKnob(m.LinkBit),
+			",const=", formatFloatKnob(m.ConstBit),
+			",port=", formatFloatKnob(m.PortBit),
+			",state=", formatFloatKnob(m.StateCost),
+			",fnsel=", formatFloatKnob(m.FnSelBit),
+			",fn=", encodeKindMapF(m.FnBit))
 	}
-	fmt.Fprintf(&b, ";emit=%t;cosim=%t", o.EmitVerilog, o.Cosim)
+	put(";emit=", strconv.FormatBool(o.EmitVerilog), ";cosim=", strconv.FormatBool(o.Cosim))
 	if o.Cosim {
 		// Stimulus parameters shape the verdict, so they join the key —
 		// but only while the stage is on: with cosim off a stray seed must
@@ -97,21 +122,23 @@ func (o Options) Key() string {
 		// wrote), so no cache serves a verdict reached under an older,
 		// narrower one.
 		p := o.cosimParams()
-		fmt.Fprintf(&b, ";cosim-stim=%d/%dx%d,mem=written", p.Seed, p.Vectors, p.Cycles)
+		put(";cosim-stim=", strconv.FormatUint(p.Seed, 10), "/", strconv.Itoa(p.Vectors),
+			"x", strconv.Itoa(p.Cycles), ",mem=written")
 	}
 	if !o.Cacheable() {
 		// Uncacheable options still get distinct keys for logging, but two
 		// different ExtraRules sets must not alias: mark the key unique-ish
 		// by pointer-free content we can see, and let Cacheable gate reuse.
-		fmt.Fprintf(&b, ";uncacheable(trace=%t,extra-rules=%d)", o.Core.Trace != nil, len(o.Core.ExtraRules))
+		put(";uncacheable(trace=", strconv.FormatBool(o.Core.Trace != nil),
+			",extra-rules=", strconv.Itoa(len(o.Core.ExtraRules)), ")")
 	}
 	return b.String()
 }
 
-// daaOnlyKnobs are the knobs only the DAA reads. The DAA ignores
-// "scheduler" in turn; that fragment stays, since no synthesize request
-// can set the knob.
-var daaOnlyKnobs = []string{"trace-rules", "cleanup", "crosscheck", "journal", "fold-slack"}
+// keySize presizes Key's builder: the default key is 228 bytes, and the
+// scheduler, fold-slack and cosim fragments fit beside it. Only a cost
+// model override or a units table grows it.
+const keySize = 320
 
 // Cacheable reports whether Key fully determines the compilation result:
 // false when the options carry live state (a firing-trace writer, extra
@@ -119,41 +146,4 @@ var daaOnlyKnobs = []string{"trace-rules", "cleanup", "crosscheck", "journal", "
 // store or serve compilations whose options are not cacheable.
 func (o Options) Cacheable() bool {
 	return o.Core.Trace == nil && len(o.Core.ExtraRules) == 0
-}
-
-// writeLimits canonicalizes sched.Limits: map entries sort by operator
-// kind, and the nil map (the "one unit per compute kind" default) is
-// spelled distinctly from an explicit empty or populated map.
-func writeLimits(b *strings.Builder, l sched.Limits) {
-	fmt.Fprintf(b, "memports=1,maxops=%d,units=", l.MaxOpsPerStep)
-	if l.UnitsPerKind == nil {
-		b.WriteString("default")
-		return
-	}
-	kinds := make([]int, 0, len(l.UnitsPerKind))
-	for k := range l.UnitsPerKind {
-		kinds = append(kinds, int(k))
-	}
-	sort.Ints(kinds)
-	for i, k := range kinds {
-		if i > 0 {
-			b.WriteByte('+')
-		}
-		fmt.Fprintf(b, "%s:%d", vt.OpKind(k), l.UnitsPerKind[vt.OpKind(k)])
-	}
-}
-
-// writeKindMapF canonicalizes a per-kind float map, sorted by kind.
-func writeKindMapF(b *strings.Builder, m map[vt.OpKind]float64) {
-	kinds := make([]int, 0, len(m))
-	for k := range m {
-		kinds = append(kinds, int(k))
-	}
-	sort.Ints(kinds)
-	for i, k := range kinds {
-		if i > 0 {
-			b.WriteByte('+')
-		}
-		fmt.Fprintf(b, "%s:%g", vt.OpKind(k), m[vt.OpKind(k)])
-	}
 }

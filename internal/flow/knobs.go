@@ -115,7 +115,7 @@ func (o *Options) ApplyKnobs(m map[string]string) error {
 // knob-built option sets stay in canonical form (Key spells the default
 // model "default").
 func (o *Options) normalizeModel() {
-	if o.Model != nil && modelEqual(*o.Model, cost.Default()) {
+	if o.Model != nil && modelEqual(*o.Model, defaultModel) {
 		o.Model = nil
 	}
 }
@@ -129,12 +129,21 @@ func modelEqual(a, b cost.Model) bool {
 	return encodeKindMapF(a.FnBit) == encodeKindMapF(b.FnBit)
 }
 
-// model returns the effective cost model (the override or the default).
-func (o *Options) model() cost.Model {
+// defaultModel is the default cost model the knob getters read. It is
+// shared and must never be written; ensureModel copies the default for
+// an option set that mutates its model.
+var defaultModel = cost.Default()
+
+// defaultFnBit is the wire spelling of the default per-function weights.
+var defaultFnBit = encodeKindMapF(defaultModel.FnBit)
+
+// model returns the effective cost model (the override or the default),
+// for reading only.
+func (o *Options) model() *cost.Model {
 	if o.Model != nil {
-		return *o.Model
+		return o.Model
 	}
-	return cost.Default()
+	return &defaultModel
 }
 
 // ensureModel materializes the cost-model override for mutation, starting
@@ -323,13 +332,13 @@ func enumKnob(name, doc string, domain []string, get func(*Options) string, set 
 // costKnob binds one scalar cost-model weight.
 func costKnob(name, doc string, def float64, read func(*cost.Model) *float64) Knob {
 	return floatKnob(name, doc, def, 0,
-		func(o *Options) float64 { m := o.model(); return *read(&m) },
+		func(o *Options) float64 { return *read(o.model()) },
 		func(o *Options, f float64) { *read(o.ensureModel()) = f },
 	)
 }
 
 func buildKnobRegistry() []Knob {
-	def := cost.Default()
+	def := defaultModel
 	knobs := []Knob{
 		enumKnob("allocator", "back-end selection: the DAA knowledge-based allocator or a baseline",
 			[]string{AllocDAA, AllocLeftEdge, AllocNaive},
@@ -400,11 +409,10 @@ func buildKnobRegistry() []Knob {
 			Name: "cost.fn", Kind: KnobMap, Default: "default",
 			Doc: "per-function unit weights, e.g. add:12+sub:14 (unlisted kinds cost 4)",
 			get: func(o *Options) string {
-				m := o.model()
-				if encodeKindMapF(m.FnBit) == encodeKindMapF(def.FnBit) {
-					return "default"
+				if fn := encodeKindMapF(o.model().FnBit); fn != defaultFnBit {
+					return fn
 				}
-				return encodeKindMapF(m.FnBit)
+				return "default"
 			},
 			set: func(o *Options, v string) error {
 				if v == "default" {

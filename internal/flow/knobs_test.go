@@ -64,38 +64,40 @@ func TestKnobsRoundTripDefaults(t *testing.T) {
 	}
 }
 
+// knobSamples holds one non-default value for every knob.
+var knobSamples = map[string]string{
+	"allocator":     "leftedge",
+	"scheduler":     "asap",
+	"trace-rules":   "false",
+	"cleanup":       "false",
+	"crosscheck":    "true",
+	"journal":       "true",
+	"maxops":        "3",
+	"units":         "add:2",
+	"fold-slack":    "7.5",
+	"cost.reg":      "9",
+	"cost.mem":      "2.5",
+	"cost.muxway":   "2",
+	"cost.link":     "0.4",
+	"cost.const":    "0.2",
+	"cost.port":     "3",
+	"cost.state":    "15",
+	"cost.fnsel":    "3",
+	"cost.fn":       "add:16",
+	"emit":          "true",
+	"cosim":         "true",
+	"cosim-seed":    "7",
+	"cosim-vectors": "8",
+	"cosim-cycles":  "9",
+}
+
 // Every knob set to a non-default value must move the key — otherwise a
 // sweep would alias distinct option sets in the design cache. The cosim
 // stimulus knobs are the deliberate exception while cosim is off.
 func TestEachKnobMovesKey(t *testing.T) {
-	samples := map[string]string{
-		"allocator":     "leftedge",
-		"scheduler":     "asap",
-		"trace-rules":   "false",
-		"cleanup":       "false",
-		"crosscheck":    "true",
-		"journal":       "true",
-		"maxops":        "3",
-		"units":         "add:2",
-		"fold-slack":    "7.5",
-		"cost.reg":      "9",
-		"cost.mem":      "2.5",
-		"cost.muxway":   "2",
-		"cost.link":     "0.4",
-		"cost.const":    "0.2",
-		"cost.port":     "3",
-		"cost.state":    "15",
-		"cost.fnsel":    "3",
-		"cost.fn":       "add:16",
-		"emit":          "true",
-		"cosim":         "true",
-		"cosim-seed":    "7",
-		"cosim-vectors": "8",
-		"cosim-cycles":  "9",
-	}
 	cosimStim := map[string]bool{"cosim-seed": true, "cosim-vectors": true, "cosim-cycles": true}
 	for _, k := range flow.KnobSpace() {
-		v, ok := samples[k.Name]
+		v, ok := knobSamples[k.Name]
 		if !ok {
 			t.Errorf("knob %s: no non-default sample value in this test — add one", k.Name)
 			continue
@@ -189,7 +191,7 @@ func TestKnobModelNormalization(t *testing.T) {
 
 // FuzzKnobRoundTrip: any applicable knob assignment must round-trip —
 // ApplyKnobs, read back with Knobs, re-apply onto a fresh Options, and the
-// two option sets key identically.
+// two option sets key identically — and key as the knob oracle does.
 func FuzzKnobRoundTrip(f *testing.F) {
 	f.Add("allocator=leftedge;scheduler=asap;maxops=2")
 	f.Add("fold-slack=3.5;cost.reg=9;units=add:2+sub:1")
@@ -214,6 +216,9 @@ func FuzzKnobRoundTrip(f *testing.F) {
 		}
 		if a.Key() != b.Key() {
 			t.Fatalf("round-trip key mismatch for %q:\n got %q\nwant %q", spec, b.Key(), a.Key())
+		}
+		if want := oracleKey(a); a.Key() != want {
+			t.Fatalf("Key departs from the knob oracle for %q:\n got %q\nwant %q", spec, a.Key(), want)
 		}
 	})
 }

@@ -93,5 +93,52 @@ func TestCosimAllocRatchet(t *testing.T) {
 	}
 }
 
+// keyAllocCeiling caps the heap allocations of Options{}.Key(), which a
+// design-cache hit computes on both tiers: the presized builder, plus the
+// float formatting of the fold-slack check. Measured with Go 1.24: 2
+// allocations, down from 118 when Key built the full knob map and each
+// cost knob copied the default model. A change may lower it; it must
+// never raise it.
+const keyAllocCeiling = 4
+
+func TestKeyAllocRatchet(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	var key string
+	allocs := testing.AllocsPerRun(100, func() { key = flow.Options{}.Key() })
+	t.Logf("allocs per Key: %.0f (%d-byte key)", allocs, len(key))
+	if allocs > keyAllocCeiling {
+		t.Errorf("Options{}.Key made %.0f allocations, ceiling %d", allocs, keyAllocCeiling)
+	}
+}
+
+// contentHashByteCeiling caps the bytes one ContentHash of the mcs6502
+// input (an 11 KB source) allocates. Measured with Go 1.24: 0, down from
+// 12,320 when the source was converted to a []byte for the hash. The
+// ceiling leaves room for a Go release that keeps the digest or its
+// buffer on the heap (CI builds with Go 1.22).
+const contentHashByteCeiling = 1024
+
+func TestContentHashAllocRatchet(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	in := mustInput(t, "mcs6502")
+	const runs = 100
+	var sum [32]byte
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sum = in.ContentHash()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes per ContentHash of a %d-byte source (%x…)", perCall, len(in.Source), sum[:4])
+	if perCall >= contentHashByteCeiling {
+		t.Errorf("ContentHash allocated %d bytes, ceiling %d", perCall, contentHashByteCeiling)
+	}
+}
+
 // raceEnabled reports a -race build (set in race_test.go).
 var raceEnabled bool

@@ -1,9 +1,8 @@
 package serve
 
 import (
-	"fmt"
+	"strconv"
 
-	"repro/internal/flow"
 	"repro/internal/lru"
 )
 
@@ -36,10 +35,12 @@ func newDesignCache(entries int) *lru.Cache[string, []byte] {
 	return lru.New[string, []byte](entries)
 }
 
-// designKey is the cache identity of a synthesize request: content hash of
-// the source, canonical option key, artifact selection, and whether
-// timings were requested (timed responses differ run to run, so they only
-// ever hit an entry stored by an identical timed request).
-func designKey(in flow.Input, opt flow.Options, art ArtifactRequest, timings bool) string {
-	return fmt.Sprintf("%x|%s|%s|t=%t", in.ContentHash(), opt.Key(), art.key(), timings)
+// designKey is the cache identity of a synthesize request: its explain
+// key (content hash of the source and canonical option key), artifact
+// selection, and whether timings were requested (timed responses differ
+// run to run, so they only ever hit an entry stored by an identical timed
+// request). It extends the explain key rather than hashing and keying
+// again.
+func designKey(ekey string, art ArtifactRequest, timings bool) string {
+	return ekey + "|" + art.key() + "|t=" + strconv.FormatBool(timings)
 }

@@ -9,6 +9,7 @@ import (
 	"log"
 	"net/http"
 	"runtime/debug"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -158,9 +159,13 @@ func render(v any) ([]byte, error) {
 	return append(body, '\n'), err
 }
 
-// writeBody writes a rendered JSON body.
+// writeBody writes a rendered JSON body with its length declared, so a
+// body larger than net/http's write buffer is not sent chunked, and a
+// reader can size its buffer once.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	w.Write(body)
 }

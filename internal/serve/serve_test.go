@@ -804,6 +804,26 @@ func getMetrics(t *testing.T, base string) MetricsResponse {
 // TestDesignCacheEviction pins the CacheEntries bound on the design cache
 // as /v1/metrics reports it: three distinct designs through a two-entry
 // cache leave two entries and one eviction, and the evicted design misses.
+// TestSynthesizeDeclaresContentLength checks that a synthesize body larger
+// than net/http's 2 KiB write buffer goes out with its length declared,
+// on the miss and on the hit, so a coordinator reads it into one buffer.
+func TestSynthesizeDeclaresContentLength(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req := benchRequest(t, "mcs6502")
+	for _, want := range []string{"miss", "hit"} {
+		resp, body := postJSON(t, ts.URL+"/v1/synthesize", req)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-DAAD-Cache") != want {
+			t.Fatalf("HTTP %d, cache %q, want 200 %s", resp.StatusCode, resp.Header.Get("X-DAAD-Cache"), want)
+		}
+		if len(body) <= 2048 {
+			t.Fatalf("%d-byte body fits net/http's write buffer; the test needs a larger one", len(body))
+		}
+		if resp.ContentLength != int64(len(body)) {
+			t.Errorf("%s: Content-Length %d, body %d bytes", want, resp.ContentLength, len(body))
+		}
+	}
+}
+
 func TestDesignCacheEviction(t *testing.T) {
 	_, ts := newTestServer(t, Config{CacheEntries: 2})
 	for _, n := range []string{"gcd", "counter", "traffic"} {

@@ -425,23 +425,24 @@ func (s *Server) synthesizeJob(req SynthesizeRequest) (job, error) {
 	if err != nil {
 		return job{}, badRequest(err.Error())
 	}
+	ekey := explainKey(in, opt)
 	j := job{deadlineMS: req.DeadlineMS, compute: func(ctx context.Context) ([]byte, error) {
 		res, err := s.synthesize(ctx, in, opt)
 		if err != nil {
 			return nil, err
 		}
 		s.met.observeResult(res)
-		return s.renderSynthesis(req, in, opt, res)
+		return s.renderSynthesis(req, ekey, opt, res)
 	}}
 	if !req.NoCache && opt.Cacheable() {
-		j.key = designKey(in, opt, req.Artifacts, req.Timings)
+		j.key = designKey(ekey, req.Artifacts, req.Timings)
 	}
 	return j, nil
 }
 
 // renderSynthesis renders a completed compilation as the synthesize
-// response body, storing its provenance in the explain store.
-func (s *Server) renderSynthesis(req SynthesizeRequest, in flow.Input, opt flow.Options, res *flow.Result) ([]byte, error) {
+// response body, storing its provenance in the explain store under ekey.
+func (s *Server) renderSynthesis(req SynthesizeRequest, ekey string, opt flow.Options, res *flow.Result) ([]byte, error) {
 	resp := SynthesizeResponse{
 		Name:      res.Input.Name,
 		Allocator: allocatorName(opt),
@@ -478,7 +479,6 @@ func (s *Server) renderSynthesis(req SynthesizeRequest, in flow.Input, opt flow.
 		resp.Stages = newStageTimings(res.Trace)
 	}
 	if prov := res.Provenance(); prov != nil {
-		ekey := explainKey(in, opt)
 		s.explain.Put(ekey, prov)
 		firings, effects := res.Journal().Counts()
 		resp.Provenance = &ProvenanceSummary{
