@@ -270,8 +270,9 @@ func BenchmarkListScheduler(b *testing.B) {
 // BenchmarkProductionEngine prices the recognize-act loop on a synthetic
 // token-consumption workload of 500 elements.
 func BenchmarkProductionEngine(b *testing.B) {
+	tokens := &prod.Schema{Classes: map[string][]string{"tok": {"i", "seen"}}}
 	for i := 0; i < b.N; i++ {
-		wm := prod.NewWM()
+		wm := prod.NewWM(tokens)
 		for j := 0; j < 500; j++ {
 			wm.Make("tok", prod.Attrs{"i": j})
 		}

@@ -90,7 +90,7 @@ func main() {
 	flag.BoolVar(&o.stageTiming, "stage-timing", false, "print wall time per pipeline stage")
 	flag.StringVar(&o.explain, "explain", "", "explain components whose label contains this selector (\"all\" for every component); prints their rule-firing provenance instead of the report")
 	flag.StringVar(&o.journal, "journal", "", "write the effect journal of the run to this file as text")
-	flag.BoolVar(&o.lintRules, "lint-rules", false, "statically lint the embedded knowledge base against the working-memory schemas and exit (findings exit 2)")
+	flag.BoolVar(&o.lintRules, "lint-rules", false, "statically lint the embedded knowledge base (unbound variables, dead alpha tests, shadowed rules) and exit (findings exit 2)")
 	flag.StringVar(&o.remote, "remote", "", "synthesize via a daad daemon at this base URL (e.g. http://localhost:8547)")
 	flag.DurationVar(&o.deadline, "deadline", 0, "per-request synthesis deadline (remote mode; 0 = server default)")
 	flag.StringVar(&o.exploreSpec, "explore", "", "sweep a knob grid and print the Pareto front, e.g. 'allocator=daa,leftedge scheduler=list,asap' (see -knobs; works with -remote)")
@@ -229,8 +229,8 @@ func (o options) flowOptions() (flow.Options, error) {
 }
 
 // runLintRules statically lints the embedded knowledge base (every phase's
-// rules against that phase's working-memory schema) and reports findings
-// as positioned diagnostics: exit 0 and a one-line summary when clean,
+// rules registered over that phase's declared working memory) and reports
+// findings as positioned diagnostics: exit 0 and a one-line summary when clean,
 // exit 2 with one diagnostic per finding otherwise. CI runs this under
 // -race next to the analyzer suite.
 func runLintRules(w io.Writer) error {

@@ -53,7 +53,9 @@ type Options struct {
 	// ablation).
 	DisableCleanup bool
 	// ExtraRules are appended to the cleanup phase; they let applications
-	// extend the knowledge base (see examples/customrules).
+	// extend the knowledge base (see examples/customrules). Their patterns
+	// may name only the cleanup phase's declared vocabulary (its
+	// Phase.Schema): "hreg" and "unit" elements.
 	ExtraRules []*prod.Rule
 	// Trace, when non-nil, receives one line per rule firing.
 	Trace io.Writer
@@ -149,7 +151,7 @@ func SynthesizeContext(ctx context.Context, trace *vt.Program, opt Options) (*Re
 			return nil, fmt.Errorf("core: phase %s: %w", ph.Name, err)
 		}
 		t0 := time.Now()
-		wm := prod.NewWM()
+		wm := prod.NewWM(ph.Schema)
 		eng := prod.NewEngine(wm)
 		if ctx.Done() != nil {
 			eng.Interrupt = ctx.Err

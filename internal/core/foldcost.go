@@ -41,39 +41,15 @@ func (s *synth) portSources(u *rtl.Unit) [2]map[rtl.Endpoint]bool {
 	return out
 }
 
-// muxGates prices the operand multiplexer implied by a source set.
-func muxGates(srcs map[rtl.Endpoint]bool, width int) float64 {
-	if len(srcs) <= 1 {
-		return 0
-	}
-	return foldModel.MuxWayBit * float64(len(srcs)) * float64(width)
-}
-
-// unitGates prices a unit with the experiment cost model.
-func unitGates(width int, fns map[vt.OpKind]bool) float64 {
-	maxFn := 0.0
-	//daalint:allow detmap order-insensitive maximum
-	for fn := range fns {
-		w, ok := foldModel.FnBit[fn]
-		if !ok {
-			w = 4
-		}
-		if w > maxFn {
-			maxFn = w
-		}
-	}
-	return (maxFn + foldModel.FnSelBit*float64(len(fns)-1)) * float64(width)
-}
-
 // foldSaves reports whether folding u2 into u1 does not increase the
 // estimated gate-equivalent cost of the units plus their operand muxes by
 // more than Options.FoldSlack gate equivalents (zero by default).
 func (s *synth) foldSaves(u1, u2 *rtl.Unit) bool {
 	s1 := s.portSources(u1)
 	s2 := s.portSources(u2)
-	before := unitGates(u1.Width, u1.Fns) + unitGates(u2.Width, u2.Fns)
+	before := foldModel.Unit(u1.Width, u1.Fns) + foldModel.Unit(u2.Width, u2.Fns)
 	for i := 0; i < 2; i++ {
-		before += muxGates(s1[i], u1.Width) + muxGates(s2[i], u2.Width)
+		before += foldModel.Mux(len(s1[i]), u1.Width) + foldModel.Mux(len(s2[i]), u2.Width)
 	}
 	width := u1.Width
 	if u2.Width > width {
@@ -88,7 +64,7 @@ func (s *synth) foldSaves(u1, u2 *rtl.Unit) bool {
 	for k := range u2.Fns {
 		fns[k] = true
 	}
-	after := unitGates(width, fns)
+	after := foldModel.Unit(width, fns)
 	for i := 0; i < 2; i++ {
 		union := make(map[rtl.Endpoint]bool, len(s1[i])+len(s2[i]))
 		//daalint:allow detmap order-insensitive set union
@@ -99,7 +75,7 @@ func (s *synth) foldSaves(u1, u2 *rtl.Unit) bool {
 		for e := range s2[i] {
 			union[e] = true
 		}
-		after += muxGates(union, width)
+		after += foldModel.Mux(len(union), width)
 	}
 	return after <= before+s.opt.FoldSlack
 }

@@ -424,7 +424,7 @@ func Replay(trace *vt.Program, j *Journal, opt Options) (*rtl.Design, error) {
 		curSeq := 0
 		s.seq = func() int { return curSeq }
 		rep := &prod.Replayer{
-			WM:       prod.NewWM(),
+			WM:       prod.NewWM(knowledgeBase[i].Schema),
 			Decode:   dec.decode,
 			Host:     s,
 			OnFiring: func(f *prod.Firing) { curSeq = f.Seq },

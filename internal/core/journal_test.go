@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/prod"
 	"repro/internal/rtl"
 )
 
@@ -163,5 +164,26 @@ func TestReplayWithExtraRulesJournaled(t *testing.T) {
 	}
 	if got, want := renderDesign(t, replayed), renderDesign(t, res.Design); got != want {
 		t.Fatal("ablated-run replay differs")
+	}
+}
+
+// Replay accepts journals from outside the process, so one hand-edited to
+// make an element with an attribute its phase does not declare is refused
+// with an error naming it, not a panic.
+func TestReplayRefusesUndeclaredAttribute(t *testing.T) {
+	res, err := Synthesize(trace(t, gcdSrc), Options{Journal: true})
+	if err != nil {
+		t.Fatalf("Synthesize: %v", err)
+	}
+	pj := res.Journal.Phases[0]
+	mk := &pj.J.Seed[0]
+	if mk.Kind != prod.EffMake {
+		t.Fatalf("phase %s's first seed effect is a %s, want a make", pj.Phase, mk.Kind)
+	}
+	mk.Attrs = append(mk.Attrs, prod.AttrValue{Attr: "ghost", Val: prod.Value{Scalar: 1}})
+	d, err := Replay(trace(t, gcdSrc), res.Journal, Options{})
+	want := "core: replay phase " + pj.Phase + ": prod: replay seed: make: class " + mk.Class + " declares no attribute ^ghost"
+	if d != nil || err == nil || err.Error() != want {
+		t.Fatalf("Replay returned %v, %v; want no design and %q", d, err, want)
 	}
 }

@@ -11,12 +11,13 @@ import (
 // attributes), and the host code that seeds its working memory and
 // finishes the design after its rules quiesce.
 //
-// The schema is maintained by hand next to the seeding code;
-// LintKnowledgeBase checks every compiled pattern against it, so renaming
-// a class or attribute in a seeder without updating its rules (or vice
-// versa) fails the lint gate instead of silently producing rules that
-// never match. CI asserts the full rule base lints clean
-// (`daa -lint-rules`).
+// The schema is the phase's working-memory declaration: synthesis, replay
+// and the rule lint each build the phase's memory from it, so the
+// attribute slots follow its order, and a seeder, action or rule that
+// names a class or attribute it does not declare panics, naming the
+// name. Renaming a class or attribute in a seeder without updating the
+// schema and the rules (or the other way round) therefore fails every
+// synthesis instead of silently producing rules that never match.
 type Phase struct {
 	Name   string
 	Rules  []*prod.Rule
@@ -141,18 +142,18 @@ func (f KBFinding) String() string {
 	return fmt.Sprintf("%s: %s", f.Phase, f.Finding)
 }
 
-// LintKnowledgeBase registers each phase's rules in a fresh engine and
-// statically lints them against that phase's working-memory schema.
+// LintKnowledgeBase registers each phase's rules in a fresh engine over
+// that phase's declared working memory and statically lints them.
 // Findings come back in phase execution order, then rule registration
 // order. A clean rule base returns nil.
 func LintKnowledgeBase() []KBFinding {
 	var out []KBFinding
 	for _, ph := range knowledgeBase {
-		eng := prod.NewEngine(prod.NewWM())
+		eng := prod.NewEngine(prod.NewWM(ph.Schema))
 		for _, r := range ph.Rules {
 			eng.AddRule(r)
 		}
-		for _, f := range eng.LintRules(ph.Schema) {
+		for _, f := range eng.LintRules() {
 			out = append(out, KBFinding{Phase: ph.Name, Finding: f})
 		}
 	}

@@ -1,13 +1,15 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/prod"
 )
 
 // The golden property the CI lint-rules job asserts: the full embedded
-// rule base lints clean against the per-phase working-memory schemas.
+// rule base registers over its per-phase working-memory declarations and
+// lints clean.
 func TestKnowledgeBaseLintsClean(t *testing.T) {
 	if findings := LintKnowledgeBase(); len(findings) != 0 {
 		for _, f := range findings {
@@ -54,34 +56,34 @@ func phaseNamed(t *testing.T, name string) Phase {
 	return KnowledgeBase()[i]
 }
 
-// Removing one attribute from a schema must surface every rule that
-// tests it — this is how seeder/rule vocabulary drift fails the gate.
+// The schema is the working memory's declaration: registering the
+// data-memory rules over a carrier declaration that drops "bound", as a
+// renamed Modify attribute would, panics at the first rule testing it.
+// This is how seeder/rule vocabulary drift fails every synthesis.
 func TestLintCatchesSchemaDrift(t *testing.T) {
-	eng := prod.NewEngine(prod.NewWM())
+	drifted := &prod.Schema{Classes: map[string][]string{
+		// The real schema is {"car", "kind", "bound"}.
+		"carrier": {"car", "kind"},
+	}}
+	eng := prod.NewEngine(prod.NewWM(drifted))
+	defer func() {
+		msg, _ := recover().(string)
+		const want = "rule allocate-register-for-carrier: pattern 0 tests ^bound, which class carrier does not declare"
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic %q, want one containing %q", msg, want)
+		}
+	}()
 	for _, r := range phaseNamed(t, "data-memory").Rules {
 		eng.AddRule(r)
 	}
-	drifted := &prod.Schema{Classes: map[string][]string{
-		// The real schema is {"car", "kind", "bound"}; drop "bound", as a
-		// renamed Modify attribute would.
-		"carrier": {"car", "kind"},
-	}}
-	findings := eng.LintRules(drifted)
-	if len(findings) == 0 {
-		t.Fatal("dropping \"bound\" from the carrier schema produced no findings")
-	}
-	for _, f := range findings {
-		if f.Code != prod.LintUnknownAttr {
-			t.Errorf("unexpected finding %s", f)
-		}
-	}
+	t.Error("rules testing ^bound registered over a schema without it")
 }
 
 // A deliberately defective rule injected next to the real rule base is
 // flagged with the expected message, end to end through KB-style linting.
 func TestLintFlagsInjectedDefectiveRule(t *testing.T) {
 	dm := phaseNamed(t, "data-memory")
-	eng := prod.NewEngine(prod.NewWM())
+	eng := prod.NewEngine(prod.NewWM(dm.Schema))
 	for _, r := range dm.Rules {
 		eng.AddRule(r)
 	}
@@ -93,7 +95,7 @@ func TestLintFlagsInjectedDefectiveRule(t *testing.T) {
 		},
 		Action: func(tx *prod.Tx, m *prod.Match) {},
 	})
-	findings := eng.LintRules(dm.Schema)
+	findings := eng.LintRules()
 	if len(findings) != 1 {
 		t.Fatalf("got %d findings %v, want exactly the injected dead-alpha", len(findings), findings)
 	}

@@ -81,21 +81,10 @@ func (m Model) Design(d *rtl.Design) Breakdown {
 		b.Registers += m.RegBit * float64(r.Width)
 	}
 	for _, u := range d.Units {
-		maxFn := 0.0
-		//daalint:allow detmap order-insensitive maximum
-		for fn := range u.Fns {
-			w, ok := m.FnBit[fn]
-			if !ok {
-				w = 4
-			}
-			if w > maxFn {
-				maxFn = w
-			}
-		}
-		b.Units += (maxFn + m.FnSelBit*float64(len(u.Fns)-1)) * float64(u.Width)
+		b.Units += m.Unit(u.Width, u.Fns)
 	}
 	for _, mx := range d.Muxes {
-		b.Muxes += m.MuxWayBit * float64(mx.Inputs) * float64(mx.Width)
+		b.Muxes += m.Mux(mx.Inputs, mx.Width)
 	}
 	for _, l := range d.Links {
 		b.Links += m.LinkBit * float64(l.Width)
@@ -112,6 +101,33 @@ func (m Model) Design(d *rtl.Design) Breakdown {
 	}
 	b.Datapath = b.Registers + b.Units + b.Muxes + b.Links + b.Consts + b.Ports + b.Control
 	return b
+}
+
+// Unit prices a functional unit of the given width carrying fns: its most
+// expensive function (4 per bit for a kind FnBit does not list) plus
+// FnSelBit per bit for each further function.
+func (m Model) Unit(width int, fns map[vt.OpKind]bool) float64 {
+	maxFn := 0.0
+	//daalint:allow detmap order-insensitive maximum
+	for fn := range fns {
+		w, ok := m.FnBit[fn]
+		if !ok {
+			w = 4
+		}
+		if w > maxFn {
+			maxFn = w
+		}
+	}
+	return (maxFn + m.FnSelBit*float64(len(fns)-1)) * float64(width)
+}
+
+// Mux prices a multiplexer of the given ways and width. One way or none
+// is a plain wire and costs nothing; a validated design has no such mux.
+func (m Model) Mux(ways, width int) float64 {
+	if ways <= 1 {
+		return 0
+	}
+	return m.MuxWayBit * float64(ways) * float64(width)
 }
 
 // Ratio returns cost(a)/cost(b) on the datapath figure.

@@ -70,6 +70,17 @@ func TestMuxAndLinkCosts(t *testing.T) {
 	}
 }
 
+// Fold pricing asks what a unit's operand multiplexer would cost for a
+// source set: a single source is a wire.
+func TestMuxOfOneWayIsAWire(t *testing.T) {
+	m := Default()
+	for ways, want := range map[int]float64{0: 0, 1: 0, 2: 24, 3: 36} {
+		if got := m.Mux(ways, 8); got != want {
+			t.Errorf("Mux(%d, 8) = %.1f, want %.1f", ways, got, want)
+		}
+	}
+}
+
 func TestMemorySeparateFromDatapath(t *testing.T) {
 	d := rtl.NewDesign("t", nil)
 	d.AddMemory("M", 8, 1024)

@@ -201,36 +201,46 @@ func TestExploreCanceledContext(t *testing.T) {
 }
 
 // TestExploreCompilesEachKeyOnce checks that points sharing an options key
-// share one compile: a naive sweep over a DAA-only knob and the scheduler
-// has four points and two distinct keys, so it compiles twice. Compiles
-// are counted as front-end cache lookups, one per compile.
+// share one compile. A naive sweep over a DAA-only knob and the scheduler
+// has four points and two distinct keys (one per scheduler); a DAA sweep
+// over the scheduler and cleanup has six points and two keys (one per
+// cleanup setting). Each compiles twice. Compiles are counted as
+// front-end cache lookups, one per compile.
 func TestExploreCompilesEachKeyOnce(t *testing.T) {
 	in := gcdInput(t)
-	grid, err := flow.ParseGridSpec("allocator=naive cleanup=true,false scheduler=list,asap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := flow.FrontCacheStats()
-	front, err := flow.Explore(context.Background(), in, flow.Options{}, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := flow.FrontCacheStats()
-	if compiles := (after.Hits + after.Misses) - (before.Hits + before.Misses); compiles != 2 {
-		t.Errorf("%d compiles for %d points, want 2", compiles, len(front.Points))
-	}
-	// Points that share a key share the compile's outcome.
-	byKey := map[string]flow.Point{}
-	for _, p := range front.Points {
-		if p.Failed {
-			t.Fatalf("point %s failed: %s", p.KnobKey, p.Err)
+	for _, tc := range []struct {
+		spec         string
+		points, keys int
+	}{
+		{"allocator=naive cleanup=true,false scheduler=list,asap", 4, 2},
+		{"allocator=daa scheduler=list,asap,alap cleanup=true,false", 6, 2},
+	} {
+		grid, err := flow.ParseGridSpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if q, ok := byKey[p.OptionsKey]; ok && q.Metrics != p.Metrics {
-			t.Errorf("points %s and %s share a key but not metrics: %+v, %+v", q.KnobKey, p.KnobKey, q.Metrics, p.Metrics)
+		before := flow.FrontCacheStats()
+		front, err := flow.Explore(context.Background(), in, flow.Options{}, grid)
+		if err != nil {
+			t.Fatal(err)
 		}
-		byKey[p.OptionsKey] = p
-	}
-	if len(front.Points) != 4 || len(byKey) != 2 {
-		t.Fatalf("%d points over %d keys, want 4 over 2", len(front.Points), len(byKey))
+		after := flow.FrontCacheStats()
+		if compiles := (after.Hits + after.Misses) - (before.Hits + before.Misses); compiles != int64(tc.keys) {
+			t.Errorf("%s: %d compiles for %d points, want %d", tc.spec, compiles, len(front.Points), tc.keys)
+		}
+		// Points that share a key share the compile's outcome.
+		byKey := map[string]flow.Point{}
+		for _, p := range front.Points {
+			if p.Failed {
+				t.Fatalf("%s: point %s failed: %s", tc.spec, p.KnobKey, p.Err)
+			}
+			if q, ok := byKey[p.OptionsKey]; ok && q.Metrics != p.Metrics {
+				t.Errorf("%s: points %s and %s share a key but not metrics: %+v, %+v", tc.spec, q.KnobKey, p.KnobKey, q.Metrics, p.Metrics)
+			}
+			byKey[p.OptionsKey] = p
+		}
+		if len(front.Points) != tc.points || len(byKey) != tc.keys {
+			t.Fatalf("%s: %d points over %d keys, want %d over %d", tc.spec, len(front.Points), len(byKey), tc.points, tc.keys)
+		}
 	}
 }

@@ -48,8 +48,10 @@ func (in Input) ContentHash() (k [sha256.Size]byte) {
 // The baseline allocators ignore the DAA-only knobs (trace-rules,
 // cleanup, crosscheck, journal, fold-slack), so for them Key writes those
 // knobs at their defaults: option sets that compile one baseline design
-// share one key. DAA keys are unaffected. The DAA ignores "scheduler" in
-// turn; that fragment stays, since no synthesize request can set the knob.
+// share one key. The DAA ignores "scheduler" in turn, so Key writes that
+// fragment for the baselines only: a sweep's DAA points that differ only
+// in the scheduler share one key and one compile. A default scheduler
+// writes no fragment either way, so no synthesize key moves.
 //
 // Both limits fragments are written from Core.Limits, which all three
 // allocators schedule under. The baselines once carried a second copy of
@@ -80,17 +82,19 @@ func (o Options) Key() string {
 	if alloc == "" {
 		alloc = AllocDAA
 	}
-	daa := o.Core // the DAA-only knobs, left at their defaults for a baseline
+	// The DAA-only knobs, left at their defaults for a baseline, and the
+	// baselines' scheduler, left out for the DAA.
+	daa, scheduler := o.Core, ""
 	if alloc == AllocLeftEdge || alloc == AllocNaive {
-		daa = core.Options{}
+		daa, scheduler = core.Options{}, o.Scheduler
 	}
 	put("alloc=", alloc,
 		";trace-rules=", strconv.FormatBool(!daa.DisableTraceRules),
 		";cleanup=", strconv.FormatBool(!daa.DisableCleanup),
 		";exhaustive=false;lite=false;crosscheck=", strconv.FormatBool(daa.CrossCheckMatch),
 		";journal=", strconv.FormatBool(daa.Journal))
-	if o.Scheduler != "" && o.Scheduler != sched.SchedList {
-		put(";scheduler=", o.Scheduler)
+	if scheduler != "" && scheduler != sched.SchedList {
+		put(";scheduler=", scheduler)
 	}
 	if v := formatFloatKnob(daa.FoldSlack); v != "0" {
 		put(";fold-slack=", v)

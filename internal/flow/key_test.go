@@ -139,18 +139,20 @@ func TestInputContentHash(t *testing.T) {
 }
 
 // oracleKey is the reference spelling of Options.Key: the key read from
-// the knob map (Options.Knobs) and written with fmt, with the baseline
-// rule applied to the knob map. Key writes the same bytes straight from
+// the knob map (Options.Knobs) and written with fmt, with the allocator
+// rules applied to the knob map. Key writes the same bytes straight from
 // the option fields; TestKeyMatchesKnobOracle and FuzzKnobRoundTrip keep
 // the two equal.
 func oracleKey(o flow.Options) string {
 	k := o.Knobs()
+	ignored := []string{"scheduler"} // the DAA ignores the baselines' scheduler
 	if a := k["allocator"]; a == flow.AllocLeftEdge || a == flow.AllocNaive {
 		// The baselines ignore the DAA-only knobs.
-		for _, name := range []string{"trace-rules", "cleanup", "crosscheck", "journal", "fold-slack"} {
-			knob, _ := flow.KnobByName(name)
-			k[name] = knob.Default
-		}
+		ignored = []string{"trace-rules", "cleanup", "crosscheck", "journal", "fold-slack"}
+	}
+	for _, name := range ignored {
+		knob, _ := flow.KnobByName(name)
+		k[name] = knob.Default
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "alloc=%s", k["allocator"])

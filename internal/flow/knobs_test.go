@@ -93,9 +93,16 @@ var knobSamples = map[string]string{
 
 // Every knob set to a non-default value must move the key — otherwise a
 // sweep would alias distinct option sets in the design cache. The cosim
-// stimulus knobs are the deliberate exception while cosim is off.
+// stimulus knobs are the deliberate exception while cosim is off, and the
+// scheduler moves the key only under a baseline: the DAA ignores it.
 func TestEachKnobMovesKey(t *testing.T) {
 	cosimStim := map[string]bool{"cosim-seed": true, "cosim-vectors": true, "cosim-cycles": true}
+	for _, alloc := range []string{flow.AllocLeftEdge, flow.AllocNaive} {
+		base := knobOptions(t, map[string]string{"allocator": alloc}).Key()
+		if knobOptions(t, map[string]string{"allocator": alloc, "scheduler": knobSamples["scheduler"]}).Key() == base {
+			t.Errorf("scheduler=%s: %s key did not move", knobSamples["scheduler"], alloc)
+		}
+	}
 	for _, k := range flow.KnobSpace() {
 		v, ok := knobSamples[k.Name]
 		if !ok {
@@ -112,9 +119,9 @@ func TestEachKnobMovesKey(t *testing.T) {
 			continue
 		}
 		moved := o.Key() != goldenDefaultKey
-		if cosimStim[k.Name] {
+		if cosimStim[k.Name] || k.Name == "scheduler" {
 			if moved {
-				t.Errorf("knob %s: moved the key with cosim off (stimulus must not split caches)", k.Name)
+				t.Errorf("knob %s: moved the DAA key (cosim stimulus with cosim off, or the baselines' scheduler)", k.Name)
 			}
 			continue
 		}

@@ -38,7 +38,7 @@ type memIndex struct {
 }
 
 func indexKey(el *Element, attr int) any {
-	if v := el.at(attr); v != nil {
+	if v := el.vals[attr]; v != nil {
 		return v
 	}
 	return missingKey{}
@@ -114,7 +114,7 @@ func (mem *alphaMem) eval(el *Element, net *alphaNet) bool {
 		t := mt.t
 		if t.gen != net.gen {
 			t.gen = net.gen
-			t.pass = t.fn(el.at(mt.slot), el.at(mt.slot2))
+			t.pass = t.fn(el.vals[mt.slot], el.vals[mt.slot2])
 			net.batchEvals++
 		}
 		if !t.pass {
@@ -158,8 +158,8 @@ func (mem *alphaMem) del(el *Element) {
 }
 
 // ensureIndex returns the value index over the attribute in slot attr,
-// building it from the current members on first request (the memory may
-// predate the requesting rule).
+// adding it on first request. Rules register before the first cycle, so
+// the memory has no members yet to file.
 func (mem *alphaMem) ensureIndex(attr int) *memIndex {
 	for _, ix := range mem.indexes {
 		if ix.attr == attr {
@@ -167,9 +167,6 @@ func (mem *alphaMem) ensureIndex(attr int) *memIndex {
 		}
 	}
 	ix := &memIndex{attr: attr, bucket: map[any][]*Element{}}
-	for _, el := range mem.els {
-		ix.file(el)
-	}
 	mem.indexes = append(mem.indexes, ix)
 	return ix
 }
@@ -233,9 +230,9 @@ func (net *alphaNet) intern(s alphaSpec) *alphaTest {
 	return t
 }
 
-// memFor returns the shared memory for (class, tests), creating and — if
-// the engine is already seeded — populating it from live working memory.
-func (net *alphaNet) memFor(class string, specs []alphaSpec, wm *WM, seeded bool) *alphaMem {
+// memFor returns the shared memory for (class, tests), creating it on
+// first use. The network's first full match fills it (seed).
+func (net *alphaNet) memFor(class string, specs []alphaSpec) *alphaMem {
 	tests := make([]memTest, len(specs))
 	ids := make([]int, len(specs))
 	for i, s := range specs {
@@ -258,14 +255,6 @@ func (net *alphaNet) memFor(class string, specs []alphaSpec, wm *WM, seeded bool
 	}
 	net.memBySig[sig.String()] = mem
 	net.byClass[class] = append(net.byClass[class], mem)
-	if seeded {
-		for _, el := range wm.byClass[class] {
-			net.gen++
-			if mem.eval(el, net) {
-				mem.add(el)
-			}
-		}
-	}
 	return mem
 }
 

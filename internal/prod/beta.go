@@ -117,7 +117,7 @@ type token struct {
 // present and equal to its bound variable.
 func (n *betaNode) pass(binds []any, el *Element) bool {
 	for _, j := range n.joins {
-		if v := el.at(j.attr); v == nil || v != binds[j.slot] {
+		if v := el.vals[j.attr]; v == nil || v != binds[j.slot] {
 			return false
 		}
 	}
@@ -181,7 +181,7 @@ func (n *betaNode) extend(left *token, el *Element) {
 		}
 		copy(binds, left.binds)
 		for _, pj := range n.projs {
-			binds[pj.slot] = el.at(pj.attr)
+			binds[pj.slot] = el.vals[pj.attr]
 		}
 	}
 	t := rr.newToken()
@@ -290,7 +290,7 @@ func (n *betaNode) rightAssert(el *Element) {
 	if n.neg {
 		cands := n.tokens
 		if n.hashed {
-			v := el.at(n.hashAttr)
+			v := el.vals[n.hashAttr]
 			if v == nil {
 				return // the first join requires the attribute present
 			}
@@ -312,7 +312,7 @@ func (n *betaNode) rightAssert(el *Element) {
 	}
 	lefts := n.leftTokens()
 	if n.hashed {
-		v := el.at(n.hashAttr)
+		v := el.vals[n.hashAttr]
 		if v == nil {
 			return
 		}

@@ -1,5 +1,7 @@
 package prod
 
+import "fmt"
+
 // LHS compilation: at AddRule time every pattern's interpreted test list
 // is lowered into three sets, so the Rete hot paths execute no testKind
 // switches and look no attribute up by name:
@@ -14,9 +16,10 @@ package prod
 //   - projections — variable slots this pattern binds, written into the
 //     token's binding vector when a join succeeds.
 //
-// Every attribute a pattern names is interned in its class's layout
-// (wm.go) as the rule compiles, so the specs, joins and projections carry
-// the element slots they read.
+// Every class and attribute a pattern names is looked up in the working
+// memory's declared layouts (wm.go) as the rule compiles, so the specs,
+// joins and projections carry the element slots they read, and a name the
+// schema does not declare panics naming the rule.
 //
 // Variable slots are assigned in first-positive-occurrence order (pattern
 // order, then test order), which is exactly the order the interpreted
@@ -59,15 +62,32 @@ type alphaSpec struct {
 	slot, slot2 int
 }
 
-// newAlphaSpec interns the attributes a constant test reads in the
-// pattern class's layout.
-func newAlphaSpec(l *layout, k alphaKey, pred func(any) bool) alphaSpec {
-	s := alphaSpec{key: k, pred: pred, slot: l.intern(k.attr)}
+// newAlphaSpec resolves the slots a constant test reads in the pattern's
+// class.
+func newAlphaSpec(ps patSlots, k alphaKey, pred func(any) bool) alphaSpec {
+	s := alphaSpec{key: k, pred: pred, slot: ps.slot(k.attr)}
 	s.slot2 = s.slot
 	if k.kind == aVarEq {
-		s.slot2 = l.intern(k.attr2)
+		s.slot2 = ps.slot(k.attr2)
 	}
 	return s
+}
+
+// patSlots resolves the attributes pattern pi of rule r names in its
+// class's declared layout.
+type patSlots struct {
+	r  *Rule
+	pi int
+	l  *layout
+}
+
+// slot returns attr's slot; an undeclared attribute panics, naming the
+// rule, the pattern, the attribute and the class.
+func (ps patSlots) slot(attr string) int {
+	if s, ok := ps.l.slots[attr]; ok {
+		return s
+	}
+	panic(fmt.Sprintf("prod: rule %s: pattern %d tests ^%s, which class %s does not declare", ps.r.Name, ps.pi, attr, ps.l.class))
 }
 
 // compile builds the value-test closure for a spec: it receives the values
@@ -136,31 +156,36 @@ type compiledRule struct {
 	positives int
 }
 
-// compileRule lowers a rule's patterns, interning every attribute they
-// name in wm's class layouts. Patterns must already be finalized (AddRule
-// does this on its private copy).
+// compileRule lowers a rule's patterns, reading the slot of every
+// attribute they name from wm's declared layouts; an undeclared class or
+// attribute panics, naming the rule, the pattern and the name. Patterns
+// must already be finalized (AddRule does this on its private copy).
 func compileRule(r *Rule, wm *WM) *compiledRule {
 	cr := &compiledRule{}
 	slot := map[string]int{} // variable name -> slot, first positive occurrence
-	for _, p := range r.Patterns {
+	for pi, p := range r.Patterns {
 		cp := compiledPat{class: p.Class, negated: p.Negated, hashSlot: -1}
-		l := wm.layoutOf(p.Class)
+		l := wm.layouts[p.Class]
+		if l == nil {
+			panic(fmt.Sprintf("prod: rule %s: pattern %d matches class %s, which is not declared", r.Name, pi, p.Class))
+		}
+		ps := patSlots{r: r, pi: pi, l: l}
 		local := map[string]string{} // variable -> attr bound earlier in THIS pattern
 		for _, t := range p.tests {
 			switch t.kind {
 			case testEq:
-				cp.alphas = append(cp.alphas, newAlphaSpec(l, alphaKey{kind: aEq, attr: t.attr, val: t.val}, nil))
+				cp.alphas = append(cp.alphas, newAlphaSpec(ps, alphaKey{kind: aEq, attr: t.attr, val: t.val}, nil))
 			case testNeq:
-				cp.alphas = append(cp.alphas, newAlphaSpec(l, alphaKey{kind: aNeq, attr: t.attr, val: t.val}, nil))
+				cp.alphas = append(cp.alphas, newAlphaSpec(ps, alphaKey{kind: aNeq, attr: t.attr, val: t.val}, nil))
 			case testAbsent:
-				cp.alphas = append(cp.alphas, newAlphaSpec(l, alphaKey{kind: aAbsent, attr: t.attr}, nil))
+				cp.alphas = append(cp.alphas, newAlphaSpec(ps, alphaKey{kind: aAbsent, attr: t.attr}, nil))
 			case testPresent:
-				cp.alphas = append(cp.alphas, newAlphaSpec(l, alphaKey{kind: aPresent, attr: t.attr}, nil))
+				cp.alphas = append(cp.alphas, newAlphaSpec(ps, alphaKey{kind: aPresent, attr: t.attr}, nil))
 			case testPred:
-				cp.alphas = append(cp.alphas, newAlphaSpec(l, alphaKey{kind: aPred, attr: t.attr}, t.pred))
+				cp.alphas = append(cp.alphas, newAlphaSpec(ps, alphaKey{kind: aPred, attr: t.attr}, t.pred))
 			case testBind:
 				// Every Bind requires presence, whatever else it compiles to.
-				cp.alphas = append(cp.alphas, newAlphaSpec(l, alphaKey{kind: aPresent, attr: t.attr}, nil))
+				cp.alphas = append(cp.alphas, newAlphaSpec(ps, alphaKey{kind: aPresent, attr: t.attr}, nil))
 				if prev, ok := local[t.vari]; ok {
 					// Reoccurrence within the same pattern: an intra-element
 					// equality is a constant test, not a join.
@@ -168,10 +193,10 @@ func compileRule(r *Rule, wm *WM) *compiledRule {
 					if a2 < a1 {
 						a1, a2 = a2, a1
 					}
-					cp.alphas = append(cp.alphas, newAlphaSpec(l, alphaKey{kind: aVarEq, attr: a1, attr2: a2}, nil))
+					cp.alphas = append(cp.alphas, newAlphaSpec(ps, alphaKey{kind: aVarEq, attr: a1, attr2: a2}, nil))
 					continue
 				}
-				attr := l.intern(t.attr)
+				attr := ps.slot(t.attr)
 				if s, ok := slot[t.vari]; ok {
 					// Bound by an earlier pattern: a real beta join test.
 					if cp.hashSlot < 0 {

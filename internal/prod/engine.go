@@ -54,18 +54,19 @@ func (r *Rule) Specificity() int {
 // Engine runs a rule set to quiescence over a working memory.
 //
 // The matcher is a full Rete network (rete.go): rule LHSs are compiled at
-// AddRule time into shared alpha constant tests and a forest of beta join
-// nodes with stored partial-match tokens (one path per rule, first nodes
-// shared where first patterns compile alike), so each WM change reruns
-// only the join work downstream of the memories it touched. The network also
-// keeps the agenda (agenda.go): the unspent instantiations in conflict-
-// resolution order, so a cycle reads the best one instead of scanning the
-// conflict set. CrossCheck runs the exhaustive matcher (exhaustive.go),
-// which re-derives and ranks every instantiation from scratch, in lockstep
-// and panics if it ever selects a different instantiation, which is how
-// the equivalence tests pin the network down. Conflict resolution is a
-// total order over instantiations, so equal conflict sets force equal
-// selections whichever matcher built them.
+// AddRule time, before the first cycle, into shared alpha constant tests
+// and a forest of beta join nodes with stored partial-match tokens (one
+// path per rule, first nodes shared where first patterns compile alike),
+// so each WM change reruns only the join work downstream of the memories
+// it touched. The network also keeps the agenda (agenda.go): the unspent
+// instantiations in conflict-resolution order, so a cycle reads the best
+// one instead of scanning the conflict set. CrossCheck runs the
+// exhaustive matcher (exhaustive.go), which re-derives and ranks every
+// instantiation from scratch, in lockstep and panics if it ever selects a
+// different instantiation, which is how the equivalence tests pin the
+// network down. Conflict resolution is a total order over instantiations,
+// so equal conflict sets force equal selections whichever matcher built
+// them.
 type Engine struct {
 	WM    *WM
 	rules []*Rule
@@ -157,10 +158,13 @@ func NewEngine(wm *WM) *Engine {
 // AddRule registers a rule. Registration order is the final conflict-
 // resolution tiebreaker, so rule sets behave deterministically.
 //
-// Registration compiles the rule's LHS into the Rete network (compile.go).
-// Pattern predicates (Pred) must be pure functions of the attribute value;
-// join state that changes outside working memory belongs in Where, which
-// is asked afresh at selection time.
+// Registration compiles the rule's LHS into the Rete network (compile.go)
+// against the working memory's declared layouts: a pattern naming a class
+// or attribute the schema does not declare panics, naming the rule, and so
+// does a rule registered after the engine's first cycle. Pattern
+// predicates (Pred) must be pure functions of the attribute value; join
+// state that changes outside working memory belongs in Where, which is
+// asked afresh at selection time.
 func (e *Engine) AddRule(r *Rule) {
 	if r.Name == "" {
 		panic("prod: rule without a name")
@@ -173,6 +177,9 @@ func (e *Engine) AddRule(r *Rule) {
 	}
 	if r.Patterns[0].Negated {
 		panic(fmt.Sprintf("prod: rule %s: first pattern must be positive", r.Name))
+	}
+	if e.rete.seeded {
+		panic(fmt.Sprintf("prod: rule %s added after the engine's first cycle", r.Name))
 	}
 	rc := *r
 	rc.index = len(e.rules)
@@ -187,9 +194,10 @@ func (e *Engine) AddRule(r *Rule) {
 		rc.specificity += p.specificity()
 		rc.negates = rc.negates || p.Negated
 	}
+	cr := compileRule(&rc, e.WM)
 	e.rules = append(e.rules, &rc)
 	e.met.rules = append(e.met.rules, ruleCounters{})
-	e.rete.addRule(&rc, e)
+	e.rete.addRule(&rc, cr, &e.agenda)
 }
 
 // Rules returns the registered rules in registration order.

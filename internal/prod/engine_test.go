@@ -7,13 +7,45 @@ import (
 	"testing/quick"
 )
 
+// testSchema declares the vocabulary of every working memory in this
+// package's tests.
+var testSchema = &Schema{Classes: map[string][]string{
+	"a":         {"g", "k", "done", "seen", "i"},
+	"b":         {"g", "k", "done", "i"},
+	"body":      {"body", "cursor"},
+	"c":         {},
+	"ctl":       {},
+	"done":      {"task"},
+	"edge":      {"from", "to"},
+	"item":      {"g", "n", "done"},
+	"job":       {"g", "kind", "shadow"},
+	"lock":      {"g", "owner", "hard"},
+	"n":         {"v"},
+	"net":       {"w", "pins", "fanout"},
+	"op":        {"kind", "width", "seq", "body", "class", "bound", "unit", "a", "b", "c"},
+	"p":         {"n"},
+	"q":         {"n"},
+	"r":         {"n"},
+	"s":         {"n"},
+	"t":         {"n"},
+	"u":         {"n"},
+	"result":    {"ok"},
+	"task":      {"g", "n", "name", "got"},
+	"tok":       {"n", "i", "done", "seen"},
+	"unit":      {"class"},
+	"want-lock": {"g"},
+	"x":         {"a", "b", "i", "k", "p", "tag", "note", "spin"},
+	"y":         {},
+	"zzz":       {},
+}}
+
 func TestWMMakeGetModifyRemove(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	e := wm.Make("op", Attrs{"kind": "add", "width": 8})
 	if e.Str("kind") != "add" || e.Int("width") != 8 {
 		t.Fatalf("attrs: %s", e)
 	}
-	if !e.Has("kind") || e.Has("missing") {
+	if !e.Has("kind") || e.Has("bound") {
 		t.Error("Has misbehaves")
 	}
 	t0 := e.Time
@@ -38,7 +70,7 @@ func TestWMMakeGetModifyRemove(t *testing.T) {
 }
 
 func TestWMNilAttrsSkipped(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	e := wm.Make("x", Attrs{"a": nil, "b": 1})
 	if e.Has("a") {
 		t.Error("nil attribute should be absent")
@@ -46,7 +78,7 @@ func TestWMNilAttrsSkipped(t *testing.T) {
 }
 
 func TestWMModifyRemovedPanics(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	e := wm.Make("x", nil)
 	wm.Remove(e)
 	defer func() {
@@ -58,7 +90,7 @@ func TestWMModifyRemovedPanics(t *testing.T) {
 }
 
 func TestWMClassIndex(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	wm.Make("a", nil)
 	b1 := wm.Make("b", nil)
 	wm.Make("b", nil)
@@ -77,7 +109,7 @@ func TestWMClassIndex(t *testing.T) {
 	// list: interleave two classes, then remove the first, a middle and
 	// the last element of one (and one of them twice), checking both
 	// lists keep creation order each time.
-	wm = NewWM()
+	wm = NewWM(testSchema)
 	var xs, ys []*Element
 	for i := 0; i < 6; i++ {
 		xs = append(xs, wm.Make("x", nil))
@@ -113,7 +145,7 @@ func TestWMClassIndex(t *testing.T) {
 // changes one value writes its slot in place, and a Make allocates the
 // element and its value vector.
 func TestWMUpdateAllocs(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	el := wm.Make("op", Attrs{"kind": "add", "width": 8, "seq": 0})
 	mods := [2]Attrs{{"seq": 1}, {"seq": 2}}
 	i := 0
@@ -129,50 +161,77 @@ func TestWMUpdateAllocs(t *testing.T) {
 	}
 }
 
-// A class's layout gains slots after elements of the class exist: a rule
-// naming a new attribute reads it as absent on them, and a Modify that
-// sets it widens the element's vector.
-func TestLayoutGrowsUnderLiveElements(t *testing.T) {
-	wm := NewWM()
-	el := wm.Make("x", Attrs{"a": 1})
-	eng := NewEngine(wm)
-	fired := 0
-	eng.AddRule(&Rule{
-		Name:     "has-b",
-		Patterns: []Pattern{P("x").Bind("a", "a").Present("b")},
-		Action:   func(*Tx, *Match) { fired++ },
-	})
-	run(t, eng)
-	if fired != 0 || el.Has("b") {
-		t.Fatalf("fired %d before ^b was set, element %s", fired, el)
+// Every path that meets a class or attribute its schema does not declare
+// panics, naming what it hit: the working memory's make, modify and read,
+// and a rule's pattern at registration. So do a rule registered after the
+// engine's first cycle and a declaration no layout can hold: a Modify
+// reports its changed slots in one uint64, so a class has at most 64
+// attributes.
+func TestUndeclaredVocabularyPanics(t *testing.T) {
+	nop := func(*Tx, *Match) {}
+	wide := make([]string, maxClassAttrs+1)
+	for i := range wide {
+		wide[i] = fmt.Sprintf("a%02d", i)
 	}
-	wm.Modify(el, Attrs{"b": 2, "c": 3})
-	run(t, eng)
-	if fired != 1 || el.Int("b") != 2 || el.Int("c") != 3 {
-		t.Errorf("fired %d after ^b was set, element %s", fired, el)
+	cases := []struct {
+		name string
+		run  func()
+		want []string // what the panic must name
+	}{
+		{"make of an undeclared class", func() {
+			NewWM(testSchema).Make("ghost", Attrs{"g": 1})
+		}, []string{"class ghost"}},
+		{"make of an undeclared attribute", func() {
+			// Of two undeclared names, the first in sorted order is named.
+			NewWM(testSchema).Make("a", Attrs{"g": 1, "zz": 2, "yy": 3})
+		}, []string{"class a", "^yy"}},
+		{"modify of an undeclared attribute", func() {
+			wm := NewWM(testSchema)
+			wm.Modify(wm.Make("a", Attrs{"g": 1}), Attrs{"knd": nil})
+		}, []string{"class a", "^knd"}},
+		{"get of an undeclared attribute", func() {
+			NewWM(testSchema).Make("op", Attrs{"kind": "add"}).Has("knd")
+		}, []string{"class op", "^knd"}},
+		{"pattern on an undeclared class", func() {
+			NewEngine(NewWM(testSchema)).AddRule(&Rule{Name: "ghost-class",
+				Patterns: []Pattern{P("operator").Eq("kind", "add")}, Action: nop})
+		}, []string{"rule ghost-class", "pattern 0", "class operator"}},
+		{"pattern testing an undeclared attribute", func() {
+			NewEngine(NewWM(testSchema)).AddRule(&Rule{Name: "ghost-attr",
+				Patterns: []Pattern{P("op").Eq("knd", "add")}, Action: nop})
+		}, []string{"rule ghost-attr", "pattern 0", "^knd", "class op"}},
+		{"join on an undeclared attribute", func() {
+			NewEngine(NewWM(testSchema)).AddRule(&Rule{Name: "ghost-join",
+				Patterns: []Pattern{P("a").Bind("g", "g"), N("b").Bind("gg", "g")}, Action: nop})
+		}, []string{"rule ghost-join", "pattern 1", "^gg", "class b"}},
+		{"rule after the first cycle", func() {
+			eng := NewEngine(NewWM(testSchema))
+			eng.AddRule(&Rule{Name: "early", Patterns: []Pattern{P("x")}, Action: nop})
+			if err := eng.Run(); err != nil {
+				panic(err.Error())
+			}
+			eng.AddRule(&Rule{Name: "late", Patterns: []Pattern{P("x")}, Action: nop})
+		}, []string{"rule late", "first cycle"}},
+		{"65 attributes", func() {
+			NewWM(&Schema{Classes: map[string][]string{"wide": wide}})
+		}, []string{"class wide", "65 attributes"}},
 	}
-	if got, want := el.String(), fmt.Sprintf("(x #%d ^a 1 ^b 2 ^c 3)", el.ID); got != want {
-		t.Errorf("String() = %q, want %q", got, want)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if msg == "" {
+					t.Fatal("no panic")
+				}
+				for _, w := range tc.want {
+					if !strings.Contains(msg, w) {
+						t.Errorf("panic %q does not name %q", msg, w)
+					}
+				}
+			}()
+			tc.run()
+		})
 	}
-}
-
-// A layout holds at most 64 attributes: a Modify reports its changed
-// slots in one uint64. The 65th name panics, naming the class.
-func TestLayoutWidthLimit(t *testing.T) {
-	wm := NewWM()
-	attrs := Attrs{}
-	for i := 0; i < maxClassAttrs; i++ {
-		attrs[fmt.Sprintf("a%02d", i)] = i
-	}
-	el := wm.Make("wide", attrs)
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "wide") || !strings.Contains(msg, "^extra") {
-			t.Errorf("panic %q does not name the class and attribute", msg)
-		}
-	}()
-	wm.Modify(el, Attrs{"extra": 1})
-	t.Error("interning a 65th attribute did not panic")
 }
 
 func run(t *testing.T, e *Engine) {
@@ -183,7 +242,7 @@ func run(t *testing.T, e *Engine) {
 }
 
 func TestEngineSimpleFire(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	wm.Make("n", Attrs{"v": 3})
 	eng := NewEngine(wm)
 	fired := 0
@@ -205,7 +264,7 @@ func TestEngineSimpleFire(t *testing.T) {
 }
 
 func TestRefractionPreventsRefire(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	wm.Make("x", Attrs{"a": 1})
 	eng := NewEngine(wm)
 	fired := 0
@@ -221,7 +280,7 @@ func TestRefractionPreventsRefire(t *testing.T) {
 }
 
 func TestModifyReenablesRule(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	x := wm.Make("x", Attrs{"a": 1})
 	eng := NewEngine(wm)
 	fired := 0
@@ -255,7 +314,7 @@ func TestRecencyPreferred(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			wm := NewWM()
+			wm := NewWM(testSchema)
 			byTag := map[string]*Element{}
 			for _, tag := range []string{"old", "mid", "new"} {
 				byTag[tag] = wm.Make("x", Attrs{"tag": tag})
@@ -281,7 +340,7 @@ func TestRecencyPreferred(t *testing.T) {
 }
 
 func TestSpecificityBreaksTies(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	wm.Make("x", Attrs{"a": 1, "b": 2})
 	eng := NewEngine(wm)
 	var winner string
@@ -310,7 +369,7 @@ func TestSpecificityBreaksTies(t *testing.T) {
 }
 
 func TestVariableUnification(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	wm.Make("edge", Attrs{"from": "a", "to": "b"})
 	wm.Make("edge", Attrs{"from": "b", "to": "c"})
 	wm.Make("edge", Attrs{"from": "c", "to": "a"})
@@ -339,7 +398,7 @@ func TestVariableUnification(t *testing.T) {
 }
 
 func TestNegatedPattern(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	wm.Make("task", Attrs{"name": "t1"})
 	wm.Make("done", Attrs{"task": "t1"})
 	wm.Make("task", Attrs{"name": "t2"})
@@ -362,7 +421,7 @@ func TestNegatedPattern(t *testing.T) {
 }
 
 func TestWhereJoin(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	wm.Make("n", Attrs{"v": 2})
 	wm.Make("n", Attrs{"v": 5})
 	eng := NewEngine(wm)
@@ -380,7 +439,7 @@ func TestWhereJoin(t *testing.T) {
 }
 
 func TestHalt(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	for i := 0; i < 10; i++ {
 		wm.Make("x", Attrs{"i": i})
 	}
@@ -401,7 +460,7 @@ func TestHalt(t *testing.T) {
 }
 
 func TestFiringLimit(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	wm.Make("x", nil)
 	eng := NewEngine(wm)
 	eng.MaxFirings = 10
@@ -418,7 +477,7 @@ func TestFiringLimit(t *testing.T) {
 }
 
 func TestRemoveDisablesMatch(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	wm.Make("x", nil)
 	wm.Make("x", nil)
 	eng := NewEngine(wm)
@@ -440,7 +499,7 @@ func TestRemoveDisablesMatch(t *testing.T) {
 }
 
 func TestAddRulePanics(t *testing.T) {
-	eng := NewEngine(NewWM())
+	eng := NewEngine(NewWM(testSchema))
 	cases := []struct {
 		name string
 		rule *Rule
@@ -463,7 +522,7 @@ func TestAddRulePanics(t *testing.T) {
 }
 
 func TestUnboundVariablePanics(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	wm.Make("x", nil)
 	eng := NewEngine(wm)
 	eng.AddRule(&Rule{
@@ -482,7 +541,7 @@ func TestUnboundVariablePanics(t *testing.T) {
 }
 
 func TestTraceWriter(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	wm.Make("x", nil)
 	eng := NewEngine(wm)
 	var sb strings.Builder
@@ -499,7 +558,7 @@ func TestTraceWriter(t *testing.T) {
 }
 
 func TestElementStringDeterministic(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	e := wm.Make("op", Attrs{"b": 2, "a": 1, "c": 3})
 	want := "(op #0 ^a 1 ^b 2 ^c 3)"
 	if got := e.String(); got != want {
@@ -512,7 +571,7 @@ func TestElementStringDeterministic(t *testing.T) {
 func TestEngineTerminationProperty(t *testing.T) {
 	f := func(n uint8) bool {
 		count := int(n%50) + 1
-		wm := NewWM()
+		wm := NewWM(testSchema)
 		for i := 0; i < count; i++ {
 			wm.Make("tok", Attrs{"i": i})
 		}
@@ -540,7 +599,7 @@ func TestEngineTerminationProperty(t *testing.T) {
 func TestEngineRecencyLIFOProperty(t *testing.T) {
 	f := func(n uint8) bool {
 		count := int(n%20) + 2
-		wm := NewWM()
+		wm := NewWM(testSchema)
 		for i := 0; i < count; i++ {
 			wm.Make("tok", Attrs{"i": i})
 		}
@@ -574,7 +633,7 @@ func TestEngineRecencyLIFOProperty(t *testing.T) {
 // Remove, agrees with a brute-force scan.
 func TestIndexConsistencyProperty(t *testing.T) {
 	f := func(ops []uint32) bool {
-		wm := NewWM()
+		wm := NewWM(testSchema)
 		var live []*Element
 		for _, o := range ops {
 			switch o % 4 {
@@ -622,7 +681,7 @@ func TestIndexConsistencyProperty(t *testing.T) {
 // results: a join over an indexed attribute finds the same matches as a
 // full scan would.
 func TestIndexedJoinEquivalence(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	for i := 0; i < 20; i++ {
 		wm.Make("a", Attrs{"g": i % 3, "i": i})
 		wm.Make("b", Attrs{"g": i % 3, "i": i})
@@ -658,7 +717,7 @@ func TestInterruptStopsRunawayRuleSet(t *testing.T) {
 	// element that re-enables the rule. Without an interrupt this spins
 	// until MaxFirings; with one, Run returns the interrupt's error
 	// between cycles.
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	wm.Make("tok", Attrs{"n": 0})
 	eng := NewEngine(wm)
 	eng.AddRule(&Rule{

@@ -373,7 +373,9 @@ func (t *Tx) Do(name string, args ...any) (any, error) {
 // a fresh host of the kind the recording run used (its appliers, not the
 // decisions — every decision is already in the journal). Element IDs are
 // verified as effects apply: a fresh WM hands out the same IDs exactly
-// when the journal captured every make.
+// when the journal captured every make. A journal may come from outside
+// the process, so a make or modify naming a class or attribute the WM's
+// schema does not declare is an error, not a panic.
 type Replayer struct {
 	WM     *WM
 	Decode func(Ref) (any, error)
@@ -428,6 +430,9 @@ func (r *Replayer) decode(v Value) (any, error) {
 func (r *Replayer) applyEffect(eff *Effect) error {
 	switch eff.Kind {
 	case EffMake:
+		if err := r.declared(eff.Class, eff.Attrs); err != nil {
+			return fmt.Errorf("make: %w", err)
+		}
 		attrs := make(Attrs, len(eff.Attrs))
 		for _, av := range eff.Attrs {
 			v, err := r.decode(av.Val)
@@ -445,6 +450,9 @@ func (r *Replayer) applyEffect(eff *Effect) error {
 		el := r.elems[eff.Elem]
 		if el == nil {
 			return fmt.Errorf("modify of unknown element #%d", eff.Elem)
+		}
+		if err := r.declared(el.Class, eff.Attrs); err != nil {
+			return fmt.Errorf("modify #%d: %w", eff.Elem, err)
 		}
 		attrs := make(Attrs, len(eff.Attrs))
 		for _, av := range eff.Attrs {
@@ -481,6 +489,22 @@ func (r *Replayer) applyEffect(eff *Effect) error {
 		}
 		if _, err := r.Host.Apply(eff.Name, args); err != nil {
 			return fmt.Errorf("effect %s: %w", eff.Name, err)
+		}
+	}
+	return nil
+}
+
+// declared checks a journaled make or modify's vocabulary against the
+// working memory's schema, naming the first class or attribute it does not
+// declare.
+func (r *Replayer) declared(class string, avs []AttrValue) error {
+	l := r.WM.layouts[class]
+	if l == nil {
+		return fmt.Errorf("class %s is not declared", class)
+	}
+	for _, av := range avs {
+		if _, ok := l.slots[av.Attr]; !ok {
+			return fmt.Errorf("class %s declares no attribute ^%s", class, av.Attr)
 		}
 	}
 	return nil

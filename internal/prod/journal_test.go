@@ -60,7 +60,7 @@ func journalRules() []*Rule {
 
 func recordToyRun(t *testing.T) (*Journal, *toyHost, string) {
 	t.Helper()
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	eng := NewEngine(wm)
 	host := &toyHost{vals: map[string]int{}}
 	eng.Host = host
@@ -132,7 +132,7 @@ func (h *failingHost) Apply(name string, args []any) (any, error) {
 // after its firing, no later rule fires, the journal ends with that
 // firing, and Run returns the first error, naming the rule and the effect.
 func TestEffectErrorHaltsEngine(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	eng := NewEngine(wm)
 	eng.Host = &failingHost{failOn: 2}
 	j := eng.RecordJournal(nil)
@@ -183,7 +183,7 @@ func TestEffectErrorHaltsEngine(t *testing.T) {
 func TestJournalReplayReproducesState(t *testing.T) {
 	j, host, wantDump := recordToyRun(t)
 	fresh := &toyHost{vals: map[string]int{}}
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	rep := &Replayer{WM: wm, Host: fresh}
 	var seen []string
 	rep.OnFiring = func(f *Firing) { seen = append(seen, f.Rule) }
@@ -202,7 +202,7 @@ func TestJournalReplayReproducesState(t *testing.T) {
 }
 
 func TestJournalRefusesOpaqueReplay(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	eng := NewEngine(wm)
 	j := eng.RecordJournal(nil) // no encoder: pointers become opaque
 	eng.AddRule(&Rule{
@@ -217,8 +217,38 @@ func TestJournalRefusesOpaqueReplay(t *testing.T) {
 	if j.Opaque == 0 {
 		t.Fatal("expected opaque value count > 0")
 	}
-	rep := &Replayer{WM: NewWM()}
+	rep := &Replayer{WM: NewWM(testSchema)}
 	if err := rep.Run(j); err == nil {
 		t.Fatal("replay of opaque journal should fail")
+	}
+}
+
+// A journal may come from outside the process: a make or modify naming
+// vocabulary the replaying working memory does not declare is an error
+// naming it, not a panic.
+func TestReplayRefusesUndeclaredVocabulary(t *testing.T) {
+	made := Effect{Kind: EffMake, Class: "a", Elem: 0, Attrs: []AttrValue{{Attr: "g", Val: Value{Scalar: 1}}}}
+	cases := []struct {
+		name string
+		seed []Effect
+		want string
+	}{
+		{"make of an undeclared class", []Effect{{Kind: EffMake, Class: "ghost", Elem: 0}},
+			"make: class ghost is not declared"},
+		{"make of an undeclared attribute", []Effect{{Kind: EffMake, Class: "a", Elem: 0,
+			Attrs: []AttrValue{{Attr: "g", Val: Value{Scalar: 1}}, {Attr: "knd", Val: Value{Scalar: 2}}}}},
+			"make: class a declares no attribute ^knd"},
+		{"modify of an undeclared attribute", []Effect{made, {Kind: EffModify, Elem: 0,
+			Attrs: []AttrValue{{Attr: "knd"}}}},
+			"modify #0: class a declares no attribute ^knd"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := &Replayer{WM: NewWM(testSchema)}
+			err := rep.Run(&Journal{Seed: tc.seed})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("replay error %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }

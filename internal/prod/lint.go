@@ -6,36 +6,9 @@ import (
 	"sort"
 )
 
-// Schema declares the working-memory vocabulary a rule set may reference:
-// class name -> attribute names rules may test. Hosts that seed working
-// memory maintain the schema next to the seeding code; LintRules checks
-// every compiled pattern against it, so a renamed class or attribute in
-// the seeder breaks the lint gate instead of silently never matching.
-type Schema struct {
-	Classes map[string][]string
-}
-
-// HasClass reports whether the schema declares the class.
-func (s *Schema) HasClass(class string) bool {
-	_, ok := s.Classes[class]
-	return ok
-}
-
-// HasAttr reports whether the schema declares attr on class.
-func (s *Schema) HasAttr(class, attr string) bool {
-	for _, a := range s.Classes[class] {
-		if a == attr {
-			return true
-		}
-	}
-	return false
-}
-
 // Rule-lint finding codes.
 const (
 	LintUnboundVariable = "unbound-variable" // variable exported from a negated pattern
-	LintUnknownClass    = "unknown-class"    // pattern class absent from the schema
-	LintUnknownAttr     = "unknown-attr"     // tested attribute absent from the schema
 	LintDeadAlpha       = "dead-alpha"       // contradictory tests: the pattern can never match
 	LintShadowedLHS     = "shadowed-lhs"     // identical LHS registered earlier
 )
@@ -53,9 +26,9 @@ func (f RuleFinding) String() string {
 }
 
 // LintRules statically analyzes the engine's compiled rule set without
-// firing anything. With a non-nil schema it also checks every class and
-// attribute reference against the declared working-memory vocabulary.
-// Findings are ordered by registration index, then code.
+// firing anything. Vocabulary needs no lint: AddRule already refused any
+// pattern naming a class or attribute the working memory's schema does
+// not declare. Findings are ordered by registration index, then code.
 //
 // The checks:
 //
@@ -63,9 +36,6 @@ func (f RuleFinding) String() string {
 //     a negated pattern and the variable is used again later. Negated
 //     patterns assert absence — they cannot export bindings, so the later
 //     use never unifies and the rule never fires (or Match.Get panics).
-//   - unknown-class / unknown-attr: the pattern references vocabulary the
-//     schema does not declare; such a pattern can never match anything
-//     the host seeds, which is how renames silently kill rules.
 //   - dead-alpha: one pattern carries contradictory constant tests (two
 //     different Eq values, Eq and Neq of the same value, or Absent
 //     combined with a test requiring presence), so its alpha test can
@@ -74,10 +44,10 @@ func (f RuleFinding) String() string {
 //     rule's (classes, negation, tests, predicates by identity) and
 //     neither carries a Where join; the pair fires on exactly the same
 //     instantiations, which almost always means a copy-paste error.
-func (e *Engine) LintRules(sch *Schema) []RuleFinding {
+func (e *Engine) LintRules() []RuleFinding {
 	var out []RuleFinding
 	for _, r := range e.rules {
-		out = append(out, lintRule(r, sch)...)
+		out = append(out, lintRule(r)...)
 	}
 	out = append(out, lintShadowing(e.rules)...)
 	sort.SliceStable(out, func(i, j int) bool {
@@ -90,7 +60,7 @@ func (e *Engine) LintRules(sch *Schema) []RuleFinding {
 }
 
 // lintRule runs the per-rule checks over one rule's finalized patterns.
-func lintRule(r *Rule, sch *Schema) []RuleFinding {
+func lintRule(r *Rule) []RuleFinding {
 	var out []RuleFinding
 	report := func(code, format string, args ...any) {
 		out = append(out, RuleFinding{Rule: r.Name, Index: r.index, Code: code, Msg: fmt.Sprintf(format, args...)})
@@ -103,19 +73,6 @@ func lintRule(r *Rule, sch *Schema) []RuleFinding {
 	for pi := range r.Patterns {
 		p := &r.Patterns[pi]
 		p.finalize()
-
-		if sch != nil {
-			if !sch.HasClass(p.Class) {
-				report(LintUnknownClass, "pattern %d matches class %q, which no seeder creates", pi, p.Class)
-			} else {
-				for _, t := range p.tests {
-					if !sch.HasAttr(p.Class, t.attr) {
-						report(LintUnknownAttr, "pattern %d tests attribute %q, not in class %q's schema", pi, t.attr, p.Class)
-					}
-				}
-			}
-		}
-
 		for _, t := range p.tests {
 			if t.kind != testBind {
 				continue

@@ -5,13 +5,6 @@ import (
 	"testing"
 )
 
-// lintSchema is the vocabulary the defective-rule table below is checked
-// against.
-var lintSchema = &Schema{Classes: map[string][]string{
-	"op":   {"op", "kind", "class", "bound"},
-	"unit": {"unit", "class"},
-}}
-
 func noopAction(tx *Tx, m *Match) {}
 
 func TestLintRulesDefective(t *testing.T) {
@@ -48,26 +41,6 @@ func TestLintRulesDefective(t *testing.T) {
 			}},
 			wantCodes: []string{LintUnboundVariable},
 			wantMsgs:  []string{`variable "c" is first bound in negated pattern 1 and used in pattern 2`},
-		},
-		{
-			name: "unknown class",
-			rules: []*Rule{{
-				Name:     "ghost-class",
-				Patterns: []Pattern{P("operator").Eq("kind", "add")},
-				Action:   noopAction,
-			}},
-			wantCodes: []string{LintUnknownClass},
-			wantMsgs:  []string{`pattern 0 matches class "operator"`},
-		},
-		{
-			name: "unknown attribute",
-			rules: []*Rule{{
-				Name:     "ghost-attr",
-				Patterns: []Pattern{P("op").Eq("knd", "add")},
-				Action:   noopAction,
-			}},
-			wantCodes: []string{LintUnknownAttr},
-			wantMsgs:  []string{`pattern 0 tests attribute "knd"`},
 		},
 		{
 			name: "dead alpha: two different Eq values",
@@ -157,11 +130,11 @@ func TestLintRulesDefective(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := NewEngine(NewWM())
+			eng := NewEngine(NewWM(testSchema))
 			for _, r := range tc.rules {
 				eng.AddRule(r)
 			}
-			got := eng.LintRules(lintSchema)
+			got := eng.LintRules()
 			if len(got) != len(tc.wantCodes) {
 				t.Fatalf("got %d findings %v, want %d", len(got), got, len(tc.wantCodes))
 			}
@@ -174,18 +147,6 @@ func TestLintRulesDefective(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestLintRulesNilSchemaSkipsVocabulary(t *testing.T) {
-	eng := NewEngine(NewWM())
-	eng.AddRule(&Rule{
-		Name:     "ghost",
-		Patterns: []Pattern{P("no-such-class").Eq("no-such-attr", 1)},
-		Action:   noopAction,
-	})
-	if got := eng.LintRules(nil); len(got) != 0 {
-		t.Fatalf("nil schema should skip vocabulary checks, got %v", got)
 	}
 }
 

@@ -76,7 +76,7 @@ type RuleMetrics struct {
 	Name     string
 	Category string
 	Firings  int // times the rule fired
-	Rebuilds int // from-scratch activations (seeding, late AddRule)
+	Rebuilds int // from-scratch activations (the seeding match)
 	// Deltas counts the batches whose changes right-activated the rule's
 	// own nodes.
 	Deltas int

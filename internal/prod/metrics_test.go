@@ -9,7 +9,7 @@ import (
 // A rule with more than four positive patterns spills its refraction
 // signature into the FNV-1a extra hash; refraction must still hold.
 func TestRefractionOverflowWidePattern(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	els := make([]*Element, 6)
 	pats := make([]Pattern, 6)
 	for i := range els {
@@ -41,7 +41,7 @@ func TestRefractionOverflowWidePattern(t *testing.T) {
 // computed for every instantiation the agenda queues, and by the
 // exhaustive matcher for every candidate on every cycle.
 func TestRefractionKeyAllocFree(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	m := &Match{Rule: &Rule{Name: "wide", index: 3}}
 	for i := 0; i < 7; i++ {
 		m.Elements = append(m.Elements, wm.Make("c", nil))
@@ -69,7 +69,7 @@ func TestNonComparableAttrPanics(t *testing.T) {
 		}()
 		f()
 	}
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	expectPanic("Make", func() {
 		wm.Make("net", Attrs{"pins": []int{1, 2}})
 	}, "net", "^pins", "[]int")
@@ -84,7 +84,7 @@ func TestNonComparableAttrPanics(t *testing.T) {
 }
 
 func TestEngineMetrics(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	for i := 0; i < 8; i++ {
 		wm.Make("a", Attrs{"k": i})
 	}
@@ -144,7 +144,7 @@ func TestEngineMetrics(t *testing.T) {
 // CrossCheck's exhaustive leg leaves the Rete run's counters untouched.
 func TestExhaustiveMatchTime(t *testing.T) {
 	build := func(crossCheck bool) Metrics {
-		wm := NewWM()
+		wm := NewWM(testSchema)
 		for i := 0; i < 8; i++ {
 			wm.Make("a", Attrs{"k": i})
 		}

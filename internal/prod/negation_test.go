@@ -111,7 +111,7 @@ func TestNegationUnderDeltas(t *testing.T) {
 		},
 	}
 
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	eng := NewEngine(wm)
 	for _, r := range rules {
 		eng.AddRule(r)
@@ -149,7 +149,7 @@ func TestNegationUnderDeltas(t *testing.T) {
 // pins the full firing trace.
 func TestNegationFiringFlips(t *testing.T) {
 	build := func(mode func(*Engine)) (string, int) {
-		wm := NewWM()
+		wm := NewWM(testSchema)
 		for i := 0; i < 6; i++ {
 			wm.Make("task", Attrs{"g": i % 2, "n": i})
 		}
@@ -196,7 +196,7 @@ func TestNegationFiringFlips(t *testing.T) {
 // refraction key, and the agenda must not queue it. idle fires once for
 // the task; lock and unlock then make and remove a lock on its group.
 func TestRefractionSurvivesBlockerFlip(t *testing.T) {
-	wm := NewWM()
+	wm := NewWM(testSchema)
 	wm.Make("task", Attrs{"g": 1})
 	eng := NewEngine(wm)
 	eng.MaxFirings = 20

@@ -88,20 +88,17 @@ func newRete() *rete {
 	return &rete{alpha: newAlphaNet()}
 }
 
-// addRule compiles a rule and splices it into the network. The first node
-// is shared when an earlier rule has one on the same alpha memory with the
-// same projections (sharedFirst). If the engine is already seeded, the new
-// rule's memories are populated from live WM and its nodes activated
-// immediately: a sharer left-activates its private nodes from the shared
-// node's stored tokens.
-func (rt *rete) addRule(r *Rule, e *Engine) {
-	cr := compileRule(r, e.WM)
-	rr := &reteRule{idx: r.index, r: r, cr: cr, ag: &e.agenda}
+// addRule splices a compiled rule into the network. The first node is
+// shared when an earlier rule has one on the same alpha memory with the
+// same projections (sharedFirst). Rules register before the first cycle,
+// so the nodes start empty and seed activates them.
+func (rt *rete) addRule(r *Rule, cr *compiledRule, ag *agenda) {
+	rr := &reteRule{idx: r.index, r: r, cr: cr, ag: ag}
 	rr.root = &token{binds: make([]any, len(cr.slotNames))}
 	rr.rootSlice = []*token{rr.root}
 	mems := make([]*alphaMem, len(cr.pats))
 	for i, cp := range cr.pats {
-		mems[i] = rt.alpha.memFor(cp.class, cp.alphas, e.WM, rt.seeded)
+		mems[i] = rt.alpha.memFor(cp.class, cp.alphas)
 		rt.patterns++
 	}
 	var parent *betaNode
@@ -131,18 +128,6 @@ func (rt *rete) addRule(r *Rule, e *Engine) {
 		}
 	}
 	rt.rules = append(rt.rules, rr)
-	if rt.seeded {
-		t0 := time.Now()
-		if first := rr.nodes[0]; first.rr == rr {
-			first.leftActivate(rr.root)
-		} else {
-			for _, t := range first.tokens {
-				rr.nodes[1].leftActivate(t)
-			}
-		}
-		rr.stats.elapsed = time.Since(t0)
-		rt.foldRule(e, rr, true)
-	}
 }
 
 // sharedFirst returns the earlier rule's first node that a new rule's first
@@ -207,8 +192,7 @@ func (rt *rete) apply(e *Engine, changes []Change) {
 		for _, mem := range mems {
 			switch ch.Kind {
 			case ChangeMake:
-				// AddRule-time population may already hold the element.
-				if !mem.has(el) && mem.eval(el, rt.alpha) {
+				if mem.eval(el, rt.alpha) {
 					mem.add(el)
 					rt.activate(mem, memAdd, el, 0)
 				}
@@ -296,9 +280,9 @@ func (rt *rete) foldAlphaEvals(e *Engine) {
 }
 
 // foldRule moves a rule's batch counters into the engine metrics.
-// rebuild marks a from-scratch activation (seeding or late AddRule)
-// rather than an incremental batch, which counts as a delta only when a
-// memory right-activated the rule's own nodes.
+// rebuild marks the seeding activation rather than an incremental batch,
+// which counts as a delta only when a memory right-activated the rule's
+// own nodes.
 func (rt *rete) foldRule(e *Engine, rr *reteRule, rebuild bool) {
 	st := &rr.stats
 	rm := &e.met.rules[rr.idx]

@@ -4,19 +4,23 @@
 //
 // Knowledge is expressed as rules whose left-hand sides are declarative
 // patterns over a working memory of class/attribute elements and whose
-// right-hand sides are actions that make, modify, and remove elements. On
-// every cycle the engine selects one instantiation from the conflict set
-// (every rule instantiation whose patterns match) by OPS5-style conflict
-// resolution — refraction, then recency of the matched elements, then
-// specificity, then declaration order — and fires it, until no
-// instantiation is left to fire or a rule halts the engine.
+// right-hand sides are actions that make, modify, and remove elements. A
+// working memory is built from a Schema that declares each class's
+// attributes, as OPS5's literalize did, and every make, modify, read and
+// rule pattern is checked against it. On every cycle the engine selects
+// one instantiation from the conflict set (every rule instantiation whose
+// patterns match) by OPS5-style conflict resolution — refraction, then
+// recency of the matched elements, then specificity, then declaration
+// order — and fires it, until no instantiation is left to fire or a rule
+// halts the engine.
 //
 // The matcher is a compiled Rete network (rete.go, alpha.go, beta.go,
-// compile.go): each rule's left-hand side is compiled at AddRule time into
-// interned alpha constant tests feeding shared alpha memories, and a path
-// of beta join nodes holding partial-match tokens, its first node shared
-// with earlier rules whose first pattern compiles alike — negated patterns
-// become negative nodes carrying per-token blocker lists. The working
+// compile.go): each rule's left-hand side is compiled at AddRule time,
+// before the engine's first cycle, into interned alpha constant tests
+// feeding shared alpha memories, and a path of beta join nodes holding
+// partial-match tokens, its first node shared with earlier rules whose
+// first pattern compiles alike — negated patterns become negative nodes
+// carrying per-token blocker lists. The working
 // memory emits a change notification for every Make, Modify, and Remove;
 // between firings the network propagates only those changes, one at a
 // time, so match work is proportional to change, not to working-memory
@@ -44,36 +48,18 @@ import (
 // trace or the RTL design are the common case in internal/core.
 //
 // Values are stored by slot, as OPS5's literalize compiled them: the
-// working memory gives each class a layout (its attribute names in
-// first-use order), an element holds one vector of its class's width, and
-// the compiled network reads attributes by slot index. A nil entry is an
-// absent attribute, and so is a slot the layout gained after the vector
-// was made.
+// working memory's schema gives each class a layout (its declared
+// attribute names, in declared order), an element holds one vector of its
+// class's width, and the compiled network reads attributes by slot index.
+// A nil entry is an absent attribute.
 type Element struct {
 	ID    int
 	Class string
 	Time  int // recency tag: bumped on creation and each modification
 
 	cls     *layout
-	vals    []any // by slot of cls
+	vals    []any // by slot of cls, one per declared attribute
 	deleted bool
-}
-
-// at returns the value in slot s, nil when absent.
-func (e *Element) at(s int) any {
-	if s < len(e.vals) {
-		return e.vals[s]
-	}
-	return nil
-}
-
-// put stores v in slot s, widening the vector to the layout's current
-// width when the slot was added after the element was made.
-func (e *Element) put(s int, v any) {
-	if s >= len(e.vals) {
-		e.vals = append(e.vals, make([]any, len(e.cls.names)-len(e.vals))...)
-	}
-	e.vals[s] = v
 }
 
 // attrNames returns the names of the element's present attributes, sorted.
@@ -88,13 +74,10 @@ func (e *Element) attrNames() []string {
 	return names
 }
 
-// Get returns the value of attr, or nil when absent.
-func (e *Element) Get(attr string) any {
-	if s, ok := e.cls.slots[attr]; ok {
-		return e.at(s)
-	}
-	return nil
-}
+// Get returns the value of attr, or nil when absent. An attribute the
+// element's class does not declare panics, naming the class and the
+// attribute.
+func (e *Element) Get(attr string) any { return e.vals[e.cls.slot(attr)] }
 
 // Has reports whether attr is present with a non-nil value.
 func (e *Element) Has(attr string) bool { return e.Get(attr) != nil }
@@ -133,52 +116,59 @@ func (e *Element) String() string {
 // Attrs is the attribute/value map used to create or modify elements.
 type Attrs map[string]any
 
+// Schema declares a working memory's vocabulary, as OPS5's literalize
+// did: class name -> the attribute names its elements carry, in slot
+// order. NewWM fixes every class's layout from it; making or modifying an
+// element, reading an attribute, or registering a rule that names a class
+// or attribute the schema does not declare panics, naming it. A working
+// memory keeps the schema's name slices, so a schema must not change once
+// a working memory is built from it.
+type Schema struct {
+	Classes map[string][]string
+}
+
 // maxClassAttrs bounds a class's layout: a Modify reports the slots it
 // changed as one uint64.
 const maxClassAttrs = 64
 
-// layout is one class's slot assignment: every attribute name the working
-// memory has seen for the class, in first-use order. AddRule interns the
-// names its patterns test before the first element is made, and Make and
-// Modify intern new names in sorted order, so numbering never depends on
-// map iteration. Slots are only ever added, so a slot compiled into the
-// network stays valid for the life of the working memory.
+// layout is one class's slot assignment, fixed by the schema: slot s holds
+// the s-th declared attribute.
 type layout struct {
 	class string
 	names []string       // slot -> attribute name
 	slots map[string]int // attribute name -> slot
 }
 
-// intern returns attr's slot, adding one on first use. A class has at most
-// maxClassAttrs attributes.
-func (l *layout) intern(attr string) int {
+// slot returns attr's slot; an undeclared attribute panics, naming the
+// class and the attribute.
+func (l *layout) slot(attr string) int {
 	if s, ok := l.slots[attr]; ok {
 		return s
 	}
-	if len(l.names) == maxClassAttrs {
-		panic(fmt.Sprintf("prod: class %s: interning ^%s would give it %d attributes, more than the %d a layout holds",
-			l.class, attr, maxClassAttrs+1, maxClassAttrs))
-	}
-	s := len(l.names)
-	l.names = append(l.names, attr)
-	l.slots[attr] = s
-	return s
+	panic(fmt.Sprintf("prod: class %s declares no attribute ^%s", l.class, attr))
 }
 
-// internNew interns the names attrs sets (non-nil values) that the layout
-// lacks, in sorted order.
-func (l *layout) internNew(attrs Attrs) {
-	var fresh []string
-	//daalint:allow detmap the names are sorted before they are interned
-	for k, v := range attrs {
-		if _, ok := l.slots[k]; !ok && v != nil {
-			fresh = append(fresh, k)
-		}
+// updateSlot is slot for attr, one name of the update attrs. An undeclared
+// name panics naming the update's first undeclared name in sorted order,
+// whatever the map order.
+func (l *layout) updateSlot(attrs Attrs, attr string) int {
+	if s, ok := l.slots[attr]; ok {
+		return s
 	}
-	sort.Strings(fresh)
-	for _, k := range fresh {
-		l.intern(k)
+	for _, k := range sortedNames(attrs) {
+		l.slot(k)
 	}
+	panic("unreachable")
+}
+
+// sortedNames returns the names attrs sets, sorted.
+func sortedNames(attrs Attrs) []string {
+	keys := make([]string, 0, len(attrs))
+	for k := range attrs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // ChangeKind discriminates working-memory change notifications.
@@ -212,11 +202,12 @@ func (c Change) ChangedAttrs() []string {
 	return names
 }
 
-// WM is a working memory: the set of live elements, indexed by class. The
-// matchers hash attribute values (the Rete network's join indexes, the
-// oracle's candidate index), so they must be comparable Go values (ints,
-// strings, bools, pointers); storing a non-comparable value (slice, map,
-// function) panics with the class and attribute named.
+// WM is a working memory: the set of live elements, indexed by class,
+// over the vocabulary its schema declares. The matchers hash attribute
+// values (the Rete network's join indexes, the oracle's candidate index),
+// so they must be comparable Go values (ints, strings, bools, pointers);
+// storing a non-comparable value (slice, map, function) panics with the
+// class and attribute named.
 type WM struct {
 	byClass   map[string][]*Element
 	layouts   map[string]*layout
@@ -227,19 +218,35 @@ type WM struct {
 	peak      int
 }
 
-// NewWM returns an empty working memory.
-func NewWM() *WM {
-	return &WM{byClass: map[string][]*Element{}, layouts: map[string]*layout{}}
-}
-
-// layoutOf returns class's layout, creating an empty one on first use.
-func (w *WM) layoutOf(class string) *layout {
-	l := w.layouts[class]
-	if l == nil {
-		l = &layout{class: class, slots: map[string]int{}}
+// NewWM returns an empty working memory over sch's vocabulary. Each
+// declared class's layout is fixed here, in declared order; a class
+// declaring more than 64 attributes panics.
+func NewWM(sch *Schema) *WM {
+	w := &WM{
+		byClass: make(map[string][]*Element, len(sch.Classes)),
+		layouts: make(map[string]*layout, len(sch.Classes)),
+	}
+	//daalint:allow detmap each class builds its own layout
+	for class, names := range sch.Classes {
+		if len(names) > maxClassAttrs {
+			panic(fmt.Sprintf("prod: class %s declares %d attributes, more than the %d a layout holds",
+				class, len(names), maxClassAttrs))
+		}
+		l := &layout{class: class, names: names, slots: make(map[string]int, len(names))}
+		for s, attr := range names {
+			l.slots[attr] = s
+		}
 		w.layouts[class] = l
 	}
-	return l
+	return w
+}
+
+// layoutOf returns class's layout; an undeclared class panics, naming it.
+func (w *WM) layoutOf(class string) *layout {
+	if l := w.layouts[class]; l != nil {
+		return l
+	}
+	panic(fmt.Sprintf("prod: class %s is not declared", class))
 }
 
 // Observe registers f to receive every subsequent working-memory change.
@@ -262,12 +269,7 @@ func checkAttrValue(class string, attrs Attrs, v any) {
 	if v == nil || reflect.TypeOf(v).Comparable() {
 		return
 	}
-	keys := make([]string, 0, len(attrs))
-	for k := range attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedNames(attrs) {
 		if v := attrs[k]; v != nil {
 			if t := reflect.TypeOf(v); !t.Comparable() {
 				panic(fmt.Sprintf("prod: %s ^%s: attribute value of non-comparable type %s (working-memory values must be comparable: ints, strings, bools, pointers)", class, k, t))
@@ -276,12 +278,19 @@ func checkAttrValue(class string, attrs Attrs, v any) {
 	}
 }
 
-// Make creates a new element of the given class.
+// Make creates a new element of the given class. Its value vector has
+// the class's declared width, so a later Modify writes in place.
 func (w *WM) Make(class string, attrs Attrs) *Element {
+	l := w.layoutOf(class)
 	w.clock++
-	e := &Element{ID: w.nextID, Class: class, Time: w.clock, cls: w.layoutOf(class)}
+	e := &Element{ID: w.nextID, Class: class, Time: w.clock, cls: l, vals: make([]any, len(l.names))}
 	w.nextID++
-	e.fill(attrs)
+	//daalint:allow detmap each attribute writes its own slot
+	for k, v := range attrs {
+		s := l.updateSlot(attrs, k)
+		checkAttrValue(class, attrs, v)
+		e.vals[s] = v
+	}
 	w.byClass[class] = append(w.byClass[class], e)
 	w.count++
 	if w.count > w.peak {
@@ -289,29 +298,6 @@ func (w *WM) Make(class string, attrs Attrs) *Element {
 	}
 	w.notify(Change{Kind: ChangeMake, El: e})
 	return e
-}
-
-// fill stores attrs in a new element's vector, made at its layout's full
-// width so a later Modify of any known attribute writes in place.
-func (e *Element) fill(attrs Attrs) {
-	l := e.cls
-	e.vals = make([]any, len(l.names))
-	//daalint:allow detmap each attribute writes its own slot
-	for k, v := range attrs {
-		if v == nil {
-			continue
-		}
-		s, ok := l.slots[k]
-		if !ok {
-			// A name new to the class: intern every new name at once, in
-			// sorted order, and fill a vector of the new width.
-			l.internNew(attrs)
-			e.fill(attrs)
-			return
-		}
-		checkAttrValue(l.class, attrs, v)
-		e.vals[s] = v
-	}
 }
 
 // Modify updates attributes of a live element and bumps its recency tag.
@@ -325,19 +311,12 @@ func (w *WM) Modify(e *Element, attrs Attrs) {
 	var changed uint64
 	//daalint:allow detmap each attribute sets its own slot and bit
 	for k, v := range attrs {
-		s, ok := e.cls.slots[k]
-		if !ok {
-			if v == nil {
-				continue // unsetting an attribute the class never had
-			}
-			e.cls.internNew(attrs)
-			s = e.cls.slots[k]
-		}
+		s := e.cls.updateSlot(attrs, k)
 		checkAttrValue(e.Class, attrs, v)
-		if e.at(s) == v {
+		if e.vals[s] == v {
 			continue
 		}
-		e.put(s, v)
+		e.vals[s] = v
 		changed |= 1 << s
 	}
 	w.notify(Change{Kind: ChangeModify, El: e, Changed: changed})

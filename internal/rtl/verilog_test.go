@@ -7,6 +7,9 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/rtl"
+	"repro/internal/vt"
 )
 
 func verilogFor(t *testing.T, src string) string {
@@ -106,34 +109,52 @@ processor P {
 	}
 }
 
+// beginWord and endWord match begin and end as whole words, so endcase,
+// endmodule and names that merely contain them do not count.
+var beginWord, endWord = regexp.MustCompile(`\bbegin\b`), regexp.MustCompile(`\bend\b`)
+
 func TestVerilogEveryBenchmark(t *testing.T) {
+	allocators := map[string]func(*vt.Program) (*rtl.Design, error){
+		"daa": func(tr *vt.Program) (*rtl.Design, error) {
+			res, err := core.Synthesize(tr, core.Options{})
+			if err != nil {
+				return nil, err
+			}
+			return res.Design, nil
+		},
+		"leftedge": func(tr *vt.Program) (*rtl.Design, error) { return alloc.LeftEdge(tr, alloc.Options{}) },
+		"naive":    func(tr *vt.Program) (*rtl.Design, error) { return alloc.Naive(tr, alloc.Options{}) },
+	}
 	for _, name := range bench.Names() {
 		t.Run(name, func(t *testing.T) {
-			tr, err := bench.Load(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d, err := alloc.LeftEdge(tr, alloc.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sb strings.Builder
-			if err := d.WriteVerilog(&sb, name); err != nil {
-				t.Fatal(err)
-			}
-			out := sb.String()
-			if strings.Count(out, "module ") != 1 || !strings.HasSuffix(strings.TrimSpace(out), "endmodule") {
-				t.Error("malformed module structure")
-			}
-			if strings.Contains(out, "/*bad") {
-				t.Error("bad endpoint in output")
-			}
-			// Balanced begin/end inside always blocks.
-			if strings.Count(out, "begin") != strings.Count(out, "\n")-strings.Count(out, "\n")+strings.Count(out, "begin") {
-				_ = out // structural sanity handled above
-			}
-			if strings.Count(out, "case (") != strings.Count(out, "endcase") {
-				t.Error("unbalanced case/endcase")
+			for a, build := range allocators {
+				t.Run(a, func(t *testing.T) {
+					tr, err := bench.Load(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					d, err := build(tr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var sb strings.Builder
+					if err := d.WriteVerilog(&sb, name); err != nil {
+						t.Fatal(err)
+					}
+					out := sb.String()
+					if strings.Count(out, "module ") != 1 || !strings.HasSuffix(strings.TrimSpace(out), "endmodule") {
+						t.Error("malformed module structure")
+					}
+					if strings.Contains(out, "/*bad") {
+						t.Error("bad endpoint in output")
+					}
+					if b, e := len(beginWord.FindAllStringIndex(out, -1)), len(endWord.FindAllStringIndex(out, -1)); b != e {
+						t.Errorf("unbalanced begin/end: %d begin, %d end", b, e)
+					}
+					if strings.Count(out, "case (") != strings.Count(out, "endcase") {
+						t.Error("unbalanced case/endcase")
+					}
+				})
 			}
 		})
 	}

@@ -376,8 +376,8 @@ type LintRequest struct {
 	// Source is the ISPS behavioral description to lint. Optional when
 	// Rules is set.
 	Source string `json:"source,omitempty"`
-	// Rules additionally lints the embedded 48-rule knowledge base against
-	// the per-phase working-memory schemas.
+	// Rules additionally lints the embedded 48-rule knowledge base, each
+	// phase's rules registered over its declared working memory.
 	Rules bool `json:"rules,omitempty"`
 }
 
