@@ -36,25 +36,28 @@ type ClientConfig struct {
 	// Attempts bounds total tries per request, the first included
 	// (default 2 — the single retry).
 	Attempts int
-	// BaseBackoff is the pause before the first retry; each further retry
-	// doubles it (default 200ms).
+	// BaseBackoff is the pause before the first retry (default 200ms);
+	// each further retry doubles it, up to maxBackoff.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the doubling (default 2s).
-	MaxBackoff time.Duration
 	// JitterSeed seeds the backoff jitter so tests can pin it
 	// (default: a process-unique seed).
 	JitterSeed int64
 	// Honor429 spends one extra attempt when the server sheds load with
-	// 429 + Retry-After, sleeping the advertised delay (capped by
-	// Max429Wait) before retrying. Off, the 429 response is returned to the
+	// 429 + Retry-After, sleeping the advertised delay (at most
+	// max429Wait) before retrying. Off, the 429 response is returned to the
 	// caller with its Retry-After intact — the coordinator's choice, which
 	// forwards the header to its own caller instead of re-hammering an
 	// overloaded shard.
 	Honor429 bool
-	// Max429Wait caps the honored Retry-After delay (default 2s). A 429
-	// advertising a longer wait is returned, not retried.
-	Max429Wait time.Duration
 }
+
+const (
+	// maxBackoff caps the doubling retry pause.
+	maxBackoff = 2 * time.Second
+	// max429Wait caps an honored Retry-After delay: a 429 advertising a
+	// longer wait is returned, not retried.
+	max429Wait = 2 * time.Second
+)
 
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.HTTP == nil {
@@ -65,12 +68,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	}
 	if c.BaseBackoff <= 0 {
 		c.BaseBackoff = 200 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 2 * time.Second
-	}
-	if c.Max429Wait <= 0 {
-		c.Max429Wait = 2 * time.Second
 	}
 	return c
 }
@@ -117,7 +114,7 @@ func (c *Client) Do(ctx context.Context, mk func() (*http.Request, error)) (*htt
 		case err == nil && resp.StatusCode == http.StatusTooManyRequests &&
 			c.cfg.Honor429 && !honored429:
 			wait, ok := retryAfter(resp)
-			if !ok || wait > c.cfg.Max429Wait {
+			if !ok || wait > max429Wait {
 				return resp, nil // shed too hard to wait out; surface it
 			}
 			io.Copy(io.Discard, resp.Body)
@@ -153,12 +150,12 @@ func (c *Client) Send(ctx context.Context, method, url string, body []byte) (*ht
 }
 
 // backoff computes the pause before retry number n (0-based): base·2ⁿ
-// capped at MaxBackoff, plus up to 50% jitter so a burst of failed
+// capped at maxBackoff, plus up to 50% jitter so a burst of failed
 // clients does not retry in lockstep.
 func (c *Client) backoff(n int) time.Duration {
 	d := c.cfg.BaseBackoff << uint(n)
-	if d > c.cfg.MaxBackoff || d <= 0 {
-		d = c.cfg.MaxBackoff
+	if d > maxBackoff || d <= 0 {
+		d = maxBackoff
 	}
 	c.mu.Lock()
 	j := time.Duration(c.rng.Int63n(int64(d)/2 + 1))

@@ -20,6 +20,7 @@ import (
 	"net/url"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -189,6 +190,174 @@ func TestExplainRoutesToOwningShard(t *testing.T) {
 	}
 	if got := exResp.Header.Get("X-DAAD-Worker"); got != synthWorker {
 		t.Errorf("explain served by %s, design journaled on %s", got, synthWorker)
+	}
+}
+
+// TestExploreThroughCoordinator: explore routes by design content hash,
+// repeats land on the same worker and hit its explore cache, and the
+// response bytes match across runs.
+func TestExploreThroughCoordinator(t *testing.T) {
+	tc := bootCluster(t, 3, Config{})
+	src, err := bench.Source("gcd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := serve.ExploreRequest{
+		Name:   "gcd.isps",
+		Source: src,
+		Grid: map[string]serve.GridAxis{
+			"allocator": {"daa", "leftedge", "naive"},
+			"scheduler": {"list", "asap"},
+			"cleanup":   {"true", "false"},
+		},
+	}
+	owner := tc.co.Ring().Owner(req.ShardKey())
+
+	resp1, body1 := postJSON(t, tc.url()+"/v1/explore", req)
+	if resp1.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp1.StatusCode, body1)
+	}
+	if got := resp1.Header.Get("X-DAAD-Worker"); got != owner {
+		t.Errorf("explore served by %s, ring owner of the design is %s", got, owner)
+	}
+	var er serve.ExploreResponse
+	if err := json.Unmarshal(body1, &er); err != nil {
+		t.Fatal(err)
+	}
+	if er.GridPoints != 12 || er.Failed != 0 {
+		t.Fatalf("grid=%d failed=%d, want 12/0", er.GridPoints, er.Failed)
+	}
+
+	resp2, body2 := postJSON(t, tc.url()+"/v1/explore", req)
+	if got := resp2.Header.Get("X-DAAD-Worker"); got != owner {
+		t.Errorf("repeat explore served by %s, want %s — affinity broken", got, owner)
+	}
+	if got := resp2.Header.Get("X-DAAD-Cache"); got != "hit" {
+		t.Errorf("repeat explore was %q, want hit", got)
+	}
+	if !bytes.Equal(body1, body2) {
+		t.Error("explore responses differ across runs through the coordinator")
+	}
+
+	// A sweep with different options still routes to the same worker: the
+	// explore shard key covers the design content only.
+	alt := req
+	alt.Options.Allocator = "naive"
+	respAlt, _ := postJSON(t, tc.url()+"/v1/explore", alt)
+	if got := respAlt.Header.Get("X-DAAD-Worker"); got != owner {
+		t.Errorf("option-variant sweep served by %s, want %s", got, owner)
+	}
+
+	if got := tc.co.Metrics().Requests.Explore; got != 3 {
+		t.Errorf("coordinator explore counter %d, want 3", got)
+	}
+}
+
+// TestDuplicatesBehindCoordinatorComputeOnce: the coordinator forwards N
+// identical synthesize requests, and the worker owning their key computes
+// the design once; the others join that computation and answer with its
+// body. A cross-checked mcs6502 sweep, posted to the worker directly,
+// holds the worker's only token until all N have arrived, so they overlap
+// however fast the machine is; canceling it lets the leader compute.
+func TestDuplicatesBehindCoordinatorComputeOnce(t *testing.T) {
+	worker := serve.New(serve.Config{ID: "w0", Workers: 1})
+	ws := httptest.NewServer(worker.Handler())
+	t.Cleanup(ws.Close)
+	co, err := New(Config{Peers: []Peer{{ID: "w0", URL: ws.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	co.Start(context.Background())
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		co.Shutdown(ctx)
+	})
+	front := httptest.NewServer(co.Handler())
+	t.Cleanup(front.Close)
+
+	src, err := bench.Source("mcs6502")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold, err := json.Marshal(serve.ExploreRequest{Source: src, NoCache: true,
+		Grid: map[string]serve.GridAxis{"crosscheck": {"true"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	holdCtx, release := context.WithCancel(context.Background())
+	defer release()
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		req, err := http.NewRequestWithContext(holdCtx, http.MethodPost, ws.URL+"/v1/explore", bytes.NewReader(hold))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitUntil(t, "the sweep holds the worker token", func() bool { return worker.Metrics().InFlight == 1 })
+
+	body, err := json.Marshal(benchRequest(t, "gcd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 6
+	codes, caches := make([]int, n), make([]string, n)
+	bodies := make([][]byte, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(front.URL+"/v1/synthesize", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Errorf("client %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			bodies[i], err = io.ReadAll(resp.Body)
+			if err != nil {
+				t.Errorf("client %d: %v", i, err)
+			}
+			codes[i], caches[i] = resp.StatusCode, resp.Header.Get("X-DAAD-Cache")
+		}(i)
+	}
+	waitUntil(t, "the duplicates join", func() bool { return worker.Metrics().Joined == n-1 })
+	release()
+	<-held
+	wg.Wait()
+
+	for i := 0; i < n; i++ {
+		if codes[i] != http.StatusOK || caches[i] != "miss" {
+			t.Fatalf("client %d: HTTP %d, cache %q, want 200 miss: %s", i, codes[i], caches[i], bodies[i])
+		}
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Errorf("client %d received a different body than client 0", i)
+		}
+	}
+	m := worker.Metrics()
+	if m.Engine.Synthesized != 1 || m.Joined != n-1 {
+		t.Errorf("worker synthesized %d designs with %d joins for %d identical requests, want 1 and %d",
+			m.Engine.Synthesized, m.Joined, n, n-1)
+	}
+	if got := co.Metrics().Requests.Synthesize; got != n {
+		t.Errorf("coordinator counted %d synthesize requests, want %d", got, n)
+	}
+}
+
+// waitUntil polls cond until it holds, failing the test after 10s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 

@@ -45,22 +45,12 @@ type Config struct {
 	Peers []Peer
 	// ProbeInterval spaces readiness probes per peer (default 500ms).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe (default 2s).
-	ProbeTimeout time.Duration
-	// UpAfter is the consecutive probe successes a down peer needs to enter
-	// the ring (default 1); DownAfter the consecutive failures an up peer
-	// needs to leave it (default 2).
-	UpAfter   int
+	// DownAfter is the consecutive probe failures an up peer needs to
+	// leave the ring (default 2).
 	DownAfter int
-	// MaxFailover bounds how many ring candidates one request may try
-	// (default: every member).
-	MaxFailover int
 	// MaxBodyBytes limits request bodies (default 8 MiB — batches carry
 	// many sources).
 	MaxBodyBytes int64
-	// MaxBatch bounds sources per batch request (default 256, mirroring the
-	// workers).
-	MaxBatch int
 	// Client overrides the forwarding client (default: one attempt per
 	// peer — ring failover is the retry, so a per-peer backoff would only
 	// add latency in front of a live successor).
@@ -74,20 +64,11 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
-	}
-	if c.UpAfter <= 0 {
-		c.UpAfter = 1
-	}
 	if c.DownAfter <= 0 {
 		c.DownAfter = 2
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
 	}
 	if c.Client == nil {
 		// A dedicated transport, not the global pool: Shutdown closes its
@@ -113,7 +94,6 @@ type Coordinator struct {
 	ring        atomic.Pointer[Ring]
 	probeClient *http.Client
 	met         coordMetrics
-	flights     coalescer
 	start       time.Time
 	frame       serve.Frame
 
@@ -123,6 +103,13 @@ type Coordinator struct {
 	wg       sync.WaitGroup
 	http     http.Server
 }
+
+// probeTimeout bounds one readiness probe or worker metrics scrape.
+const probeTimeout = 2 * time.Second
+
+// maxBatch bounds sources per batch request, mirroring the workers'
+// default.
+const maxBatch = 256
 
 // readHeaderTimeout bounds how long a connection may take to send its
 // request headers: one that stalls mid-header is closed instead of holding
@@ -147,7 +134,7 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:  cfg,
 		byID: map[string]*peerState{},
 		probeClient: &http.Client{
-			Timeout:   cfg.ProbeTimeout,
+			Timeout:   probeTimeout,
 			Transport: http.DefaultTransport.(*http.Transport).Clone(),
 		},
 		start: time.Now(),
@@ -243,20 +230,19 @@ type endpoint struct {
 	path     string                            // worker path, served as "POST " + path
 	requests *atomic.Int64                     // the endpoint's request counter
 	shardKey func(body []byte) (string, error) // an error is a 400
-	coalesce bool                              // share one upstream call among concurrent identical requests
 }
 
-// routeTable lists the routed POST endpoints. Synthesize and explore, the
-// endpoints that run the engine, coalesce concurrent identical requests
-// into one upstream call; lint only runs the linters. Explore routes by
-// design content hash alone (ExploreRequest.ShardKey): every sweep of one
-// design lands on the same worker, whose front-end artifact cache absorbs
-// the grid's amplification and whose explore cache answers repeat sweeps.
+// routeTable lists the routed POST endpoints. Concurrent identical
+// requests share one computation on the worker that owns their key, so
+// the coordinator forwards each one as it comes. Explore routes by design
+// content hash alone (ExploreRequest.ShardKey): every sweep of one design
+// lands on the same worker, whose front-end artifact cache absorbs the
+// grid's amplification and whose explore cache answers repeat sweeps.
 func (co *Coordinator) routeTable() []endpoint {
 	return []endpoint{
-		{"/v1/synthesize", &co.met.synthesize, decodeKey(serve.SynthesizeRequest.ShardKey), true},
-		{"/v1/explore", &co.met.explore, decodeKey(infallible(serve.ExploreRequest.ShardKey)), true},
-		{"/v1/lint", &co.met.lint, decodeKey(infallible(serve.LintRequest.ShardKey)), false},
+		{"/v1/synthesize", &co.met.synthesize, decodeKey(serve.SynthesizeRequest.ShardKey)},
+		{"/v1/explore", &co.met.explore, decodeKey(infallible(serve.ExploreRequest.ShardKey))},
+		{"/v1/lint", &co.met.lint, decodeKey(infallible(serve.LintRequest.ShardKey))},
 	}
 }
 
@@ -292,10 +278,6 @@ func (co *Coordinator) handleRouted(ep endpoint) http.HandlerFunc {
 			co.frame.Refuse(w, r, err)
 			return
 		}
-		if ep.coalesce {
-			co.routeCoalesced(w, r, ep.path, body, key)
-			return
-		}
 		co.route(w, r, http.MethodPost, ep.path, nil, body, key)
 	}
 }
@@ -314,9 +296,12 @@ func (co *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
 }
 
 // route forwards one request to the worker owning key, failing over in
-// ring order on transport failures and worker-drain 503s. The response —
-// success or served error — streams back with the shard-identity headers
-// (X-DAAD-Worker, X-DAAD-Cache) and Retry-After intact.
+// ring order on transport failures and worker-drain 503s. It is the one
+// forwarding path of the routed endpoints and GET /v1/explain. The
+// response — success or served error — streams back with the
+// shard-identity headers (X-DAAD-Worker, X-DAAD-Cache) and Retry-After
+// intact, through net/http's pooled copy buffer (serve.Frame's writer
+// keeps the connection's io.ReaderFrom).
 func (co *Coordinator) route(w http.ResponseWriter, r *http.Request, method, path string, query url.Values, body []byte, key string) {
 	resp, peer, err := co.forward(r.Context(), method, path, query, body, key)
 	if err != nil {
@@ -344,9 +329,6 @@ func (co *Coordinator) forward(ctx context.Context, method, path string, query u
 	if len(candidates) == 0 {
 		co.met.unrouted.Add(1)
 		return nil, nil, errNoWorkers
-	}
-	if co.cfg.MaxFailover > 0 && len(candidates) > co.cfg.MaxFailover {
-		candidates = candidates[:co.cfg.MaxFailover]
 	}
 	var lastErr error
 	for hop, id := range candidates {
@@ -433,7 +415,7 @@ func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		err = serve.DecodeRequest(body, &req)
 	}
 	if err == nil {
-		err = req.Check(co.cfg.MaxBatch)
+		err = req.Check(maxBatch)
 	}
 	if err != nil {
 		co.frame.Refuse(w, r, err)

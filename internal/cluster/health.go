@@ -11,8 +11,9 @@ import (
 // Health-checked membership: every configured peer is probed on a fixed
 // interval with GET /v1/healthz?ready=1 — the readiness form, so a
 // draining or still-warming worker leaves the ring before its listener
-// disappears. Transitions are hysteretic (UpAfter consecutive successes
-// to enter, DownAfter consecutive failures to leave) and rebuild the ring
+// disappears. A down peer enters the ring on its first successful probe;
+// an up peer leaves it after DownAfter consecutive failures, so one lost
+// probe does not reshuffle the ring. Transitions rebuild the ring
 // copy-on-write: in-flight requests keep the candidate order they looked
 // up, so membership changes never drop them.
 
@@ -29,7 +30,6 @@ type peerState struct {
 	base string // URL, no trailing slash
 
 	up         atomic.Bool
-	consecOK   atomic.Int64 // consecutive probe successes (while down)
 	consecFail atomic.Int64 // consecutive probe failures (while up)
 	probeOK    atomic.Int64 // lifetime probe counters
 	probeFail  atomic.Int64
@@ -66,9 +66,8 @@ func (co *Coordinator) probeOnce(ctx context.Context, p *peerState) {
 	if ok {
 		p.probeOK.Add(1)
 		p.consecFail.Store(0)
-		if !p.up.Load() && p.consecOK.Add(1) >= int64(co.cfg.UpAfter) {
+		if !p.up.Load() {
 			p.up.Store(true)
-			p.consecOK.Store(0)
 			co.met.transitions.Add(1)
 			co.cfg.Logger.Printf("peer %s (%s) up, rebuilding ring", p.id, p.base)
 			co.rebuildRing()
@@ -76,7 +75,6 @@ func (co *Coordinator) probeOnce(ctx context.Context, p *peerState) {
 		return
 	}
 	p.probeFail.Add(1)
-	p.consecOK.Store(0)
 	if p.up.Load() && p.consecFail.Add(1) >= int64(co.cfg.DownAfter) {
 		p.up.Store(false)
 		p.consecFail.Store(0)
@@ -90,7 +88,7 @@ func (co *Coordinator) probeOnce(ctx context.Context, p *peerState) {
 // counts; everything else — refused connection, 503 during drain or
 // warmup, a hung accept — is a failure.
 func (co *Coordinator) probePeer(ctx context.Context, p *peerState) bool {
-	ctx, cancel := context.WithTimeout(ctx, co.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.base+"/v1/healthz?ready=1", nil)
 	if err != nil {

@@ -24,9 +24,6 @@ type coordMetrics struct {
 	healthz    atomic.Int64
 	metricsReq atomic.Int64
 	clusterReq atomic.Int64
-	// coalesced counts requests that rode another request's upstream call
-	// instead of forwarding their own.
-	coalesced atomic.Int64
 
 	failovers   atomic.Int64 // candidate hops past a failed peer
 	unrouted    atomic.Int64 // requests no candidate could take
@@ -47,15 +44,19 @@ type HealthResponse struct {
 // rollup. Cheap by construction — no worker round trips; /v1/cluster is
 // the endpoint that scrapes the workers.
 type MetricsResponse struct {
-	UptimeMS    float64              `json:"uptimeMs"`
-	Requests    RequestCounts        `json:"requests"`
-	Responses   serve.ResponseCounts `json:"responses"`
-	Failovers   int64                `json:"failovers"`
-	Unrouted    int64                `json:"unrouted"`
-	Coalesced   int64                `json:"coalesced"`
-	Transitions int64                `json:"ringTransitions"`
-	Ring        RingInfo             `json:"ring"`
-	Peers       []PeerMetrics        `json:"peers"`
+	UptimeMS  float64              `json:"uptimeMs"`
+	Requests  RequestCounts        `json:"requests"`
+	Responses serve.ResponseCounts `json:"responses"`
+	Failovers int64                `json:"failovers"`
+	Unrouted  int64                `json:"unrouted"`
+	// Coalesced always reads 0: the coordinator forwards every request,
+	// and the worker owning a key joins identical requests in flight
+	// (serve.MetricsResponse.Joined counts them). It stays on the wire
+	// for readers of earlier coordinators.
+	Coalesced   int64         `json:"coalesced"`
+	Transitions int64         `json:"ringTransitions"`
+	Ring        RingInfo      `json:"ring"`
+	Peers       []PeerMetrics `json:"peers"`
 }
 
 // RequestCounts breaks coordinator requests down by endpoint.
@@ -142,7 +143,6 @@ func (co *Coordinator) Metrics() MetricsResponse {
 		Responses:   co.frame.Responses(),
 		Failovers:   m.failovers.Load(),
 		Unrouted:    m.unrouted.Load(),
-		Coalesced:   m.coalesced.Load(),
 		Transitions: m.transitions.Load(),
 		Ring:        RingInfo{Members: ring.Members(), Vnodes: ringVnodes},
 	}

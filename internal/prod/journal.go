@@ -374,8 +374,11 @@ func (t *Tx) Do(name string, args ...any) (any, error) {
 // decisions — every decision is already in the journal). Element IDs are
 // verified as effects apply: a fresh WM hands out the same IDs exactly
 // when the journal captured every make. A journal may come from outside
-// the process, so a make or modify naming a class or attribute the WM's
-// schema does not declare is an error, not a panic.
+// the process, so what the WM would panic on is an error naming the
+// class, attribute or element instead: a make or modify naming vocabulary
+// the WM's schema does not declare or carrying a non-comparable value,
+// and a modify or remove of an element the journal never made or already
+// removed.
 type Replayer struct {
 	WM     *WM
 	Decode func(Ref) (any, error)
@@ -427,6 +430,16 @@ func (r *Replayer) decode(v Value) (any, error) {
 	}
 }
 
+// attrValue decodes a journaled attribute value, refusing one the WM
+// cannot hold: working-memory values must be comparable.
+func (r *Replayer) attrValue(v Value) (any, error) {
+	x, err := r.decode(v)
+	if err == nil && x != nil && !reflect.TypeOf(x).Comparable() {
+		err = fmt.Errorf("value of non-comparable type %T", x)
+	}
+	return x, err
+}
+
 func (r *Replayer) applyEffect(eff *Effect) error {
 	switch eff.Kind {
 	case EffMake:
@@ -435,7 +448,7 @@ func (r *Replayer) applyEffect(eff *Effect) error {
 		}
 		attrs := make(Attrs, len(eff.Attrs))
 		for _, av := range eff.Attrs {
-			v, err := r.decode(av.Val)
+			v, err := r.attrValue(av.Val)
 			if err != nil {
 				return fmt.Errorf("make %s ^%s: %w", eff.Class, av.Attr, err)
 			}
@@ -449,7 +462,7 @@ func (r *Replayer) applyEffect(eff *Effect) error {
 	case EffModify:
 		el := r.elems[eff.Elem]
 		if el == nil {
-			return fmt.Errorf("modify of unknown element #%d", eff.Elem)
+			return fmt.Errorf("modify of unknown or removed element #%d", eff.Elem)
 		}
 		if err := r.declared(el.Class, eff.Attrs); err != nil {
 			return fmt.Errorf("modify #%d: %w", eff.Elem, err)
@@ -460,7 +473,7 @@ func (r *Replayer) applyEffect(eff *Effect) error {
 				attrs[av.Attr] = nil
 				continue
 			}
-			v, err := r.decode(av.Val)
+			v, err := r.attrValue(av.Val)
 			if err != nil {
 				return fmt.Errorf("modify #%d ^%s: %w", eff.Elem, av.Attr, err)
 			}
@@ -470,9 +483,10 @@ func (r *Replayer) applyEffect(eff *Effect) error {
 	case EffRemove:
 		el := r.elems[eff.Elem]
 		if el == nil {
-			return fmt.Errorf("remove of unknown element #%d", eff.Elem)
+			return fmt.Errorf("remove of unknown or removed element #%d", eff.Elem)
 		}
 		r.WM.Remove(el)
+		delete(r.elems, eff.Elem)
 	case EffHalt:
 		// Recorded for rendering; replay has no engine to halt.
 	case EffDo:

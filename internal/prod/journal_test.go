@@ -224,8 +224,9 @@ func TestJournalRefusesOpaqueReplay(t *testing.T) {
 }
 
 // A journal may come from outside the process: a make or modify naming
-// vocabulary the replaying working memory does not declare is an error
-// naming it, not a panic.
+// vocabulary the replaying working memory does not declare or carrying a
+// value it cannot hold, and a modify of an element the journal removed,
+// are errors naming the class, attribute or element, not panics.
 func TestReplayRefusesUndeclaredVocabulary(t *testing.T) {
 	made := Effect{Kind: EffMake, Class: "a", Elem: 0, Attrs: []AttrValue{{Attr: "g", Val: Value{Scalar: 1}}}}
 	cases := []struct {
@@ -241,6 +242,15 @@ func TestReplayRefusesUndeclaredVocabulary(t *testing.T) {
 		{"modify of an undeclared attribute", []Effect{made, {Kind: EffModify, Elem: 0,
 			Attrs: []AttrValue{{Attr: "knd"}}}},
 			"modify #0: class a declares no attribute ^knd"},
+		{"make of a non-comparable value", []Effect{{Kind: EffMake, Class: "a", Elem: 0,
+			Attrs: []AttrValue{{Attr: "g", Val: Value{Scalar: []int{1}}}}}},
+			"make a ^g: value of non-comparable type []int"},
+		{"modify to a non-comparable value", []Effect{made, {Kind: EffModify, Elem: 0,
+			Attrs: []AttrValue{{Attr: "g", Val: Value{Scalar: []int{1}}}}}},
+			"modify #0 ^g: value of non-comparable type []int"},
+		{"modify of a removed element", []Effect{made, {Kind: EffRemove, Elem: 0}, {Kind: EffModify, Elem: 0,
+			Attrs: []AttrValue{{Attr: "g", Val: Value{Scalar: 2}}}}},
+			"modify of unknown or removed element #0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"strconv"
+	"sync"
 
 	"repro/internal/lru"
 )
@@ -18,6 +19,9 @@ import (
 // flow.Options.Key never collides for distinct option sets. Requests
 // whose options are not canonicalizable (impossible via the wire types,
 // which exclude trace writers and extra rules) must not reach the cache.
+//
+// The cache deduplicates requests separated in time; the in-flight table
+// (flights) deduplicates concurrent ones under the same key.
 
 // DefaultDesignCacheEntries bounds the design cache when Config leaves it 0.
 const DefaultDesignCacheEntries = 512
@@ -43,4 +47,44 @@ func newDesignCache(entries int) *lru.Cache[string, []byte] {
 // again.
 func designKey(ekey string, art ArtifactRequest, timings bool) string {
 	return ekey + "|" + art.key() + "|t=" + strconv.FormatBool(timings)
+}
+
+// flight is one computation of a cached job in progress. Requests for its
+// key that arrive meanwhile wait on done instead of computing again.
+type flight struct {
+	done chan struct{}
+	body []byte // the leader's response body, nil when it failed; final once done closes
+}
+
+// flights indexes the computations in progress by job key.
+type flights struct {
+	mu sync.Mutex
+	m  map[string]*flight
+}
+
+// join returns the flight computing key and whether the caller leads it:
+// the first caller for a key creates the flight and must finish it.
+func (fs *flights) join(key string) (*flight, bool) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if f, ok := fs.m[key]; ok {
+		return f, false
+	}
+	if fs.m == nil {
+		fs.m = map[string]*flight{}
+	}
+	f := &flight{done: make(chan struct{})}
+	fs.m[key] = f
+	return f, true
+}
+
+// finish retires the leader's flight and releases its followers with
+// body. The leader stores a success in the design cache first, so a
+// request that arrives after the retirement finds it there.
+func (fs *flights) finish(key string, f *flight, body []byte) {
+	fs.mu.Lock()
+	delete(fs.m, key)
+	fs.mu.Unlock()
+	f.body = body
+	close(f.done)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime/debug"
@@ -65,6 +66,16 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 		w.status = http.StatusOK
 	}
 	return w.ResponseWriter.Write(b)
+}
+
+// ReadFrom keeps the wrapped writer's io.ReaderFrom reachable: a net/http
+// response copies through a pooled buffer, where io.Copy into a writer
+// without one allocates 32 KiB for every streamed response.
+func (w *statusWriter) ReadFrom(r io.Reader) (int64, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	return io.Copy(w.ResponseWriter, r)
 }
 
 // Wrap runs next inside the frame. A panic other than http.ErrAbortHandler

@@ -25,6 +25,7 @@ type metrics struct {
 	metricsReq    atomic.Int64
 
 	shed             atomic.Int64 // 429s from the admission queue
+	joined           atomic.Int64 // joins of an identical computation in flight
 	canceled         atomic.Int64 // syntheses interrupted by client disconnect
 	deadlineExceeded atomic.Int64 // syntheses interrupted by deadline
 
@@ -108,6 +109,12 @@ type MetricsResponse struct {
 	Engine       EngineRollup       `json:"engine"`
 	Journal      JournalRollup      `json:"journal"`
 	Cosim        CosimRollup        `json:"cosim"`
+	// Joined counts joins: requests that waited on an identical cached
+	// job's computation in flight instead of computing their own. A
+	// follower answers with that computation's body as a design-cache
+	// miss; one whose leader failed looks again, and counts again if it
+	// joins the next computation.
+	Joined int64 `json:"joined"`
 }
 
 // CosimRollup aggregates cosimulation activity: how many completed
@@ -238,6 +245,7 @@ func (s *Server) Metrics() MetricsResponse {
 			Hung:       m.cosimHung.Load(),
 			Samples:    m.cosimSamples.Load(),
 		},
+		Joined: m.joined.Load(),
 	}
 }
 

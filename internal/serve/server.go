@@ -90,6 +90,7 @@ type Server struct {
 	cfg     Config
 	frame   Frame
 	cache   *lru.Cache[string, []byte]           // design cache: rendered bodies
+	flights flights                              // cached jobs being computed
 	explain *lru.Cache[string, *core.Provenance] // explain store
 	met     metrics
 	start   time.Time
@@ -302,7 +303,8 @@ func one[R any](s *Server, prepare func(R) (job, error)) func(context.Context, [
 }
 
 // job is one validated request: its design-cache key ("" bypasses the
-// cache), its deadline, and the computation rendering its response body.
+// cache and never joins identical work in flight), its deadline, and the
+// computation rendering its response body.
 type job struct {
 	key        string
 	deadlineMS int
@@ -317,19 +319,16 @@ type outcome struct {
 	cacheState string // "hit" or "miss"
 }
 
-// run is the one cache lookup → admission → worker token → compute →
-// store sequence. admitted skips admission for work admitted as part of a
-// unit (batch items, warmup). The request context carries the client
-// connection: its cancellation propagates through flow into the
+// run is the one cache lookup → admission → join → worker token →
+// compute → store sequence. admitted skips admission for work admitted as
+// part of a unit (batch items, warmup). The request context carries the
+// client connection: its cancellation propagates through flow into the
 // production engine's between-cycle Interrupt hook.
 func (s *Server) run(ctx context.Context, j job, admitted bool) outcome {
-	useCache := j.key != "" && s.cache.Cap() > 0
 	// Cache lookup happens before admission: a repeat submission is served
 	// in O(lookup) without consuming queue capacity or a worker token.
-	if useCache {
-		if body, ok := s.cache.Get(j.key); ok {
-			return outcome{status: http.StatusOK, body: body, cacheState: "hit"}
-		}
+	if out, ok := s.lookup(j); ok {
+		return out
 	}
 	if !admitted {
 		if !s.admitN(1) {
@@ -337,6 +336,65 @@ func (s *Server) run(ctx context.Context, j job, admitted bool) outcome {
 		}
 		defer s.leave()
 	}
+	if j.key == "" {
+		return s.compute(ctx, j)
+	}
+	// Identical work runs once: the first request for a key leads its
+	// flight, and the requests arriving while it runs follow it.
+	f, leader := s.flights.join(j.key)
+	if leader {
+		return s.lead(ctx, j, f)
+	}
+	return s.follow(ctx, j, f)
+}
+
+// lookup answers j from the design cache when it holds j's body.
+func (s *Server) lookup(j job) (outcome, bool) {
+	if j.key == "" || s.cache.Cap() == 0 {
+		return outcome{}, false
+	}
+	body, ok := s.cache.Get(j.key)
+	return outcome{status: http.StatusOK, body: body, cacheState: "hit"}, ok
+}
+
+// lead computes j for the flight f it leads and releases f's followers
+// with the body, or with nil when the computation failed. The release is
+// deferred so that a panicking computation releases them too.
+func (s *Server) lead(ctx context.Context, j job, f *flight) (out outcome) {
+	defer func() { s.flights.finish(j.key, f, out.body) }()
+	return s.compute(ctx, j)
+}
+
+// follow answers a request that joined f with the leader's body, taking no
+// worker token. When the leader fails, the follower looks its key up
+// again and joins or leads the next flight: no error is shared. It waits
+// no longer than its own client and deadline allow.
+func (s *Server) follow(ctx context.Context, j job, f *flight) outcome {
+	wait, cancel := s.withDeadline(ctx, j.deadlineMS)
+	defer cancel()
+	for {
+		s.met.joined.Add(1)
+		select {
+		case <-f.done:
+		case <-wait.Done():
+			return s.errorOutcome(wait.Err())
+		}
+		if f.body != nil {
+			return outcome{status: http.StatusOK, body: f.body, cacheState: "miss"}
+		}
+		if out, ok := s.lookup(j); ok {
+			return out
+		}
+		var leader bool
+		if f, leader = s.flights.join(j.key); leader {
+			return s.lead(ctx, j, f)
+		}
+	}
+}
+
+// compute runs j on a worker token under j's deadline and stores its body
+// in the design cache.
+func (s *Server) compute(ctx context.Context, j job) outcome {
 	if err := s.acquire(ctx); err != nil {
 		return s.errorOutcome(err)
 	}
@@ -348,7 +406,7 @@ func (s *Server) run(ctx context.Context, j job, admitted bool) outcome {
 	if err != nil {
 		return s.errorOutcome(err)
 	}
-	if useCache {
+	if j.key != "" && s.cache.Cap() > 0 {
 		s.cache.Put(j.key, body)
 	}
 	return outcome{status: http.StatusOK, body: body, cacheState: "miss"}
