@@ -8,14 +8,18 @@ import (
 	"repro/internal/vt"
 )
 
+// sharedWM is working memory an action reaches without its Tx, by
+// capturing a package-level variable.
+var sharedWM *prod.WM
+
 // badAction mutates working memory and host designs behind the journal's
 // back in every way the analyzer knows about.
 func badAction(tx *prod.Tx, m *prod.Match, eng *prod.Engine, op *vt.Op, reg *rtl.Register) {
-	wm := tx.WM()
+	wm := sharedWM
 	wm.Make("carrier", prod.Attrs{"kind": "reg"}) // want `\(\*prod\.WM\)\.Make, bypassing the effect journal`
 	wm.Modify(m.El(0), prod.Attrs{"bound": true}) // want `\(\*prod\.WM\)\.Modify, bypassing the effect journal`
 	wm.Remove(m.El(0))                            // want `\(\*prod\.WM\)\.Remove, bypassing the effect journal`
-	tx.WM().Make("carrier", nil)                  // want `\(\*prod\.WM\)\.Make, bypassing the effect journal`
+	sharedWM.Make("carrier", nil)                 // want `\(\*prod\.WM\)\.Make, bypassing the effect journal`
 	eng.Halt()                                    // want `\(\*prod\.Engine\)\.Halt directly`
 	op.Kind = vt.OpRead                           // want `writes vt field op\.Kind directly.*through tx\.Do`
 	op.Args[0] = nil                              // want `writes vt field op\.Args directly.*through tx\.Do`
@@ -28,8 +32,8 @@ func badAction(tx *prod.Tx, m *prod.Match, eng *prod.Engine, op *vt.Op, reg *rtl
 // still part of the action.
 func nestedClosure(tx *prod.Tx, op *vt.Op) {
 	fn := func() {
-		tx.WM().Remove(nil) // want `\(\*prod\.WM\)\.Remove, bypassing the effect journal`
-		op.Seq = 3          // want `writes vt field op\.Seq directly`
+		sharedWM.Remove(nil) // want `\(\*prod\.WM\)\.Remove, bypassing the effect journal`
+		op.Seq = 3           // want `writes vt field op\.Seq directly`
 	}
 	fn()
 }
@@ -43,7 +47,7 @@ func goodAction(tx *prod.Tx, m *prod.Match) {
 	if _, err := tx.Do("bind-carrier-reg", m.El(0)); err != nil {
 		panic(err)
 	}
-	_ = tx.WM().Size() // reads through the handle are fine
+	_ = sharedWM.Size() // reads are fine
 }
 
 // allowedAction demonstrates the sanctioned escape hatch.

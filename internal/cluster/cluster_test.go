@@ -605,6 +605,41 @@ func TestRoutedEndpointRefusals(t *testing.T) {
 	}
 }
 
+// TestCoordinatorBatchLimits: the coordinator refuses an empty batch and
+// one of more than serve.MaxBatch sources with the workers' 400 before it
+// scatters anything. The ring is empty, so a batch that got as far as
+// routing would answer 503 unavailable instead.
+func TestCoordinatorBatchLimits(t *testing.T) {
+	co, err := New(Config{Peers: []Peer{{ID: "ghost", URL: "http://127.0.0.1:1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(co.Handler())
+	defer front.Close()
+	var over serve.BatchRequest
+	for range serve.MaxBatch + 1 {
+		over.Requests = append(over.Requests, serve.SynthesizeRequest{Source: "x"})
+	}
+	for _, row := range []struct {
+		name string
+		req  serve.BatchRequest
+		want string
+	}{
+		{"empty", serve.BatchRequest{}, "batch carries no requests"},
+		{"oversized", over, "batch of 257 exceeds the 256-source limit"},
+	} {
+		resp, body := postJSON(t, front.URL+"/v1/batch", row.req)
+		var er serve.ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil || resp.StatusCode != http.StatusBadRequest ||
+			er.Kind != serve.KindRequest || er.Error != row.want {
+			t.Errorf("%s batch: %d %s, want 400 %q", row.name, resp.StatusCode, body, row.want)
+		}
+	}
+	if got := co.Metrics().Requests.Batch; got != 2 {
+		t.Errorf("%d batch requests counted, want 2", got)
+	}
+}
+
 // TestClusterStatusScrapesWorkers: /v1/cluster reports per-shard design
 // cache heat scraped from the workers' own metrics.
 func TestClusterStatusScrapesWorkers(t *testing.T) {

@@ -107,10 +107,6 @@ type Coordinator struct {
 // probeTimeout bounds one readiness probe or worker metrics scrape.
 const probeTimeout = 2 * time.Second
 
-// maxBatch bounds sources per batch request, mirroring the workers'
-// default.
-const maxBatch = 256
-
 // readHeaderTimeout bounds how long a connection may take to send its
 // request headers: one that stalls mid-header is closed instead of holding
 // a connection and a goroutine forever. A variable so tests can shorten it.
@@ -415,7 +411,7 @@ func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		err = serve.DecodeRequest(body, &req)
 	}
 	if err == nil {
-		err = req.Check(maxBatch)
+		err = req.Check()
 	}
 	if err != nil {
 		co.frame.Refuse(w, r, err)

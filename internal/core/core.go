@@ -45,9 +45,10 @@ type Options struct {
 	// isolate the knowledge rules.
 	Limits sched.Limits
 	// DisableTraceRules skips phase 0 (trace refinement), leaving the
-	// value trace exactly as built. Note that trace refinement mutates the
-	// input trace in place, as the CMU front end did; synthesize from
-	// vt.Clone(trace) to keep the original.
+	// value trace exactly as built. Phase 0 is the trace's only writer: it
+	// refines the input trace in place, as the CMU front end did, so
+	// synthesize from vt.Clone(trace) to keep the original. With this set,
+	// synthesis only reads the trace.
 	DisableTraceRules bool
 	// DisableCleanup skips the final global-improvement phase (for the E4
 	// ablation).

@@ -25,11 +25,8 @@ func (s *synth) portSources(u *rtl.Unit) [2]map[rtl.Endpoint]bool {
 			continue
 		}
 		st := s.d.OpState[op]
-		for i, a := range op.Args {
-			if i > 1 {
-				break
-			}
-			srcs, err := s.d.ValueSources(a, st)
+		for i := 0; i < len(op.Args) && i < 2; i++ {
+			srcs, err := s.d.ValueSources(s.d.Operand(op, i), st)
 			if err != nil {
 				continue
 			}

@@ -11,7 +11,7 @@ import (
 )
 
 // The DAA's effect journal. Every rule action routes its design mutations
-// through Tx.Do into the applier registry below (synth.Apply); with
+// through Tx.Do into the effect table below (synth.Apply); with
 // Options.Journal set each phase engine records the firings, and Replay
 // re-applies a journal against a fresh trace to reproduce the design
 // byte-identically. The appliers are pure applications of decisions
@@ -89,78 +89,63 @@ func encodeRef(v any) (prod.Ref, bool) {
 	return prod.Ref{}, false
 }
 
-// decoder resolves journal Refs at replay: value-trace refs against an
-// index of the fresh trace (built once — refinement never creates nodes),
-// design refs against the components the replayed effects have created so
-// far (registered through the design's Observe hook).
-type decoder struct {
-	ops    map[int]*vt.Op
-	vals   map[int]*vt.Value
-	cars   map[int]*vt.Carrier
-	bodies map[int]*vt.Body
-	comps  map[prod.Ref]any
-}
-
-func newDecoder(tr *vt.Program, d *rtl.Design) *decoder {
-	dec := &decoder{
-		ops:    map[int]*vt.Op{},
-		vals:   map[int]*vt.Value{},
-		cars:   map[int]*vt.Carrier{},
-		bodies: map[int]*vt.Body{},
-		comps:  map[prod.Ref]any{},
-	}
-	addVal := func(v *vt.Value) {
-		if v != nil {
-			dec.vals[v.ID] = v
+// newDecoder resolves journal Refs at replay against one index: the fresh
+// trace's operators, values, carriers and bodies (refinement never creates
+// nodes), and each design component the replayed effects create,
+// registered through the design's Observe hook.
+func newDecoder(tr *vt.Program, d *rtl.Design) func(prod.Ref) (any, error) {
+	refs := map[prod.Ref]any{}
+	add := func(x any) {
+		if ref, ok := encodeRef(x); ok {
+			refs[ref] = x
 		}
 	}
 	for _, op := range tr.AllOps() {
-		dec.ops[op.ID] = op
-		addVal(op.Result)
-		addVal(op.CondVal)
-		for _, a := range op.Args {
-			addVal(a)
+		add(op)
+		for _, v := range append([]*vt.Value{op.Result, op.CondVal}, op.Args...) {
+			if v != nil {
+				add(v)
+			}
 		}
 	}
 	for _, c := range tr.Carriers {
-		dec.cars[c.ID] = c
+		add(c)
 	}
 	for _, b := range tr.Bodies {
-		dec.bodies[b.ID] = b
+		add(b)
 	}
-	d.Observe(func(c any) {
-		if ref, ok := encodeRef(c); ok {
-			dec.comps[ref] = c
+	d.Observe(add)
+	return func(r prod.Ref) (any, error) {
+		if x, ok := refs[r]; ok {
+			return x, nil
 		}
-	})
-	return dec
-}
-
-func (dec *decoder) decode(r prod.Ref) (any, error) {
-	var v any
-	var ok bool
-	switch r.Kind {
-	case "op":
-		v, ok = dec.ops[r.ID], dec.ops[r.ID] != nil
-	case "val":
-		v, ok = dec.vals[r.ID], dec.vals[r.ID] != nil
-	case "car":
-		v, ok = dec.cars[r.ID], dec.cars[r.ID] != nil
-	case "body":
-		v, ok = dec.bodies[r.ID], dec.bodies[r.ID] != nil
-	default:
-		c, have := dec.comps[r]
-		v, ok = c, have
-	}
-	if !ok {
 		return nil, fmt.Errorf("core: unresolved journal ref %s", r)
 	}
-	return v, nil
 }
 
-// Argument accessors for the appliers: a journal with the right shape
-// always satisfies them, so failures indicate journal corruption.
-func effArg[T any](name string, args []any, i int) (T, error) {
+// Apply is the engines' prod.Host, re-used verbatim by Replay: it sets the
+// provenance cursor and applies the named entry of the effect table.
+func (s *synth) Apply(name string, args []any) (any, error) {
+	if s.prov != nil {
+		s.prov.cur = FiringRef{Phase: s.phase, Seq: s.seq()}
+	}
+	apply, ok := effects[name]
+	if !ok {
+		return nil, fmt.Errorf("core: unknown effect %q", name)
+	}
+	return apply(s, name, args)
+}
+
+// An applier applies one named effect to a synthesis. It updates the
+// design, the synthesis bookkeeping (step schedules, unit busyness,
+// register occupancy) so post-phase hooks behave identically when
+// recording and replaying, and, for the four trace-refinement effects
+// only, the value trace; it never touches working memory.
+type applier func(s *synth, name string, args []any) (any, error)
+
+// arg returns argument i of the named effect as a T. A journal with the
+// right shape always satisfies it, so a failure means a corrupt journal.
+func arg[T any](name string, args []any, i int) (T, error) {
 	var zero T
 	if i >= len(args) {
 		return zero, fmt.Errorf("effect %s: missing argument %d", name, i)
@@ -172,109 +157,80 @@ func effArg[T any](name string, args []any, i int) (T, error) {
 	return v, nil
 }
 
-// Apply is the effect registry behind the phase engines' Tx.Do, re-used
-// verbatim by Replay: it makes the synthesis the engines' prod.Host. It
-// updates the design, the trace, and the synthesis bookkeeping (step
-// usage, unit busyness, register occupancy) so post-phase hooks behave
-// identically in both modes; it never touches working memory.
-func (s *synth) Apply(name string, args []any) (any, error) {
-	if s.prov != nil {
-		s.prov.cur = FiringRef{Phase: s.phase, Seq: s.seq()}
+// on1 makes an applier of an effect taking one typed argument.
+func on1[A any](f func(*synth, A) (any, error)) applier {
+	return func(s *synth, name string, args []any) (any, error) {
+		a, err := arg[A](name, args, 0)
+		if err != nil {
+			return nil, err
+		}
+		return f(s, a)
 	}
-	switch name {
-	// --- trace refinement ---
-	case "become-test":
-		op, err := effArg[*vt.Op](name, args, 0)
-		if err != nil {
-			return nil, err
-		}
-		return nil, vt.BecomeTest(op)
-	case "become-not":
-		op, err := effArg[*vt.Op](name, args, 0)
-		if err != nil {
-			return nil, err
-		}
-		return nil, vt.BecomeNot(op)
-	case "replace-uses":
-		old, err := effArg[*vt.Value](name, args, 0)
-		if err != nil {
-			return nil, err
-		}
-		new, err := effArg[*vt.Value](name, args, 1)
-		if err != nil {
-			return nil, err
-		}
-		return nil, vt.ReplaceUses(s.tr, old, new)
-	case "remove-op":
-		op, err := effArg[*vt.Op](name, args, 0)
-		if err != nil {
-			return nil, err
-		}
-		return nil, vt.RemoveOp(s.tr, op)
+}
 
-	// --- data/memory allocation ---
-	case "bind-carrier-reg":
-		car, err := effArg[*vt.Carrier](name, args, 0)
+// on2 makes an applier of an effect taking two typed arguments.
+func on2[A, B any](f func(*synth, A, B) (any, error)) applier {
+	return func(s *synth, name string, args []any) (any, error) {
+		a, err := arg[A](name, args, 0)
 		if err != nil {
 			return nil, err
 		}
+		b, err := arg[B](name, args, 1)
+		if err != nil {
+			return nil, err
+		}
+		return f(s, a, b)
+	}
+}
+
+// effects is the DAA's effect table, one entry per name a rule action
+// passes to Tx.Do, grouped by the phase whose rules use it.
+var effects = map[string]applier{
+	// trace refinement: the only writers of the value trace
+	"become-test": on1(func(_ *synth, op *vt.Op) (any, error) { return nil, vt.BecomeTest(op) }),
+	"become-not":  on1(func(_ *synth, op *vt.Op) (any, error) { return nil, vt.BecomeNot(op) }),
+	"replace-uses": on2(func(s *synth, old, new *vt.Value) (any, error) {
+		return nil, vt.ReplaceUses(s.tr, old, new)
+	}),
+	"remove-op": on1(func(s *synth, op *vt.Op) (any, error) { return nil, vt.RemoveOp(s.tr, op) }),
+
+	// data/memory allocation
+	"bind-carrier-reg": on1(func(s *synth, car *vt.Carrier) (any, error) {
 		r := s.d.AddRegister(car.Name, car.Width)
 		s.d.CarrierReg[car] = r
 		return r, nil
-	case "bind-carrier-mem":
-		car, err := effArg[*vt.Carrier](name, args, 0)
-		if err != nil {
-			return nil, err
-		}
+	}),
+	"bind-carrier-mem": on1(func(s *synth, car *vt.Carrier) (any, error) {
 		m := s.d.AddMemory(car.Name, car.Width, car.Words)
 		s.d.CarrierMem[car] = m
 		return m, nil
-	case "bind-carrier-port":
-		car, err := effArg[*vt.Carrier](name, args, 0)
-		if err != nil {
-			return nil, err
-		}
-		in, err := effArg[bool](name, args, 1)
-		if err != nil {
-			return nil, err
-		}
+	}),
+	"bind-carrier-port": on2(func(s *synth, car *vt.Carrier, in bool) (any, error) {
 		p := s.d.AddPort(car.Name, car.Width, in)
 		s.d.CarrierPort[car] = p
 		return p, nil
+	}),
 
-	// --- control-step allocation ---
-	case "place-op":
-		op, err := effArg[*vt.Op](name, args, 0)
-		if err != nil {
-			return nil, err
-		}
-		step, err := effArg[int](name, args, 1)
-		if err != nil {
-			return nil, err
+	// control-step allocation
+	"place-op": on2(func(s *synth, op *vt.Op, step int) (any, error) {
+		// Each new step holds the operator that opens it, so no placement
+		// reaches a step past the body's operator count.
+		if step < 0 || step >= len(op.Body.Ops) {
+			return nil, fmt.Errorf("effect place-op: operator %d at step %d, want a step in [0, %d)", op.ID, step, len(op.Body.Ops))
 		}
 		s.steps[op.Body].Place(op, step)
 		if s.prov != nil {
 			s.prov.opPlace[op] = s.prov.cur
 		}
 		return nil, nil
+	}),
 
-	// --- operator allocation and binding ---
-	case "bind-op-unit":
-		op, err := effArg[*vt.Op](name, args, 0)
-		if err != nil {
-			return nil, err
-		}
-		u, err := effArg[*rtl.Unit](name, args, 1)
-		if err != nil {
-			return nil, err
-		}
+	// operator allocation and binding
+	"bind-op-unit": on2(func(s *synth, op *vt.Op, u *rtl.Unit) (any, error) {
 		s.bindOpToUnit(op, u)
 		return nil, nil
-	case "alloc-unit":
-		op, err := effArg[*vt.Op](name, args, 0)
-		if err != nil {
-			return nil, err
-		}
+	}),
+	"alloc-unit": on1(func(s *synth, op *vt.Op) (any, error) {
 		n := 0
 		for _, u := range s.d.Units {
 			if u.Has(op.Kind) {
@@ -284,86 +240,51 @@ func (s *synth) Apply(name string, args []any) (any, error) {
 		u := s.d.AddUnit(fmt.Sprintf("%s%d", op.Kind, n), op.UnitWidth(), op.Kind)
 		s.bindOpToUnit(op, u)
 		return u, nil
+	}),
 
-	// --- value (holding-register) allocation ---
-	case "share-value-reg":
-		v, err := effArg[*vt.Value](name, args, 0)
-		if err != nil {
-			return nil, err
-		}
-		r, err := effArg[*rtl.Register](name, args, 1)
-		if err != nil {
-			return nil, err
-		}
+	// value (holding-register) allocation
+	"share-value-reg": on2(func(s *synth, v *vt.Value, r *rtl.Register) (any, error) {
 		if v.Width > r.Width {
 			r.Width = v.Width
 		}
 		s.d.ValueReg[v] = r
 		s.regVals[r] = append(s.regVals[r], v)
 		return nil, nil
-	case "alloc-value-reg":
-		v, err := effArg[*vt.Value](name, args, 0)
-		if err != nil {
-			return nil, err
-		}
+	}),
+	"alloc-value-reg": on1(func(s *synth, v *vt.Value) (any, error) {
 		r := s.d.AddRegister(fmt.Sprintf("t%d", len(s.regVals)), v.Width)
 		s.d.ValueReg[v] = r
 		s.regVals[r] = append(s.regVals[r], v)
 		return r, nil
+	}),
 
-	// --- data-path allocation ---
-	case "add-const":
-		val, err := effArg[int](name, args, 0)
-		if err != nil {
-			return nil, err
-		}
-		w, err := effArg[int](name, args, 1)
-		if err != nil {
-			return nil, err
-		}
-		return s.d.AddConst(uint64(val), w), nil
-	case "orient-op":
-		op, err := effArg[*vt.Op](name, args, 0)
-		if err != nil {
-			return nil, err
-		}
-		swap, err := effArg[bool](name, args, 1)
-		if err != nil {
-			return nil, err
+	// data-path allocation
+	"add-const": on2(func(s *synth, val, w int) (any, error) { return s.d.AddConst(uint64(val), w), nil }),
+	"orient-op": on2(func(s *synth, op *vt.Op, swap bool) (any, error) {
+		if !commutes(op) {
+			return nil, fmt.Errorf("effect orient-op: operator %d is a %d-operand %s, want a two-operand commutative operator",
+				op.ID, len(op.Args), op.Kind)
 		}
 		if swap {
-			op.Args[0], op.Args[1] = op.Args[1], op.Args[0]
+			s.d.SwapOperands(op)
 		}
 		return nil, nil
-	case "route-op":
-		op, err := effArg[*vt.Op](name, args, 0)
-		if err != nil {
-			return nil, err
-		}
+	}),
+	"route-op": on1(func(s *synth, op *vt.Op) (any, error) {
 		if s.prov != nil {
 			s.prov.opRoute[op] = s.prov.cur
 		}
 		return nil, s.routeOp(op)
-	case "route-park":
-		v, err := effArg[*vt.Value](name, args, 0)
-		if err != nil {
-			return nil, err
-		}
+	}),
+	"route-park": on1(func(s *synth, v *vt.Value) (any, error) {
 		if s.prov != nil {
 			s.prov.parkRoute[v] = s.prov.cur
 		}
 		return nil, bind.Realize(s.d, s.d.ParkTransfer(v))
+	}),
 
-	// --- global improvement ---
-	case "merge-regs":
-		r1, err := effArg[*rtl.Register](name, args, 0)
-		if err != nil {
-			return nil, err
-		}
-		r2, err := effArg[*rtl.Register](name, args, 1)
-		if err != nil {
-			return nil, err
-		}
+	// global improvement
+	"merge-regs": on2(func(s *synth, r1, r2 *rtl.Register) (any, error) {
 		if r2.Width > r1.Width {
 			r1.Width = r2.Width
 		}
@@ -374,15 +295,8 @@ func (s *synth) Apply(name string, args []any) (any, error) {
 		delete(s.regVals, r2)
 		s.d.RemoveRegister(r2)
 		return nil, nil
-	case "fold-units":
-		u1, err := effArg[*rtl.Unit](name, args, 0)
-		if err != nil {
-			return nil, err
-		}
-		u2, err := effArg[*rtl.Unit](name, args, 1)
-		if err != nil {
-			return nil, err
-		}
+	}),
+	"fold-units": on2(func(s *synth, u1, u2 *rtl.Unit) (any, error) {
 		//daalint:allow detmap order-insensitive set union
 		for k := range u2.Fns {
 			u1.Fns[k] = true
@@ -398,8 +312,7 @@ func (s *synth) Apply(name string, args []any) (any, error) {
 		}
 		s.d.RemoveUnit(u2)
 		return nil, nil
-	}
-	return nil, fmt.Errorf("core: unknown effect %q", name)
+	}),
 }
 
 // Replay re-applies a recorded journal against a fresh, unrefined trace
@@ -414,7 +327,7 @@ func (s *synth) Apply(name string, args []any) (any, error) {
 func Replay(trace *vt.Program, j *Journal, opt Options) (*rtl.Design, error) {
 	opt.Journal = false
 	s := newSynth(trace, opt)
-	dec := newDecoder(trace, s.d)
+	decode := newDecoder(trace, s.d)
 	for _, pj := range j.Phases {
 		i := phaseIndex(pj.Phase)
 		if i == len(knowledgeBase) {
@@ -425,7 +338,7 @@ func Replay(trace *vt.Program, j *Journal, opt Options) (*rtl.Design, error) {
 		s.seq = func() int { return curSeq }
 		rep := &prod.Replayer{
 			WM:       prod.NewWM(knowledgeBase[i].Schema),
-			Decode:   dec.decode,
+			Decode:   decode,
 			Host:     s,
 			OnFiring: func(f *prod.Firing) { curSeq = f.Seq },
 		}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/prod"
 	"repro/internal/rtl"
+	"repro/internal/vt"
 )
 
 // renderDesign produces a complete textual rendering of a design — the
@@ -26,6 +28,9 @@ func renderDesign(t *testing.T, d *rtl.Design) string {
 	}
 	return b.String()
 }
+
+// RenderDesign is renderDesign for the external test package.
+var RenderDesign = renderDesign
 
 func TestJournalOffByDefault(t *testing.T) {
 	res := synthesize(t, gcdSrc)
@@ -186,4 +191,76 @@ func TestReplayRefusesUndeclaredAttribute(t *testing.T) {
 	if d != nil || err == nil || err.Error() != want {
 		t.Fatalf("Replay returned %v, %v; want no design and %q", d, err, want)
 	}
+}
+
+// Replay refuses a hand-edited journal whose effect arguments no
+// synthesis could have recorded, naming the effect, instead of panicking
+// or growing a schedule without bound.
+func TestReplayRefusesMalformedEffects(t *testing.T) {
+	ops := map[int]*vt.Op{}
+	var unary *vt.Op // the first operator without two operands
+	for _, op := range trace(t, gcdSrc).AllOps() {
+		ops[op.ID] = op
+		if unary == nil && len(op.Args) != 2 {
+			unary = op
+		}
+	}
+	rows := []struct {
+		name, effect string
+		edit         func(args []prod.Value) []prod.Value
+		want         func(op *vt.Op) string // the effect's error, given the operator it names
+	}{
+		{"orient-op of an operator without two operands", "orient-op",
+			func([]prod.Value) []prod.Value {
+				return []prod.Value{{Ref: &prod.Ref{Kind: "op", ID: unary.ID}}, {Scalar: true}}
+			},
+			func(op *vt.Op) string {
+				return fmt.Sprintf("operator %d is a %d-operand %s, want a two-operand commutative operator", op.ID, len(op.Args), op.Kind)
+			}},
+		{"place-op before the first step", "place-op",
+			func(args []prod.Value) []prod.Value { return []prod.Value{args[0], {Scalar: -1}} },
+			func(op *vt.Op) string {
+				return fmt.Sprintf("operator %d at step -1, want a step in [0, %d)", op.ID, len(op.Body.Ops))
+			}},
+		{"missing argument", "place-op",
+			func(args []prod.Value) []prod.Value { return args[:1] },
+			func(*vt.Op) string { return "missing argument 1" }},
+		{"mistyped argument", "place-op",
+			func(args []prod.Value) []prod.Value { return []prod.Value{args[0], {Scalar: "first"}} },
+			func(*vt.Op) string { return "argument 1 is string, want int" }},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			res, err := Synthesize(trace(t, gcdSrc), Options{Journal: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			phase, f, eff := firstEffect(res.Journal, row.effect)
+			if eff == nil {
+				t.Fatalf("gcd's journal has no %s effect", row.effect)
+			}
+			eff.Args = row.edit(eff.Args)
+			want := fmt.Sprintf("core: replay phase %s: prod: replay firing %d (%s): effect %s: effect %s: %s",
+				phase, f.Seq, f.Rule, row.effect, row.effect, row.want(ops[eff.Args[0].Ref.ID]))
+			d, err := Replay(trace(t, gcdSrc), res.Journal, Options{})
+			if d != nil || err == nil || err.Error() != want {
+				t.Fatalf("Replay returned %v, %v; want no design and %q", d, err, want)
+			}
+		})
+	}
+}
+
+// firstEffect finds the first do effect of the named effect in j, with
+// its phase and firing.
+func firstEffect(j *Journal, name string) (string, *prod.Firing, *prod.Effect) {
+	for _, pj := range j.Phases {
+		for _, f := range pj.J.Firings {
+			for i := range f.Effects {
+				if eff := &f.Effects[i]; eff.Kind == prod.EffDo && eff.Name == name {
+					return pj.Phase, f, eff
+				}
+			}
+		}
+	}
+	return "", nil, nil
 }

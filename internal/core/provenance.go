@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -113,7 +114,7 @@ func buildProvenance(d *rtl.Design, j *Journal, pt *provTrack) *Provenance {
 					continue
 				}
 				eff.Refs(func(r prod.Ref) {
-					if isDesignRef(r) {
+					if slices.Contains(depthKinds, r.Kind) {
 						add(r, fr, eff.Name)
 					}
 				})
@@ -159,14 +160,6 @@ func buildProvenance(d *rtl.Design, j *Journal, pt *provTrack) *Provenance {
 		})
 	}
 	return p
-}
-
-func isDesignRef(r prod.Ref) bool {
-	switch r.Kind {
-	case "reg", "mem", "port", "unit", "mux", "junction", "const", "link", "state":
-		return true
-	}
-	return false
 }
 
 // nearestPopulated returns the closest state of the same body that
@@ -269,7 +262,8 @@ type DepthRow struct {
 	Mean       float64 // firings per component
 }
 
-// depthKinds orders the kinds in the depth table.
+// depthKinds lists the journal ref kinds of design components, in
+// depth-table order.
 var depthKinds = []string{"reg", "mem", "port", "unit", "state", "const", "mux", "junction", "link"}
 
 // Depth aggregates firings-per-final-component by kind and phase, the

@@ -35,7 +35,7 @@ func (s *synth) seedDatapath(wm *prod.WM) {
 		wm.Make("task", prod.Attrs{
 			"op":          op,
 			"class":       class,
-			"commutative": op.Kind.IsCommutative() && len(op.Args) == 2,
+			"commutative": commutes(op),
 		})
 	}
 	// Parking transfers, in descending value order for ascending firing.

@@ -117,6 +117,9 @@ var traceRules = []*prod.Rule{
 		Doc:      "x + 0, x - 0, x or 0, x xor 0 pass x through; the operator becomes dead.",
 		Patterns: []prod.Pattern{prod.P("top").Bind("kind", "k")},
 		Where: func(_ prod.Host, m *prod.Match) bool {
+			if m.Get("k") == "dead-candidate" {
+				return false // folded already: its own Modify must not re-fire it
+			}
 			op := topOp(m)
 			var zi int
 			switch op.Kind {

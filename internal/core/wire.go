@@ -29,12 +29,17 @@ func (s *synth) missingRoutes(t rtl.Transfer) int {
 	return n
 }
 
+// commutes reports whether the commutativity rule may orient op: a
+// two-operand commutative operator.
+func commutes(op *vt.Op) bool { return len(op.Args) == 2 && op.Kind.IsCommutative() }
+
 // orientSwap decides whether the operands of a two-argument commutative
 // operator should swap: true when the swapped orientation reuses strictly
-// more existing links — the DAA's commutativity rule. The swap itself is
-// the orient-op effect (or orientOp for the rewire pass).
+// more existing links — the DAA's commutativity rule. The design records
+// the swap (rtl.Design.SwapOperands) through the orient-op effect, or
+// through orientOp in the rewire pass; the value trace keeps its order.
 func (s *synth) orientSwap(op *vt.Op) bool {
-	if len(op.Args) != 2 || !op.Kind.IsCommutative() || !op.Kind.IsCompute() {
+	if !commutes(op) {
 		return false
 	}
 	ts, err := s.d.OpTransfers(op)
@@ -47,11 +52,12 @@ func (s *synth) orientSwap(op *vt.Op) bool {
 	return swapped < direct
 }
 
-// orientOp applies orientSwap in place (the rewire pass re-decides against
-// the merged design, so decision and application stay together here).
+// orientOp applies orientSwap to the design (the rewire pass re-decides
+// against the merged design, so decision and application stay together
+// here).
 func (s *synth) orientOp(op *vt.Op) {
 	if s.orientSwap(op) {
-		op.Args[0], op.Args[1] = op.Args[1], op.Args[0]
+		s.d.SwapOperands(op)
 	}
 }
 

@@ -251,7 +251,7 @@ func TestEngineSimpleFire(t *testing.T) {
 		Patterns: []Pattern{P("n").Pred("v", func(v any) bool { return v.(int) > 0 })},
 		Action: func(e *Tx, m *Match) {
 			fired++
-			e.WM().Modify(m.El(0), Attrs{"v": m.El(0).Int("v") - 1})
+			e.Modify(m.El(0), Attrs{"v": m.El(0).Int("v") - 1})
 		},
 	})
 	run(t, eng)
@@ -290,7 +290,7 @@ func TestModifyReenablesRule(t *testing.T) {
 		Action: func(e *Tx, m *Match) {
 			fired++
 			if fired == 1 {
-				e.WM().Modify(x, Attrs{"b": true}) // 'a' still 1: matches again
+				e.Modify(x, Attrs{"b": true}) // 'a' still 1: matches again
 			}
 		},
 	})
@@ -326,7 +326,7 @@ func TestRecencyPreferred(t *testing.T) {
 				Patterns: []Pattern{P("x").Bind("tag", "t")},
 				Action: func(e *Tx, m *Match) {
 					if len(order) == 0 && c.retouch != "" {
-						e.WM().Modify(byTag[c.retouch], Attrs{"note": true})
+						e.Modify(byTag[c.retouch], Attrs{"note": true})
 					}
 					order = append(order, m.Str("t"))
 				},
@@ -468,7 +468,7 @@ func TestFiringLimit(t *testing.T) {
 		Name:     "spin",
 		Patterns: []Pattern{P("x")},
 		Action: func(e *Tx, m *Match) {
-			e.WM().Modify(m.El(0), Attrs{"spin": m.El(0).Int("spin") + 1})
+			e.Modify(m.El(0), Attrs{"spin": m.El(0).Int("spin") + 1})
 		},
 	})
 	if err := eng.Run(); err == nil {
@@ -487,8 +487,8 @@ func TestRemoveDisablesMatch(t *testing.T) {
 		Patterns: []Pattern{P("x")},
 		Action: func(e *Tx, m *Match) {
 			fired++
-			for _, el := range append([]*Element(nil), e.WM().Class("x")...) {
-				e.WM().Remove(el)
+			for _, el := range append([]*Element(nil), wm.Class("x")...) {
+				e.Remove(el)
 			}
 		},
 	})
@@ -582,7 +582,7 @@ func TestEngineTerminationProperty(t *testing.T) {
 			Patterns: []Pattern{P("tok").Absent("seen")},
 			Action: func(e *Tx, m *Match) {
 				fired++
-				e.WM().Modify(m.El(0), Attrs{"seen": true})
+				e.Modify(m.El(0), Attrs{"seen": true})
 			},
 		})
 		if err := eng.Run(); err != nil {
@@ -610,7 +610,7 @@ func TestEngineRecencyLIFOProperty(t *testing.T) {
 			Patterns: []Pattern{P("tok")},
 			Action: func(e *Tx, m *Match) {
 				order = append(order, m.El(0).Int("i"))
-				e.WM().Remove(m.El(0))
+				e.Remove(m.El(0))
 			},
 		})
 		if err := eng.Run(); err != nil {
@@ -700,7 +700,7 @@ func TestIndexedJoinEquivalence(t *testing.T) {
 			if pairs%1000 == 0 {
 				return
 			}
-			e.WM().Modify(m.El(0), Attrs{"seen": true})
+			e.Modify(m.El(0), Attrs{"seen": true})
 		},
 	})
 	run(t, eng)
@@ -724,8 +724,8 @@ func TestInterruptStopsRunawayRuleSet(t *testing.T) {
 		Name:     "spin",
 		Patterns: []Pattern{P("tok").Absent("seen")},
 		Action: func(e *Tx, m *Match) {
-			e.WM().Modify(m.El(0), Attrs{"seen": true})
-			e.WM().Make("tok", Attrs{"n": m.El(0).Int("n") + 1})
+			e.Modify(m.El(0), Attrs{"seen": true})
+			e.Make("tok", Attrs{"n": m.El(0).Int("n") + 1})
 		},
 	})
 	polls := 0

@@ -398,9 +398,9 @@ func TestCrossCheckTokenWorkload(t *testing.T) {
 		Name:     "promote",
 		Patterns: []Pattern{P("a").Absent("done").Bind("g", "g"), N("b").Bind("g", "g")},
 		Action: func(e *Tx, m *Match) {
-			e.WM().Modify(m.El(0), Attrs{"done": true})
+			e.Modify(m.El(0), Attrs{"done": true})
 			if m.El(0).Int("k") == 0 {
-				e.WM().Make("b", Attrs{"g": m.El(0).Get("g")})
+				e.Make("b", Attrs{"g": m.El(0).Get("g")})
 			}
 		},
 	})
@@ -408,7 +408,7 @@ func TestCrossCheckTokenWorkload(t *testing.T) {
 		Name:     "retire",
 		Patterns: []Pattern{P("b").Bind("g", "g"), P("a").Eq("done", true).Bind("g", "g")},
 		Action: func(e *Tx, m *Match) {
-			e.WM().Remove(m.El(1))
+			e.Remove(m.El(1))
 		},
 	})
 	if err := eng.Run(); err != nil {
@@ -435,14 +435,14 @@ func TestCrossCheckTraceEquivalence(t *testing.T) {
 			Name:     "step",
 			Patterns: []Pattern{P("a").Absent("done").Bind("k", "k")},
 			Action: func(e *Tx, m *Match) {
-				e.WM().Modify(m.El(0), Attrs{"done": true})
+				e.Modify(m.El(0), Attrs{"done": true})
 			},
 		})
 		eng.AddRule(&Rule{
 			Name:     "pair",
 			Patterns: []Pattern{P("a").Eq("done", true).Bind("g", "g"), P("a").Absent("done").Bind("g", "g")},
 			Action: func(e *Tx, m *Match) {
-				e.WM().Remove(m.El(1))
+				e.Remove(m.El(1))
 			},
 		})
 		if err := eng.Run(); err != nil {

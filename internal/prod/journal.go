@@ -293,19 +293,15 @@ func (e *Engine) attrValues(el *Element, names []string) []AttrValue {
 	return avs
 }
 
-// Tx is the transaction handle a rule action fires through. Working-memory
-// operations delegate to the engine's WM (whose change stream the journal
-// records); Do dispatches registered host effects. Actions must route every
-// mutation through the Tx — it is the only argument they get.
+// Tx is the transaction handle a rule action fires through. Make, Modify
+// and Remove are an action's only way into working memory (the engine's
+// WM, whose change stream the journal records); Do dispatches registered
+// host effects. Actions must route every mutation through the Tx — it is
+// the only argument they get.
 type Tx struct {
 	e *Engine
 	m *Match
 }
-
-// WM exposes the working memory for reads (Class, First, Dump). Mutations
-// through it are journaled too — the change stream sees everything — but
-// actions should use the Tx methods.
-func (t *Tx) WM() *WM { return t.e.WM }
 
 // Make creates a working-memory element.
 func (t *Tx) Make(class string, attrs Attrs) *Element { return t.e.WM.Make(class, attrs) }
@@ -323,10 +319,6 @@ func (t *Tx) Halt() {
 	}
 	t.e.Halt()
 }
-
-// Firings reports the number of firings so far, this one included; hosts
-// use it to attribute state they build outside working memory.
-func (t *Tx) Firings() int { return t.e.firings }
 
 // Host returns the engine's host: the state outside working memory the
 // rule base reads and, through Do, changes.

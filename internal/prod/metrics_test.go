@@ -92,7 +92,7 @@ func TestEngineMetrics(t *testing.T) {
 	eng.AddRule(&Rule{
 		Name: "consume", Category: "test",
 		Patterns: []Pattern{P("a").Absent("done")},
-		Action:   func(e *Tx, m *Match) { e.WM().Modify(m.El(0), Attrs{"done": true}) },
+		Action:   func(e *Tx, m *Match) { e.Modify(m.El(0), Attrs{"done": true}) },
 	})
 	eng.AddRule(&Rule{
 		Name: "idle", Category: "test",
@@ -153,7 +153,7 @@ func TestExhaustiveMatchTime(t *testing.T) {
 		eng.AddRule(&Rule{
 			Name:     "consume",
 			Patterns: []Pattern{P("a").Absent("done")},
-			Action:   func(e *Tx, m *Match) { e.WM().Modify(m.El(0), Attrs{"done": true}) },
+			Action:   func(e *Tx, m *Match) { e.Modify(m.El(0), Attrs{"done": true}) },
 		})
 		run(t, eng)
 		return eng.Metrics()

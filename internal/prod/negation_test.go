@@ -163,8 +163,8 @@ func TestNegationFiringFlips(t *testing.T) {
 			Name:     "claim",
 			Patterns: []Pattern{P("task").Absent("got").Bind("g", "g"), N("lock").Bind("g", "g")},
 			Action: func(e *Tx, m *Match) {
-				e.WM().Modify(m.El(0), Attrs{"got": true})
-				e.WM().Make("lock", Attrs{"g": m.Get("g")})
+				e.Modify(m.El(0), Attrs{"got": true})
+				e.Make("lock", Attrs{"g": m.Get("g")})
 			},
 		})
 		// release: a claimed task's lock is removed, re-enabling claims.
@@ -172,8 +172,8 @@ func TestNegationFiringFlips(t *testing.T) {
 			Name:     "release",
 			Patterns: []Pattern{P("lock").Bind("g", "g"), P("task").Eq("got", true).Bind("g", "g")},
 			Action: func(e *Tx, m *Match) {
-				e.WM().Remove(m.El(0))
-				e.WM().Remove(m.El(1))
+				e.Remove(m.El(0))
+				e.Remove(m.El(1))
 			},
 		})
 		if err := eng.Run(); err != nil {

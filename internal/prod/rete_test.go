@@ -206,7 +206,7 @@ func TestReteWorkBelowExhaustive(t *testing.T) {
 		P("item").Absent("done").Bind("g", "g"),
 		P("item").Bind("g", "g").Present("n"),
 	}, Action: func(e *Tx, m *Match) {
-		e.WM().Modify(m.El(0), Attrs{"done": true})
+		e.Modify(m.El(0), Attrs{"done": true})
 	}})
 	// Interrupt is polled once per cycle, before selection: count what an
 	// exhaustive selection over the same working memory would test there.

@@ -97,9 +97,10 @@ func (c Control) Write(w io.Writer) error {
 // deriveControl walks every transfer once — each operator's OpTransfers
 // in trace order, then the parking transfers — checking that each source
 // of the value reaches the sink and recording the signals that get it
-// there. Operands must arrive in the port order op.Args records: the
-// commutativity rule swaps op.Args when it swaps the wiring, so wiring
-// that disagrees with argument order is a defect, not a second orientation.
+// there. Each operand must reach the unit port the design's orientation
+// names (Operand): the commutativity rule records a swap there when it
+// swaps the wiring, so wiring that disagrees with it is a defect, not a
+// second orientation.
 // It runs after validateBindings, which guarantees that every operator is
 // scheduled into a listed state and that no unit runs two operators in one
 // step.

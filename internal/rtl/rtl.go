@@ -10,8 +10,9 @@
 // comparison.
 //
 // The package owns the interconnect facts every allocator shares: which
-// sink each operand feeds (Design.OpTransfers, Design.Transfers) and how a
-// source reaches a sink (Design.FindRoute, the one walk over the links).
+// sink each operand feeds (Design.OpTransfers, Design.Transfers, in the
+// orientation Design.Operand reads) and how a source reaches a sink
+// (Design.FindRoute, the one walk over the links).
 // Validate, which derives the controller in the same walk, and the binder
 // in internal/bind both read them from here.
 package rtl
@@ -278,6 +279,7 @@ type Design struct {
 	CarrierPort map[*vt.Carrier]*Port
 	ValueReg    map[*vt.Value]*Register // intermediate value -> holding register
 
+	swapped   map[*vt.Op]bool     // commutative ops whose operands cross, see Operand
 	steps     map[string][]*State // body name -> its steps, see Steps
 	nextID    int
 	observers []func(any)
@@ -446,6 +448,28 @@ func (d *Design) AddState(body string, index int) *State {
 // this order: the controller graph, the simulator and the allocators walk
 // the list instead of regrouping d.States. The caller must not modify it.
 func (d *Design) Steps(body string) []*State { return d.steps[body] }
+
+// SwapOperands crosses the operands of a two-operand commutative
+// operator: operand 0 then feeds unit port 1 and operand 1 port 0, and a
+// second swap restores the trace's order. The design owns this
+// orientation so that allocation never rewrites the value trace; the
+// DAA's commutativity rule is its only writer.
+func (d *Design) SwapOperands(op *vt.Op) {
+	if d.swapped == nil {
+		d.swapped = map[*vt.Op]bool{}
+	}
+	d.swapped[op] = !d.swapped[op]
+}
+
+// Operand returns the value that feeds unit port i of op: op.Args[i],
+// unless SwapOperands crossed op's operands. A design that never swaps
+// (every baseline's) reads the trace's order.
+func (d *Design) Operand(op *vt.Op, i int) *vt.Value {
+	if d.swapped[op] {
+		i = 1 - i
+	}
+	return op.Args[i]
+}
 
 // listed reports whether s is the step at position s.Index of its body's
 // list.

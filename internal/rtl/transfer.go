@@ -48,8 +48,8 @@ func (d *Design) appendOpTransfers(out []Transfer, op *vt.Op) ([]Transfer, error
 		if u == nil {
 			return nil, fmt.Errorf("rtl: compute op %s unbound", op)
 		}
-		for i, a := range op.Args {
-			to(a, Endpoint{Kind: EPUnitIn, Comp: u, Index: i})
+		for i := range op.Args {
+			to(d.Operand(op, i), Endpoint{Kind: EPUnitIn, Comp: u, Index: i})
 		}
 	case op.Kind == vt.OpWrite:
 		car := op.Carrier

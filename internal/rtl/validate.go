@@ -39,8 +39,8 @@ import (
 // Control (one walk over Transfers)
 //   - every source of every transfer reaches its sink over existing links,
 //     possibly through multiplexers and junctions (see FindRoute;
-//     concatenations are checked per contributing source); operands arrive
-//     in the port order op.Args records
+//     concatenations are checked per contributing source); each operand
+//     reaches the unit port the design's orientation names (Operand)
 //   - no multiplexer is asked for two ways in one step
 func (d *Design) Validate() (Control, error) {
 	if err := d.validateStructure(); err != nil {

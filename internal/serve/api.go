@@ -418,14 +418,17 @@ type BatchRequest struct {
 	Requests []SynthesizeRequest `json:"requests"`
 }
 
-// Check refuses an empty batch or one of more than limit sources with 400.
-// Daemons and cluster coordinators apply the same rule.
-func (b BatchRequest) Check(limit int) error {
+// MaxBatch bounds the sources of one batch request.
+const MaxBatch = 256
+
+// Check refuses an empty batch or one of more than MaxBatch sources with
+// 400. Daemons and cluster coordinators apply the same rule.
+func (b BatchRequest) Check() error {
 	switch n := len(b.Requests); {
 	case n == 0:
 		return badRequest("batch carries no requests")
-	case n > limit:
-		return badRequest(fmt.Sprintf("batch of %d exceeds the %d-source limit", n, limit))
+	case n > MaxBatch:
+		return badRequest(fmt.Sprintf("batch of %d exceeds the %d-source limit", n, MaxBatch))
 	}
 	return nil
 }

@@ -706,16 +706,17 @@ func TestBatchOrderAndItemErrors(t *testing.T) {
 }
 
 func TestBatchLimits(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 2})
+	_, ts := newTestServer(t, Config{})
 	resp, body := postJSON(t, ts.URL+"/v1/batch", BatchRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty batch: status %d: %s", resp.StatusCode, body)
 	}
-	three := BatchRequest{Requests: []SynthesizeRequest{
-		benchRequest(t, "gcd"), benchRequest(t, "gcd"), benchRequest(t, "gcd"),
-	}}
-	resp, body = postJSON(t, ts.URL+"/v1/batch", three)
-	if resp.StatusCode != http.StatusBadRequest {
+	var over BatchRequest
+	for range MaxBatch + 1 {
+		over.Requests = append(over.Requests, benchRequest(t, "gcd"))
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/batch", over)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "batch of 257 exceeds the 256-source limit") {
 		t.Errorf("oversized batch: status %d: %s", resp.StatusCode, body)
 	}
 }

@@ -45,8 +45,6 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// MaxDeadline clamps request-supplied deadlines (default 5m).
 	MaxDeadline time.Duration
-	// MaxBatch bounds sources per batch request (default 256).
-	MaxBatch int
 	// MaxGridPoints bounds the expanded grid of one explore request
 	// (default DefaultMaxGridPoints); past it the request answers 413.
 	// Negative disables /v1/explore entirely (every grid is too large).
@@ -71,9 +69,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxDeadline <= 0 {
 		c.MaxDeadline = 5 * time.Minute
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
 	}
 	if c.MaxGridPoints == 0 {
 		c.MaxGridPoints = DefaultMaxGridPoints
@@ -557,7 +552,7 @@ func (s *Server) batch(ctx context.Context, body []byte) outcome {
 	var req BatchRequest
 	err := DecodeRequest(body, &req)
 	if err == nil {
-		err = req.Check(s.cfg.MaxBatch)
+		err = req.Check()
 	}
 	if err != nil {
 		return s.errorOutcome(err)
