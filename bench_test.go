@@ -43,9 +43,9 @@ func loadTrace(b *testing.B, name string) *vt.Program {
 	return tr
 }
 
-// The DAA benchmarks below synthesize a vt.Clone of one loaded trace per
-// run: the trace-refinement rules rewrite their input in place, so a
-// second synthesis of the same trace would skip that work.
+// The DAA benchmarks below synthesize one loaded trace on every run:
+// synthesis never writes its input, and phase 0 refines a copy of its own,
+// so every run does the same work.
 
 // BenchmarkE2MCS6502DAA — Table 2, row 1: the knowledge-based synthesis of
 // the paper's subject.
@@ -53,7 +53,7 @@ func BenchmarkE2MCS6502DAA(b *testing.B) {
 	tr := loadTrace(b, "mcs6502")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Synthesize(vt.Clone(tr), core.Options{})
+		res, err := core.Synthesize(tr, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func BenchmarkE3SynthesisStats(b *testing.B) {
 	b.ResetTimer()
 	firings := 0
 	for i := 0; i < b.N; i++ {
-		res, err := core.Synthesize(vt.Clone(tr), core.Options{})
+		res, err := core.Synthesize(tr, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,11 +112,11 @@ func BenchmarkE4PhaseEvolution(b *testing.B) {
 	b.ResetTimer()
 	var with, without float64
 	for i := 0; i < b.N; i++ {
-		full, err := core.Synthesize(vt.Clone(tr), core.Options{})
+		full, err := core.Synthesize(tr, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		ablated, err := core.Synthesize(vt.Clone(tr), core.Options{DisableCleanup: true})
+		ablated, err := core.Synthesize(tr, core.Options{DisableCleanup: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,13 +132,13 @@ func BenchmarkE5Scaling(b *testing.B) {
 		tr := loadTrace(b, name)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				refined := vt.Clone(tr)
-				res, err := core.Synthesize(refined, core.Options{})
+				res, err := core.Synthesize(tr, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					b.ReportMetric(float64(res.Stats.TotalFirings)/float64(refined.OpCount()), "firings/op")
+					// Per operator of the refined trace the design binds.
+					b.ReportMetric(float64(res.Stats.TotalFirings)/float64(res.Design.Trace.OpCount()), "firings/op")
 				}
 			}
 		})
@@ -152,18 +152,17 @@ func BenchmarkE6CrossBenchmark(b *testing.B) {
 	for _, name := range bench.Names() {
 		name := name
 		b.Run(name, func(b *testing.B) {
+			tr := loadTrace(b, name)
 			for i := 0; i < b.N; i++ {
-				// Fresh traces per allocator: the DAA's trace-refinement
-				// rules rewrite their input in place.
-				daa, err := core.Synthesize(loadTrace(b, name), core.Options{})
+				daa, err := core.Synthesize(tr, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				le, err := alloc.LeftEdge(loadTrace(b, name), alloc.Options{})
+				le, err := alloc.LeftEdge(tr, alloc.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				nv, err := alloc.Naive(loadTrace(b, name), alloc.Options{})
+				nv, err := alloc.Naive(tr, alloc.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -225,7 +224,7 @@ func BenchmarkVTBuildMCS6502(b *testing.B) {
 
 // BenchmarkFlowCompileGCD prices the full staged pipeline, front to back:
 // cached (the steady state of the experiment harness — parse+sema+build
-// served as a clone from the artifact cache) vs cold (the cache emptied
+// served from the artifact cache) vs cold (the cache emptied
 // before each compile, so every stage runs from scratch).
 func BenchmarkFlowCompileGCD(b *testing.B) {
 	in, err := bench.Input("gcd")

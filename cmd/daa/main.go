@@ -143,8 +143,8 @@ func run(w io.Writer, o options) error {
 	ctx := context.Background()
 	if !machine {
 		// Report the description as loaded, before the DAA's trace rules
-		// refine it in place. Front hits the same artifact cache Compile
-		// uses, so this costs one clone.
+		// refine their copy. FrontEnd reads the artifact cache Compile
+		// uses and copies nothing.
 		tr, err := flow.FrontEnd(ctx, in)
 		if err != nil {
 			return err

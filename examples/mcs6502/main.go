@@ -3,9 +3,9 @@
 // baselines, as the DAC 1983 evaluation did.
 //
 // Each allocator gets its own flow.Compile run. The pipeline's artifact
-// cache builds the front end once and hands every run a private clone of
-// the trace, so the baselines see the unrefined description even though
-// the DAA's trace rules rewrite its copy in place.
+// cache builds the front end once and every run reads its one trace: the
+// baselines see the unrefined description, and the DAA's trace rules
+// rewrite a copy of their own.
 //
 //	go run ./examples/mcs6502
 package main

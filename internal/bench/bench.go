@@ -47,10 +47,10 @@ func Source(name string) (string, error) {
 }
 
 // Load builds a benchmark's validated value trace through the flow
-// pipeline's front end. The parse+sema+build work is memoized in the
-// flow artifact cache; every call returns a fresh private clone, so
-// callers may hand the trace to the DAA (which refines it in place)
-// without affecting later loads.
+// pipeline's front end. The parse+sema+build work is memoized in the flow
+// artifact cache, and every call returns the cached trace itself: treat it
+// as read-only. The allocators and core.Replay never write it, so callers
+// may hand one loaded trace to any number of syntheses.
 func Load(name string) (*vt.Program, error) {
 	in, err := Input(name)
 	if err != nil {

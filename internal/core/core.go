@@ -44,11 +44,11 @@ type Options struct {
 	// point as the left-edge baseline, so design-quality comparisons
 	// isolate the knowledge rules.
 	Limits sched.Limits
-	// DisableTraceRules skips phase 0 (trace refinement), leaving the
-	// value trace exactly as built. Phase 0 is the trace's only writer: it
-	// refines the input trace in place, as the CMU front end did, so
-	// synthesize from vt.Clone(trace) to keep the original. With this set,
-	// synthesis only reads the trace.
+	// DisableTraceRules skips phase 0 (trace refinement), so the design
+	// binds the value trace exactly as built. Phase 0 is the trace's only
+	// writer, and it refines a copy of its own, as the CMU front end
+	// refined the trace it built; the design then binds that copy. Either
+	// way synthesis never writes its input trace.
 	DisableTraceRules bool
 	// DisableCleanup skips the final global-improvement phase (for the E4
 	// ablation).
@@ -126,8 +126,12 @@ type Result struct {
 }
 
 // Synthesize runs the DAA on a value trace and returns the
-// register-transfer design. It does not validate the design: callers run
-// rtl.Design.Validate, as flow's validate stage does once per compilation.
+// register-transfer design. It never writes trace, so callers may share
+// one trace across concurrent syntheses: when phase 0 runs it refines a
+// copy, and the design binds that copy (read Design.Trace, not trace, to
+// pair trace nodes with the design). It does not validate the design:
+// callers run rtl.Design.Validate, as flow's validate stage does once per
+// compilation.
 func Synthesize(trace *vt.Program, opt Options) (*Result, error) {
 	// Compatibility wrapper for tests and tools that own their lifecycle;
 	// library code threads a context through SynthesizeContext.
@@ -141,6 +145,9 @@ func Synthesize(trace *vt.Program, opt Options) (*Result, error) {
 // runaway rule set returns promptly with the context's error and no
 // partial design.
 func SynthesizeContext(ctx context.Context, trace *vt.Program, opt Options) (*Result, error) {
+	if !opt.DisableTraceRules {
+		trace = vt.Clone(trace) // phase 0 refines the copy in place
+	}
 	s := newSynth(trace, opt)
 	start := time.Now()
 	var stats Stats

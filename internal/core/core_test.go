@@ -343,7 +343,7 @@ func TestExtraRuleEffectErrorFailsSynthesis(t *testing.T) {
 	if res != nil {
 		t.Error("a failed synthesis returned a result")
 	}
-	const want = `core: phase cleanup: prod: rule call-missing-effect: effect no-such-effect: core: unknown effect "no-such-effect"`
+	const want = `core: phase cleanup: prod: rule call-missing-effect: effect no-such-effect: core: unknown effect`
 	if err == nil || err.Error() != want {
 		t.Fatalf("error %v, want %s", err, want)
 	}

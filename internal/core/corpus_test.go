@@ -7,6 +7,7 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -15,7 +16,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/flow"
-	"repro/internal/rtl"
 	"repro/internal/vt"
 )
 
@@ -35,7 +35,8 @@ func corpus(t *testing.T) []flow.Input {
 	return ins
 }
 
-// corpusTrace builds a fresh value trace of one corpus program.
+// corpusTrace returns the front end's cached value trace of one corpus
+// program.
 func corpusTrace(t *testing.T, in flow.Input) *vt.Program {
 	t.Helper()
 	tr, err := flow.FrontEnd(context.Background(), in)
@@ -100,13 +101,15 @@ func TestRuleCoverage(t *testing.T) {
 	}
 }
 
-// TestSynthesisLeavesTraceAlone pins that trace refinement is the value
-// trace's only writer: with it off, synthesizing any benchmark or corpus
-// program leaves the trace's dump byte-identical, and four concurrent
-// syntheses may share one trace (go test -race checks that none writes
-// it) and build one design.
+// TestSynthesisLeavesTraceAlone pins that synthesis and replay never
+// write their input trace: phase 0, the trace's only writer, refines a
+// copy of its own. Synthesizing any benchmark or corpus program with trace
+// rules on and off, and replaying each journal, leaves the trace's dump
+// byte-identical. Concurrent compiles of one source under every
+// allocation path then share the front end's one cached trace (go test
+// -race checks that none writes it), leave its dump unchanged, and build
+// the same design for the same options.
 func TestSynthesisLeavesTraceAlone(t *testing.T) {
-	opt := core.Options{DisableTraceRules: true}
 	dump := func(tr *vt.Program) string {
 		var b strings.Builder
 		if err := tr.Dump(&b); err != nil {
@@ -116,11 +119,21 @@ func TestSynthesisLeavesTraceAlone(t *testing.T) {
 	}
 	check := func(name string, tr *vt.Program) {
 		before := dump(tr)
-		if _, err := core.Synthesize(tr, opt); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		unchanged := func(what string) {
+			if after := dump(tr); after != before {
+				t.Fatalf("%s: %s rewrote the value trace:\n%s", name, what, firstDiff(after, before))
+			}
 		}
-		if after := dump(tr); after != before {
-			t.Errorf("%s: synthesis rewrote the value trace:\n%s", name, firstDiff(after, before))
+		for _, rules := range []bool{true, false} {
+			res, err := core.Synthesize(tr, core.Options{DisableTraceRules: !rules, Journal: true})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			unchanged(fmt.Sprintf("synthesis with trace rules %v", rules))
+			if _, err := core.Replay(tr, res.Journal, core.Options{}); err != nil {
+				t.Fatalf("%s: replay: %v", name, err)
+			}
+			unchanged(fmt.Sprintf("replay with trace rules %v", rules))
 		}
 	}
 	for _, name := range bench.Names() {
@@ -134,34 +147,52 @@ func TestSynthesisLeavesTraceAlone(t *testing.T) {
 		check(in.Name, corpusTrace(t, in))
 	}
 
-	shared, err := bench.Load("mcs6502")
+	ctx := context.Background()
+	in, err := bench.Input("mcs6502")
 	if err != nil {
 		t.Fatal(err)
 	}
-	designs := make([]*rtl.Design, 4)
-	errs := make([]error, len(designs))
+	shared, err := flow.FrontEnd(ctx, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := dump(shared)
+	paths := []struct {
+		name    string
+		opt     flow.Options
+		refines bool // the design binds phase 0's copy, not the shared trace
+	}{
+		{"leftedge", flow.Options{Allocator: flow.AllocLeftEdge}, false},
+		{"naive", flow.Options{Allocator: flow.AllocNaive}, false},
+		{"daa", flow.Options{}, true},
+		{"daa trace-rules=false", flow.Options{Core: core.Options{DisableTraceRules: true}}, false},
+	}
+	results := make([]*flow.Result, 2*len(paths)) // each path twice
+	errs := make([]error, len(results))
 	var wg sync.WaitGroup
-	for i := range designs {
+	for i := range results {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := core.Synthesize(shared, opt)
-			if err == nil {
-				designs[i] = res.Design
-			}
-			errs[i] = err
+			results[i], errs[i] = flow.Compile(ctx, in, paths[i%len(paths)].opt)
 		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("concurrent synthesis %d: %v", i, err)
+			t.Fatalf("concurrent compile %d: %v", i, err)
 		}
 	}
-	want := core.RenderDesign(t, designs[0])
-	for i, d := range designs[1:] {
-		if core.RenderDesign(t, d) != want {
-			t.Errorf("concurrent synthesis %d built a different design", i+1)
+	if after := dump(shared); after != before {
+		t.Errorf("concurrent compiles rewrote the shared trace:\n%s", firstDiff(after, before))
+	}
+	for i, p := range paths {
+		a, b := results[i], results[i+len(paths)]
+		if binds := a.VT == shared; binds == p.refines {
+			t.Errorf("%s: design binds the shared trace: %v, want %v", p.name, binds, !p.refines)
+		}
+		if core.RenderDesign(t, a.Design) != core.RenderDesign(t, b.Design) {
+			t.Errorf("%s: two concurrent compiles built different designs", p.name)
 		}
 	}
 }

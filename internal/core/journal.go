@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -124,43 +125,44 @@ func newDecoder(tr *vt.Program, d *rtl.Design) func(prod.Ref) (any, error) {
 }
 
 // Apply is the engines' prod.Host, re-used verbatim by Replay: it sets the
-// provenance cursor and applies the named entry of the effect table.
+// provenance cursor and applies the named entry of the effect table. Its
+// callers, Tx.Do and the replayer, name the effect in its errors.
 func (s *synth) Apply(name string, args []any) (any, error) {
 	if s.prov != nil {
 		s.prov.cur = FiringRef{Phase: s.phase, Seq: s.seq()}
 	}
 	apply, ok := effects[name]
 	if !ok {
-		return nil, fmt.Errorf("core: unknown effect %q", name)
+		return nil, errors.New("core: unknown effect")
 	}
-	return apply(s, name, args)
+	return apply(s, args)
 }
 
-// An applier applies one named effect to a synthesis. It updates the
-// design, the synthesis bookkeeping (step schedules, unit busyness,
-// register occupancy) so post-phase hooks behave identically when
-// recording and replaying, and, for the four trace-refinement effects
-// only, the value trace; it never touches working memory.
-type applier func(s *synth, name string, args []any) (any, error)
+// An applier applies one effect to a synthesis. It updates the design,
+// the synthesis bookkeeping (step schedules, unit busyness, register
+// occupancy) so post-phase hooks behave identically when recording and
+// replaying, and, for the four trace-refinement effects only, the value
+// trace; it never touches working memory.
+type applier func(s *synth, args []any) (any, error)
 
-// arg returns argument i of the named effect as a T. A journal with the
-// right shape always satisfies it, so a failure means a corrupt journal.
-func arg[T any](name string, args []any, i int) (T, error) {
+// arg returns argument i of an effect as a T. A journal with the right
+// shape always satisfies it, so a failure means a corrupt journal.
+func arg[T any](args []any, i int) (T, error) {
 	var zero T
 	if i >= len(args) {
-		return zero, fmt.Errorf("effect %s: missing argument %d", name, i)
+		return zero, fmt.Errorf("missing argument %d", i)
 	}
 	v, ok := args[i].(T)
 	if !ok {
-		return zero, fmt.Errorf("effect %s: argument %d is %T, want %T", name, i, args[i], zero)
+		return zero, fmt.Errorf("argument %d is %T, want %T", i, args[i], zero)
 	}
 	return v, nil
 }
 
 // on1 makes an applier of an effect taking one typed argument.
 func on1[A any](f func(*synth, A) (any, error)) applier {
-	return func(s *synth, name string, args []any) (any, error) {
-		a, err := arg[A](name, args, 0)
+	return func(s *synth, args []any) (any, error) {
+		a, err := arg[A](args, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -170,12 +172,12 @@ func on1[A any](f func(*synth, A) (any, error)) applier {
 
 // on2 makes an applier of an effect taking two typed arguments.
 func on2[A, B any](f func(*synth, A, B) (any, error)) applier {
-	return func(s *synth, name string, args []any) (any, error) {
-		a, err := arg[A](name, args, 0)
+	return func(s *synth, args []any) (any, error) {
+		a, err := arg[A](args, 0)
 		if err != nil {
 			return nil, err
 		}
-		b, err := arg[B](name, args, 1)
+		b, err := arg[B](args, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +218,7 @@ var effects = map[string]applier{
 		// Each new step holds the operator that opens it, so no placement
 		// reaches a step past the body's operator count.
 		if step < 0 || step >= len(op.Body.Ops) {
-			return nil, fmt.Errorf("effect place-op: operator %d at step %d, want a step in [0, %d)", op.ID, step, len(op.Body.Ops))
+			return nil, fmt.Errorf("operator %d at step %d, want a step in [0, %d)", op.ID, step, len(op.Body.Ops))
 		}
 		s.steps[op.Body].Place(op, step)
 		if s.prov != nil {
@@ -262,7 +264,7 @@ var effects = map[string]applier{
 	"add-const": on2(func(s *synth, val, w int) (any, error) { return s.d.AddConst(uint64(val), w), nil }),
 	"orient-op": on2(func(s *synth, op *vt.Op, swap bool) (any, error) {
 		if !commutes(op) {
-			return nil, fmt.Errorf("effect orient-op: operator %d is a %d-operand %s, want a two-operand commutative operator",
+			return nil, fmt.Errorf("operator %d is a %d-operand %s, want a two-operand commutative operator",
 				op.ID, len(op.Args), op.Kind)
 		}
 		if swap {
@@ -315,19 +317,20 @@ var effects = map[string]applier{
 	}),
 }
 
-// Replay re-applies a recorded journal against a fresh, unrefined trace
-// (the same one the recorded run started from — flow.FrontEnd hands out
-// identical clones) and returns the reproduced design. Rule left-hand
-// sides are never re-matched: only the journaled effects run, followed by
-// the same deterministic post-phase hooks as Synthesize. Unlike
+// Replay re-applies a recorded journal against the unrefined trace the
+// recorded run started from (flow.FrontEnd's cached trace) and returns the
+// reproduced design. Rule left-hand sides are never re-matched: only the
+// journaled effects run, followed by the same deterministic post-phase
+// hooks as Synthesize. Replay never writes trace: the journal's
+// trace-refinement effects rewrite a copy, which the design binds. Unlike
 // Synthesize, Replay validates its result, because a journal may come
 // from outside the process. The result must be byte-identical to the
 // recorded run's design; the journal tests assert it across every
 // embedded benchmark.
 func Replay(trace *vt.Program, j *Journal, opt Options) (*rtl.Design, error) {
 	opt.Journal = false
-	s := newSynth(trace, opt)
-	decode := newDecoder(trace, s.d)
+	s := newSynth(vt.Clone(trace), opt)
+	decode := newDecoder(s.tr, s.d)
 	for _, pj := range j.Phases {
 		i := phaseIndex(pj.Phase)
 		if i == len(knowledgeBase) {

@@ -240,8 +240,8 @@ func TestReplayRefusesMalformedEffects(t *testing.T) {
 				t.Fatalf("gcd's journal has no %s effect", row.effect)
 			}
 			eff.Args = row.edit(eff.Args)
-			want := fmt.Sprintf("core: replay phase %s: prod: replay firing %d (%s): effect %s: effect %s: %s",
-				phase, f.Seq, f.Rule, row.effect, row.effect, row.want(ops[eff.Args[0].Ref.ID]))
+			want := fmt.Sprintf("core: replay phase %s: prod: replay firing %d (%s): effect %s: %s",
+				phase, f.Seq, f.Rule, row.effect, row.want(ops[eff.Args[0].Ref.ID]))
 			d, err := Replay(trace(t, gcdSrc), res.Journal, Options{})
 			if d != nil || err == nil || err.Error() != want {
 				t.Fatalf("Replay returned %v, %v; want no design and %q", d, err, want)

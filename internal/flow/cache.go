@@ -23,15 +23,15 @@ import (
 // cap is exceeded the least-recently-used artifact is evicted (and
 // counted); a re-submission of an evicted source simply rebuilds it.
 //
-// The cached value trace is pristine: it is never handed to a caller
-// directly, only as a vt.Clone, because the DAA's trace-refinement rules
-// rewrite their input in place. The cached AST is shared (the back end
-// never mutates it); callers must treat it as read-only.
+// Every compilation of a source shares its cached artifact: the AST and
+// the value trace are handed out as they are, never copied, and callers
+// treat both as read-only. Nothing downstream writes them: core's trace
+// refinement, the trace's one writer, refines a copy of its own.
 
 // frontArtifact is one memoized front-end run.
 type frontArtifact struct {
 	ast    *isps.Program
-	trace  *vt.Program // pristine master copy; hand out clones only
+	trace  *vt.Program
 	stages []StageInfo // parse/sema/build timings of the original run
 }
 
@@ -78,9 +78,9 @@ func SetCacheCap(n int) int {
 // (tests and memory-sensitive batch runs). The entry cap is kept.
 func ResetCache() { frontCache.Reset() }
 
-// frontStages returns the analyzed AST, a private clone of the validated
-// value trace, and the front-stage timing records, building or reusing the
-// cached artifact.
+// frontStages returns the analyzed AST, the validated value trace and the
+// front-stage timing records, building or reusing the cached artifact.
+// The AST and trace are the cache's own: read-only.
 func frontStages(in Input) (*isps.Program, *vt.Program, []StageInfo, error) {
 	e := frontCache.GetOrAdd(in.ContentHash(), func() *frontEntry { return new(frontEntry) })
 	built := false
@@ -91,22 +91,17 @@ func frontStages(in Input) (*isps.Program, *vt.Program, []StageInfo, error) {
 	if e.err != nil {
 		return nil, nil, nil, e.err
 	}
-	t0 := time.Now()
-	clone := vt.Clone(e.art.trace)
-	cloneD := time.Since(t0)
 	if built {
-		// This call paid for the real front end; report its timings, with
-		// the clone attributed to the build stage.
-		stages := append([]StageInfo(nil), e.art.stages...)
-		stages[len(stages)-1].Elapsed += cloneD
-		return e.art.ast, clone, stages, nil
+		// This call paid for the real front end; report its timings (a
+		// copy: the back end appends its stages).
+		return e.art.ast, e.art.trace, append([]StageInfo(nil), e.art.stages...), nil
 	}
 	stages := []StageInfo{
 		{Stage: StageParse, Cached: true},
 		{Stage: StageSema, Cached: true},
-		{Stage: StageBuild, Elapsed: cloneD, Cached: true, Note: "clone of cached artifact"},
+		{Stage: StageBuild, Cached: true},
 	}
-	return e.art.ast, clone, stages, nil
+	return e.art.ast, e.art.trace, stages, nil
 }
 
 // buildFront runs parse → sema → build → validate without the cache.

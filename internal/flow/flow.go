@@ -28,12 +28,12 @@
 //     notes, extending the per-phase statistics core already reports.
 //
 // The front half of the pipeline (parse+sema+build) is memoized in a
-// content-hash-keyed artifact cache; each compilation receives a private
-// vt.Clone of the cached trace, so the DAA's in-place trace refinement
-// never leaks between runs and repeated compilations of the same source
-// (the experiment harness compiles the MCS6502 nine-plus times) pay for
-// the front end once. RunAll executes independent compilations across a
-// bounded worker pool.
+// content-hash-keyed artifact cache, so repeated compilations of the same
+// source (the experiment harness compiles the MCS6502 nine-plus times) pay
+// for the front end once. Every compilation reads the one cached value
+// trace; the DAA's trace refinement, its only writer, refines a copy of
+// its own (core.SynthesizeContext). RunAll executes independent
+// compilations across a bounded worker pool.
 package flow
 
 import (
@@ -182,8 +182,10 @@ type Result struct {
 	// artifact cache this is shared with other compilations of the same
 	// source: treat it as read-only.
 	AST *isps.Program
-	// VT is the value trace the allocator consumed — a private clone, and
-	// refined in place when the DAA's trace rules ran.
+	// VT is the value trace the design binds, set by the allocate stage:
+	// the cached front-end trace, shared with every compilation of the
+	// source, or the DAA's refined copy of it when its trace rules ran.
+	// Treat it as read-only.
 	VT *vt.Program
 	// Design is the synthesized register-transfer structure.
 	Design *rtl.Design
@@ -247,8 +249,9 @@ func Compile(ctx context.Context, in Input, opt Options) (*Result, error) {
 }
 
 // FrontEnd runs the front half of the pipeline — parse → sema → build →
-// validate — through the artifact cache and returns a private clone of the
-// value trace. It is the loading path of internal/bench and cmd/vtdump.
+// validate — through the artifact cache and returns the cached value
+// trace itself, shared with every compilation of the source: treat it as
+// read-only. It is the loading path of internal/bench and cmd/vtdump.
 // (The Front type, by contrast, is the Pareto front Explore returns.)
 func FrontEnd(ctx context.Context, in Input) (*vt.Program, error) {
 	if err := ctx.Err(); err != nil {

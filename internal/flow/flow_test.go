@@ -172,33 +172,41 @@ func TestCompileCancelledBetweenEngineCycles(t *testing.T) {
 	}
 }
 
-func TestFrontCloneIsolation(t *testing.T) {
-	in := mustInput(t, "counter")
-	a, err := flow.FrontEnd(context.Background(), in)
+// TestFrontEndSharesOneTrace pins that the artifact cache hands out its
+// one value trace: FrontEnd returns the same trace for one source, and a
+// DAA compile with its trace rules on refines a copy of its own, which
+// Result.VT names, and leaves the shared trace's dump unchanged.
+func TestFrontEndSharesOneTrace(t *testing.T) {
+	ctx := context.Background()
+	in := mustInput(t, "mcs6502")
+	shared, err := flow.FrontEnd(ctx, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := flow.FrontEnd(context.Background(), in)
+	again, err := flow.FrontEnd(ctx, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a == b {
-		t.Fatal("Front returned a shared trace; wants private clones")
+	if again != shared {
+		t.Fatal("FrontEnd returned two traces for one source; want the cached one")
 	}
-	before := a.OpCount()
-	// Refine one clone in place through the DAA; the other must not move.
-	if _, err := core.Synthesize(a, core.Options{}); err != nil {
-		t.Fatal(err)
+	dump := func() string {
+		var b strings.Builder
+		if err := shared.Dump(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
 	}
-	if b.OpCount() != before {
-		t.Errorf("cached artifact mutated through a clone: %d -> %d ops", before, b.OpCount())
-	}
-	c, err := flow.FrontEnd(context.Background(), in)
+	before := dump()
+	res, err := flow.Compile(ctx, in, flow.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.OpCount() != before {
-		t.Errorf("cache poisoned by refinement: fresh load has %d ops, want %d", c.OpCount(), before)
+	if res.VT == shared || res.VT != res.Design.Trace {
+		t.Error("Result.VT is not the refined copy the DAA's design binds")
+	}
+	if dump() != before {
+		t.Error("a DAA compile rewrote the shared front-end trace")
 	}
 }
 

@@ -6,34 +6,49 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/flow"
 )
 
 // compileAllocCeiling caps the heap allocations of one flow.Compile of the
-// MCS6502 with the front end cached. Allocation counts are deterministic,
-// so this catches regressions that timing noise hides. The ceiling is the
-// count measured when it was set (33,485 with Go 1.24, down from 33,839
-// once the rule base became one package-level table instead of 48 rules
-// built per synthesis) plus 2% headroom for differences between Go
-// releases (CI builds with Go 1.22). A change may lower it; it must never
-// raise it.
-const compileAllocCeiling = 34155
+// MCS6502 with the front end cached, per allocation path. Allocation
+// counts are deterministic, so this catches regressions that timing noise
+// hides. Each ceiling is the count measured when it was set plus 2%
+// headroom for differences between Go releases (CI builds with Go 1.22).
+// Measured with Go 1.24 once the front end handed out its cached trace
+// and only the DAA's phase 0 copied it: 33,270 for the DAA, 13,984 for
+// left-edge and 25,203 for the DAA with trace-rules=false, down from
+// 33,391, 18,000 and 29,326 when every compile cloned the trace. A change
+// may lower a ceiling; it must never raise one.
+var compileAllocCeiling = []struct {
+	name    string
+	opt     flow.Options
+	ceiling float64
+}{
+	{"daa", flow.Options{}, 33935},
+	{"leftedge", flow.Options{Allocator: flow.AllocLeftEdge}, 14263},
+	{"daa-trace-rules=false", flow.Options{Core: core.Options{DisableTraceRules: true}}, 25707},
+}
 
 func TestCompileAllocRatchet(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
 	in := mustInput(t, "mcs6502")
-	var err error
-	allocs := testing.AllocsPerRun(20, func() {
-		_, err = flow.Compile(context.Background(), in, flow.Options{})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("allocs per compile: %.0f", allocs)
-	if allocs > compileAllocCeiling {
-		t.Errorf("flow.Compile of mcs6502 made %.0f allocations, ceiling %d", allocs, compileAllocCeiling)
+	for _, c := range compileAllocCeiling {
+		t.Run(c.name, func(t *testing.T) {
+			var err error
+			allocs := testing.AllocsPerRun(20, func() {
+				_, err = flow.Compile(context.Background(), in, c.opt)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("allocs per compile: %.0f, ceiling %.0f", allocs, c.ceiling)
+			if allocs > c.ceiling {
+				t.Errorf("flow.Compile of mcs6502 made %.0f allocations, ceiling %.0f", allocs, c.ceiling)
+			}
+		})
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/core"
-	"repro/internal/cost"
 )
 
 // backStage is one named unit of the back end. run mutates res, returning
@@ -66,6 +65,8 @@ func runBack(ctx context.Context, in Input, opt Options, res *Result) error {
 
 // runAllocate synthesizes the register-transfer structure from the value
 // trace: the DAA's production system, or one of the baseline allocators.
+// It then points Result.VT at the trace the design binds, which is the
+// DAA's refined copy when its trace rules ran.
 func runAllocate(ctx context.Context, in Input, opt Options, res *Result) (string, error) {
 	which := opt.Allocator
 	if which == "" {
@@ -95,6 +96,7 @@ func runAllocate(ctx context.Context, in Input, opt Options, res *Result) (strin
 		return "", fmt.Errorf("flow: unknown allocator %q (want %s, %s, or %s)",
 			which, AllocDAA, AllocLeftEdge, AllocNaive)
 	}
+	res.VT = res.Design.Trace
 	c := res.Design.Counts()
 	return fmt.Sprintf("%s: %d regs, %d units, %d muxes, %d links, %d states",
 		which, c.Registers, c.Units, c.Muxes, c.Links, c.States), nil
@@ -115,11 +117,7 @@ func runValidate(ctx context.Context, in Input, opt Options, res *Result) (strin
 
 // runCost prices the design under the gate-equivalent model.
 func runCost(ctx context.Context, in Input, opt Options, res *Result) (string, error) {
-	model := cost.Default()
-	if opt.Model != nil {
-		model = *opt.Model
-	}
-	res.Cost = model.Design(res.Design)
+	res.Cost = opt.model().Design(res.Design)
 	return fmt.Sprintf("%.0f gate equivalents", res.Cost.Datapath), nil
 }
 

@@ -212,15 +212,8 @@ func newAlphaNet() *alphaNet {
 }
 
 // intern returns the shared test node for a spec, creating it on first
-// use. Predicate tests are always fresh: closure identity is not
-// inspectable, so deduplicating them could merge predicates that merely
-// share code.
+// use.
 func (net *alphaNet) intern(s alphaSpec) *alphaTest {
-	if s.key.kind == aPred {
-		t := &alphaTest{id: net.nTests, fn: s.compile()}
-		net.nTests++
-		return t
-	}
 	if t, ok := net.tests[s.key]; ok {
 		return t
 	}

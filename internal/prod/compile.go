@@ -6,10 +6,10 @@ import "fmt"
 // is lowered into three sets, so the Rete hot paths execute no testKind
 // switches and look no attribute up by name:
 //
-//   - alpha specs — per-element constant tests (Eq/Neq/Absent/Present/
-//     Pred, plus same-element variable reoccurrence lowered to an
-//     attribute-equality test). These are interned network-wide so each
-//     distinct test is evaluated at most once per element change no
+//   - alpha specs — per-element constant tests (Eq, Absent, the presence
+//     every Bind requires, and same-element variable reoccurrence lowered
+//     to an attribute-equality test). These are interned network-wide so
+//     each distinct test is evaluated at most once per element change no
 //     matter how many rules use it (alpha.go).
 //   - joins — tests against variables bound by earlier patterns, executed
 //     at the pattern's beta node against the partial-match token.
@@ -32,20 +32,16 @@ type alphaKind uint8
 
 const (
 	aEq      alphaKind = iota // attr present and == val
-	aNeq                      // attr absent or != val
 	aAbsent                   // attr absent
 	aPresent                  // attr present
-	aPred                     // attr present and predicate holds (never shared)
 	aVarEq                    // both attrs present and equal (same-element unification)
 )
 
 // alphaKey identifies a constant test for interning. WM attribute values
 // are guaranteed comparable (checkAttrValue), so the key is comparable.
-// Predicate tests carry an interning serial instead of appearing here:
-// two closures with the same code pointer can capture different state, so
-// predicates are never deduplicated. The key names attributes, not slots:
-// one test serves every class that tests the attribute alike, each memory
-// supplying its class's slots (alphaMem.tests).
+// The key names attributes, not slots: one test serves every class that
+// tests the attribute alike, each memory supplying its class's slots
+// (alphaMem.tests).
 type alphaKey struct {
 	kind  alphaKind
 	attr  string
@@ -58,14 +54,13 @@ type alphaKey struct {
 // pattern's class (slot2 is slot for single-attribute tests).
 type alphaSpec struct {
 	key         alphaKey
-	pred        func(any) bool // aPred only
 	slot, slot2 int
 }
 
 // newAlphaSpec resolves the slots a constant test reads in the pattern's
 // class.
-func newAlphaSpec(ps patSlots, k alphaKey, pred func(any) bool) alphaSpec {
-	s := alphaSpec{key: k, pred: pred, slot: ps.slot(k.attr)}
+func newAlphaSpec(ps patSlots, k alphaKey) alphaSpec {
+	s := alphaSpec{key: k, slot: ps.slot(k.attr)}
 	s.slot2 = s.slot
 	if k.kind == aVarEq {
 		s.slot2 = ps.slot(k.attr2)
@@ -98,16 +93,10 @@ func (s alphaSpec) compile() func(v, w any) bool {
 	case aEq:
 		val := s.key.val
 		return func(v, _ any) bool { return v != nil && v == val }
-	case aNeq:
-		val := s.key.val
-		return func(v, _ any) bool { return v == nil || v != val }
 	case aAbsent:
 		return func(v, _ any) bool { return v == nil }
 	case aPresent:
 		return func(v, _ any) bool { return v != nil }
-	case aPred:
-		pred := s.pred
-		return func(v, _ any) bool { return v != nil && pred(v) }
 	case aVarEq:
 		return func(v, w any) bool { return v != nil && v == w }
 	}
@@ -158,8 +147,7 @@ type compiledRule struct {
 
 // compileRule lowers a rule's patterns, reading the slot of every
 // attribute they name from wm's declared layouts; an undeclared class or
-// attribute panics, naming the rule, the pattern and the name. Patterns
-// must already be finalized (AddRule does this on its private copy).
+// attribute panics, naming the rule, the pattern and the name.
 func compileRule(r *Rule, wm *WM) *compiledRule {
 	cr := &compiledRule{}
 	slot := map[string]int{} // variable name -> slot, first positive occurrence
@@ -174,18 +162,12 @@ func compileRule(r *Rule, wm *WM) *compiledRule {
 		for _, t := range p.tests {
 			switch t.kind {
 			case testEq:
-				cp.alphas = append(cp.alphas, newAlphaSpec(ps, alphaKey{kind: aEq, attr: t.attr, val: t.val}, nil))
-			case testNeq:
-				cp.alphas = append(cp.alphas, newAlphaSpec(ps, alphaKey{kind: aNeq, attr: t.attr, val: t.val}, nil))
+				cp.alphas = append(cp.alphas, newAlphaSpec(ps, alphaKey{kind: aEq, attr: t.attr, val: t.val}))
 			case testAbsent:
-				cp.alphas = append(cp.alphas, newAlphaSpec(ps, alphaKey{kind: aAbsent, attr: t.attr}, nil))
-			case testPresent:
-				cp.alphas = append(cp.alphas, newAlphaSpec(ps, alphaKey{kind: aPresent, attr: t.attr}, nil))
-			case testPred:
-				cp.alphas = append(cp.alphas, newAlphaSpec(ps, alphaKey{kind: aPred, attr: t.attr}, t.pred))
+				cp.alphas = append(cp.alphas, newAlphaSpec(ps, alphaKey{kind: aAbsent, attr: t.attr}))
 			case testBind:
 				// Every Bind requires presence, whatever else it compiles to.
-				cp.alphas = append(cp.alphas, newAlphaSpec(ps, alphaKey{kind: aPresent, attr: t.attr}, nil))
+				cp.alphas = append(cp.alphas, newAlphaSpec(ps, alphaKey{kind: aPresent, attr: t.attr}))
 				if prev, ok := local[t.vari]; ok {
 					// Reoccurrence within the same pattern: an intra-element
 					// equality is a constant test, not a join.
@@ -193,7 +175,7 @@ func compileRule(r *Rule, wm *WM) *compiledRule {
 					if a2 < a1 {
 						a1, a2 = a2, a1
 					}
-					cp.alphas = append(cp.alphas, newAlphaSpec(ps, alphaKey{kind: aVarEq, attr: a1, attr2: a2}, nil))
+					cp.alphas = append(cp.alphas, newAlphaSpec(ps, alphaKey{kind: aVarEq, attr: a1, attr2: a2}))
 					continue
 				}
 				attr := ps.slot(t.attr)

@@ -161,10 +161,11 @@ func NewEngine(wm *WM) *Engine {
 // Registration compiles the rule's LHS into the Rete network (compile.go)
 // against the working memory's declared layouts: a pattern naming a class
 // or attribute the schema does not declare panics, naming the rule, and so
-// does a rule registered after the engine's first cycle. Pattern
-// predicates (Pred) must be pure functions of the attribute value; join
-// state that changes outside working memory belongs in Where, which is
-// asked afresh at selection time.
+// does a rule registered after the engine's first cycle. Join state that
+// changes outside working memory belongs in Where, which is asked afresh
+// at selection time. The rule's patterns are final when built, so AddRule
+// reads them in place: rule values are shared across engines (and across
+// goroutines when the flow pool runs synthesis concurrently).
 func (e *Engine) AddRule(r *Rule) {
 	if r.Name == "" {
 		panic("prod: rule without a name")
@@ -183,13 +184,6 @@ func (e *Engine) AddRule(r *Rule) {
 	}
 	rc := *r
 	rc.index = len(e.rules)
-	// Rule values are shared across engines (and across goroutines when
-	// the flow pool runs synthesis concurrently), so flatten the builder
-	// chains on a private copy of the pattern slice.
-	rc.Patterns = append([]Pattern(nil), r.Patterns...)
-	for i := range rc.Patterns {
-		rc.Patterns[i].finalize()
-	}
 	for _, p := range rc.Patterns {
 		rc.specificity += p.specificity()
 		rc.negates = rc.negates || p.Negated

@@ -241,6 +241,24 @@ func run(t *testing.T, e *Engine) {
 	}
 }
 
+// Builder chains may branch off a shared prefix: each call copies the
+// test list, so a built pattern is final and one branch never sees
+// another's tests.
+func TestPatternBranchesAreIndependent(t *testing.T) {
+	base := P("op").Eq("kind", "add").Eq("width", 8).Absent("bound")
+	bound := base.Bind("unit", "u")
+	free := base.Absent("unit")
+	if len(base.tests) != 3 {
+		t.Fatalf("the prefix has %d tests after branching, want 3", len(base.tests))
+	}
+	if got := bound.tests[3]; got.kind != testBind || got.attr != "unit" || got.vari != "u" {
+		t.Errorf("the Bind branch's last test is %+v, want Bind(unit, u)", got)
+	}
+	if got := free.tests[3]; got.kind != testAbsent || got.attr != "unit" {
+		t.Errorf("the Absent branch's last test is %+v, want Absent(unit)", got)
+	}
+}
+
 func TestEngineSimpleFire(t *testing.T) {
 	wm := NewWM(testSchema)
 	wm.Make("n", Attrs{"v": 3})
@@ -248,10 +266,14 @@ func TestEngineSimpleFire(t *testing.T) {
 	fired := 0
 	eng.AddRule(&Rule{
 		Name:     "decrement",
-		Patterns: []Pattern{P("n").Pred("v", func(v any) bool { return v.(int) > 0 })},
+		Patterns: []Pattern{P("n").Bind("v", "v")},
 		Action: func(e *Tx, m *Match) {
 			fired++
-			e.Modify(m.El(0), Attrs{"v": m.El(0).Int("v") - 1})
+			var v any // decrementing to zero unsets v, which ends the run
+			if n := m.Int("v") - 1; n > 0 {
+				v = n
+			}
+			e.Modify(m.El(0), Attrs{"v": v})
 		},
 	})
 	run(t, eng)

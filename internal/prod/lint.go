@@ -2,7 +2,6 @@ package prod
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 )
 
@@ -37,13 +36,12 @@ func (f RuleFinding) String() string {
 //     patterns assert absence — they cannot export bindings, so the later
 //     use never unifies and the rule never fires (or Match.Get panics).
 //   - dead-alpha: one pattern carries contradictory constant tests (two
-//     different Eq values, Eq and Neq of the same value, or Absent
-//     combined with a test requiring presence), so its alpha test can
-//     never pass.
+//     different Eq values, or Absent combined with an Eq or a Bind, which
+//     require presence), so its alpha test can never pass.
 //   - shadowed-lhs: a rule's LHS is structurally identical to an earlier
-//     rule's (classes, negation, tests, predicates by identity) and
-//     neither carries a Where join; the pair fires on exactly the same
-//     instantiations, which almost always means a copy-paste error.
+//     rule's (classes, negation, tests) and neither carries a Where join;
+//     the pair fires on exactly the same instantiations, which almost
+//     always means a copy-paste error.
 func (e *Engine) LintRules() []RuleFinding {
 	var out []RuleFinding
 	for _, r := range e.rules {
@@ -59,7 +57,7 @@ func (e *Engine) LintRules() []RuleFinding {
 	return out
 }
 
-// lintRule runs the per-rule checks over one rule's finalized patterns.
+// lintRule runs the per-rule checks over one rule's patterns.
 func lintRule(r *Rule) []RuleFinding {
 	var out []RuleFinding
 	report := func(code, format string, args ...any) {
@@ -70,9 +68,7 @@ func lintRule(r *Rule) []RuleFinding {
 	// pattern; bound tracks variables bound by positive patterns.
 	bound := map[string]bool{}
 	negBound := map[string]int{} // variable -> pattern index of the negated first binding
-	for pi := range r.Patterns {
-		p := &r.Patterns[pi]
-		p.finalize()
+	for pi, p := range r.Patterns {
 		for _, t := range p.tests {
 			if t.kind != testBind {
 				continue
@@ -98,14 +94,14 @@ func lintRule(r *Rule) []RuleFinding {
 }
 
 // lintDeadAlpha reports contradictory constant tests within one pattern.
-func lintDeadAlpha(r *Rule, pi int, p *Pattern) []RuleFinding {
+func lintDeadAlpha(r *Rule, pi int, p Pattern) []RuleFinding {
 	var out []RuleFinding
 	report := func(format string, args ...any) {
 		out = append(out, RuleFinding{Rule: r.Name, Index: r.index, Code: LintDeadAlpha, Msg: fmt.Sprintf(format, args...)})
 	}
 	eqVal := map[string]any{}
 	absent := map[string]bool{}
-	needsPresence := map[string]testKind{}
+	bound := map[string]bool{} // attributes a Bind requires present
 	for _, t := range p.tests {
 		switch t.kind {
 		case testEq:
@@ -113,14 +109,10 @@ func lintDeadAlpha(r *Rule, pi int, p *Pattern) []RuleFinding {
 				report("pattern %d requires %s == %v and %s == %v; no element satisfies both", pi, t.attr, prev, t.attr, t.val)
 			}
 			eqVal[t.attr] = t.val
-		case testNeq:
-			if prev, ok := eqVal[t.attr]; ok && prev == t.val {
-				report("pattern %d requires %s == %v and %s != %v; no element satisfies both", pi, t.attr, prev, t.attr, t.val)
-			}
 		case testAbsent:
 			absent[t.attr] = true
-		case testBind, testPresent, testPred:
-			needsPresence[t.attr] = t.kind
+		case testBind:
+			bound[t.attr] = true
 		}
 	}
 	absentAttrs := make([]string, 0, len(absent))
@@ -131,7 +123,7 @@ func lintDeadAlpha(r *Rule, pi int, p *Pattern) []RuleFinding {
 	for _, attr := range absentAttrs {
 		if _, ok := eqVal[attr]; ok {
 			report("pattern %d requires %s to be absent and to equal %v", pi, attr, eqVal[attr])
-		} else if _, ok := needsPresence[attr]; ok {
+		} else if bound[attr] {
 			report("pattern %d requires %s to be absent and present", pi, attr)
 		}
 	}
@@ -163,25 +155,19 @@ func lintShadowing(rules []*Rule) []RuleFinding {
 }
 
 // sameLHS reports whether two rules have structurally identical pattern
-// lists. Predicates compare by function identity.
+// lists.
 func sameLHS(a, b *Rule) bool {
 	if len(a.Patterns) != len(b.Patterns) {
 		return false
 	}
 	for i := range a.Patterns {
-		pa, pb := &a.Patterns[i], &b.Patterns[i]
-		pa.finalize()
-		pb.finalize()
+		pa, pb := a.Patterns[i], b.Patterns[i]
 		if pa.Class != pb.Class || pa.Negated != pb.Negated || len(pa.tests) != len(pb.tests) {
 			return false
 		}
 		for j := range pa.tests {
 			ta, tb := pa.tests[j], pb.tests[j]
-			if ta.kind != tb.kind || ta.attr != tb.attr || ta.val != tb.val || ta.vari != tb.vari {
-				return false
-			}
-			if ta.kind == testPred &&
-				reflect.ValueOf(ta.pred).Pointer() != reflect.ValueOf(tb.pred).Pointer() {
+			if ta != tb {
 				return false
 			}
 		}

@@ -24,7 +24,7 @@ func TestNegationUnderDeltas(t *testing.T) {
 			N("lock").Bind("g", "g"),
 		}, Action: nop},
 		{Name: "no-flag", Patterns: []Pattern{ // constant-test negation
-			P("job").Present("g"),
+			P("job").Bind("g", "g"),
 			N("lock").Eq("hard", true),
 		}, Action: nop},
 		{Name: "no-any", Patterns: []Pattern{ // fresh-variable (existential) negation

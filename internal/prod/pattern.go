@@ -6,12 +6,9 @@ import "fmt"
 type testKind int
 
 const (
-	testEq      testKind = iota // attribute equals a constant
-	testNeq                     // attribute differs from a constant
-	testBind                    // bind attribute to a variable (unifies)
-	testAbsent                  // attribute absent
-	testPresent                 // attribute present
-	testPred                    // attribute satisfies a predicate
+	testEq     testKind = iota // attribute equals a constant
+	testBind                   // bind attribute to a variable (unifies)
+	testAbsent                 // attribute absent
 )
 
 type test struct {
@@ -19,19 +16,6 @@ type test struct {
 	attr string
 	val  any
 	vari string
-	pred func(any) bool
-}
-
-// testNode is one link in the builder's persistent test list. Pattern is a
-// value type and builder chains may branch off a shared prefix, so the
-// fluent methods cannot append into a shared slice; instead each call
-// prepends one immutable node in O(1) and AddRule flattens the list once
-// into the tests slice the matchers iterate. The DAA's 48 rules build a
-// few hundred tests at startup, and before this representation every
-// builder call re-copied its whole prefix (O(n²) per pattern).
-type testNode struct {
-	prev *testNode
-	t    test
 }
 
 // Pattern matches one working-memory element of a given class, subject to
@@ -39,15 +23,17 @@ type testNode struct {
 //
 //	prod.P("op").Eq("kind", "add").Bind("op", "o").Absent("unit")
 //
+// Each builder call returns a pattern with a fresh copy of the test list,
+// so a built pattern is final: chains may branch off a shared prefix, and
+// one rule value serves every engine (AddRule compiles it as it is).
+//
 // A variable bound by one pattern unifies with later occurrences in the
 // same rule, exactly as OPS5 pattern variables did.
 type Pattern struct {
 	Class   string
 	Negated bool
 
-	chain *testNode // builder accumulation, newest first
-	n     int       // tests in chain
-	tests []test    // flattened by finalize (AddRule time)
+	tests []test // in builder-call order
 }
 
 // P starts a positive pattern on a class.
@@ -57,21 +43,16 @@ func P(class string) Pattern { return Pattern{Class: class} }
 // class satisfies the tests under the current bindings.
 func N(class string) Pattern { return Pattern{Class: class, Negated: true} }
 
+// add returns p with t appended to a copy of its tests: capping the
+// prefix at its length makes append copy, so no two patterns share one.
 func (p Pattern) add(t test) Pattern {
-	p.chain = &testNode{prev: p.chain, t: t}
-	p.n++
-	p.tests = nil
+	p.tests = append(p.tests[:len(p.tests):len(p.tests)], t)
 	return p
 }
 
 // Eq requires attr to equal the constant v.
 func (p Pattern) Eq(attr string, v any) Pattern {
 	return p.add(test{kind: testEq, attr: attr, val: v})
-}
-
-// Neq requires attr to differ from the constant v (absent attributes differ).
-func (p Pattern) Neq(attr string, v any) Pattern {
-	return p.add(test{kind: testNeq, attr: attr, val: v})
 }
 
 // Bind unifies attr with the named variable: the first occurrence binds it,
@@ -85,33 +66,8 @@ func (p Pattern) Absent(attr string) Pattern {
 	return p.add(test{kind: testAbsent, attr: attr})
 }
 
-// Present requires attr to be present.
-func (p Pattern) Present(attr string) Pattern {
-	return p.add(test{kind: testPresent, attr: attr})
-}
-
-// Pred requires attr to be present and satisfy f.
-func (p Pattern) Pred(attr string, f func(any) bool) Pattern {
-	return p.add(test{kind: testPred, attr: attr, pred: f})
-}
-
-// finalize flattens the builder list into the tests slice, in call order.
-// Idempotent; AddRule finalizes its private copy of each pattern, so the
-// matchers only ever see flattened patterns.
-func (p *Pattern) finalize() {
-	if p.tests != nil || p.n == 0 {
-		return
-	}
-	p.tests = make([]test, p.n)
-	i := p.n
-	for n := p.chain; n != nil; n = n.prev {
-		i--
-		p.tests[i] = n.t
-	}
-}
-
 // specificity counts the tests contributed to conflict resolution.
-func (p Pattern) specificity() int { return p.n + 1 } // +1 for the class test
+func (p Pattern) specificity() int { return len(p.tests) + 1 } // +1 for the class test
 
 // match checks the pattern against an element under the mutable binding
 // environment. On success any new variables remain bound; the caller
@@ -132,11 +88,6 @@ func (p Pattern) match(e *Element, b *bindings) (mark int, ok bool) {
 				b.undo(mark)
 				return mark, false
 			}
-		case testNeq:
-			if present && v == t.val {
-				b.undo(mark)
-				return mark, false
-			}
 		case testBind:
 			if !present {
 				b.undo(mark)
@@ -152,16 +103,6 @@ func (p Pattern) match(e *Element, b *bindings) (mark int, ok bool) {
 			}
 		case testAbsent:
 			if present {
-				b.undo(mark)
-				return mark, false
-			}
-		case testPresent:
-			if !present {
-				b.undo(mark)
-				return mark, false
-			}
-		case testPred:
-			if !present || !t.pred(v) {
 				b.undo(mark)
 				return mark, false
 			}

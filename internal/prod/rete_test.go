@@ -14,11 +14,11 @@ func TestAlphaSharing(t *testing.T) {
 	eng := NewEngine(wm)
 	for _, name := range []string{"r1", "r2", "r3"} {
 		eng.AddRule(&Rule{Name: name, Patterns: []Pattern{
-			P("op").Eq("kind", "add").Present("width"),
+			P("op").Eq("kind", "add").Bind("width", "w"),
 		}, Action: nop})
 	}
 	eng.AddRule(&Rule{Name: "r4", Patterns: []Pattern{
-		P("op").Eq("kind", "add").Present("width").Absent("unit"),
+		P("op").Eq("kind", "add").Bind("width", "w").Absent("unit"),
 	}, Action: nop})
 
 	m := eng.Metrics()
@@ -29,7 +29,8 @@ func TestAlphaSharing(t *testing.T) {
 	if m.AlphaMems != 2 {
 		t.Errorf("AlphaMems = %d, want 2 (3 identical patterns share one)", m.AlphaMems)
 	}
-	// Distinct tests: Eq(kind,add), Present(width), Absent(unit).
+	// Distinct tests: Eq(kind,add), the presence Bind(width) requires,
+	// Absent(unit).
 	if m.AlphaTests != 3 {
 		t.Errorf("AlphaTests = %d, want 3 interned tests", m.AlphaTests)
 	}
@@ -133,10 +134,10 @@ func TestAlphaEvalDedup(t *testing.T) {
 	eng := NewEngine(wm)
 	// Two distinct memories (different second test) sharing Eq(kind,add).
 	eng.AddRule(&Rule{Name: "r1", Patterns: []Pattern{
-		P("op").Eq("kind", "add").Present("a"),
+		P("op").Eq("kind", "add").Bind("a", "x"),
 	}, Action: nop})
 	eng.AddRule(&Rule{Name: "r2", Patterns: []Pattern{
-		P("op").Eq("kind", "add").Present("b"),
+		P("op").Eq("kind", "add").Bind("b", "x"),
 	}, Action: nop})
 	eng.applyChanges() // seed empty WM
 	base := eng.Metrics().AlphaEvals
@@ -182,7 +183,7 @@ func seededSelectionEngine() *Engine {
 	}, Action: nop})
 	eng.AddRule(&Rule{Name: "pairs", Patterns: []Pattern{
 		P("item").Bind("g", "g"),
-		P("item").Bind("g", "g").Present("n"),
+		P("item").Bind("g", "g").Bind("n", "n"),
 	}, Action: nop})
 	for i := 0; i < 24; i++ {
 		wm.Make("item", Attrs{"g": i % 4, "n": i})
@@ -204,7 +205,7 @@ func TestReteWorkBelowExhaustive(t *testing.T) {
 	eng := NewEngine(wm)
 	eng.AddRule(&Rule{Name: "chain", Patterns: []Pattern{
 		P("item").Absent("done").Bind("g", "g"),
-		P("item").Bind("g", "g").Present("n"),
+		P("item").Bind("g", "g").Bind("n", "n"),
 	}, Action: func(e *Tx, m *Match) {
 		e.Modify(m.El(0), Attrs{"done": true})
 	}})

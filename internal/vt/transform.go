@@ -238,9 +238,9 @@ func BecomeNot(op *Op) error {
 }
 
 // Clone deep-copies a trace: bodies, operators, values, branches, and
-// dependence edges. Callers that need the original description after the
-// DAA's trace-refinement rules have run (which rewrite in place, as the
-// CMU front end did) synthesize from a clone.
+// dependence edges. The DAA's trace refinement, the only writer of a
+// trace, rewrites in place as the CMU front end did, so synthesis and
+// replay refine a clone and leave the trace they were given untouched.
 func Clone(p *Program) *Program {
 	out := &Program{
 		Name:    p.Name,
