@@ -10,13 +10,15 @@ package main
 // from GET /v1/explain under the key the response returns.
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -105,19 +107,20 @@ func runRemote(w io.Writer, in flow.Input, o options) error {
 	return cosimVerdict(w, rep, false)
 }
 
-// retryBackoff is the pause before the single retry of an idempotent
-// request whose connection failed before any response arrived. Tests
-// shorten it.
+// retryBackoff is the pause before the single retry of a request whose
+// connection failed before any response arrived; up to half of it again
+// is added as jitter, so clients that failed together do not retry in
+// lockstep. Tests shorten it.
 var retryBackoff = 200 * time.Millisecond
 
+// maxRetryAfter caps the Retry-After delay, in seconds, that a shed
+// request waits out; a 429 asking for longer is the answer.
+const maxRetryAfter = 2
+
 // call performs one daemon call — a POST of req as JSON, or a GET when req
-// is nil — and decodes the 200 body into out. It rides the shared cluster
-// client: one retry after a short backoff when the transport failed
-// before the server produced a response, and a 429 with a short
-// Retry-After is waited out once. Every daemon call is safe to repeat:
-// synthesize, explore and lint are cache-keyed pure computations and
-// explain is a GET. Error bodies map back onto the local error taxonomy
-// (serve.ErrorResponse.Err): diagnostics exit 2, everything else exits 3.
+// is nil — and decodes the 200 body into out. Error bodies map back onto
+// the local error taxonomy (serve.ErrorResponse.Err): diagnostics exit 2,
+// everything else exits 3.
 func call(base, path string, req, out any) error {
 	method, payload := http.MethodGet, []byte(nil)
 	if req != nil {
@@ -127,12 +130,7 @@ func call(base, path string, req, out any) error {
 		}
 		method = http.MethodPost
 	}
-	c := cluster.NewClient(cluster.ClientConfig{
-		Attempts:    2,
-		BaseBackoff: retryBackoff,
-		Honor429:    true,
-	})
-	resp, err := c.Send(context.Background(), method, strings.TrimRight(base, "/")+path, payload)
+	resp, err := send(method, strings.TrimRight(base, "/")+path, payload)
 	if err != nil {
 		return fmt.Errorf("remote %s: %w", base, err)
 	}
@@ -152,6 +150,44 @@ func call(base, path string, req, out any) error {
 		return fmt.Errorf("remote %s: malformed response: %w", base, err)
 	}
 	return nil
+}
+
+// send issues the request, retries it once after retryBackoff when the
+// connection failed before any response arrived, and waits out one 429
+// whose Retry-After is at most maxRetryAfter. Every other response, served
+// errors included, is the answer. Every daemon call is safe to repeat:
+// synthesize, explore and lint are cache-keyed pure computations and
+// explain is a GET.
+func send(method, target string, body []byte) (*http.Response, error) {
+	retried, waited := false, false
+	for {
+		req, err := http.NewRequest(method, target, bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		if body != nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		resp, err := http.DefaultClient.Do(req)
+		var pause time.Duration
+		switch {
+		case err != nil && !retried && cluster.TransientConnErr(err):
+			retried = true
+			pause = retryBackoff + rand.N(retryBackoff/2+1)
+		case err == nil && !waited && resp.StatusCode == http.StatusTooManyRequests:
+			secs, perr := strconv.Atoi(resp.Header.Get("Retry-After"))
+			if perr != nil || secs < 0 || secs > maxRetryAfter {
+				return resp, nil
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			waited = true
+			pause = time.Duration(secs) * time.Second
+		default:
+			return resp, err
+		}
+		time.Sleep(pause)
+	}
 }
 
 // remoteTrace rebuilds a flow.Trace from wire stage timings so remote

@@ -3,8 +3,9 @@ package main
 // Remote-mode tests drive run() against real serving stacks behind
 // httptest: the report, explain and explore round trips render identically
 // to a local run through a single daemon and through a coordinator over
-// two workers, and the client's single retry recovers from a connection
-// the server killed before answering.
+// two workers, and the client's send policy — one retry of a failed
+// connection, one wait on a short Retry-After, no retry of a served
+// error — holds.
 
 import (
 	"context"
@@ -211,18 +212,82 @@ func TestRemoteHonorsRetryAfter(t *testing.T) {
 }
 
 // TestRemoteDoesNotRetryHTTPErrors pins the retry scope: a served error
-// response (here 404 for an unknown route) is returned, not retried.
+// response is the answer. A 404 for an unknown route and a 429 whose
+// Retry-After is longer than the client waits come back after one
+// request; a short Retry-After is waited out once, so a second 429 comes
+// back after two.
 func TestRemoteDoesNotRetryHTTPErrors(t *testing.T) {
-	var hits atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		http.Error(w, "nope", http.StatusNotFound)
-	}))
-	defer ts.Close()
-	if err := runQuiet(options{benchName: "gcd", allocator: "daa", remote: ts.URL}); err == nil {
-		t.Fatal("expected an error from the 404 daemon")
+	const overload = `{"error":"queue full","kind":"overload"}`
+	for _, c := range []struct {
+		name             string
+		status           int
+		retryAfter, body string
+		want             string // the error's tail
+		requests         int32
+	}{
+		{"not-found", http.StatusNotFound, "", "", "HTTP 404", 1},
+		{"long-retry-after", http.StatusTooManyRequests, "3600", overload, "queue full (overload)", 1},
+		{"second-429", http.StatusTooManyRequests, "0", overload, "queue full (overload)", 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var hits atomic.Int32
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				hits.Add(1)
+				if c.retryAfter != "" {
+					w.Header().Set("Retry-After", c.retryAfter)
+				}
+				w.WriteHeader(c.status)
+				fmt.Fprint(w, c.body)
+			}))
+			defer ts.Close()
+			err := runQuiet(options{benchName: "gcd", allocator: "daa", remote: ts.URL})
+			if err == nil || !strings.HasSuffix(err.Error(), c.want) || flow.ExitCode(err) != flow.ExitInternal {
+				t.Fatalf("got %v (exit %d), want an error ending %q (exit %d)", err, flow.ExitCode(err), c.want, flow.ExitInternal)
+			}
+			if got := hits.Load(); got != c.requests {
+				t.Errorf("%d requests, want %d", got, c.requests)
+			}
+		})
 	}
-	if got := hits.Load(); got != 1 {
-		t.Errorf("served error was retried: %d requests, want 1", got)
+}
+
+// TestRemoteRetriesConnectionFailureOnce: a daemon that refuses every
+// connection, or drops each one before answering, fails the run after
+// exactly one retry, with the transport error and the internal-failure
+// exit code.
+func TestRemoteRetriesConnectionFailureOnce(t *testing.T) {
+	oldBackoff := retryBackoff
+	retryBackoff = 20 * time.Millisecond
+	defer func() { retryBackoff = oldBackoff }()
+
+	var dropped atomic.Int32
+	dropper := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		dropped.Add(1)
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Errorf("hijack: %v", err)
+			return
+		}
+		conn.Close()
+	}))
+	defer dropper.Close()
+
+	for _, c := range []struct{ name, url string }{
+		{"refused", "http://127.0.0.1:1"},
+		{"dropped", dropper.URL},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			start := time.Now()
+			err := runQuiet(options{benchName: "gcd", allocator: "daa", remote: c.url})
+			if !cluster.TransientConnErr(err) || flow.ExitCode(err) != flow.ExitInternal {
+				t.Fatalf("got %v (exit %d), want the transport error (exit %d)", err, flow.ExitCode(err), flow.ExitInternal)
+			}
+			if elapsed := time.Since(start); elapsed < retryBackoff {
+				t.Errorf("failed after %v, before the %v retry pause", elapsed, retryBackoff)
+			}
+		})
+	}
+	if got := dropped.Load(); got != 2 {
+		t.Errorf("the dropping daemon saw %d requests, want 2", got)
 	}
 }

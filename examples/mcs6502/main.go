@@ -39,9 +39,9 @@ func main() {
 	le := compile(flow.AllocLeftEdge)
 	naive := compile(flow.AllocNaive)
 
-	// The baselines' VT is the description as written; the DAA's copy was
-	// refined in place by the trace rules.
-	st := le.VT.Stats()
+	// The baselines bind the trace of the description as written; the
+	// DAA's design binds its copy refined by the trace rules.
+	st := le.Design.Trace.Stats()
 	fmt.Printf("MCS6502 value trace: %d operators in %d bodies over %d carriers\n\n",
 		st.Ops, st.Bodies, st.Carriers)
 

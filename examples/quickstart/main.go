@@ -42,9 +42,9 @@ func main() {
 	}
 
 	// The result carries every intermediate: the analyzed AST (res.AST),
-	// the Value Trace the allocator consumed (res.VT), the synthesized
-	// structure, and the gate-equivalent cost.
-	fmt.Printf("value trace: %s\n\n", res.VT.Stats())
+	// the synthesized structure with the Value Trace it binds
+	// (res.Design.Trace), and the gate-equivalent cost.
+	fmt.Printf("value trace: %s\n\n", res.Design.Trace.Stats())
 	fmt.Print(res.Design.Report())
 	fmt.Printf("\ngate equivalents: %v\n", res.Cost)
 	fmt.Printf("rules fired: %d in %v\n\n",

@@ -21,6 +21,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -366,7 +367,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // ring successor with no client-visible error, and the failover is
 // counted.
 func TestFailoverOnKilledWorker(t *testing.T) {
-	tc := bootCluster(t, 3, Config{DownAfter: 1000}) // probes must not save us
+	tc := bootCluster(t, 3, Config{ProbeInterval: time.Hour}) // probes must not save us
 	req := benchRequest(t, "gcd")
 	key, err := req.ShardKey()
 	if err != nil {
@@ -389,6 +390,65 @@ func TestFailoverOnKilledWorker(t *testing.T) {
 	}
 	if got := tc.co.Metrics().Failovers; got < 1 {
 		t.Errorf("failovers = %d, want >= 1", got)
+	}
+}
+
+// TestOneAttemptPerPeer: the shard owner passes its readiness probes but
+// drops every forwarded connection before answering. The coordinator
+// sends it the request once, then the ring successor serves it, and one
+// failover is counted.
+func TestOneAttemptPerPeer(t *testing.T) {
+	req := benchRequest(t, "gcd")
+	key, err := req.ShardKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	candidates := NewRing([]string{"w0", "w1"}).Lookup(key)
+	var forwarded atomic.Int32
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/healthz" {
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		forwarded.Add(1)
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Errorf("hijack: %v", err)
+			return
+		}
+		conn.Close()
+	}))
+	defer stub.Close()
+	worker := httptest.NewServer(serve.New(serve.Config{ID: candidates[1]}).Handler())
+	defer worker.Close()
+	co, err := New(Config{
+		Peers:         []Peer{{ID: candidates[0], URL: stub.URL}, {ID: candidates[1], URL: worker.URL}},
+		ProbeInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	co.Start(context.Background())
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		co.Shutdown(ctx)
+	}()
+	front := httptest.NewServer(co.Handler())
+	defer front.Close()
+
+	resp, body := postJSON(t, front.URL+"/v1/synthesize", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-DAAD-Worker"); got != candidates[1] {
+		t.Errorf("served by %s, want ring successor %s", got, candidates[1])
+	}
+	if got := forwarded.Load(); got != 1 {
+		t.Errorf("owner received %d forwarded requests, want 1", got)
+	}
+	if got := co.Metrics().Failovers; got != 1 {
+		t.Errorf("failovers = %d, want 1", got)
 	}
 }
 
@@ -433,7 +493,7 @@ func TestBatchScatterGatherPreservesOrder(t *testing.T) {
 // and the prober takes the worker out of the ring; traffic keeps flowing
 // to the survivors with zero errors.
 func TestDrainingWorkerLeavesRing(t *testing.T) {
-	tc := bootCluster(t, 3, Config{DownAfter: 2})
+	tc := bootCluster(t, 3, Config{})
 	waitRingSize(t, tc.co, 3)
 	tc.servers[1].SetReady(false)
 	waitRingSize(t, tc.co, 2)

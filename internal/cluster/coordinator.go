@@ -45,16 +45,9 @@ type Config struct {
 	Peers []Peer
 	// ProbeInterval spaces readiness probes per peer (default 500ms).
 	ProbeInterval time.Duration
-	// DownAfter is the consecutive probe failures an up peer needs to
-	// leave the ring (default 2).
-	DownAfter int
 	// MaxBodyBytes limits request bodies (default 8 MiB — batches carry
 	// many sources).
 	MaxBodyBytes int64
-	// Client overrides the forwarding client (default: one attempt per
-	// peer — ring failover is the retry, so a per-peer backoff would only
-	// add latency in front of a live successor).
-	Client *Client
 	// Logger receives one line per request and membership transition.
 	// Nil discards logs (tests).
 	Logger *log.Logger
@@ -64,19 +57,8 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
 	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 2
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.Client == nil {
-		// A dedicated transport, not the global pool: Shutdown closes its
-		// idle connections without disturbing unrelated clients.
-		c.Client = NewClient(ClientConfig{
-			Attempts: 1,
-			HTTP:     &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()},
-		})
 	}
 	if c.Logger == nil {
 		c.Logger = log.New(io.Discard, "", 0)
@@ -92,6 +74,7 @@ type Coordinator struct {
 	peers       []*peerState // configured order, fixed for the lifetime
 	byID        map[string]*peerState
 	ring        atomic.Pointer[Ring]
+	peerClient  *http.Client // forwards on a transport of its own, so Shutdown can close its idle connections
 	probeClient *http.Client
 	met         coordMetrics
 	start       time.Time
@@ -127,8 +110,9 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, errors.New("cluster: coordinator needs at least one peer")
 	}
 	co := &Coordinator{
-		cfg:  cfg,
-		byID: map[string]*peerState{},
+		cfg:        cfg,
+		byID:       map[string]*peerState{},
+		peerClient: &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()},
 		probeClient: &http.Client{
 			Timeout:   probeTimeout,
 			Transport: http.DefaultTransport.(*http.Transport).Clone(),
@@ -194,7 +178,7 @@ func (co *Coordinator) Shutdown(ctx context.Context) error {
 	err := co.http.Shutdown(ctx)
 	// Release pooled worker connections so workers shutting down after the
 	// coordinator drain immediately instead of waiting out parked sockets.
-	co.cfg.Client.CloseIdleConnections()
+	co.peerClient.CloseIdleConnections()
 	co.probeClient.CloseIdleConnections()
 	return err
 }
@@ -315,7 +299,9 @@ func (co *Coordinator) route(w http.ResponseWriter, r *http.Request, method, pat
 var errNoWorkers = errors.New("cluster: no ready workers in the ring")
 
 // forward tries each ring candidate for key, in order, until one answers.
-// A transport failure or a drain 503 moves to the next candidate and
+// Each candidate gets one request: the ring successor is the retry, so a
+// per-peer backoff would only add latency in front of a live one. A
+// transport failure or a drain 503 moves to the next candidate and
 // counts a failover against the peer that failed; any other response —
 // including served errors like 422 diagnostics or 429 shedding — is the
 // answer. The ring snapshot is taken once, so a concurrent rebuild cannot
@@ -333,7 +319,14 @@ func (co *Coordinator) forward(ctx context.Context, method, path string, query u
 		if len(query) > 0 {
 			target += "?" + query.Encode()
 		}
-		resp, err := co.cfg.Client.Send(ctx, method, target, body)
+		req, err := http.NewRequestWithContext(ctx, method, target, bytes.NewReader(body))
+		if err != nil {
+			return nil, nil, err
+		}
+		if body != nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		resp, err := co.peerClient.Do(req)
 		switch {
 		case err == nil && resp.StatusCode == http.StatusServiceUnavailable && hop < len(candidates)-1:
 			// The worker is draining (or shedding a dying connection): its

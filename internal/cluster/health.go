@@ -12,10 +12,14 @@ import (
 // interval with GET /v1/healthz?ready=1 — the readiness form, so a
 // draining or still-warming worker leaves the ring before its listener
 // disappears. A down peer enters the ring on its first successful probe;
-// an up peer leaves it after DownAfter consecutive failures, so one lost
+// an up peer leaves it after downAfter consecutive failures, so one lost
 // probe does not reshuffle the ring. Transitions rebuild the ring
 // copy-on-write: in-flight requests keep the candidate order they looked
 // up, so membership changes never drop them.
+
+// downAfter is the consecutive probe failures an up peer needs to leave
+// the ring.
+const downAfter = 2
 
 // Peer names one worker: a stable ID (what the ring hashes and
 // X-DAAD-Worker reports) and the base URL requests forward to.
@@ -75,7 +79,7 @@ func (co *Coordinator) probeOnce(ctx context.Context, p *peerState) {
 		return
 	}
 	p.probeFail.Add(1)
-	if p.up.Load() && p.consecFail.Add(1) >= int64(co.cfg.DownAfter) {
+	if p.up.Load() && p.consecFail.Add(1) >= downAfter {
 		p.up.Store(false)
 		p.consecFail.Store(0)
 		co.met.transitions.Add(1)

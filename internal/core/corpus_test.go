@@ -188,7 +188,7 @@ func TestSynthesisLeavesTraceAlone(t *testing.T) {
 	}
 	for i, p := range paths {
 		a, b := results[i], results[i+len(paths)]
-		if binds := a.VT == shared; binds == p.refines {
+		if binds := a.Design.Trace == shared; binds == p.refines {
 			t.Errorf("%s: design binds the shared trace: %v, want %v", p.name, binds, !p.refines)
 		}
 		if core.RenderDesign(t, a.Design) != core.RenderDesign(t, b.Design) {

@@ -144,7 +144,7 @@ func E3(ctx context.Context, benchName string) (*E3Data, error) {
 	}
 	return &E3Data{
 		Bench:   benchName,
-		TraceOp: res.VT.OpCount(),
+		TraceOp: res.Design.Trace.OpCount(),
 		Stats:   res.Synth.Stats,
 	}, nil
 }

@@ -39,9 +39,6 @@ type CosimParams struct {
 	// Cycles is the number of machine cycles (entry-body executions) per
 	// vector (0 = DefaultCosimCycles).
 	Cycles int
-	// MaxSteps overrides both simulators' per-cycle step budget
-	// (0 = their defaults).
-	MaxSteps int
 }
 
 func (p CosimParams) withDefaults() CosimParams {
@@ -194,10 +191,6 @@ func RunCosim(ast *isps.Program, d *rtl.Design, p CosimParams) (*CosimReport, er
 		dut, err := rtlsim.New(d)
 		if err != nil {
 			return nil, fmt.Errorf("cosim: %w", err)
-		}
-		if p.MaxSteps > 0 {
-			ref.MaxSteps = p.MaxSteps
-			dut.MaxSteps = p.MaxSteps
 		}
 
 		stim := make([]CosimInput, 0, len(inputs))

@@ -182,12 +182,10 @@ type Result struct {
 	// artifact cache this is shared with other compilations of the same
 	// source: treat it as read-only.
 	AST *isps.Program
-	// VT is the value trace the design binds, set by the allocate stage:
-	// the cached front-end trace, shared with every compilation of the
-	// source, or the DAA's refined copy of it when its trace rules ran.
-	// Treat it as read-only.
-	VT *vt.Program
-	// Design is the synthesized register-transfer structure.
+	// Design is the synthesized register-transfer structure. Its Trace is
+	// the value trace it binds: the cached front-end trace, shared with
+	// every compilation of the source, or the DAA's refined copy of it
+	// when its trace rules ran. Treat that trace as read-only.
 	Design *rtl.Design
 	// Control is the design's control table, derived by the validate
 	// stage; every report and artifact of the controller reads it.
@@ -238,10 +236,10 @@ func Compile(ctx context.Context, in Input, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.AST, res.VT = ast, trace
+	res.AST = ast
 	res.Trace.Stages = stages
 
-	if err := runBack(ctx, in, opt, res); err != nil {
+	if err := runBack(ctx, in, opt, trace, res); err != nil {
 		return nil, err
 	}
 	res.Trace.Total = time.Since(start)

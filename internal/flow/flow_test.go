@@ -31,7 +31,7 @@ func TestCompileDAA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Design == nil || res.Synth == nil || res.AST == nil || res.VT == nil {
+	if res.Design == nil || res.Synth == nil || res.AST == nil || res.Design.Trace == nil {
 		t.Fatalf("incomplete result: %+v", res)
 	}
 	if res.Cost.Datapath <= 0 {
@@ -175,7 +175,7 @@ func TestCompileCancelledBetweenEngineCycles(t *testing.T) {
 // TestFrontEndSharesOneTrace pins that the artifact cache hands out its
 // one value trace: FrontEnd returns the same trace for one source, and a
 // DAA compile with its trace rules on refines a copy of its own, which
-// Result.VT names, and leaves the shared trace's dump unchanged.
+// its design binds, and leaves the shared trace's dump unchanged.
 func TestFrontEndSharesOneTrace(t *testing.T) {
 	ctx := context.Background()
 	in := mustInput(t, "mcs6502")
@@ -202,8 +202,8 @@ func TestFrontEndSharesOneTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.VT == shared || res.VT != res.Design.Trace {
-		t.Error("Result.VT is not the refined copy the DAA's design binds")
+	if res.Design.Trace == shared {
+		t.Error("the DAA's design binds the shared trace, not a refined copy")
 	}
 	if dump() != before {
 		t.Error("a DAA compile rewrote the shared front-end trace")

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/core"
+	"repro/internal/vt"
 )
 
 // backStage is one named unit of the back end. run mutates res, returning
@@ -29,11 +30,15 @@ type backStage struct {
 
 // backStages assembles the back end for one option set: the mandatory
 // allocate → validate → cost spine, then the optional emit and cosim
-// stages. Every option consulted here is folded into Options.Key, which
-// is what keeps the serve design cache sound as stages come and go.
-func backStages(opt Options) []backStage {
+// stages. The allocate stage reads trace, the front end's value trace.
+// Every option consulted here is folded into Options.Key, which is what
+// keeps the serve design cache sound as stages come and go.
+func backStages(opt Options, trace *vt.Program) []backStage {
+	allocate := func(ctx context.Context, in Input, opt Options, res *Result) (string, error) {
+		return runAllocate(ctx, in, opt, trace, res)
+	}
 	stages := []backStage{
-		{StageAllocate, runAllocate},
+		{StageAllocate, allocate},
 		{StageValidate, runValidate},
 		{StageCost, runCost},
 	}
@@ -48,8 +53,8 @@ func backStages(opt Options) []backStage {
 
 // runBack executes the assembled back end over res, timing each stage and
 // checking the context between stages.
-func runBack(ctx context.Context, in Input, opt Options, res *Result) error {
-	for _, st := range backStages(opt) {
+func runBack(ctx context.Context, in Input, opt Options, trace *vt.Program, res *Result) error {
+	for _, st := range backStages(opt, trace) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -65,9 +70,9 @@ func runBack(ctx context.Context, in Input, opt Options, res *Result) error {
 
 // runAllocate synthesizes the register-transfer structure from the value
 // trace: the DAA's production system, or one of the baseline allocators.
-// It then points Result.VT at the trace the design binds, which is the
-// DAA's refined copy when its trace rules ran.
-func runAllocate(ctx context.Context, in Input, opt Options, res *Result) (string, error) {
+// The design binds the trace, or the DAA's refined copy of it when its
+// trace rules ran.
+func runAllocate(ctx context.Context, in Input, opt Options, trace *vt.Program, res *Result) (string, error) {
 	which := opt.Allocator
 	if which == "" {
 		which = AllocDAA
@@ -75,19 +80,19 @@ func runAllocate(ctx context.Context, in Input, opt Options, res *Result) (strin
 	baseline := alloc.Options{Limits: opt.Core.Limits, Scheduler: opt.Scheduler}
 	switch which {
 	case AllocDAA:
-		synth, err := core.SynthesizeContext(ctx, res.VT, opt.Core)
+		synth, err := core.SynthesizeContext(ctx, trace, opt.Core)
 		if err != nil {
 			return "", Diagnose(StageAllocate, in, err)
 		}
 		res.Synth, res.Design = synth, synth.Design
 	case AllocLeftEdge:
-		d, err := alloc.LeftEdge(res.VT, baseline)
+		d, err := alloc.LeftEdge(trace, baseline)
 		if err != nil {
 			return "", Diagnose(StageAllocate, in, err)
 		}
 		res.Design = d
 	case AllocNaive:
-		d, err := alloc.Naive(res.VT, baseline)
+		d, err := alloc.Naive(trace, baseline)
 		if err != nil {
 			return "", Diagnose(StageAllocate, in, err)
 		}
@@ -96,7 +101,6 @@ func runAllocate(ctx context.Context, in Input, opt Options, res *Result) (strin
 		return "", fmt.Errorf("flow: unknown allocator %q (want %s, %s, or %s)",
 			which, AllocDAA, AllocLeftEdge, AllocNaive)
 	}
-	res.VT = res.Design.Trace
 	c := res.Design.Counts()
 	return fmt.Sprintf("%s: %d regs, %d units, %d muxes, %d links, %d states",
 		which, c.Registers, c.Units, c.Muxes, c.Links, c.States), nil
