@@ -76,10 +76,10 @@ func run(w io.Writer, inFile, benchName string, dot, provenance bool) error {
 	if !provenance {
 		return tr.WriteDot(w)
 	}
-	// Journaled synthesis of the same input. The DAA refines a copy of the
-	// trace dumped here, and a copy keeps every operator's ID (the replay
-	// decoder relies on this), so the journal's op refs resolve against
-	// the unrefined trace.
+	// Journaled synthesis of the same input. A journaled compile refines a
+	// copy of its own of the trace dumped here, and a copy keeps every
+	// operator's ID (the replay decoder relies on this), so the journal's
+	// op refs resolve against the unrefined trace.
 	res, err := flow.Compile(ctx, in, flow.Options{Core: core.Options{Journal: true}})
 	if err != nil {
 		return err

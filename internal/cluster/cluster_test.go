@@ -452,6 +452,41 @@ func TestOneAttemptPerPeer(t *testing.T) {
 	}
 }
 
+// TestOneProbePerPeerAtBoot: Start's synchronous round is each peer's
+// first readiness probe, and the probe loops wait one interval before
+// their own, so with an hour-long interval every worker answers exactly
+// one probe.
+func TestOneProbePerPeerAtBoot(t *testing.T) {
+	var probes [2]atomic.Int32
+	var peers []Peer
+	for i := range probes {
+		stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/healthz" && r.URL.Query().Get("ready") == "1" {
+				probes[i].Add(1)
+			}
+			w.WriteHeader(http.StatusOK)
+		}))
+		defer stub.Close()
+		peers = append(peers, Peer{ID: fmt.Sprintf("w%d", i), URL: stub.URL})
+	}
+	co, err := New(Config{Peers: peers, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	co.Start(context.Background())
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		co.Shutdown(ctx)
+	}()
+	time.Sleep(200 * time.Millisecond)
+	for i := range probes {
+		if got := probes[i].Load(); got != 1 {
+			t.Errorf("peer %s answered %d readiness probes after Start, want 1", peers[i].ID, got)
+		}
+	}
+}
+
 // TestBatchScatterGatherPreservesOrder: a batch spanning every shard plus
 // an invalid item comes back in request order, one slot per item.
 func TestBatchScatterGatherPreservesOrder(t *testing.T) {

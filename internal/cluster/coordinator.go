@@ -142,8 +142,9 @@ func New(cfg Config) (*Coordinator, error) {
 
 // Start runs one synchronous probe round — so a cluster whose workers are
 // already listening routes from the first request — then launches the
-// per-peer probe loops. ctx is the coordinator's lifecycle: probing stops
-// when it ends (Shutdown stops it too).
+// per-peer probe loops, whose first probes come one interval later. ctx is
+// the coordinator's lifecycle: probing stops when it ends (Shutdown stops
+// it too).
 func (co *Coordinator) Start(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, p := range co.peers {

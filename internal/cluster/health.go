@@ -45,15 +45,14 @@ type peerState struct {
 }
 
 // probeLoop drives one peer's membership until stop closes or ctx (the
-// coordinator's lifecycle, from Start) ends. The first probe fires
-// immediately so a freshly booted cluster converges in one round, not one
-// interval.
+// coordinator's lifecycle, from Start) ends. Start's synchronous round is
+// the peer's first probe, so the loop waits one interval before its own
+// first probe and then probes once per interval.
 func (co *Coordinator) probeLoop(ctx context.Context, p *peerState) {
 	defer co.wg.Done()
 	t := time.NewTicker(co.cfg.ProbeInterval)
 	defer t.Stop()
 	for {
-		co.probeOnce(ctx, p)
 		select {
 		case <-co.stop:
 			return
@@ -61,6 +60,7 @@ func (co *Coordinator) probeLoop(ctx context.Context, p *peerState) {
 			return
 		case <-t.C:
 		}
+		co.probeOnce(ctx, p)
 	}
 }
 

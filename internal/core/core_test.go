@@ -160,6 +160,43 @@ func TestDisableTraceRulesSkipsPhaseZero(t *testing.T) {
 	}
 }
 
+// TestJournaledSynthesisNeedsJournaledRefinement: a journal must replay
+// phase 0, so SynthesizeRefined refuses to journal a refinement Refine
+// made without one, and a refinement made with one journals all seven
+// phases, phase 0 first, as Synthesize does.
+func TestJournaledSynthesisNeedsJournaledRefinement(t *testing.T) {
+	ctx := context.Background()
+	ref, err := Refine(ctx, trace(t, gcdSrc), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SynthesizeRefined(ctx, ref, Options{Journal: true}); err == nil {
+		t.Error("a journaled synthesis of an unjournaled refinement succeeded")
+	}
+	ref, err = Refine(ctx, trace(t, gcdSrc), Options{Journal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := SynthesizeRefined(ctx, ref, Options{Journal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Synthesize(trace(t, gcdSrc), Options{Journal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, wantJ strings.Builder
+	res.Journal.WriteText(&got)
+	want.Journal.WriteText(&wantJ)
+	if got.String() != wantJ.String() {
+		t.Error("Refine then SynthesizeRefined journaled differently from Synthesize")
+	}
+	if len(res.Journal.Phases) != len(knowledgeBase) || res.Journal.Phases[0].Phase != "trace" {
+		t.Errorf("journal has %d phases starting %q, want %d starting with trace",
+			len(res.Journal.Phases), res.Journal.Phases[0].Phase, len(knowledgeBase))
+	}
+}
+
 func TestTraceRefinementReducesComparators(t *testing.T) {
 	// CNT neq 0 becomes a TEST; P<0:0> eql 0 becomes a NOT. Without the
 	// trace rules both need comparators.

@@ -329,7 +329,8 @@ var effects = map[string]applier{
 // embedded benchmark.
 func Replay(trace *vt.Program, j *Journal, opt Options) (*rtl.Design, error) {
 	opt.Journal = false
-	s := newSynth(vt.Clone(trace), opt)
+	tr := vt.Clone(trace)
+	s := newSynth(tr, opt.Limits.ForProgram(tr), opt)
 	decode := newDecoder(s.tr, s.d)
 	for _, pj := range j.Phases {
 		i := phaseIndex(pj.Phase)

@@ -1,11 +1,14 @@
 package flow
 
 import (
+	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/isps"
 	"repro/internal/lru"
 	"repro/internal/vt"
@@ -23,16 +26,117 @@ import (
 // cap is exceeded the least-recently-used artifact is evicted (and
 // counted); a re-submission of an evicted source simply rebuilds it.
 //
-// Every compilation of a source shares its cached artifact: the AST and
-// the value trace are handed out as they are, never copied, and callers
-// treat both as read-only. Nothing downstream writes them: core's trace
-// refinement, the trace's one writer, refines a copy of its own.
+// Every compilation of a source shares its cached artifact, which is
+// never copied and which callers treat as read-only. It holds the AST and
+// the trace in up to two forms. The plain trace, as built, serves the
+// baselines, FrontEnd, a DAA compile with its trace rules off, and a DAA
+// compile that observes phase 0 (a firing trace, the matcher cross-check
+// or a journal) and so refines a copy of its own. Phase 0's refinement of
+// the trace, built once on the first DAA compile that asks for it, serves
+// every other DAA compile, as the CMU front end handed the DAA a trace it
+// had already refined. An artifact keeps only the forms asked for: the
+// refinement adopts the plain trace if nothing has taken it, and a later
+// plain request rebuilds that trace from the AST.
 
 // frontArtifact is one memoized front-end run.
 type frontArtifact struct {
 	ast    *isps.Program
-	trace  *vt.Program
 	stages []StageInfo // parse/sema/build timings of the original run
+
+	mu     sync.Mutex
+	trace  *vt.Program // the plain trace; nil once the refinement adopted it
+	taken  bool        // trace was handed out, so it is shared and read-only
+	refine *refineCall // the kept or in-flight refinement; nil before one
+}
+
+// refineCall is one build of an artifact's refinement. done closes when
+// the build ends. A kept build answers every later DAA compile with ref
+// (its timings zeroed: the work is reused, not repeated) or err; a build
+// its context cancelled is dropped, and the next compile builds again.
+type refineCall struct {
+	done chan struct{}
+	kept bool
+	ref  core.Refinement
+	err  error
+}
+
+// plain returns the value trace as built, which stays shared and
+// read-only from then on. After the refinement adopted the trace
+// buildFront made, the first plain request rebuilds it: vt.Build only
+// reads the AST and is deterministic, so the rebuilt trace equals the one
+// buildFront validated.
+func (a *frontArtifact) plain() (*vt.Program, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.trace == nil {
+		tr, err := vt.Build(a.ast)
+		if err != nil {
+			return nil, err
+		}
+		a.trace = tr
+	}
+	a.taken = true
+	return a.trace, nil
+}
+
+// refinement returns phase 0's refinement of the artifact's trace. The
+// first call builds it under its own ctx, refining the plain trace in
+// place if nothing has taken it and a fresh build of it otherwise;
+// concurrent calls wait for that build. A context error goes back to the
+// compile whose context it was, and is not kept. Any other result,
+// including a deterministic error such as the firing limit, answers every
+// later call.
+func (a *frontArtifact) refinement(ctx context.Context) (core.Refinement, error) {
+	for {
+		a.mu.Lock()
+		c := a.refine
+		if c == nil {
+			c = &refineCall{done: make(chan struct{})}
+			a.refine = c
+			var tr *vt.Program // nil: build a fresh trace to refine
+			if !a.taken {
+				tr, a.trace = a.trace, nil // adopted: phase 0 refines it in place
+			}
+			a.mu.Unlock()
+			return a.buildRefinement(ctx, c, tr)
+		}
+		a.mu.Unlock()
+		select {
+		case <-c.done:
+		case <-ctx.Done():
+			return core.Refinement{}, ctx.Err()
+		}
+		if c.kept {
+			return c.ref, c.err
+		}
+	}
+}
+
+// buildRefinement runs phase 0 for call c on tr, or on a fresh build of
+// the trace when tr is nil, and keeps the result unless ctx ended it. The
+// caller gets the refinement with the times it measured.
+func (a *frontArtifact) buildRefinement(ctx context.Context, c *refineCall, tr *vt.Program) (core.Refinement, error) {
+	defer func() {
+		if !c.kept { // cancelled, or a panic: the next compile builds again
+			a.mu.Lock()
+			a.refine = nil
+			a.mu.Unlock()
+		}
+		close(c.done)
+	}()
+	if tr == nil {
+		var err error
+		if tr, err = vt.Build(a.ast); err != nil {
+			return core.Refinement{}, err
+		}
+	}
+	ref, err := core.Refine(ctx, tr, core.Options{})
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return ref, err
+	}
+	c.ref, c.err, c.kept = ref, err, true
+	c.ref.Stats = ref.Stats.Untimed()
+	return ref, err
 }
 
 // frontEntry is the cache slot: the once gate makes concurrent compilations
@@ -78,10 +182,9 @@ func SetCacheCap(n int) int {
 // (tests and memory-sensitive batch runs). The entry cap is kept.
 func ResetCache() { frontCache.Reset() }
 
-// frontStages returns the analyzed AST, the validated value trace and the
-// front-stage timing records, building or reusing the cached artifact.
-// The AST and trace are the cache's own: read-only.
-func frontStages(in Input) (*isps.Program, *vt.Program, []StageInfo, error) {
+// frontStages returns the source's artifact and the front-stage timing
+// records, building or reusing the cached artifact.
+func frontStages(in Input) (*frontArtifact, []StageInfo, error) {
 	e := frontCache.GetOrAdd(in.ContentHash(), func() *frontEntry { return new(frontEntry) })
 	built := false
 	e.once.Do(func() {
@@ -89,19 +192,19 @@ func frontStages(in Input) (*isps.Program, *vt.Program, []StageInfo, error) {
 		e.art, e.err = buildFront(in)
 	})
 	if e.err != nil {
-		return nil, nil, nil, e.err
+		return nil, nil, e.err
 	}
 	if built {
 		// This call paid for the real front end; report its timings (a
 		// copy: the back end appends its stages).
-		return e.art.ast, e.art.trace, append([]StageInfo(nil), e.art.stages...), nil
+		return e.art, append([]StageInfo(nil), e.art.stages...), nil
 	}
 	stages := []StageInfo{
 		{Stage: StageParse, Cached: true},
 		{Stage: StageSema, Cached: true},
 		{Stage: StageBuild, Cached: true},
 	}
-	return e.art.ast, e.art.trace, stages, nil
+	return e.art, stages, nil
 }
 
 // buildFront runs parse → sema → build → validate without the cache.

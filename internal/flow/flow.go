@@ -30,10 +30,14 @@
 // The front half of the pipeline (parse+sema+build) is memoized in a
 // content-hash-keyed artifact cache, so repeated compilations of the same
 // source (the experiment harness compiles the MCS6502 nine-plus times) pay
-// for the front end once. Every compilation reads the one cached value
-// trace; the DAA's trace refinement, its only writer, refines a copy of
-// its own (core.SynthesizeContext). RunAll executes independent
-// compilations across a bounded worker pool.
+// for the front end once. The artifact also keeps the DAA's phase 0, trace
+// refinement, as the CMU front end did: the first DAA compile of a source
+// refines its trace once (core.Refine), and every later one binds that
+// refinement (core.SynthesizeRefined) without copying the trace or
+// rerunning the phase. The baselines read the one cached plain trace, and
+// a DAA compile that observes phase 0 (a firing trace, the matcher
+// cross-check, a journal) refines a copy of its own. RunAll executes
+// independent compilations across a bounded worker pool.
 package flow
 
 import (
@@ -183,9 +187,11 @@ type Result struct {
 	// source: treat it as read-only.
 	AST *isps.Program
 	// Design is the synthesized register-transfer structure. Its Trace is
-	// the value trace it binds: the cached front-end trace, shared with
-	// every compilation of the source, or the DAA's refined copy of it
-	// when its trace rules ran. Treat that trace as read-only.
+	// the value trace it binds: for the DAA, the source's one cached
+	// refinement, or a refined copy of its own when the compile observed
+	// phase 0; for the baselines and a DAA compile with its trace rules
+	// off, the cached plain trace. The cached forms are shared with every
+	// compilation of the source: treat the trace as read-only.
 	Design *rtl.Design
 	// Control is the design's control table, derived by the validate
 	// stage; every report and artifact of the controller reads it.
@@ -232,14 +238,14 @@ func Compile(ctx context.Context, in Input, opt Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{Input: in}
-	ast, trace, stages, err := frontStages(in)
+	art, stages, err := frontStages(in)
 	if err != nil {
 		return nil, err
 	}
-	res.AST = ast
+	res.AST = art.ast
 	res.Trace.Stages = stages
 
-	if err := runBack(ctx, in, opt, trace, res); err != nil {
+	if err := runBack(ctx, in, opt, art, res); err != nil {
 		return nil, err
 	}
 	res.Trace.Total = time.Since(start)
@@ -247,16 +253,20 @@ func Compile(ctx context.Context, in Input, opt Options) (*Result, error) {
 }
 
 // FrontEnd runs the front half of the pipeline — parse → sema → build →
-// validate — through the artifact cache and returns the cached value
-// trace itself, shared with every compilation of the source: treat it as
-// read-only. It is the loading path of internal/bench and cmd/vtdump.
+// validate — through the artifact cache and returns the cached plain
+// value trace itself, unrefined and shared with every compilation of the
+// source: treat it as read-only. It is the loading path of internal/bench
+// and cmd/vtdump.
 // (The Front type, by contrast, is the Pareto front Explore returns.)
 func FrontEnd(ctx context.Context, in Input) (*vt.Program, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	_, trace, _, err := frontStages(in)
-	return trace, err
+	art, _, err := frontStages(in)
+	if err != nil {
+		return nil, err
+	}
+	return art.plain()
 }
 
 // Parse runs only the parse and sema stages, with positioned diagnostics.

@@ -10,24 +10,29 @@ import (
 	"repro/internal/flow"
 )
 
-// compileAllocCeiling caps the heap allocations of one flow.Compile of the
-// MCS6502 with the front end cached, per allocation path. Allocation
-// counts are deterministic, so this catches regressions that timing noise
-// hides. Each ceiling is the count measured when it was set plus 2%
-// headroom for differences between Go releases (CI builds with Go 1.22).
-// Measured with Go 1.24 once the front end handed out its cached trace
-// and only the DAA's phase 0 copied it: 33,270 for the DAA, 13,984 for
-// left-edge and 25,203 for the DAA with trace-rules=false, down from
-// 33,391, 18,000 and 29,326 when every compile cloned the trace. A change
-// may lower a ceiling; it must never raise one.
+// compileAllocCeiling caps the heap allocations and bytes of one
+// flow.Compile of the MCS6502 with the front end cached, per allocation
+// path. Allocation counts are deterministic, so this catches regressions
+// that timing noise hides. Each count ceiling is the count measured when
+// it was set plus 2% headroom for differences between Go releases (CI
+// builds with Go 1.22); each byte ceiling adds 25%, as the cosim rows do,
+// because maps allocate differently across releases. Measured with Go
+// 1.24 once the front end kept phase 0's refinement, so a default DAA
+// compile neither copies the cached trace nor reruns phase 0: 25,086
+// allocations and 1,921,100 bytes for the DAA, down from 33,271 and
+// 2,643,500 when each DAA compile refined a copy of its own; 13,985 and
+// 919,600 for left-edge; 25,202 and 1,924,300 for the DAA with
+// trace-rules=false. A change may lower a ceiling; it must never raise
+// one.
 var compileAllocCeiling = []struct {
 	name    string
 	opt     flow.Options
 	ceiling float64
+	bytes   uint64
 }{
-	{"daa", flow.Options{}, 33935},
-	{"leftedge", flow.Options{Allocator: flow.AllocLeftEdge}, 14263},
-	{"daa-trace-rules=false", flow.Options{Core: core.Options{DisableTraceRules: true}}, 25707},
+	{"daa", flow.Options{}, 25588, 2_401_400},
+	{"leftedge", flow.Options{Allocator: flow.AllocLeftEdge}, 14263, 1_149_500},
+	{"daa-trace-rules=false", flow.Options{Core: core.Options{DisableTraceRules: true}}, 25707, 2_405_400},
 }
 
 func TestCompileAllocRatchet(t *testing.T) {
@@ -38,15 +43,25 @@ func TestCompileAllocRatchet(t *testing.T) {
 	for _, c := range compileAllocCeiling {
 		t.Run(c.name, func(t *testing.T) {
 			var err error
-			allocs := testing.AllocsPerRun(20, func() {
-				_, err = flow.Compile(context.Background(), in, c.opt)
-			})
+			compile := func() { _, err = flow.Compile(context.Background(), in, c.opt) }
+			allocs := testing.AllocsPerRun(20, compile)
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("allocs per compile: %.0f, ceiling %.0f", allocs, c.ceiling)
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				compile()
+			}
+			runtime.ReadMemStats(&after)
+			bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+			t.Logf("allocs per compile: %.0f, ceiling %.0f; bytes per compile: %d, ceiling %d", allocs, c.ceiling, bytes, c.bytes)
 			if allocs > c.ceiling {
 				t.Errorf("flow.Compile of mcs6502 made %.0f allocations, ceiling %.0f", allocs, c.ceiling)
+			}
+			if bytes > c.bytes {
+				t.Errorf("flow.Compile of mcs6502 allocated %d bytes, ceiling %d", bytes, c.bytes)
 			}
 		})
 	}
