@@ -11,8 +11,9 @@ import (
 )
 
 // TestAllocatorsLeaveInputUnrefined pins the comparison's fairness
-// invariant: the DAA refines a copy of its own, so the baselines in E2 see
-// the unrefined description. Each baseline row must match a run on the
+// invariant: the DAA binds phase 0's refinement, which the front-end
+// cache keeps apart from the plain trace, so the baselines in E2 see the
+// unrefined description. Each baseline row must match a run on the
 // loaded trace, which the E2 compiles share.
 func TestAllocatorsLeaveInputUnrefined(t *testing.T) {
 	rows, err := E2(context.Background(), "gcd")
